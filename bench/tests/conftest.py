@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+# The benchmark's modules import each other flat, as they do when
+# bench/run.py runs as a script; biaseval comes from this checkout's src.
+for path in (BENCH_DIR, BENCH_DIR.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
