@@ -5,127 +5,60 @@ target/attribute word sets and rank embeddings; a Hindi gender-neutral
 corpus builder plus a translation bias index score MT systems end to end.
 """
 
-from .eec import (
-    DEFAULT_PRONOUNS,
-    EvaluationSet,
-    Lexicon,
-    PronounSpec,
-    Utterance,
-    build_views,
-    generate_utterances,
-    load_lexicon,
-)
-from .embeddings import EmbeddingTable, WordResolution, cosine, load_word2vec_text
-from .metrics import (
-    ClassifierModel,
-    MetricResult,
-    ect,
-    kl_from_uniform,
-    rnd,
-    rnsb,
-    spearman,
-    train_attribute_classifier,
-    weat,
-    weat_association,
-)
-from .queries import (
-    Query,
-    QueryTemplate,
-    ResolvedQuery,
-    WordSet,
-    default_queries_path,
-    expand_subqueries,
-    load_queries,
-    resolve_query,
-    validate_query,
-)
-from .ranking import (
-    RankTable,
-    ScoreMatrix,
-    aggregate_rows,
-    build_rank_table,
-    build_score_matrix,
-    rank_embeddings,
-    render_rank_table,
-)
-from .tgbi import (
-    DEFAULT_GENDER_LEXICON,
-    BucketCounts,
-    GenderLexicon,
-    SetScore,
-    TgbiReport,
-    classify_sentence,
-    count_buckets,
-    load_gender_lexicon,
-    p_index,
-    proportions,
-    render_tgbi_table,
-    score_views,
-)
-from .translate import (
-    BackendConfig,
-    TranslationRecord,
-    fetch_translations_http,
-    join,
-    load_translations_tsv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackendConfig",
-    "BucketCounts",
-    "ClassifierModel",
-    "DEFAULT_GENDER_LEXICON",
-    "DEFAULT_PRONOUNS",
-    "EmbeddingTable",
-    "EvaluationSet",
-    "GenderLexicon",
-    "Lexicon",
-    "MetricResult",
-    "PronounSpec",
-    "Query",
-    "QueryTemplate",
-    "RankTable",
-    "ResolvedQuery",
-    "ScoreMatrix",
-    "SetScore",
-    "TgbiReport",
-    "TranslationRecord",
-    "Utterance",
-    "WordResolution",
-    "WordSet",
-    "aggregate_rows",
-    "build_rank_table",
-    "build_score_matrix",
-    "build_views",
-    "classify_sentence",
-    "cosine",
-    "count_buckets",
-    "default_queries_path",
-    "ect",
-    "expand_subqueries",
-    "fetch_translations_http",
-    "generate_utterances",
-    "join",
-    "kl_from_uniform",
-    "load_gender_lexicon",
-    "load_lexicon",
-    "load_queries",
-    "load_translations_tsv",
-    "load_word2vec_text",
-    "p_index",
-    "proportions",
-    "rank_embeddings",
-    "render_rank_table",
-    "render_tgbi_table",
-    "resolve_query",
-    "rnd",
-    "rnsb",
-    "score_views",
-    "spearman",
-    "train_attribute_classifier",
-    "validate_query",
-    "weat",
-    "weat_association",
-]
+# Public names by defining submodule. They are imported on first access
+# (PEP 562), so ``import biaseval.cli`` for the translation-path commands
+# loads neither numpy nor requests.
+_EXPORTS = {
+    "eec": (
+        "DEFAULT_PRONOUNS", "EvaluationSet", "Lexicon", "PronounSpec", "Utterance",
+        "build_views", "generate_utterances", "load_lexicon",
+    ),
+    "embeddings": ("EmbeddingTable", "WordResolution", "cosine", "load_word2vec_text"),
+    "metrics": (
+        "ClassifierModel", "MetricResult", "ect", "kl_from_uniform", "rnd", "rnsb",
+        "spearman", "train_attribute_classifier", "weat", "weat_association",
+    ),
+    "queries": (
+        "Query", "QueryTemplate", "ResolvedQuery", "WordSet", "default_queries_path",
+        "expand_subqueries", "load_queries", "resolve_query", "validate_query",
+    ),
+    "ranking": (
+        "RankTable", "ScoreMatrix", "aggregate_rows", "build_rank_table",
+        "build_score_matrix", "rank_embeddings", "render_rank_table",
+    ),
+    "tgbi": (
+        "DEFAULT_GENDER_LEXICON", "BucketCounts", "GenderLexicon", "SetScore", "TgbiReport",
+        "classify_sentence", "count_buckets", "load_gender_lexicon", "p_index",
+        "proportions", "render_tgbi_table", "score_views",
+    ),
+    "translate": (
+        "BackendConfig", "TranslationRecord", "fetch_translations_http", "join",
+        "load_translations_tsv",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (
+    "cli", "eec", "embeddings", "errors", "metrics", "names", "queries", "ranking",
+    "tgbi", "translate",
+)
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 computation error, 2 usage or input error. Every
 JSON report embeds a provenance block (input hashes, seed, flags) and no
 timestamps, so re-running a command on the same inputs produces
 byte-identical output.
+
+The embedding stack (numpy) is imported only by the ``metrics`` and ``rank``
+commands, and ``requests`` only by the HTTP translation backend, so the
+translation-path commands start without either.
 """
 
 from __future__ import annotations
@@ -27,21 +31,8 @@ from .eec import (
     write_corpus_tsv,
     write_views_json,
 )
-from .embeddings import DEFAULT_LOST_THRESHOLD, load_word2vec_text
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
-from .metrics import DEFAULT_CLASSIFIER_HYPER, METRIC_NAMES, METRIC_TEMPLATES
-from .queries import expand_subqueries, load_queries, subquery_count
-from .ranking import (
-    AGGREGATIONS,
-    build_rank_table,
-    build_score_matrix,
-    rank_table_csv,
-    rank_table_to_dict,
-    render_rank_table,
-    render_score_matrix,
-    score_matrix_csv,
-    score_matrix_to_dict,
-)
+from .names import AGGREGATIONS, METRIC_NAMES, RENDER_MODES
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -62,11 +53,14 @@ from .translate import (
 )
 
 DEFAULT_SEED = 42
+_HASH_CHUNK = 1 << 20
 
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -74,19 +68,23 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _describe_inputs(inputs: dict) -> dict:
+    """Provenance entry per input: a file path with its sha256, any other
+    value as given. Idempotent, so a described block can be reused."""
+    return {
+        label: {"path": str(value), "sha256": _sha256(value)}
+        if isinstance(value, (str, Path)) else value
+        for label, value in inputs.items()
+    }
+
+
 def _provenance(inputs: dict, seed: int, flags: dict) -> dict:
-    block = {
+    return {
         "version": __version__,
         "seed": seed,
         "flags": flags,
-        "inputs": {},
+        "inputs": _describe_inputs(inputs),
     }
-    for label, value in inputs.items():
-        if isinstance(value, (str, Path)):
-            block["inputs"][label] = {"path": str(value), "sha256": _sha256(value)}
-        else:
-            block["inputs"][label] = value
-    return block
 
 
 def _write_json(payload: dict, path) -> None:
@@ -129,6 +127,20 @@ def _opt(args, config: dict, key: str, default):
     if key in config:
         return config[key]
     return default
+
+
+def _check_choice(key: str, value, choices):
+    """Config-file values bypass argparse, so check them against the same
+    choices the flags use."""
+    if value not in choices:
+        raise ValueError(
+            f"config {key}: invalid choice {value!r} (choose from {', '.join(choices)})"
+        )
+    return value
+
+
+def _opt_choice(args, config: dict, key: str, default, choices):
+    return _check_choice(key, _opt(args, config, key, default), choices)
 
 
 def _load_pronouns(path):
@@ -208,7 +220,8 @@ def cmd_translate(args) -> int:
             max_in_flight=int(_opt(args, config, "max_in_flight", 4)),
         )
         existing = load_translations_tsv(out) if out.is_file() else []
-        have = {record.id for record in existing}
+        # Failed rows are stored with an empty translation; fetch them again.
+        have = {record.id for record in existing if record.output}
         todo = [utterance for utterance in corpus if utterance.id not in have]
         try:
             fetched = fetch_translations_http(cfg, todo)
@@ -230,11 +243,14 @@ def cmd_translate(args) -> int:
 
 
 def _merge_records(corpus, existing, fetched):
+    """Existing records overlaid by fetched ones, in corpus order, followed by
+    the records whose ids are not in the corpus, sorted by id."""
     by_id = {record.id: record for record in existing}
     by_id.update({record.id: record for record in fetched})
+    corpus_ids = {utterance.id for utterance in corpus}
     ordered = [by_id[utterance.id] for utterance in corpus if utterance.id in by_id]
     extras = [record for record_id, record in sorted(by_id.items())
-              if record_id not in {u.id for u in corpus}]
+              if record_id not in corpus_ids]
     return ordered + extras
 
 
@@ -247,8 +263,10 @@ def cmd_tgbi(args) -> int:
         _opt(args, config, "translations", None), "translations TSV"
     )
     out_dir = _out_dir(_opt(args, config, "out_dir", "tgbi_out"))
-    variant = _opt(args, config, "variant", VARIANT_LINEAR)
-    ambiguous_policy = _opt(args, config, "ambiguous_policy", "unresolved")
+    variant = _opt_choice(args, config, "variant", VARIANT_LINEAR, VARIANTS)
+    ambiguous_policy = _opt_choice(
+        args, config, "ambiguous_policy", "unresolved", AMBIGUOUS_POLICIES
+    )
     min_coverage = float(_opt(args, config, "min_coverage", DEFAULT_MIN_COVERAGE))
     lexicon_path = _opt(args, config, "gender_lexicon", None)
 
@@ -296,27 +314,19 @@ def cmd_tgbi(args) -> int:
     return 0
 
 
-def _parse_embedding_specs(specs):
-    tables = []
-    for spec in specs:
-        if "=" in spec:
-            name, _, location = spec.partition("=")
-        else:
-            name, location = Path(spec).stem, spec
-        tables.append(load_word2vec_text(_require_file(location, "embedding file"), name))
-    return tables
-
-
-def _load_all_queries(paths):
-    queries = []
-    for path in paths:
-        queries.extend(load_queries(_require_file(path, "query file")))
-    return queries
+def _metric_names(args, config: dict) -> list:
+    metrics = args.metric or config.get("metrics") or METRIC_NAMES
+    if not isinstance(metrics, (list, tuple)):
+        raise ValueError(f"config metrics: expected a list of metric names, got {metrics!r}")
+    return [_check_choice("metrics", metric, METRIC_NAMES) for metric in metrics]
 
 
 def _check_templates(queries, metrics, skip_invalid: bool) -> list:
     """Usage-error on any query that cannot satisfy a requested metric's
     template, unless told to skip such queries."""
+    from .metrics import METRIC_TEMPLATES
+    from .queries import subquery_count
+
     kept = list(queries)
     for metric in metrics:
         template = METRIC_TEMPLATES[metric]
@@ -330,24 +340,56 @@ def _check_templates(queries, metrics, skip_invalid: bool) -> list:
     return kept
 
 
-def cmd_metrics(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    out_dir = _out_dir(_opt(args, config, "out_dir", "metrics_out"))
-    lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
-    metrics = list(args.metric or config.get("metrics") or METRIC_NAMES)
-    tables = _parse_embedding_specs(args.embedding or config.get("embeddings") or ())
+def _embedding_inputs(args, config: dict, metrics) -> tuple:
+    """Load the embedding tables and queries ``metrics`` and ``rank`` score.
+
+    Returns (tables, queries, provenance inputs); each input file is hashed
+    once here, however many reports cite it.
+    """
+    from .embeddings import load_word2vec_text
+    from .queries import load_queries
+
+    tables, inputs = [], {}
+    for spec in args.embedding or config.get("embeddings") or ():
+        if "=" in spec:
+            name, _, location = spec.partition("=")
+        else:
+            name, location = Path(spec).stem, spec
+        table = load_word2vec_text(_require_file(location, "embedding file"), name)
+        tables.append(table)
+        inputs[f"embedding:{table.name}"] = location
     if not tables:
         raise ValueError("at least one --embedding is required")
     query_paths = list(args.queries or config.get("queries") or ())
     if not query_paths:
         raise ValueError("at least one --queries file is required")
-    queries = _check_templates(_load_all_queries(query_paths), metrics, args.skip_invalid)
-    hyper = dict(DEFAULT_CLASSIFIER_HYPER)
-    hyper["seed"] = seed
-
-    inputs = {f"embedding:{t.name}": p for t, p in zip(tables, _embedding_paths(args, config))}
+    queries = []
+    for path in query_paths:
+        queries.extend(load_queries(_require_file(path, "query file")))
+    queries = _check_templates(queries, metrics, args.skip_invalid)
     inputs.update({f"queries:{i}": path for i, path in enumerate(query_paths)})
+    return tables, queries, _describe_inputs(inputs)
+
+
+def cmd_metrics(args) -> int:
+    from .embeddings import DEFAULT_LOST_THRESHOLD
+    from .metrics import DEFAULT_CLASSIFIER_HYPER, METRIC_TEMPLATES
+    from .queries import expand_subqueries
+    from .ranking import (
+        build_score_matrix,
+        render_score_matrix,
+        score_matrix_csv,
+        score_matrix_to_dict,
+    )
+
+    config = _load_config(args.config)
+    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
+    out_dir = _out_dir(_opt(args, config, "out_dir", "metrics_out"))
+    lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
+    metrics = _metric_names(args, config)
+    tables, queries, inputs = _embedding_inputs(args, config, metrics)
+    hyper = {**DEFAULT_CLASSIFIER_HYPER, "seed": seed}
+
     for metric in metrics:
         template = METRIC_TEMPLATES[metric]
         subqueries = expand_subqueries(queries, template)
@@ -369,40 +411,29 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _embedding_paths(args, config):
-    specs = args.embedding or config.get("embeddings") or ()
-    paths = []
-    for spec in specs:
-        if "=" in spec:
-            paths.append(spec.partition("=")[2])
-        else:
-            paths.append(spec)
-    return paths
-
-
 def cmd_rank(args) -> int:
+    from .embeddings import DEFAULT_LOST_THRESHOLD
+    from .metrics import DEFAULT_CLASSIFIER_HYPER
+    from .ranking import (
+        build_rank_table,
+        rank_table_csv,
+        rank_table_to_dict,
+        render_rank_table,
+    )
+
     config = _load_config(args.config)
     seed = int(_opt(args, config, "seed", DEFAULT_SEED))
     out_dir = _out_dir(_opt(args, config, "out_dir", "rank_out"))
     lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
-    agg = _opt(args, config, "agg", "abs_mean")
-    mode = _opt(args, config, "mode", "ranks")
-    metrics = list(args.metric or config.get("metrics") or METRIC_NAMES)
-    tables = _parse_embedding_specs(args.embedding or config.get("embeddings") or ())
-    if not tables:
-        raise ValueError("at least one --embedding is required")
-    query_paths = list(args.queries or config.get("queries") or ())
-    if not query_paths:
-        raise ValueError("at least one --queries file is required")
-    queries = _check_templates(_load_all_queries(query_paths), metrics, args.skip_invalid)
-    hyper = dict(DEFAULT_CLASSIFIER_HYPER)
-    hyper["seed"] = seed
+    agg = _opt_choice(args, config, "agg", "abs_mean", AGGREGATIONS)
+    mode = _opt_choice(args, config, "mode", "ranks", RENDER_MODES)
+    metrics = _metric_names(args, config)
+    tables, queries, inputs = _embedding_inputs(args, config, metrics)
+    hyper = {**DEFAULT_CLASSIFIER_HYPER, "seed": seed}
 
     table = build_rank_table(
         metrics, tables, queries, lost_threshold=lost_threshold, agg=agg, hyper=hyper
     )
-    inputs = {f"embedding:{t.name}": p for t, p in zip(tables, _embedding_paths(args, config))}
-    inputs.update({f"queries:{i}": path for i, path in enumerate(query_paths)})
     payload = {
         "provenance": _provenance(
             inputs,
@@ -492,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--config")
     rank.add_argument("--agg", choices=AGGREGATIONS)
-    rank.add_argument("--mode", choices=("ranks", "raw"))
+    rank.add_argument("--mode", choices=RENDER_MODES)
     metrics.set_defaults(func=cmd_metrics)
     rank.set_defaults(func=cmd_rank)
     return parser

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .embeddings import nfc
+from .names import nfc
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")

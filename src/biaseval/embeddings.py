@@ -8,7 +8,6 @@ Devanagari spellings match.
 
 from __future__ import annotations
 
-import unicodedata
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmbeddingFormatError, EmptyResolutionError, VocabularyLossError
+from .names import nfc
 
 DEFAULT_LOST_THRESHOLD = 0.2
 
@@ -27,11 +27,6 @@ __all__ = [
     "load_word2vec_text",
     "nfc",
 ]
-
-
-def nfc(text: str) -> str:
-    """NFC-normalize a string so composed and decomposed forms compare equal."""
-    return unicodedata.normalize("NFC", text)
 
 
 def _is_devanagari(token: str) -> bool:

@@ -20,13 +20,8 @@ from .errors import (
     TemplateMismatchError,
     UndefinedCorrelationError,
 )
+from .names import ECT, METRIC_NAMES, RND, RNSB, WEAT
 from .queries import QueryTemplate, ResolvedQuery
-
-WEAT = "WEAT"
-RND = "RND"
-RNSB = "RNSB"
-ECT = "ECT"
-METRIC_NAMES = (WEAT, RNSB, RND, ECT)
 
 DEFAULT_CLASSIFIER_HYPER = {"lr": 0.1, "epochs": 500, "seed": 42}
 

@@ -19,9 +19,8 @@ import numpy as np
 from .embeddings import DEFAULT_LOST_THRESHOLD
 from .errors import EmptyResolutionError, VocabularyLossError
 from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB
+from .names import AGGREGATIONS, RENDER_MODES
 from .queries import expand_subqueries, resolve_query
-
-AGGREGATIONS = ("abs_mean", "mean")
 
 __all__ = [
     "AGGREGATIONS",
@@ -266,7 +265,7 @@ def render_rank_table(table: RankTable, mode: str = "ranks") -> str:
     ``ranks`` shows rank indices; ``raw`` shows the aggregate values, the
     layout used when reporting a single query set directly.
     """
-    if mode not in ("ranks", "raw"):
+    if mode not in RENDER_MODES:
         raise ValueError(f"unknown mode '{mode}' (expected 'ranks' or 'raw')")
     header = ["Embedding"] + list(table.cols)
     rows = []

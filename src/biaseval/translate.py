@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import os
 import re
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .errors import JoinCoverageError, TranslationRunError
 
@@ -118,6 +117,8 @@ def _clean(text: str) -> str:
 
 
 def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch) -> list[TranslationRecord]:
+    import requests
+
     payload = {"texts": [{"id": u.id, "text": u.text} for u in batch]}
     last_error = "no attempt made"
     for attempt in range(cfg.retry_count + 1):
@@ -169,6 +170,10 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
     be in flight concurrently up to ``cfg.max_in_flight``; results are merged
     in corpus order regardless of completion order. The ``BIASEVAL_HTTP_AUTH``
     environment variable, when set, is forwarded as the Authorization header.
+
+    Without a ``session``, each worker thread opens its own
+    ``requests.Session`` (sessions are not thread-safe) and every one is
+    closed before returning; a caller-supplied session is used as given.
     """
     if cfg.kind != "http":
         raise ValueError("fetch_translations_http needs a backend config with kind='http'")
@@ -180,18 +185,26 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
     if auth:
         headers["Authorization"] = auth
     headers.update(cfg.headers)
-    owned = session is None
-    if owned:
-        session = requests.Session()
+    local = threading.local()
+    opened = []
+
+    def open_session():
+        import requests
+
+        local.session = requests.Session()
+        opened.append(local.session)
+
+    def fetch(batch):
+        return _fetch_batch(local.session if session is None else session, cfg, headers, batch)
+
     batches = [utterances[i : i + BATCH_SIZE] for i in range(0, len(utterances), BATCH_SIZE)]
     per_batch: dict[int, list[TranslationRecord]] = {}
     failures: dict[int, str] = {}
+    workers = min(cfg.max_in_flight, len(batches))
+    initializer = open_session if session is None else None
     try:
-        with ThreadPoolExecutor(max_workers=min(cfg.max_in_flight, len(batches))) as pool:
-            futures = {
-                pool.submit(_fetch_batch, session, cfg, headers, batch): index
-                for index, batch in enumerate(batches)
-            }
+        with ThreadPoolExecutor(max_workers=workers, initializer=initializer) as pool:
+            futures = {pool.submit(fetch, batch): index for index, batch in enumerate(batches)}
             for future in as_completed(futures):
                 index = futures[future]
                 try:
@@ -199,8 +212,8 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
                 except _BatchFailure as exc:
                     failures[index] = str(exc)
     finally:
-        if owned:
-            session.close()
+        for opened_session in opened:
+            opened_session.close()
     if failures:
         completed = [record for index in sorted(per_batch) for record in per_batch[index]]
         detail = "; ".join(f"batch {index}: {message}" for index, message in sorted(failures.items()))

@@ -383,3 +383,151 @@ class TestDeterminism:
             assert result.returncode == 0, result.stderr
             outputs.append((out_dir / "rank_table.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def serve_translations(translate):
+    """Start an HTTP backend whose reply for each posted batch is
+    ``translate(texts)``; return (server, url, posted ids per request)."""
+    posted = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            posted.append([t["id"] for t in payload["texts"]])
+            body = json.dumps({"translations": translate(payload["texts"])}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_port}/translate", posted
+
+
+class TestTranslateResume:
+    def test_rerun_refetches_failed_rows(self, tmp_path, lexicon_files):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        omitted = {3, 5}
+        healthy = True
+
+        def translate(texts):
+            return [{"id": t["id"], "text": f"they {t['id']}"} for t in texts
+                    if healthy or t["id"] not in omitted]
+
+        server, url, posted = serve_translations(translate)
+        out = tmp_path / "http.tsv"
+        argv = ["translate", "--corpus", out_dir / "corpus.tsv", "--backend", "http",
+                "--url", url, "--out", out]
+        try:
+            healthy = False
+            assert run_cli(*argv).returncode == 0
+            rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:])
+            assert {int(uid) for uid, text in rows.items() if not text} == omitted
+
+            healthy = True
+            posted.clear()
+            result = run_cli(*argv)
+            assert result.returncode == 0, result.stderr
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert posted == [sorted(omitted)]
+        rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:])
+        assert len(rows) == 18
+        assert all(text == f"they {uid}" for uid, text in rows.items())
+
+
+class TestMergeRecords:
+    def test_fetched_wins_corpus_order_then_sorted_extras(self):
+        from biaseval.cli import _merge_records
+        from biaseval.eec import Utterance
+        from biaseval.translate import TranslationRecord
+
+        corpus = [Utterance(i, f"s{i}", "informal", "positive", f"w{i}") for i in (3, 1, 2)]
+        existing = [TranslationRecord(i, f"old {i}", "file") for i in (1, 2, 9, 7)]
+        fetched = [TranslationRecord(i, f"new {i}", "http") for i in (2, 3, 8)]
+        merged = _merge_records(corpus, existing, fetched)
+        assert [(r.id, r.output) for r in merged] == [
+            (3, "new 3"), (1, "old 1"), (2, "new 2"), (7, "old 7"), (8, "new 8"), (9, "old 9"),
+        ]
+
+
+class TestConfigChoices:
+    """Config-file values are checked against the flags' choices: a bad one
+    exits 2 with a one-line error that names the key."""
+
+    @pytest.mark.parametrize("key,value,choices", [
+        ("metrics", ["BAD"], "WEAT, RNSB, RND, ECT"),
+        ("agg", "BAD", "abs_mean, mean"),
+        ("mode", "BAD", "ranks, raw"),
+    ])
+    def test_rank_keys(self, tmp_path, embedding_files, query_file, key, value, choices):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        result = run_cli(
+            "rank", "--embedding", f"a={embedding_files[0]}", "--queries", query_file,
+            "--out-dir", tmp_path / "rank", "--config", config,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: config {key}: invalid choice 'BAD' (choose from {choices})"
+        ]
+        assert not (tmp_path / "rank" / "rank_table.json").exists()
+
+    @pytest.mark.parametrize("key,choices", [
+        ("variant", "linear, sqrt"),
+        ("ambiguous_policy", "unresolved, first_token"),
+    ])
+    def test_tgbi_keys(self, tmp_path, lexicon_files, key, choices):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "BAD"}), encoding="utf-8")
+        result = run_cli(
+            "tgbi", "--corpus", out_dir / "corpus.tsv", "--views", out_dir / "views.json",
+            "--translations", translations, "--out-dir", tmp_path / "r", "--config", config,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: config {key}: invalid choice 'BAD' (choose from {choices})"
+        ]
+        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+
+
+class TestInputHashing:
+    def test_each_input_hashed_once_per_run(self, tmp_path, embedding_files, query_file,
+                                            monkeypatch, capsys):
+        import hashlib
+
+        from biaseval import cli
+
+        hashed = []
+        original = cli._sha256
+
+        def counting(path):
+            hashed.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(cli, "_sha256", counting)
+        monkeypatch.setattr(cli, "_HASH_CHUNK", 7)  # stream in several chunks
+        emb_a, emb_b = embedding_files
+        out_dir = tmp_path / "metrics"
+        code = cli.main([
+            "metrics", "--embedding", f"a={emb_a}", "--embedding", f"b={emb_b}",
+            "--queries", str(query_file), "--metric", "WEAT", "--metric", "RND",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 0
+        assert sorted(hashed) == sorted([str(emb_a), str(emb_b), str(query_file)])
+        blocks = [
+            json.loads((out_dir / f"scores_{m}.json").read_text(encoding="utf-8"))["provenance"]
+            for m in ("WEAT", "RND")
+        ]
+        assert blocks[0]["inputs"] == blocks[1]["inputs"]
+        assert blocks[0]["inputs"]["embedding:a"] == {
+            "path": str(emb_a), "sha256": hashlib.sha256(emb_a.read_bytes()).hexdigest(),
+        }

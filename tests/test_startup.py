@@ -1,0 +1,131 @@
+"""Start-up cost of each command path: which heavy libraries it imports.
+
+Every probe runs in a fresh interpreter, because this test process has
+already imported numpy and requests.
+"""
+
+import json
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+HEAVY = ("numpy", "requests")
+
+
+def heavy_modules_after(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; return which of HEAVY it loaded."""
+    probe = (
+        code
+        + "\nimport json, sys\n"
+        + f"print(json.dumps([name for name in {HEAVY!r} if name in sys.modules]))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def heavy_modules_after_cli(*argv) -> list:
+    """Run one command through ``biaseval.cli.main`` in a fresh interpreter."""
+    args = [str(arg) for arg in argv]
+    return heavy_modules_after(
+        "import contextlib, io\n"
+        "import biaseval.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert biaseval.cli.main({args!r}) == 0\n"
+    )
+
+
+@pytest.fixture
+def corpus_dir(tmp_path):
+    lexicons = {"occupations": "डॉक्टर\nशिक्षक\n", "positive": "अच्छा\n", "negative": "बुरा\n"}
+    argv = ["eec", "--out-dir", tmp_path / "eec"]
+    for name, text in lexicons.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        argv += [f"--{name}", path]
+    return tmp_path / "eec", argv
+
+
+def test_import_cli_loads_neither():
+    assert heavy_modules_after("import biaseval.cli") == []
+
+
+def test_translation_path_commands_load_neither(tmp_path, corpus_dir):
+    eec_dir, eec_argv = corpus_dir
+    assert heavy_modules_after_cli(*eec_argv) == []
+
+    corpus = eec_dir / "corpus.tsv"
+    ids = [line.split("\t")[0] for line in corpus.read_text(encoding="utf-8").splitlines()[1:]]
+    source = tmp_path / "in.tsv"
+    source.write_text(
+        "id\ttranslation\n" + "".join(f"{uid}\tthey are kind\n" for uid in ids),
+        encoding="utf-8",
+    )
+    translations = tmp_path / "translations.tsv"
+    assert heavy_modules_after_cli(
+        "translate", "--corpus", corpus, "--backend", "file",
+        "--translations", source, "--out", translations,
+    ) == []
+    assert heavy_modules_after_cli(
+        "tgbi", "--corpus", corpus, "--views", eec_dir / "views.json",
+        "--translations", translations, "--out-dir", tmp_path / "tgbi",
+    ) == []
+
+
+def test_http_backend_loads_requests_only(tmp_path, corpus_dir):
+    eec_dir, eec_argv = corpus_dir
+    heavy_modules_after_cli(*eec_argv)
+
+    class Echo(BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            body = json.dumps(
+                {"translations": [{"id": t["id"], "text": "they"} for t in payload["texts"]]}
+            ).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        assert heavy_modules_after_cli(
+            "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http",
+            "--url", f"http://127.0.0.1:{server.server_port}/translate",
+            "--out", tmp_path / "http.tsv",
+        ) == ["requests"]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_every_public_name_and_submodule_resolves():
+    assert heavy_modules_after(
+        "import pkgutil, types\n"
+        "import biaseval\n"
+        "from biaseval import *\n"
+        "for name in biaseval.__all__:\n"
+        "    assert getattr(biaseval, name) is globals()[name], name\n"
+        "for info in pkgutil.iter_modules(biaseval.__path__):\n"
+        "    if not info.name.startswith('_'):\n"
+        "        module = getattr(biaseval, info.name)\n"
+        "        assert isinstance(module, types.ModuleType), info.name\n"
+        "        assert info.name in dir(biaseval), info.name\n"
+        "assert set(biaseval.__all__) <= set(dir(biaseval))\n"
+        "assert biaseval.embeddings.nfc is biaseval.names.nfc is biaseval.eec.nfc\n"
+        "assert biaseval.metrics.METRIC_NAMES is biaseval.names.METRIC_NAMES\n"
+        "assert biaseval.ranking.AGGREGATIONS is biaseval.names.AGGREGATIONS\n"
+        "try:\n"
+        "    biaseval.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown name resolved')\n"
+    ) == ["numpy"]  # requests waits for the first HTTP fetch

@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import pytest
@@ -221,3 +222,33 @@ class TestFetchTranslationsHttp:
 
     def test_empty_corpus(self):
         assert fetch_translations_http(self._cfg(), []) == []
+
+    def test_each_worker_thread_gets_its_own_session(self, monkeypatch):
+        sessions = []
+        calls = itertools.count()
+        # The first two posts meet at the barrier, so two worker threads are
+        # certainly fetching at the same time.
+        both_in_flight = threading.Barrier(2, timeout=10)
+
+        class RecordingSession:
+            def __init__(self):
+                self.threads = set()
+                self.closed = False
+                sessions.append(self)
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.threads.add(threading.get_ident())
+                if next(calls) < 2:
+                    both_in_flight.wait()
+                return echo(json, 0)
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(requests, "Session", RecordingSession)
+        corpus = utterances(4 * 64)
+        records = fetch_translations_http(self._cfg(max_in_flight=2), corpus)
+        assert [r.id for r in records] == [u.id for u in corpus]
+        assert sessions
+        assert all(len(session.threads) <= 1 for session in sessions)
+        assert all(session.closed for session in sessions)
