@@ -32,7 +32,7 @@ from .eec import (
     write_views_json,
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
-from .names import AGGREGATIONS, METRIC_NAMES, RENDER_MODES
+from .names import AGGREGATIONS, DEFAULT_SEED, METRIC_NAMES, RENDER_MODES
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -44,6 +44,7 @@ from .tgbi import (
     score_views,
 )
 from .translate import (
+    BACKENDS,
     BackendConfig,
     DEFAULT_MIN_COVERAGE,
     fetch_translations_http,
@@ -52,7 +53,6 @@ from .translate import (
     write_translations_tsv,
 )
 
-DEFAULT_SEED = 42
 _HASH_CHUNK = 1 << 20
 
 
@@ -197,7 +197,7 @@ def cmd_eec(args) -> int:
 def cmd_translate(args) -> int:
     config = _load_config(args.config)
     corpus_path = _require_file(_opt(args, config, "corpus", None), "corpus TSV")
-    backend = _opt(args, config, "backend", "file")
+    backend = _opt_choice(args, config, "backend", "file", BACKENDS)
     out = Path(_opt(args, config, "out", "translations_out.tsv"))
     min_coverage = float(_opt(args, config, "min_coverage", DEFAULT_MIN_COVERAGE))
     corpus = read_corpus_tsv(corpus_path)
@@ -208,12 +208,11 @@ def cmd_translate(args) -> int:
         )
         join(corpus, records, min_coverage=min_coverage)
         write_translations_tsv(records, out)
-    elif backend == "http":
+    else:
         url = _opt(args, config, "url", None)
         if not url:
             raise ValueError("http backend needs --url")
         cfg = BackendConfig(
-            "http",
             url,
             timeout=float(_opt(args, config, "timeout", 10.0)),
             retry_count=int(_opt(args, config, "retries", 2)),
@@ -229,15 +228,12 @@ def cmd_translate(args) -> int:
             merged = _merge_records(corpus, existing, exc.completed)
             write_translations_tsv(merged, out)
             raise TranslationRunError(
-                f"{exc}; wrote {len(merged)} row(s) to {out} "
-                f"(completed ids: {[record.id for record in merged]}); rerun to resume",
+                f"{exc}; wrote {len(merged)} row(s) to {out}; rerun to resume",
                 completed=merged,
             ) from None
         merged = _merge_records(corpus, existing, fetched)
         join(corpus, merged, min_coverage=min_coverage)
         write_translations_tsv(merged, out)
-    else:
-        raise ValueError(f"unknown backend '{backend}' (expected 'file' or 'http')")
     print(f"wrote {out}")
     return 0
 
@@ -321,33 +317,37 @@ def _metric_names(args, config: dict) -> list:
     return [_check_choice("metrics", metric, METRIC_NAMES) for metric in metrics]
 
 
-def _check_templates(queries, metrics, skip_invalid: bool) -> list:
+def _check_templates(queries, metrics) -> None:
     """Usage-error on any query that cannot satisfy a requested metric's
-    template, unless told to skip such queries."""
+    template. ``--skip-invalid`` skips this check; ``expand_subqueries`` then
+    warns and skips such a query only for the templates it cannot fill."""
     from .metrics import METRIC_TEMPLATES
     from .queries import subquery_count
 
-    kept = list(queries)
     for metric in metrics:
         template = METRIC_TEMPLATES[metric]
-        bad = [q for q in kept if subquery_count(q, template) == 0]
-        if bad and not skip_invalid:
+        bad = [q for q in queries if subquery_count(q, template) == 0]
+        if bad:
             labels = ", ".join(f"'{q.label}'" for q in bad)
             raise ValueError(
                 f"query {labels} does not satisfy the {metric} template "
                 f"({template.t} target sets, {template.a} attribute sets)"
             )
-    return kept
 
 
-def _embedding_inputs(args, config: dict, metrics) -> tuple:
-    """Load the embedding tables and queries ``metrics`` and ``rank`` score.
-
-    Returns (tables, queries, provenance inputs); each input file is hashed
-    once here, however many reports cite it.
-    """
-    from .embeddings import load_word2vec_text
+def _embedding_inputs(args, default_out_dir: str) -> argparse.Namespace:
+    """Effective settings, embedding tables and queries of a ``metrics`` or
+    ``rank`` run; each input file is hashed once here, however many reports
+    cite it."""
+    from .embeddings import DEFAULT_LOST_THRESHOLD, load_word2vec_text
+    from .metrics import DEFAULT_CLASSIFIER_HYPER
     from .queries import load_queries
+
+    config = _load_config(args.config)
+    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
+    out_dir = _out_dir(_opt(args, config, "out_dir", default_out_dir))
+    lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
+    metrics = _metric_names(args, config)
 
     tables, inputs = [], {}
     for spec in args.embedding or config.get("embeddings") or ():
@@ -366,14 +366,18 @@ def _embedding_inputs(args, config: dict, metrics) -> tuple:
     queries = []
     for path in query_paths:
         queries.extend(load_queries(_require_file(path, "query file")))
-    queries = _check_templates(queries, metrics, args.skip_invalid)
+    if not args.skip_invalid:
+        _check_templates(queries, metrics)
     inputs.update({f"queries:{i}": path for i, path in enumerate(query_paths)})
-    return tables, queries, _describe_inputs(inputs)
+    return argparse.Namespace(
+        config=config, seed=seed, out_dir=out_dir, lost_threshold=lost_threshold,
+        metrics=metrics, hyper={**DEFAULT_CLASSIFIER_HYPER, "seed": seed},
+        tables=tables, queries=queries, inputs=_describe_inputs(inputs),
+    )
 
 
 def cmd_metrics(args) -> int:
-    from .embeddings import DEFAULT_LOST_THRESHOLD
-    from .metrics import DEFAULT_CLASSIFIER_HYPER, METRIC_TEMPLATES
+    from .metrics import METRIC_TEMPLATES
     from .queries import expand_subqueries
     from .ranking import (
         build_score_matrix,
@@ -382,28 +386,20 @@ def cmd_metrics(args) -> int:
         score_matrix_to_dict,
     )
 
-    config = _load_config(args.config)
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    out_dir = _out_dir(_opt(args, config, "out_dir", "metrics_out"))
-    lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
-    metrics = _metric_names(args, config)
-    tables, queries, inputs = _embedding_inputs(args, config, metrics)
-    hyper = {**DEFAULT_CLASSIFIER_HYPER, "seed": seed}
-
-    for metric in metrics:
-        template = METRIC_TEMPLATES[metric]
-        subqueries = expand_subqueries(queries, template)
+    run = _embedding_inputs(args, "metrics_out")
+    for metric in run.metrics:
+        subqueries = expand_subqueries(run.queries, METRIC_TEMPLATES[metric])
         matrix = build_score_matrix(
-            metric, tables, subqueries, lost_threshold=lost_threshold, hyper=hyper
+            metric, run.tables, subqueries, lost_threshold=run.lost_threshold, hyper=run.hyper
         )
         payload = {
             "provenance": _provenance(
-                inputs, seed, {"metric": metric, "lost_threshold": lost_threshold}
+                run.inputs, run.seed, {"metric": metric, "lost_threshold": run.lost_threshold}
             ),
         }
         payload.update(score_matrix_to_dict(matrix))
-        _write_json(payload, out_dir / f"scores_{metric}.json")
-        (out_dir / f"scores_{metric}.csv").write_text(
+        _write_json(payload, run.out_dir / f"scores_{metric}.json")
+        (run.out_dir / f"scores_{metric}.csv").write_text(
             score_matrix_csv(matrix), encoding="utf-8"
         )
         print(f"{metric}:")
@@ -412,8 +408,6 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .embeddings import DEFAULT_LOST_THRESHOLD
-    from .metrics import DEFAULT_CLASSIFIER_HYPER
     from .ranking import (
         build_rank_table,
         rank_table_csv,
@@ -421,31 +415,26 @@ def cmd_rank(args) -> int:
         render_rank_table,
     )
 
-    config = _load_config(args.config)
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    out_dir = _out_dir(_opt(args, config, "out_dir", "rank_out"))
-    lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
-    agg = _opt_choice(args, config, "agg", "abs_mean", AGGREGATIONS)
-    mode = _opt_choice(args, config, "mode", "ranks", RENDER_MODES)
-    metrics = _metric_names(args, config)
-    tables, queries, inputs = _embedding_inputs(args, config, metrics)
-    hyper = {**DEFAULT_CLASSIFIER_HYPER, "seed": seed}
-
+    run = _embedding_inputs(args, "rank_out")
+    agg = _opt_choice(args, run.config, "agg", "abs_mean", AGGREGATIONS)
+    mode = _opt_choice(args, run.config, "mode", "ranks", RENDER_MODES)
     table = build_rank_table(
-        metrics, tables, queries, lost_threshold=lost_threshold, agg=agg, hyper=hyper
+        run.metrics, run.tables, run.queries,
+        lost_threshold=run.lost_threshold, agg=agg, hyper=run.hyper,
     )
     payload = {
         "provenance": _provenance(
-            inputs,
-            seed,
-            {"agg": agg, "mode": mode, "lost_threshold": lost_threshold, "metrics": metrics},
+            run.inputs,
+            run.seed,
+            {"agg": agg, "mode": mode, "lost_threshold": run.lost_threshold,
+             "metrics": run.metrics},
         ),
     }
     payload.update(rank_table_to_dict(table))
-    _write_json(payload, out_dir / "rank_table.json")
-    (out_dir / "rank_table.csv").write_text(rank_table_csv(table), encoding="utf-8")
+    _write_json(payload, run.out_dir / "rank_table.json")
+    (run.out_dir / "rank_table.csv").write_text(rank_table_csv(table), encoding="utf-8")
     rendered = render_rank_table(table, mode=mode)
-    (out_dir / "rank_table.txt").write_text(rendered, encoding="utf-8")
+    (run.out_dir / "rank_table.txt").write_text(rendered, encoding="utf-8")
     print(rendered, end="")
     return 0
 
@@ -475,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         "translate", help="obtain translations from a file or an HTTP backend"
     )
     translate.add_argument("--corpus", help="corpus TSV from the eec command")
-    translate.add_argument("--backend", choices=("file", "http"))
+    translate.add_argument("--backend", choices=BACKENDS)
     translate.add_argument("--translations", help="pre-translated TSV (file backend)")
     translate.add_argument("--url", help="endpoint URL (http backend)")
     translate.add_argument("--timeout", type=float)

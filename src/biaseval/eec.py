@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .names import nfc
+from .names import FIELD_BREAK_RE, nfc
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -201,8 +201,8 @@ def write_corpus_tsv(utterances, path) -> None:
     lines = [CORPUS_HEADER]
     for utterance in utterances:
         for value in (utterance.text, utterance.register, utterance.lexicon_category, utterance.lexeme):
-            if "\t" in value or "\n" in value:
-                raise ValueError(f"utterance {utterance.id}: field contains a tab or newline")
+            if FIELD_BREAK_RE.search(value):
+                raise ValueError(f"utterance {utterance.id}: field contains a tab or line break")
         lines.append(
             f"{utterance.id}\t{utterance.text}\t{utterance.register}"
             f"\t{utterance.lexicon_category}\t{utterance.lexeme}"

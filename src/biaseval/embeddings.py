@@ -164,10 +164,11 @@ class EmbeddingTable:
 def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     """Load a word2vec text file.
 
-    Expected format: a "<count> <dim>" header line, then one
-    "<token> <component> ... <component>" line per word, single-space
-    separated, UTF-8. Duplicate tokens keep the first occurrence and are
-    reported through a warning.
+    Expected format: a "<count> <dim>" header line, then <count>
+    "<token> <component> ... <component>" lines, single-space separated,
+    UTF-8; trailing spaces, as the word2vec C tool writes, are ignored.
+    Duplicate tokens keep the first occurrence and are reported through a
+    warning.
     """
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
@@ -178,7 +179,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
         if len(fields) != 2:
             raise EmbeddingFormatError(f"{path}: malformed header {header!r}")
         try:
-            int(fields[0])
+            count = int(fields[0])
             dim = int(fields[1])
         except ValueError:
             raise EmbeddingFormatError(f"{path}: malformed header {header!r}") from None
@@ -188,7 +189,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
             line = raw.rstrip("\r\n")
             if not line:
                 continue
-            parts = line.split(" ")
+            parts = line.rstrip(" ").split(" ")
             token, components = parts[0], parts[1:]
             if len(components) != dim:
                 raise EmbeddingFormatError(
@@ -208,6 +209,10 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
             entries[key] = vec
     if not entries:
         raise EmbeddingFormatError(f"{path}: empty vocabulary")
+    if len(entries) + duplicates != count:
+        raise EmbeddingFormatError(
+            f"{path}: header declares {count} rows, read {len(entries) + duplicates}"
+        )
     if duplicates:
         warnings.warn(
             f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",

@@ -20,10 +20,10 @@ from .errors import (
     TemplateMismatchError,
     UndefinedCorrelationError,
 )
-from .names import ECT, METRIC_NAMES, RND, RNSB, WEAT
+from .names import DEFAULT_SEED, ECT, METRIC_NAMES, RND, RNSB, WEAT
 from .queries import QueryTemplate, ResolvedQuery
 
-DEFAULT_CLASSIFIER_HYPER = {"lr": 0.1, "epochs": 500, "seed": 42}
+DEFAULT_CLASSIFIER_HYPER = {"lr": 0.1, "epochs": 500, "seed": DEFAULT_SEED}
 
 # Shape each metric demands; RNSB additionally accepts extra target sets.
 METRIC_TEMPLATES = {

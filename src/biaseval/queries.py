@@ -82,7 +82,7 @@ class QueryTemplate:
 class Query:
     """Target and attribute word sets evaluated together.
 
-    Set names must be unique within a query; they are the user-facing
+    Set names must be unique within a query; a set's name and words are the
     identity subquery deduplication works on.
     """
 
@@ -127,12 +127,13 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
     """Expand queries into every template-shaped combination of their sets.
 
     Combinations are unordered and taken in input order, so a pair of target
-    sets is emitted once, never as both orderings. Subqueries whose multiset
-    of set names was already emitted are dropped. Queries with fewer sets
-    than the template demands are skipped with a warning.
+    sets is emitted once, never as both orderings. Subqueries whose target
+    and attribute sets, names and words alike, were already emitted are
+    dropped. Queries with fewer sets than the template demands are skipped
+    with a warning.
     """
     subqueries: list[Query] = []
-    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+    seen: set[tuple[frozenset, frozenset]] = set()
     for query in queries:
         if len(query.targets) < template.t or len(query.attributes) < template.a:
             warnings.warn(
@@ -144,10 +145,7 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
         exact = validate_query(query, template)
         for target_combo in itertools.combinations(query.targets, template.t):
             for attribute_combo in itertools.combinations(query.attributes, template.a):
-                key = (
-                    tuple(sorted(s.name for s in target_combo)),
-                    tuple(sorted(s.name for s in attribute_combo)),
-                )
+                key = (frozenset(target_combo), frozenset(attribute_combo))
                 if key in seen:
                     continue
                 seen.add(key)

@@ -19,7 +19,7 @@ import numpy as np
 from .embeddings import DEFAULT_LOST_THRESHOLD
 from .errors import EmptyResolutionError, VocabularyLossError
 from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB
-from .names import AGGREGATIONS, RENDER_MODES
+from .names import AGGREGATIONS, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
 
 __all__ = [
@@ -154,7 +154,6 @@ def build_rank_table(
     metrics,
     tables,
     queries,
-    templates=None,
     lost_threshold: float = DEFAULT_LOST_THRESHOLD,
     agg: str = "abs_mean",
     hyper=None,
@@ -176,7 +175,7 @@ def build_rank_table(
     ranks = np.zeros((len(tables), len(metrics)), dtype=int)
     diagnostics: dict = {}
     for j, metric in enumerate(metrics):
-        template = (templates or {}).get(metric) or METRIC_TEMPLATES[metric]
+        template = METRIC_TEMPLATES[metric]
         subqueries = expand_subqueries(queries, template)
         if not subqueries:
             raise ValueError(
@@ -248,17 +247,6 @@ def rank_table_csv(table: RankTable) -> str:
     return buffer.getvalue()
 
 
-def _render_grid(header, rows) -> str:
-    widths = [
-        max(len(line[c]) for line in [header] + rows) for c in range(len(header))
-    ]
-    lines = [
-        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(line)).rstrip()
-        for line in [header] + rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def render_rank_table(table: RankTable, mode: str = "ranks") -> str:
     """Plain-text grid, embeddings as rows and metrics as columns.
 
@@ -277,7 +265,7 @@ def render_rank_table(table: RankTable, mode: str = "ranks") -> str:
             else:
                 cells.append(f"{table.aggregate_values[i, j]:.6f}")
         rows.append(cells)
-    return _render_grid(header, rows)
+    return render_grid(header, rows)
 
 
 def render_score_matrix(matrix: ScoreMatrix) -> str:
@@ -285,4 +273,4 @@ def render_score_matrix(matrix: ScoreMatrix) -> str:
     rows = []
     for name, values in zip(matrix.rows, matrix.values):
         rows.append([name] + ["-" if np.isnan(v) else f"{v:.6f}" for v in values])
-    return _render_grid(header, rows)
+    return render_grid(header, rows)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .eec import VIEW_NAMES
 from .errors import DegenerateDistributionError
+from .names import render_grid
 
 BUCKET_SHE = "she"
 BUCKET_HE = "he"
@@ -316,9 +317,4 @@ def render_tgbi_table(report: TgbiReport) -> str:
         for score in report.scores
     ]
     rows.append(["Average:", "", f"{report.tgbi:.4f}"])
-    widths = [max(len(line[c]) for line in [header] + rows) for c in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(line)).rstrip()
-        for line in [header] + rows
-    ]
-    return "\n".join(lines) + "\n"
+    return render_grid(header, rows)

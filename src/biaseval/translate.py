@@ -12,7 +12,6 @@ wrapper around a commercial service:
 from __future__ import annotations
 
 import os
-import re
 import threading
 import time
 import warnings
@@ -21,16 +20,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import JoinCoverageError, TranslationRunError
+from .names import FIELD_BREAK_RE
 
 AUTH_ENV_VAR = "BIASEVAL_HTTP_AUTH"
+BACKENDS = ("file", "http")
 BATCH_SIZE = 64
 DEFAULT_MIN_COVERAGE = 0.95
 TRANSLATIONS_HEADER = "id\ttranslation"
 
-_WHITESPACE_RE = re.compile(r"[\t\r\n]+")
-
 __all__ = [
     "AUTH_ENV_VAR",
+    "BACKENDS",
     "BATCH_SIZE",
     "BackendConfig",
     "DEFAULT_MIN_COVERAGE",
@@ -55,7 +55,8 @@ class TranslationRecord:
 
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str
+    """Settings of the HTTP backend; ``location`` is the endpoint URL."""
+
     location: str
     timeout: float = 10.0
     retry_count: int = 2
@@ -64,8 +65,6 @@ class BackendConfig:
     headers: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("file", "http"):
-            raise ValueError(f"unknown backend kind '{self.kind}'")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if not 0 <= self.retry_count <= 5:
@@ -102,8 +101,8 @@ def load_translations_tsv(path) -> list[TranslationRecord]:
 def write_translations_tsv(records, path) -> None:
     lines = [TRANSLATIONS_HEADER]
     for record in records:
-        if "\t" in record.output or "\n" in record.output:
-            raise ValueError(f"record {record.id}: output contains a tab or newline")
+        if FIELD_BREAK_RE.search(record.output):
+            raise ValueError(f"record {record.id}: output contains a tab or line break")
         lines.append(f"{record.id}\t{record.output}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -113,7 +112,7 @@ class _BatchFailure(Exception):
 
 
 def _clean(text: str) -> str:
-    return _WHITESPACE_RE.sub(" ", text)
+    return FIELD_BREAK_RE.sub(" ", text)
 
 
 def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch) -> list[TranslationRecord]:
@@ -175,8 +174,6 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
     ``requests.Session`` (sessions are not thread-safe) and every one is
     closed before returning; a caller-supplied session is used as given.
     """
-    if cfg.kind != "http":
-        raise ValueError("fetch_translations_http needs a backend config with kind='http'")
     utterances = list(utterances)
     if not utterances:
         return []
@@ -216,9 +213,10 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
             opened_session.close()
     if failures:
         completed = [record for index in sorted(per_batch) for record in per_batch[index]]
-        detail = "; ".join(f"batch {index}: {message}" for index, message in sorted(failures.items()))
+        first, message = min(failures.items())
         raise TranslationRunError(
-            f"translation backend failed ({detail}); {len(completed)} record(s) completed",
+            f"translation backend failed ({len(failures)} of {len(batches)} batch(es), "
+            f"first batch {first}: {message}); {len(completed)} record(s) completed",
             completed=completed,
         )
     return [record for index in sorted(per_batch) for record in per_batch[index]]

@@ -197,7 +197,10 @@ class TestTranslateCommand:
             "--retries", 0, "--timeout", 2, "--out", out,
         )
         assert result.returncode == 1
-        assert "rerun to resume" in result.stderr
+        # one line that names the row count and the file, not every id
+        [message] = result.stderr.splitlines()
+        assert message.endswith(f"; wrote 2 row(s) to {out}; rerun to resume")
+        assert "completed ids" not in message
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[1] == "1\tthey are kind"
         assert lines[2] == "2\tthey are kind"
@@ -326,6 +329,47 @@ class TestRankCommand:
         )
         assert result.returncode == 2
         assert "too-small" in result.stderr
+
+    def test_skip_invalid_keeps_query_for_templates_it_fills(
+        self, tmp_path, embedding_files, query_file
+    ):
+        emb_a, emb_b = embedding_files
+        payload = json.loads(query_file.read_text(encoding="utf-8"))
+        work_only = {
+            "label": "work-only",
+            "targets": payload[0]["targets"],
+            "attributes": [{"name": "work", "words": ["office", "salary"]}],
+        }
+        both = tmp_path / "both.json"
+        both.write_text(json.dumps(payload + [work_only]), encoding="utf-8")
+
+        def rank(queries, *flags):
+            out_dir = tmp_path / f"rank_{queries.stem}{len(flags)}"
+            result = run_cli(
+                "rank", "--embedding", f"a={emb_a}", "--embedding", f"b={emb_b}",
+                "--queries", queries, "--out-dir", out_dir, *flags,
+            )
+            table = out_dir / "rank_table.json"
+            return result, json.loads(table.read_text(encoding="utf-8")) if table.exists() else None
+
+        result, _ = rank(both)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: query 'work-only' does not satisfy the WEAT template "
+            "(2 target sets, 2 attribute sets)"
+        ]
+        result, skipped = rank(both, "--skip-invalid")
+        assert result.returncode == 0, result.stderr
+        assert "query 'work-only' cannot satisfy template (2,2); skipped" in result.stderr
+        _, alone = rank(query_file)
+        values, alone_values = (
+            dict(zip(table["cols"], zip(*table["aggregate_values"]))) for table in (skipped, alone)
+        )
+        # WEAT and RNSB see only the first query; RND and ECT score the second too.
+        assert values["WEAT"] == alone_values["WEAT"]
+        assert values["RNSB"] == alone_values["RNSB"]
+        assert values["RND"] != alone_values["RND"]
+        assert values["ECT"] != alone_values["ECT"]
 
     def test_raw_mode_render(self, tmp_path, embedding_files, query_file):
         emb_a, emb_b = embedding_files
@@ -477,6 +521,20 @@ class TestConfigChoices:
             f"error: config {key}: invalid choice 'BAD' (choose from {choices})"
         ]
         assert not (tmp_path / "rank" / "rank_table.json").exists()
+
+    def test_translate_backend_key(self, tmp_path, lexicon_files):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": "BAD"}), encoding="utf-8")
+        result = run_cli(
+            "translate", "--corpus", out_dir / "corpus.tsv", "--out", tmp_path / "t.tsv",
+            "--config", config,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: config backend: invalid choice 'BAD' (choose from file, http)"
+        ]
+        assert not (tmp_path / "t.tsv").exists()
 
     @pytest.mark.parametrize("key,choices", [
         ("variant", "linear, sqrt"),

@@ -29,6 +29,23 @@ class TestLoader:
         # Devanagari-dominated vocabularies default to no case folding
         assert table.fold_case_default is False
 
+    def test_trailing_spaces_ignored(self, tmp_path):
+        # The word2vec C tool ends every row with a space.
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\na 1 0 0 \nb 0 1 0 \r\n", encoding="utf-8")
+        table = load_word2vec_text(path)
+        assert len(table) == 2
+        np.testing.assert_array_equal(table.lookup("b"), [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("count,read", [(5, 2), (1, 2), (2, 3)])
+    def test_header_row_count_checked(self, tmp_path, count, read):
+        # The last case holds a duplicate: rows read count duplicates too.
+        rows = ["a 1 0", "b 0 1", "a 9 9"][:read]
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{count} 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=f"declares {count} rows, read {read}"):
+            load_word2vec_text(path)
+
     def test_row_arity_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 3\na 1 0\nb 0 1 0\n", encoding="utf-8")

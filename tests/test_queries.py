@@ -107,6 +107,19 @@ class TestExpandSubqueries:
         subqueries = expand_subqueries([query, other], QueryTemplate(2, 2))
         assert len(subqueries) == 1
 
+    def test_same_set_names_other_words_both_kept(self):
+        def query(label, words):
+            return Query(
+                targets=(WordSet("f", (words[0],)), WordSet("m", (words[1],))),
+                attributes=(WordSet("x", (words[2],)),),
+                label=label,
+            )
+
+        first = query("q1", ("she", "he", "career"))
+        second = query("q2", ("woman", "man", "family"))
+        subqueries = expand_subqueries([first, second], QueryTemplate(2, 1))
+        assert [sq.label for sq in subqueries] == ["q1", "q2"]
+
     def test_short_query_skipped_with_warning(self):
         short = _query(1, 2, label="short")
         good = _query(2, 2, label="good")

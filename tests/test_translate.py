@@ -120,23 +120,19 @@ def _write(tmp_path, text):
 
 
 class TestBackendConfig:
-    def test_validates_kind(self):
-        with pytest.raises(ValueError):
-            BackendConfig("ftp", "somewhere")
-
     def test_validates_timeout(self):
         with pytest.raises(ValueError):
-            BackendConfig("http", "u", timeout=0)
+            BackendConfig("u", timeout=0)
 
     def test_validates_retry_count(self):
         with pytest.raises(ValueError):
-            BackendConfig("http", "u", retry_count=6)
+            BackendConfig("u", retry_count=6)
 
 
 class TestFetchTranslationsHttp:
     def _cfg(self, **kwargs):
         kwargs.setdefault("retry_backoff", 0.0)
-        return BackendConfig("http", "http://mt.test/translate", **kwargs)
+        return BackendConfig("http://mt.test/translate", **kwargs)
 
     def test_batching(self):
         session = FakeSession(echo)
@@ -181,6 +177,19 @@ class TestFetchTranslationsHttp:
         assert excinfo.value.completed == []
         assert "2 attempt(s)" in str(excinfo.value)
 
+    def test_failure_message_cites_first_failed_batch_only(self):
+        def down(_payload, _call_index):
+            raise requests.ConnectionError("down")
+
+        with pytest.raises(TranslationRunError) as excinfo:
+            fetch_translations_http(
+                self._cfg(retry_count=0), utterances(200), session=FakeSession(down)
+            )
+        assert str(excinfo.value) == (
+            "translation backend failed (4 of 4 batch(es), first batch 0: unreachable "
+            "after 1 attempt(s): ConnectionError: down); 0 record(s) completed"
+        )
+
     def test_partial_failure_lists_completed(self):
         def second_batch_down(payload, _call_index):
             if payload["texts"][0]["id"] > 64:
@@ -210,15 +219,11 @@ class TestFetchTranslationsHttp:
         def tabby(payload, _call_index):
             return _Response(
                 200,
-                {"translations": [{"id": t["id"], "text": "a\tb\nc"} for t in payload["texts"]]},
+                {"translations": [{"id": t["id"], "text": "a\tb\nc\u2028d"} for t in payload["texts"]]},
             )
 
         records = fetch_translations_http(self._cfg(), utterances(1), session=FakeSession(tabby))
-        assert records[0].output == "a b c"
-
-    def test_requires_http_kind(self):
-        with pytest.raises(ValueError):
-            fetch_translations_http(BackendConfig("file", "x.tsv"), utterances(1))
+        assert records[0].output == "a b c d"
 
     def test_empty_corpus(self):
         assert fetch_translations_http(self._cfg(), []) == []
