@@ -23,8 +23,9 @@ _EXPORTS = {
         "spearman", "train_attribute_classifier", "weat", "weat_association",
     ),
     "queries": (
-        "Query", "QueryTemplate", "ResolvedQuery", "WordSet", "default_queries_path",
-        "expand_subqueries", "load_queries", "resolve_query", "validate_query",
+        "Query", "QueryTemplate", "ResolvedQuery", "ResolvedSet", "WordSet",
+        "default_queries_path", "expand_subqueries", "load_queries", "resolve_query",
+        "validate_query",
     ),
     "ranking": (
         "RankTable", "ScoreMatrix", "aggregate_rows", "build_rank_table",

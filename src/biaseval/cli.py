@@ -32,7 +32,7 @@ from .eec import (
     write_views_json,
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
-from .names import AGGREGATIONS, DEFAULT_SEED, METRIC_NAMES, RENDER_MODES
+from .names import AGGREGATIONS, DEFAULT_SEED, METRIC_NAMES, RENDER_MODES, read_utf8
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -113,7 +113,7 @@ def _load_config(path) -> dict:
     if not path:
         return {}
     config_path = _require_file(path, "config file")
-    data = json.loads(config_path.read_text(encoding="utf-8"))
+    data = json.loads(read_utf8(config_path))
     if not isinstance(data, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
     return data
@@ -146,14 +146,14 @@ def _opt_choice(args, config: dict, key: str, default, choices):
 def _load_pronouns(path):
     if not path:
         return DEFAULT_PRONOUNS
-    data = json.loads(_require_file(path, "pronoun spec file").read_text(encoding="utf-8"))
+    data = json.loads(read_utf8(_require_file(path, "pronoun spec file")))
     return tuple(PronounSpec(d["surface"], d["register"], d["copula"]) for d in data)
 
 
 def _load_templates(path):
     if not path:
         return None
-    data = json.loads(_require_file(path, "template file").read_text(encoding="utf-8"))
+    data = json.loads(read_utf8(_require_file(path, "template file")))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: templates must map lexicon category to a format string")
     return data
@@ -212,12 +212,12 @@ def cmd_translate(args) -> int:
         url = _opt(args, config, "url", None)
         if not url:
             raise ValueError("http backend needs --url")
-        cfg = BackendConfig(
-            url,
-            timeout=float(_opt(args, config, "timeout", 10.0)),
-            retry_count=int(_opt(args, config, "retries", 2)),
-            max_in_flight=int(_opt(args, config, "max_in_flight", 4)),
-        )
+        settings = {}  # only what a flag or the config sets; BackendConfig holds the defaults
+        for key, field, cast in (("timeout", "timeout", float), ("retries", "retry_count", int),
+                                 ("max_in_flight", "max_in_flight", int)):
+            if (value := _opt(args, config, key, None)) is not None:
+                settings[field] = cast(value)
+        cfg = BackendConfig(url, **settings)
         existing = load_translations_tsv(out) if out.is_file() else []
         # Failed rows are stored with an empty translation; fetch them again.
         have = {record.id for record in existing if record.output}

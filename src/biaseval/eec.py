@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .names import FIELD_BREAK_RE, nfc
+from .names import FIELD_BREAK_RE, nfc, read_utf8
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -115,7 +115,7 @@ def load_lexicon(path, category: str) -> Lexicon:
     path = Path(path)
     entries: list[str] = []
     seen: set[str] = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_utf8(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -212,7 +212,7 @@ def write_corpus_tsv(utterances, path) -> None:
 
 def read_corpus_tsv(path) -> list[Utterance]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != CORPUS_HEADER:
         raise ValueError(f"{path}: expected header {CORPUS_HEADER!r}")
     utterances: list[Utterance] = []
@@ -244,7 +244,7 @@ def write_views_json(views, path) -> None:
 
 def read_views_json(path) -> list[EvaluationSet]:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = json.loads(read_utf8(path))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object mapping view name to id list")
     missing = [name for name in VIEW_NAMES if name not in data]

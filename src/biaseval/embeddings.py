@@ -97,6 +97,13 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return self.lookup(token) is not None
 
+    def _key(self, token: str, fold_case: bool | None) -> str:
+        """Vocabulary key of a token: NFC, then lowercase when folding."""
+        if fold_case is None:
+            fold_case = self.fold_case_default
+        key = nfc(token)
+        return key.lower() if fold_case else key
+
     def lookup(self, token: str, fold_case: bool | None = None) -> np.ndarray | None:
         """Return the stored vector for ``token``, or None when absent.
 
@@ -106,12 +113,7 @@ class EmbeddingTable:
         """
         if not token:
             raise ValueError("token must be non-empty")
-        if fold_case is None:
-            fold_case = self.fold_case_default
-        key = nfc(token)
-        if fold_case:
-            key = key.lower()
-        return self.entries.get(key)
+        return self.entries.get(self._key(token, fold_case))
 
     def resolve_word_set(
         self,
@@ -131,14 +133,10 @@ class EmbeddingTable:
             raise ValueError("words must be non-empty")
         if not 0.0 <= lost_threshold <= 1.0:
             raise ValueError("lost_threshold must lie in [0, 1]")
-        if fold_case is None:
-            fold_case = self.fold_case_default
         found = []
         dropped = []
         for word in words:
-            key = nfc(word)
-            if fold_case:
-                key = key.lower()
+            key = self._key(word, fold_case)
             vec = self.entries.get(key)
             if vec is None:
                 dropped.append(word)
@@ -173,40 +171,43 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
     duplicates = 0
-    with path.open(encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        fields = header.split()
-        if len(fields) != 2:
-            raise EmbeddingFormatError(f"{path}: malformed header {header!r}")
-        try:
-            count = int(fields[0])
-            dim = int(fields[1])
-        except ValueError:
-            raise EmbeddingFormatError(f"{path}: malformed header {header!r}") from None
-        if dim <= 0:
-            raise EmbeddingFormatError(f"{path}: dimension must be positive, got {dim}")
-        for lineno, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.rstrip(" ").split(" ")
-            token, components = parts[0], parts[1:]
-            if len(components) != dim:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(components)}"
-                )
+    try:
+        with path.open(encoding="utf-8") as handle:
+            header = handle.readline().strip()
+            fields = header.split()
+            if len(fields) != 2:
+                raise EmbeddingFormatError(f"{path}: malformed header {header!r}")
             try:
-                vec = np.array([float(c) for c in components], dtype=np.float64)
+                count = int(fields[0])
+                dim = int(fields[1])
             except ValueError:
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
-            key = nfc(token)
-            if key in entries:
-                duplicates += 1
-                continue
-            vec.flags.writeable = False
-            entries[key] = vec
+                raise EmbeddingFormatError(f"{path}: malformed header {header!r}") from None
+            if dim <= 0:
+                raise EmbeddingFormatError(f"{path}: dimension must be positive, got {dim}")
+            for lineno, raw in enumerate(handle, start=2):
+                line = raw.rstrip("\r\n")
+                if not line:
+                    continue
+                parts = line.rstrip(" ").split(" ")
+                token, components = parts[0], parts[1:]
+                if len(components) != dim:
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: expected {dim} components, got {len(components)}"
+                    )
+                try:
+                    vec = np.array([float(c) for c in components], dtype=np.float64)
+                except ValueError:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
+                if not np.isfinite(vec).all():
+                    raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
+                key = nfc(token)
+                if key in entries:
+                    duplicates += 1
+                    continue
+                vec.flags.writeable = False
+                entries[key] = vec
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not entries:
         raise EmbeddingFormatError(f"{path}: empty vocabulary")
     if len(entries) + duplicates != count:

@@ -89,12 +89,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_shape(rq: ResolvedQuery, n_targets: int, n_attributes: int, metric: str) -> None:
-    if len(rq.target_vectors) != n_targets or len(rq.attribute_vectors) != n_attributes:
+def _require_shape(rq: ResolvedQuery, metric: str) -> None:
+    template = METRIC_TEMPLATES[metric]
+    n_targets, n_attributes = len(rq.targets), len(rq.attributes)
+    extra_targets = metric == RNSB and n_targets > template.t
+    if (n_targets != template.t and not extra_targets) or n_attributes != template.a:
+        at_least = "at least " if metric == RNSB else ""
         raise TemplateMismatchError(
-            f"{metric} needs {n_targets} target and {n_attributes} attribute sets; "
-            f"query '{rq.query_label}' has {len(rq.target_vectors)} and "
-            f"{len(rq.attribute_vectors)}"
+            f"{metric} needs {at_least}{template.t} target and {template.a} attribute sets; "
+            f"query '{rq.query_label}' has {n_targets} and {n_attributes}"
         )
 
 
@@ -117,15 +120,13 @@ def weat(rq: ResolvedQuery) -> MetricResult:
     the per-set word counts are reported in diagnostics so callers can
     normalize externally.
     """
-    _require_shape(rq, 2, 2, WEAT)
-    (t1_name, t1), (t2_name, t2) = rq.target_vectors
-    (a1_name, a1), (a2_name, a2) = rq.attribute_vectors
-    total = sum(weat_association(w, a1, a2) for w in t1) - sum(
-        weat_association(w, a1, a2) for w in t2
+    _require_shape(rq, WEAT)
+    t1, t2 = rq.targets
+    a1, a2 = (s.matrix for s in rq.attributes)
+    total = sum(weat_association(w, a1, a2) for w in t1.matrix) - sum(
+        weat_association(w, a1, a2) for w in t2.matrix
     )
-    diagnostics = {
-        "set_sizes": {t1_name: len(t1), t2_name: len(t2), a1_name: len(a1), a2_name: len(a2)}
-    }
+    diagnostics = {"set_sizes": {s.name: len(s.matrix) for s in rq.targets + rq.attributes}}
     return MetricResult(WEAT, float(total), rq.query_label, rq.embedding_name, diagnostics)
 
 
@@ -137,19 +138,19 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
     centroid (they are more associated with the second target group when
     the value is negative, under distance-to-centroid semantics).
     """
-    _require_shape(rq, 2, 1, RND)
-    (t1_name, t1), (t2_name, t2) = rq.target_vectors
-    (_a_name, attributes) = rq.attribute_vectors[0]
-    centroid_1 = t1.mean(axis=0)
-    centroid_2 = t2.mean(axis=0)
+    _require_shape(rq, RND)
+    t1, t2 = rq.targets
+    attributes = rq.attributes[0].matrix
+    centroid_1 = t1.matrix.mean(axis=0)
+    centroid_2 = t2.matrix.mean(axis=0)
     value = sum(
         float(np.linalg.norm(centroid_1 - row)) - float(np.linalg.norm(centroid_2 - row))
         for row in attributes
     )
     diagnostics = {
         "centroid_norms": {
-            t1_name: float(np.linalg.norm(centroid_1)),
-            t2_name: float(np.linalg.norm(centroid_2)),
+            t1.name: float(np.linalg.norm(centroid_1)),
+            t2.name: float(np.linalg.norm(centroid_2)),
         },
         "n_attributes": len(attributes),
     }
@@ -223,29 +224,14 @@ def rnsb(rq: ResolvedQuery, hyper=None) -> MetricResult:
     duplicates across sets counted once; diagnostics report both the raw and
     deduplicated word counts so the effect of the union can be inspected.
     """
-    if len(rq.target_vectors) < 2 or len(rq.attribute_vectors) != 2:
-        raise TemplateMismatchError(
-            f"RNSB needs at least 2 target sets and exactly 2 attribute sets; "
-            f"query '{rq.query_label}' has {len(rq.target_vectors)} and "
-            f"{len(rq.attribute_vectors)}"
-        )
-    if len(rq.provenance) < len(rq.target_vectors):
-        raise ValueError("resolved query lacks per-set provenance for its target sets")
-    (_, a1), (_, a2) = rq.attribute_vectors
-    model = train_attribute_classifier(a1, a2, hyper)
-    tokens: list[str] = []
-    vectors: list[np.ndarray] = []
-    seen: set[str] = set()
-    total_words = 0
-    for resolution in rq.provenance[: len(rq.target_vectors)]:
-        for token, vector in resolution.found:
-            total_words += 1
-            if token in seen:
-                continue
-            seen.add(token)
-            tokens.append(token)
-            vectors.append(vector)
-    probabilities = model.predict_proba(np.vstack(vectors))
+    _require_shape(rq, RNSB)
+    a1, a2 = rq.attributes
+    model = train_attribute_classifier(a1.matrix, a2.matrix, hyper)
+    support: dict[str, np.ndarray] = {}  # first occurrence of each token
+    for target in rq.targets:
+        for token, vector in zip(target.tokens, target.matrix):
+            support.setdefault(token, vector)
+    probabilities = model.predict_proba(np.vstack(list(support.values())))
     mass = float(np.sum(probabilities))
     if mass <= 0.0:
         raise DegenerateDistributionError(
@@ -255,8 +241,8 @@ def rnsb(rq: ResolvedQuery, hyper=None) -> MetricResult:
     value = max(0.0, kl_from_uniform(distribution))
     diagnostics = {
         "training_loss": model.training_loss,
-        "n_target_words": total_words,
-        "n_support": len(tokens),
+        "n_target_words": sum(len(target.tokens) for target in rq.targets),
+        "n_support": len(support),
     }
     return MetricResult(RNSB, value, rq.query_label, rq.embedding_name, diagnostics)
 
@@ -297,17 +283,18 @@ def ect(rq: ResolvedQuery) -> MetricResult:
     """Coherence test: Spearman correlation between the two target centroids'
     cosine-similarity profiles over a shared attribute set. Higher correlation
     means lower bias."""
-    _require_shape(rq, 2, 1, ECT)
-    (_, t1), (_, t2) = rq.target_vectors
-    (a_name, attributes) = rq.attribute_vectors[0]
+    _require_shape(rq, ECT)
+    t1, t2 = rq.targets
+    attribute_set = rq.attributes[0]
+    attributes = attribute_set.matrix
     if len(attributes) < 2:
         raise ValueError("ECT needs at least two attribute words")
-    centroid_1 = t1.mean(axis=0)
-    centroid_2 = t2.mean(axis=0)
+    centroid_1 = t1.matrix.mean(axis=0)
+    centroid_2 = t2.matrix.mean(axis=0)
     s1 = [cosine(centroid_1, row) for row in attributes]
     s2 = [cosine(centroid_2, row) for row in attributes]
     value = spearman(s1, s2)
-    diagnostics = {"n_attributes": len(attributes), "attribute_set": a_name}
+    diagnostics = {"n_attributes": len(attributes), "attribute_set": attribute_set.name}
     return MetricResult(ECT, value, rq.query_label, rq.embedding_name, diagnostics)
 
 

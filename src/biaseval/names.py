@@ -1,7 +1,8 @@
 """Names and defaults the command-line parser and several modules share: the
 choices the parser checks against, the default seed, the plain-text grid
-every report table is drawn with, what ends a TSV field, and the token
-normalization the corpus builder shares with the embedding loader.
+every report table is drawn with, what ends a TSV field, the token
+normalization the corpus builder shares with the embedding loader, and the
+UTF-8 reader of the input files.
 
 This module imports nothing heavier than the standard library, so the
 translation-path commands (``eec``, ``translate``, ``tgbi``) start without
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from pathlib import Path
 
 WEAT = "WEAT"
 RND = "RND"
@@ -38,6 +40,7 @@ __all__ = [
     "RNSB",
     "WEAT",
     "nfc",
+    "read_utf8",
     "render_grid",
 ]
 
@@ -45,6 +48,14 @@ __all__ = [
 def nfc(text: str) -> str:
     """NFC-normalize a string so composed and decomposed forms compare equal."""
     return unicodedata.normalize("NFC", text)
+
+
+def read_utf8(path) -> str:
+    """Text of a UTF-8 file; other bytes raise a ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def render_grid(header, rows) -> str:

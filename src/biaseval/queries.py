@@ -4,6 +4,10 @@ A query bundles target word sets (the groups whose treatment is compared)
 with attribute word sets (the characteristics they are compared against).
 Each metric demands a fixed shape, the template ``(t, a)``; collections of
 larger queries are expanded into every template-shaped combination.
+
+Resolving a query against an embedding table gives a :class:`ResolvedQuery`
+that holds one :class:`ResolvedSet` per word set: the keys it matched, their
+vectors as matrix rows, and the words the table lacks.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import DEFAULT_LOST_THRESHOLD, EmbeddingTable, WordResolution, nfc
+from .embeddings import DEFAULT_LOST_THRESHOLD, EmbeddingTable, nfc
+from .names import read_utf8
 
 __all__ = [
     "Query",
     "QueryTemplate",
     "ResolvedQuery",
+    "ResolvedSet",
     "WordSet",
     "default_queries_path",
     "expand_subqueries",
@@ -163,18 +169,23 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
 
 
 @dataclass(frozen=True)
+class ResolvedSet:
+    """One word set resolved against one embedding table: row ``i`` of
+    ``matrix`` is the vector of the vocabulary key ``tokens[i]``, in the set's
+    word order; ``dropped`` lists the set's words the table lacks."""
+
+    name: str
+    tokens: tuple[str, ...]
+    matrix: np.ndarray
+    dropped: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class ResolvedQuery:
-    """A query resolved against one embedding table.
+    """A query resolved against one embedding table, set by set."""
 
-    ``target_vectors`` and ``attribute_vectors`` hold (set name, matrix)
-    pairs, one row per found word. ``provenance`` holds the per-set word
-    resolutions in target-then-attribute order, so consumers can recover
-    which tokens each matrix row belongs to.
-    """
-
-    target_vectors: tuple[tuple[str, np.ndarray], ...]
-    attribute_vectors: tuple[tuple[str, np.ndarray], ...]
-    provenance: tuple[WordResolution, ...]
+    targets: tuple[ResolvedSet, ...]
+    attributes: tuple[ResolvedSet, ...]
     query_label: str = ""
     embedding_name: str = ""
 
@@ -187,22 +198,17 @@ def resolve_query(
     Each set is resolved independently; vocabulary-loss errors name the
     offending set.
     """
-    resolutions: list[WordResolution] = []
 
-    def resolve(word_set: WordSet):
+    def resolve(word_set: WordSet) -> ResolvedSet:
         resolution = table.resolve_word_set(
             word_set.words, lost_threshold=lost_threshold, set_name=word_set.name
         )
-        resolutions.append(resolution)
-        matrix = np.vstack([vec for _token, vec in resolution.found])
-        return word_set.name, matrix
+        tokens, vectors = zip(*resolution.found)
+        return ResolvedSet(word_set.name, tokens, np.vstack(vectors), resolution.dropped)
 
-    target_vectors = tuple(resolve(ws) for ws in query.targets)
-    attribute_vectors = tuple(resolve(ws) for ws in query.attributes)
     return ResolvedQuery(
-        target_vectors,
-        attribute_vectors,
-        tuple(resolutions),
+        tuple(resolve(ws) for ws in query.targets),
+        tuple(resolve(ws) for ws in query.attributes),
         query_label=query.label,
         embedding_name=table.name,
     )
@@ -215,7 +221,7 @@ def load_queries(path) -> list[Query]:
     "words": [str]}], "attributes": [...]}. Unknown keys are ignored.
     """
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = json.loads(read_utf8(path))
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

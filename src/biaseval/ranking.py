@@ -97,13 +97,7 @@ def build_score_matrix(
                 result = METRIC_FUNCTIONS[metric](rq)
             values[i, j] = result.value
             cell = dict(result.diagnostics)
-            dropped = {
-                word_set.name: list(resolution.dropped)
-                for word_set, resolution in zip(
-                    list(query.targets) + list(query.attributes), rq.provenance
-                )
-                if resolution.dropped
-            }
+            dropped = {s.name: list(s.dropped) for s in rq.targets + rq.attributes if s.dropped}
             if dropped:
                 cell["dropped"] = dropped
             if cell:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .eec import VIEW_NAMES
 from .errors import DegenerateDistributionError
-from .names import render_grid
+from .names import read_utf8, render_grid
 
 BUCKET_SHE = "she"
 BUCKET_HE = "he"
@@ -101,7 +101,7 @@ def load_gender_lexicon(path) -> GenderLexicon:
     path = Path(path)
     sections: dict[str, list[str]] = {"she": [], "he": [], "they": []}
     current = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

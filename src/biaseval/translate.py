@@ -15,12 +15,12 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import JoinCoverageError, TranslationRunError
-from .names import FIELD_BREAK_RE
+from .names import FIELD_BREAK_RE, read_utf8
 
 AUTH_ENV_VAR = "BIASEVAL_HTTP_AUTH"
 BACKENDS = ("file", "http")
@@ -76,7 +76,7 @@ class BackendConfig:
 def load_translations_tsv(path) -> list[TranslationRecord]:
     """Read "id<TAB>translation" rows; duplicate ids are an error."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != TRANSLATIONS_HEADER:
         raise ValueError(f"{path}: expected header {TRANSLATIONS_HEADER!r}")
     records: list[TranslationRecord] = []
@@ -192,34 +192,31 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
         opened.append(local.session)
 
     def fetch(batch):
-        return _fetch_batch(local.session if session is None else session, cfg, headers, batch)
+        try:
+            return _fetch_batch(local.session if session is None else session, cfg, headers, batch)
+        except _BatchFailure as exc:
+            return exc
 
     batches = [utterances[i : i + BATCH_SIZE] for i in range(0, len(utterances), BATCH_SIZE)]
-    per_batch: dict[int, list[TranslationRecord]] = {}
-    failures: dict[int, str] = {}
     workers = min(cfg.max_in_flight, len(batches))
     initializer = open_session if session is None else None
     try:
         with ThreadPoolExecutor(max_workers=workers, initializer=initializer) as pool:
-            futures = {pool.submit(fetch, batch): index for index, batch in enumerate(batches)}
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    per_batch[index] = future.result()
-                except _BatchFailure as exc:
-                    failures[index] = str(exc)
+            results = list(pool.map(fetch, batches))
     finally:
         for opened_session in opened:
             opened_session.close()
+    completed = [record for result in results if isinstance(result, list) for record in result]
+    failures = [(index, result) for index, result in enumerate(results)
+                if isinstance(result, _BatchFailure)]
     if failures:
-        completed = [record for index in sorted(per_batch) for record in per_batch[index]]
-        first, message = min(failures.items())
+        first, message = failures[0]
         raise TranslationRunError(
             f"translation backend failed ({len(failures)} of {len(batches)} batch(es), "
             f"first batch {first}: {message}); {len(completed)} record(s) completed",
             completed=completed,
         )
-    return [record for index in sorted(per_batch) for record in per_batch[index]]
+    return completed
 
 
 def join(utterances, records, min_coverage: float = DEFAULT_MIN_COVERAGE):

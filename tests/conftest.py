@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from biaseval import EmbeddingTable, Query, ResolvedQuery, WordSet
-from biaseval.embeddings import WordResolution
+from biaseval import EmbeddingTable, Query, ResolvedQuery, ResolvedSet, WordSet
 
 
 def write_w2v(path, entries):
@@ -19,23 +18,13 @@ def make_resolved_query(targets, attributes, label="q", embedding="toy"):
     """Build a ResolvedQuery from {set name: {token: vector}} mappings."""
 
     def build(sets):
-        pairs = []
-        resolutions = []
-        for name, words in sets.items():
-            found = tuple((token, np.asarray(vec, dtype=np.float64)) for token, vec in words.items())
-            resolutions.append(WordResolution(found, (), 0.0))
-            pairs.append((name, np.vstack([vec for _t, vec in found])))
-        return tuple(pairs), resolutions
+        return tuple(
+            ResolvedSet(name, tuple(words), np.array(list(words.values()), dtype=np.float64), ())
+            for name, words in sets.items()
+        )
 
-    target_vectors, target_resolutions = build(targets)
-    attribute_vectors, attribute_resolutions = build(attributes)
-    return ResolvedQuery(
-        target_vectors,
-        attribute_vectors,
-        tuple(target_resolutions + attribute_resolutions),
-        query_label=label,
-        embedding_name=embedding,
-    )
+    return ResolvedQuery(build(targets), build(attributes), query_label=label,
+                         embedding_name=embedding)
 
 
 @pytest.fixture

@@ -206,6 +206,37 @@ class TestTranslateCommand:
         assert lines[2] == "2\tthey are kind"
 
 
+    @pytest.mark.parametrize("flags,config,expected", [
+        ((), {}, {}),
+        (("--timeout", "3", "--retries", "0"), {"max_in_flight": 1},
+         {"timeout": 3.0, "retry_count": 0, "max_in_flight": 1}),
+    ])
+    def test_http_backend_config_only_overrides_what_is_set(
+        self, tmp_path, lexicon_files, monkeypatch, flags, config, expected
+    ):
+        from biaseval import cli
+        from biaseval.translate import BackendConfig, TranslationRecord
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        configs = []
+
+        def fake_fetch(cfg, utterances):
+            configs.append(cfg)
+            return [TranslationRecord(u.id, "they are kind", backend="http") for u in utterances]
+
+        monkeypatch.setattr(cli, "fetch_translations_http", fake_fetch)
+        url = "http://127.0.0.1:9/translate"
+        code = cli.main([
+            "translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", "http",
+            "--url", url, "--out", str(tmp_path / "out.tsv"), "--config", str(config_path),
+            *flags,
+        ])
+        assert code == 0
+        assert configs == [BackendConfig(url, **expected)]
+
+
 class TestTgbiCommand:
     def test_all_neutral_reports_one(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
@@ -589,3 +620,43 @@ class TestInputHashing:
         assert blocks[0]["inputs"]["embedding:a"] == {
             "path": str(emb_a), "sha256": hashlib.sha256(emb_a.read_bytes()).hexdigest(),
         }
+
+
+class TestNonUtf8Input:
+    """A Latin-1 input file fails with exit 2 and one line naming the file,
+    not the codec's bare complaint."""
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--embedding", "a={bad}", "--queries", "{queries}"],
+        ["metrics", "--embedding", "a={embedding}", "--queries", "{bad}"],
+        ["rank", "--config", "{bad}"],
+        ["eec", "--occupations", "{bad}", "--positive", "{positive}", "--negative", "{negative}"],
+        ["translate", "--corpus", "{bad}", "--translations", "{translations}"],
+        ["translate", "--corpus", "{corpus}", "--translations", "{bad}"],
+        ["tgbi", "--corpus", "{corpus}", "--views", "{bad}", "--translations", "{translations}"],
+        ["tgbi", "--corpus", "{corpus}", "--views", "{views}", "--translations", "{translations}",
+         "--gender-lexicon", "{bad}"],
+    ], ids=["embedding", "queries", "config", "lexicon", "corpus", "translations", "views",
+            "gender_lexicon"])
+    def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
+                            capsys):
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        eec_dir = tmp_path / "eec"
+        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                         "--negative", str(neg), "--out-dir", str(eec_dir)]) == 0
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("1 2\ncafé 1 0\n".encode("latin-1"))
+        files = {
+            "bad": bad, "embedding": embedding_files[0], "queries": query_file,
+            "positive": pos, "negative": neg, "corpus": eec_dir / "corpus.tsv",
+            "views": eec_dir / "views.json",
+            "translations": all_they_translations(eec_dir / "corpus.tsv", tmp_path / "t.tsv"),
+        }
+        out = "--out" if argv[0] == "translate" else "--out-dir"
+        capsys.readouterr()
+        code = cli.main([arg.format(**files) for arg in argv] + [out, str(tmp_path / "out")])
+        assert code == 2
+        [message] = capsys.readouterr().err.splitlines()
+        assert message == f"error: {bad}: not UTF-8 text (invalid continuation byte)"

@@ -20,7 +20,7 @@ from biaseval.errors import (
     TemplateMismatchError,
     UndefinedCorrelationError,
 )
-from biaseval.metrics import fractional_ranks
+from biaseval.metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, fractional_ranks
 
 from conftest import make_resolved_query
 from oracles import ect_oracle, rnd_oracle, spearman_oracle, weat_oracle
@@ -115,10 +115,8 @@ class TestWeat:
         rng = np.random.default_rng(4)
         for _ in range(25):
             rq = random_resolved_query(rng)
-            t1 = rq.target_vectors[0][1].tolist()
-            t2 = rq.target_vectors[1][1].tolist()
-            a1 = rq.attribute_vectors[0][1].tolist()
-            a2 = rq.attribute_vectors[1][1].tolist()
+            t1, t2 = (s.matrix.tolist() for s in rq.targets)
+            a1, a2 = (s.matrix.tolist() for s in rq.attributes)
             assert weat(rq).value == pytest.approx(weat_oracle(t1, t2, a1, a2), abs=1e-9)
 
 
@@ -373,11 +371,20 @@ class TestEct:
         rng = np.random.default_rng(18)
         for _ in range(25):
             rq = random_resolved_query(rng, n_attributes=1)
-            t1 = rq.target_vectors[0][1].tolist()
-            t2 = rq.target_vectors[1][1].tolist()
-            attrs = rq.attribute_vectors[0][1].tolist()
+            t1, t2 = (s.matrix.tolist() for s in rq.targets)
+            attrs = rq.attributes[0].matrix.tolist()
             assert ect(rq).value == pytest.approx(ect_oracle(t1, t2, attrs), abs=1e-9)
 
+
+
+@pytest.mark.parametrize("metric", sorted(METRIC_TEMPLATES))
+def test_one_target_set_short_of_the_template_is_a_mismatch(metric):
+    template = METRIC_TEMPLATES[metric]
+    attributes = {f"a{k}": {f"p{k}": E1} for k in range(template.a)}
+    rq = make_resolved_query({"t1": {"x": E1}}, attributes)
+    with pytest.raises(TemplateMismatchError,
+                       match=f"{template.t} target and {template.a} attribute sets"):
+        METRIC_FUNCTIONS[metric](rq)
 
 def test_spearman_oracle_agrees_with_scipy():
     rng = np.random.default_rng(19)

@@ -155,10 +155,11 @@ class TestResolveQuery:
         rq = resolve_query(weat_query, toy_table)
         assert rq.query_label == "toy-weat"
         assert rq.embedding_name == "toy"
-        assert [name for name, _m in rq.target_vectors] == ["t1", "t2"]
-        for _name, matrix in rq.target_vectors + rq.attribute_vectors:
-            assert matrix.shape == (1, 2)
-        assert len(rq.provenance) == 4
+        assert [s.name for s in rq.targets] == ["t1", "t2"]
+        assert [s.name for s in rq.attributes] == ["a1", "a2"]
+        for resolved in rq.targets + rq.attributes:
+            assert resolved.matrix.shape == (len(resolved.tokens), 2) == (1, 2)
+            assert resolved.dropped == ()
 
     def test_loss_error_names_set(self, toy_table):
         query = Query(
