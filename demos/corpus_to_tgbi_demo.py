@@ -53,10 +53,7 @@ def gendering_translator(utterance):
 
 
 for label, translator in (("neutral", neutral_translator), ("gendering", gendering_translator)):
-    records = [
-        TranslationRecord(utterance.id, translator(utterance), backend=label)
-        for utterance in utterances
-    ]
+    records = [TranslationRecord(utterance.id, translator(utterance)) for utterance in utterances]
     pairs = join(utterances, records)
     report = score_views(views, pairs)
     print(f"=== {label} translator ===")

@@ -1,10 +1,17 @@
 """Command-line entry point wiring corpus build, translation, metric runs,
 ranking, and bias-index scoring.
 
-Exit codes: 0 success, 1 computation error, 2 usage or input error. Every
-JSON report embeds a provenance block (input hashes, seed, flags) and no
-timestamps, so re-running a command on the same inputs produces
-byte-identical output.
+Exit codes: 0 success, 1 computation error, 2 usage or input error. Errors
+and warnings reach stderr as one ``error: ...`` or ``warning: ...`` line each.
+
+An option takes the flag's value if given, else the ``--config`` file's value
+under the option's dest, else the default declared in :func:`build_parser`.
+A config key naming no option of the command, such as ``seed`` for ``eec``
+and ``tgbi``, is ignored.
+
+Every JSON report embeds a provenance block (input hashes and flags; for
+``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
+re-running a command on the same inputs produces byte-identical output.
 
 The embedding stack (numpy) is imported only by the ``metrics`` and ``rank``
 commands, and ``requests`` only by the HTTP translation backend, so the
@@ -17,6 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +40,8 @@ from .eec import (
     write_views_json,
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
-from .names import AGGREGATIONS, DEFAULT_SEED, METRIC_NAMES, RENDER_MODES, read_utf8
+from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
+                    RENDER_MODES, read_json)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -78,12 +87,12 @@ def _describe_inputs(inputs: dict) -> dict:
     }
 
 
-def _provenance(inputs: dict, seed: int, flags: dict) -> dict:
+def _provenance(inputs: dict, flags: dict, **extra) -> dict:
     return {
         "version": __version__,
-        "seed": seed,
         "flags": flags,
         "inputs": _describe_inputs(inputs),
+        **extra,
     }
 
 
@@ -109,65 +118,69 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
+def _apply_config(command: argparse.ArgumentParser, path) -> None:
+    """Make the config file's values the defaults of ``command``'s options of
+    the same dest, so a flag given on the command line still wins. Switches
+    read no key; a null or an empty list leaves the declared default."""
     config_path = _require_file(path, "config file")
-    data = json.loads(read_utf8(config_path))
-    if not isinstance(data, dict):
+    config = read_json(config_path)
+    if not isinstance(config, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
-    return data
+    defaults = {}
+    for action in command._actions:
+        key, value = action.dest, config.get(action.dest)
+        if action.nargs == 0 or value in (None, []):
+            continue
+        if isinstance(action, _Repeatable):
+            if not isinstance(value, list):
+                raise ValueError(f"config {key}: expected a list, got {value!r}")
+            defaults[key] = [_config_value(action, item) for item in value]
+        else:
+            defaults[key] = _config_value(action, value)
+    command.set_defaults(**defaults)
 
 
-def _opt(args, config: dict, key: str, default):
-    """Effective option value: flag wins over config file wins over default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _check_choice(key: str, value, choices):
-    """Config-file values bypass argparse, so check them against the same
-    choices the flags use."""
-    if value not in choices:
+def _config_value(action: argparse.Action, value):
+    """A config value converted by the option's type and checked against its
+    choices, as argparse does with the flag's."""
+    key = action.dest
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"config {key}: invalid {action.type.__name__} value {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
         raise ValueError(
-            f"config {key}: invalid choice {value!r} (choose from {', '.join(choices)})"
+            f"config {key}: invalid choice {value!r} (choose from {', '.join(action.choices)})"
         )
     return value
-
-
-def _opt_choice(args, config: dict, key: str, default, choices):
-    return _check_choice(key, _opt(args, config, key, default), choices)
 
 
 def _load_pronouns(path):
     if not path:
         return DEFAULT_PRONOUNS
-    data = json.loads(read_utf8(_require_file(path, "pronoun spec file")))
+    data = read_json(_require_file(path, "pronoun spec file"))
     return tuple(PronounSpec(d["surface"], d["register"], d["copula"]) for d in data)
 
 
 def _load_templates(path):
     if not path:
         return None
-    data = json.loads(read_utf8(_require_file(path, "template file")))
+    data = read_json(_require_file(path, "template file"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: templates must map lexicon category to a format string")
     return data
 
 
 def cmd_eec(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    occupations = _require_file(_opt(args, config, "occupations", None), "occupation lexicon")
-    positive = _require_file(_opt(args, config, "positive", None), "positive lexicon")
-    negative = _require_file(_opt(args, config, "negative", None), "negative lexicon")
-    out_dir = _out_dir(_opt(args, config, "out_dir", "eec_out"))
-    pronouns = _load_pronouns(_opt(args, config, "pronouns", None))
-    templates = _load_templates(_opt(args, config, "templates", None))
+    occupations = _require_file(args.occupations, "occupation lexicon")
+    positive = _require_file(args.positive, "positive lexicon")
+    negative = _require_file(args.negative, "negative lexicon")
+    out_dir = _out_dir(args.out_dir)
+    pronouns = _load_pronouns(args.pronouns)
+    templates = _load_templates(args.templates)
 
     lexicons = [
         load_lexicon(occupations, "occupation"),
@@ -182,7 +195,6 @@ def cmd_eec(args) -> int:
     meta = {
         "provenance": _provenance(
             {"occupations": occupations, "positive": positive, "negative": negative},
-            seed,
             {"pronoun_registers": [p.register for p in pronouns]},
         ),
         "n_utterances": len(utterances),
@@ -195,29 +207,19 @@ def cmd_eec(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    config = _load_config(args.config)
-    corpus_path = _require_file(_opt(args, config, "corpus", None), "corpus TSV")
-    backend = _opt_choice(args, config, "backend", "file", BACKENDS)
-    out = Path(_opt(args, config, "out", "translations_out.tsv"))
-    min_coverage = float(_opt(args, config, "min_coverage", DEFAULT_MIN_COVERAGE))
+    corpus_path = _require_file(args.corpus, "corpus TSV")
+    out = Path(args.out)
     corpus = read_corpus_tsv(corpus_path)
 
-    if backend == "file":
-        records = load_translations_tsv(
-            _require_file(_opt(args, config, "translations", None), "translations TSV")
-        )
-        join(corpus, records, min_coverage=min_coverage)
+    if args.backend == "file":
+        records = load_translations_tsv(_require_file(args.translations, "translations TSV"))
+        join(corpus, records, min_coverage=args.min_coverage)
         write_translations_tsv(records, out)
     else:
-        url = _opt(args, config, "url", None)
-        if not url:
+        if not args.url:
             raise ValueError("http backend needs --url")
-        settings = {}  # only what a flag or the config sets; BackendConfig holds the defaults
-        for key, field, cast in (("timeout", "timeout", float), ("retries", "retry_count", int),
-                                 ("max_in_flight", "max_in_flight", int)):
-            if (value := _opt(args, config, key, None)) is not None:
-                settings[field] = cast(value)
-        cfg = BackendConfig(url, **settings)
+        cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
+                            max_in_flight=args.max_in_flight)
         existing = load_translations_tsv(out) if out.is_file() else []
         # Failed rows are stored with an empty translation; fetch them again.
         have = {record.id for record in existing if record.output}
@@ -232,7 +234,7 @@ def cmd_translate(args) -> int:
                 completed=merged,
             ) from None
         merged = _merge_records(corpus, existing, fetched)
-        join(corpus, merged, min_coverage=min_coverage)
+        join(corpus, merged, min_coverage=args.min_coverage)
         write_translations_tsv(merged, out)
     print(f"wrote {out}")
     return 0
@@ -251,23 +253,13 @@ def _merge_records(corpus, existing, fetched):
 
 
 def cmd_tgbi(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    corpus_path = _require_file(_opt(args, config, "corpus", None), "corpus TSV")
-    views_path = _require_file(_opt(args, config, "views", None), "views manifest")
-    translations_path = _require_file(
-        _opt(args, config, "translations", None), "translations TSV"
-    )
-    out_dir = _out_dir(_opt(args, config, "out_dir", "tgbi_out"))
-    variant = _opt_choice(args, config, "variant", VARIANT_LINEAR, VARIANTS)
-    ambiguous_policy = _opt_choice(
-        args, config, "ambiguous_policy", "unresolved", AMBIGUOUS_POLICIES
-    )
-    min_coverage = float(_opt(args, config, "min_coverage", DEFAULT_MIN_COVERAGE))
-    lexicon_path = _opt(args, config, "gender_lexicon", None)
+    corpus_path = _require_file(args.corpus, "corpus TSV")
+    views_path = _require_file(args.views, "views manifest")
+    translations_path = _require_file(args.translations, "translations TSV")
+    out_dir = _out_dir(args.out_dir)
 
-    if lexicon_path:
-        lexicon_file = _require_file(lexicon_path, "gender lexicon")
+    if args.gender_lexicon:
+        lexicon_file = _require_file(args.gender_lexicon, "gender lexicon")
         lexicon = load_gender_lexicon(lexicon_file)
         lexicon_hash = _sha256(lexicon_file)
     else:
@@ -286,9 +278,9 @@ def cmd_tgbi(args) -> int:
     corpus = read_corpus_tsv(corpus_path)
     views = read_views_json(views_path)
     records = load_translations_tsv(translations_path)
-    pairs = join(corpus, records, min_coverage=min_coverage)
-    report = score_views(views, pairs, lexicon, variant=variant,
-                         ambiguous_policy=ambiguous_policy)
+    pairs = join(corpus, records, min_coverage=args.min_coverage)
+    report = score_views(views, pairs, lexicon, variant=args.variant,
+                         ambiguous_policy=args.ambiguous_policy)
 
     payload = {
         "provenance": _provenance(
@@ -298,8 +290,7 @@ def cmd_tgbi(args) -> int:
                 "translations": translations_path,
                 "gender_lexicon": {"sha256": lexicon_hash},
             },
-            seed,
-            {"variant": variant, "ambiguous_policy": ambiguous_policy},
+            {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy},
         ),
     }
     payload.update(report_to_dict(report))
@@ -308,13 +299,6 @@ def cmd_tgbi(args) -> int:
     (out_dir / "tgbi_table.txt").write_text(table, encoding="utf-8")
     print(table, end="")
     return 0
-
-
-def _metric_names(args, config: dict) -> list:
-    metrics = args.metric or config.get("metrics") or METRIC_NAMES
-    if not isinstance(metrics, (list, tuple)):
-        raise ValueError(f"config metrics: expected a list of metric names, got {metrics!r}")
-    return [_check_choice("metrics", metric, METRIC_NAMES) for metric in metrics]
 
 
 def _check_templates(queries, metrics) -> None:
@@ -335,22 +319,17 @@ def _check_templates(queries, metrics) -> None:
             )
 
 
-def _embedding_inputs(args, default_out_dir: str) -> argparse.Namespace:
-    """Effective settings, embedding tables and queries of a ``metrics`` or
-    ``rank`` run; each input file is hashed once here, however many reports
-    cite it."""
-    from .embeddings import DEFAULT_LOST_THRESHOLD, load_word2vec_text
+def _embedding_inputs(args) -> argparse.Namespace:
+    """Output directory, classifier settings, embedding tables and queries of
+    a ``metrics`` or ``rank`` run; each input file is hashed once here,
+    however many reports cite it."""
+    from .embeddings import load_word2vec_text
     from .metrics import DEFAULT_CLASSIFIER_HYPER
     from .queries import load_queries
 
-    config = _load_config(args.config)
-    seed = int(_opt(args, config, "seed", DEFAULT_SEED))
-    out_dir = _out_dir(_opt(args, config, "out_dir", default_out_dir))
-    lost_threshold = float(_opt(args, config, "lost_threshold", DEFAULT_LOST_THRESHOLD))
-    metrics = _metric_names(args, config)
-
+    out_dir = _out_dir(args.out_dir)
     tables, inputs = [], {}
-    for spec in args.embedding or config.get("embeddings") or ():
+    for spec in args.embeddings:
         if "=" in spec:
             name, _, location = spec.partition("=")
         else:
@@ -360,18 +339,16 @@ def _embedding_inputs(args, default_out_dir: str) -> argparse.Namespace:
         inputs[f"embedding:{table.name}"] = location
     if not tables:
         raise ValueError("at least one --embedding is required")
-    query_paths = list(args.queries or config.get("queries") or ())
-    if not query_paths:
+    if not args.queries:
         raise ValueError("at least one --queries file is required")
     queries = []
-    for path in query_paths:
+    for path in args.queries:
         queries.extend(load_queries(_require_file(path, "query file")))
     if not args.skip_invalid:
-        _check_templates(queries, metrics)
-    inputs.update({f"queries:{i}": path for i, path in enumerate(query_paths)})
+        _check_templates(queries, args.metrics)
+    inputs.update({f"queries:{i}": path for i, path in enumerate(args.queries)})
     return argparse.Namespace(
-        config=config, seed=seed, out_dir=out_dir, lost_threshold=lost_threshold,
-        metrics=metrics, hyper={**DEFAULT_CLASSIFIER_HYPER, "seed": seed},
+        out_dir=out_dir, hyper={**DEFAULT_CLASSIFIER_HYPER, "seed": args.seed},
         tables=tables, queries=queries, inputs=_describe_inputs(inputs),
     )
 
@@ -386,15 +363,16 @@ def cmd_metrics(args) -> int:
         score_matrix_to_dict,
     )
 
-    run = _embedding_inputs(args, "metrics_out")
-    for metric in run.metrics:
+    run = _embedding_inputs(args)
+    for metric in args.metrics:
         subqueries = expand_subqueries(run.queries, METRIC_TEMPLATES[metric])
         matrix = build_score_matrix(
-            metric, run.tables, subqueries, lost_threshold=run.lost_threshold, hyper=run.hyper
+            metric, run.tables, subqueries, lost_threshold=args.lost_threshold, hyper=run.hyper
         )
         payload = {
             "provenance": _provenance(
-                run.inputs, run.seed, {"metric": metric, "lost_threshold": run.lost_threshold}
+                run.inputs, {"metric": metric, "lost_threshold": args.lost_threshold},
+                seed=args.seed,
             ),
         }
         payload.update(score_matrix_to_dict(matrix))
@@ -415,31 +393,40 @@ def cmd_rank(args) -> int:
         render_rank_table,
     )
 
-    run = _embedding_inputs(args, "rank_out")
-    agg = _opt_choice(args, run.config, "agg", "abs_mean", AGGREGATIONS)
-    mode = _opt_choice(args, run.config, "mode", "ranks", RENDER_MODES)
+    run = _embedding_inputs(args)
     table = build_rank_table(
-        run.metrics, run.tables, run.queries,
-        lost_threshold=run.lost_threshold, agg=agg, hyper=run.hyper,
+        args.metrics, run.tables, run.queries,
+        lost_threshold=args.lost_threshold, agg=args.agg, hyper=run.hyper,
     )
     payload = {
         "provenance": _provenance(
             run.inputs,
-            run.seed,
-            {"agg": agg, "mode": mode, "lost_threshold": run.lost_threshold,
-             "metrics": run.metrics},
+            {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
+             "metrics": args.metrics},
+            seed=args.seed,
         ),
     }
     payload.update(rank_table_to_dict(table))
     _write_json(payload, run.out_dir / "rank_table.json")
     (run.out_dir / "rank_table.csv").write_text(rank_table_csv(table), encoding="utf-8")
-    rendered = render_rank_table(table, mode=mode)
+    rendered = render_rank_table(table, mode=args.mode)
     (run.out_dir / "rank_table.txt").write_text(rendered, encoding="utf-8")
     print(rendered, end="")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Repeatable(argparse.Action):
+    """``append`` whose first flag replaces the default, declared or from the
+    config file, instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, [*([] if given is self.default else given), values])
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name. Each option's default,
+    choices and type are declared here once; its dest is its config key."""
     parser = argparse.ArgumentParser(
         prog="biaseval",
         description="Quantify gender bias in word embeddings and machine-translation output.",
@@ -455,24 +442,23 @@ def build_parser() -> argparse.ArgumentParser:
     eec.add_argument("--negative", help="negative sentiment lexicon")
     eec.add_argument("--pronouns", help="JSON file overriding the default pronoun specs")
     eec.add_argument("--templates", help="JSON file mapping lexicon category to a template")
-    eec.add_argument("--out-dir", dest="out_dir")
-    eec.add_argument("--seed", type=int)
-    eec.add_argument("--config", help="JSON config file; flags win over file values")
+    eec.add_argument("--out-dir", dest="out_dir", default="eec_out")
     eec.set_defaults(func=cmd_eec)
 
     translate = subparsers.add_parser(
         "translate", help="obtain translations from a file or an HTTP backend"
     )
     translate.add_argument("--corpus", help="corpus TSV from the eec command")
-    translate.add_argument("--backend", choices=BACKENDS)
+    translate.add_argument("--backend", choices=BACKENDS, default="file")
     translate.add_argument("--translations", help="pre-translated TSV (file backend)")
     translate.add_argument("--url", help="endpoint URL (http backend)")
-    translate.add_argument("--timeout", type=float)
-    translate.add_argument("--retries", type=int)
-    translate.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    translate.add_argument("--min-coverage", dest="min_coverage", type=float)
-    translate.add_argument("--out")
-    translate.add_argument("--config")
+    translate.add_argument("--timeout", type=float, default=BackendConfig.timeout)
+    translate.add_argument("--retries", type=int, default=BackendConfig.retry_count)
+    translate.add_argument("--max-in-flight", dest="max_in_flight", type=int,
+                           default=BackendConfig.max_in_flight)
+    translate.add_argument("--min-coverage", dest="min_coverage", type=float,
+                           default=DEFAULT_MIN_COVERAGE)
+    translate.add_argument("--out", default="translations_out.tsv")
     translate.set_defaults(func=cmd_translate)
 
     tgbi = subparsers.add_parser("tgbi", help="score translated output for gender bias")
@@ -480,12 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     tgbi.add_argument("--views")
     tgbi.add_argument("--translations")
     tgbi.add_argument("--gender-lexicon", dest="gender_lexicon")
-    tgbi.add_argument("--variant", choices=VARIANTS)
-    tgbi.add_argument("--ambiguous-policy", dest="ambiguous_policy", choices=AMBIGUOUS_POLICIES)
-    tgbi.add_argument("--min-coverage", dest="min_coverage", type=float)
-    tgbi.add_argument("--out-dir", dest="out_dir")
-    tgbi.add_argument("--seed", type=int)
-    tgbi.add_argument("--config")
+    tgbi.add_argument("--variant", choices=VARIANTS, default=VARIANT_LINEAR)
+    tgbi.add_argument("--ambiguous-policy", dest="ambiguous_policy", choices=AMBIGUOUS_POLICIES,
+                      default="unresolved")
+    tgbi.add_argument("--min-coverage", dest="min_coverage", type=float,
+                      default=DEFAULT_MIN_COVERAGE)
+    tgbi.add_argument("--out-dir", dest="out_dir", default="tgbi_out")
     tgbi.set_defaults(func=cmd_tgbi)
 
     metrics = subparsers.add_parser(
@@ -494,40 +480,49 @@ def build_parser() -> argparse.ArgumentParser:
     rank = subparsers.add_parser(
         "rank", help="aggregate metric scores and rank embeddings"
     )
-    for sub in (metrics, rank):
-        sub.add_argument(
-            "--embedding",
-            action="append",
-            help="NAME=PATH of a word2vec text file (repeatable)",
-        )
-        sub.add_argument("--queries", action="append", help="query JSON file (repeatable)")
-        sub.add_argument("--metric", action="append", choices=METRIC_NAMES)
-        sub.add_argument("--lost-threshold", dest="lost_threshold", type=float)
-        sub.add_argument("--seed", type=int)
-        sub.add_argument("--out-dir", dest="out_dir")
+    for sub, out_dir in ((metrics, "metrics_out"), (rank, "rank_out")):
+        sub.add_argument("--embedding", dest="embeddings", action=_Repeatable, default=(),
+                         metavar="EMBEDDING",
+                         help="NAME=PATH of a word2vec text file (repeatable)")
+        sub.add_argument("--queries", action=_Repeatable, default=(),
+                         help="query JSON file (repeatable)")
+        sub.add_argument("--metric", dest="metrics", action=_Repeatable, choices=METRIC_NAMES,
+                         default=METRIC_NAMES)
+        sub.add_argument("--lost-threshold", dest="lost_threshold", type=float,
+                         default=DEFAULT_LOST_THRESHOLD)
+        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sub.add_argument("--out-dir", dest="out_dir", default=out_dir)
         sub.add_argument(
             "--skip-invalid",
             action="store_true",
             help="skip queries that do not satisfy a metric's template instead of failing",
         )
-        sub.add_argument("--config")
-    rank.add_argument("--agg", choices=AGGREGATIONS)
-    rank.add_argument("--mode", choices=RENDER_MODES)
+    rank.add_argument("--agg", choices=AGGREGATIONS, default="abs_mean")
+    rank.add_argument("--mode", choices=RENDER_MODES, default="ranks")
     metrics.set_defaults(func=cmd_metrics)
     rank.set_defaults(func=cmd_rank)
-    return parser
+
+    for sub in subparsers.choices.values():
+        sub.add_argument("--config", help="JSON config file; flags win over file values")
+    return parser, subparsers.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (EmbeddingFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BiasEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.config:
+                _apply_config(commands[args.command], args.config)
+                args = parser.parse_args(argv)
+            return args.func(args)
+        except (EmbeddingFormatError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BiasEvalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def console_main() -> None:

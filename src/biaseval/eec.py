@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .names import FIELD_BREAK_RE, nfc, read_utf8
+from .names import FIELD_BREAK_RE, nfc, read_json, read_utf8
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -244,7 +244,7 @@ def write_views_json(views, path) -> None:
 
 def read_views_json(path) -> list[EvaluationSet]:
     path = Path(path)
-    data = json.loads(read_utf8(path))
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object mapping view name to id list")
     missing = [name for name in VIEW_NAMES if name not in data]

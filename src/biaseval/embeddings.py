@@ -15,12 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmbeddingFormatError, EmptyResolutionError, VocabularyLossError
-from .names import nfc
-
-DEFAULT_LOST_THRESHOLD = 0.2
+from .names import DEFAULT_LOST_THRESHOLD, nfc
 
 __all__ = [
-    "DEFAULT_LOST_THRESHOLD",
     "EmbeddingTable",
     "WordResolution",
     "cosine",

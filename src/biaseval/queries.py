@@ -13,7 +13,6 @@ vectors as matrix rows, and the words the table lacks.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import DEFAULT_LOST_THRESHOLD, EmbeddingTable, nfc
-from .names import read_utf8
+from .embeddings import EmbeddingTable, nfc
+from .names import DEFAULT_LOST_THRESHOLD, read_json
 
 __all__ = [
     "Query",
@@ -221,7 +220,7 @@ def load_queries(path) -> list[Query]:
     "words": [str]}], "attributes": [...]}. Unknown keys are ignored.
     """
     path = Path(path)
-    data = json.loads(read_utf8(path))
+    data = read_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import DEFAULT_LOST_THRESHOLD
 from .errors import EmptyResolutionError, VocabularyLossError
 from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB
-from .names import AGGREGATIONS, RENDER_MODES, render_grid
+from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
 
 __all__ = [

@@ -240,7 +240,6 @@ class SetScore:
 class TgbiReport:
     scores: tuple[SetScore, ...]
     tgbi: float
-    backend: str
     variant: str
 
 
@@ -279,13 +278,11 @@ def score_views(views, pairs, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
             )
         )
     tgbi = sum(score.p_index for score in scores) / len(scores)
-    backend = next(iter(pair_by_id.values()))[1].backend if pair_by_id else ""
-    return TgbiReport(tuple(scores), float(tgbi), backend, variant)
+    return TgbiReport(tuple(scores), float(tgbi), variant)
 
 
 def report_to_dict(report: TgbiReport) -> dict:
     return {
-        "backend": report.backend,
         "variant": report.variant,
         "tgbi": report.tgbi,
         "unresolved_total": sum(score.n_unresolved for score in report.scores),
@@ -307,7 +304,7 @@ def report_to_dict(report: TgbiReport) -> dict:
 def render_tgbi_table(report: TgbiReport) -> str:
     """Plain-text view table: one row per view, index with the (p_she,
     p_they) pair beside it, average in the last row."""
-    header = ["Sentence", "Size", report.backend or "score"]
+    header = ["Sentence", "Size", "score"]
     rows = [
         [
             score.view.capitalize(),

@@ -44,13 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TranslationRecord:
-    """One translated corpus row; ``output`` may be empty only when failed."""
+    """One translated corpus row; ``output`` may be empty only when failed.
+    ``failed`` and ``retries`` are keyword-only, so a stray third positional
+    argument cannot mark a row failed."""
 
     id: int
     output: str
-    backend: str
-    failed: bool = False
-    retries: int = 0
+    failed: bool = field(default=False, kw_only=True)
+    retries: int = field(default=0, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def load_translations_tsv(path) -> list[TranslationRecord]:
         if record_id in seen:
             raise ValueError(f"{path}:{lineno}: duplicate id {record_id}")
         seen.add(record_id)
-        records.append(TranslationRecord(record_id, parts[1], backend="file"))
+        records.append(TranslationRecord(record_id, parts[1]))
     return records
 
 
@@ -144,18 +145,11 @@ def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch) -> list[Tran
         records = []
         for utterance in batch:
             if utterance.id in translations:
-                records.append(
-                    TranslationRecord(
-                        utterance.id, _clean(translations[utterance.id]),
-                        backend="http", retries=attempt,
-                    )
-                )
+                records.append(TranslationRecord(
+                    utterance.id, _clean(translations[utterance.id]), retries=attempt
+                ))
             else:
-                records.append(
-                    TranslationRecord(
-                        utterance.id, "", backend="http", failed=True, retries=attempt
-                    )
-                )
+                records.append(TranslationRecord(utterance.id, "", failed=True, retries=attempt))
         return records
     raise _BatchFailure(f"unreachable after {cfg.retry_count + 1} attempt(s): {last_error}")
 

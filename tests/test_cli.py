@@ -111,6 +111,7 @@ class TestEecCommand:
                     "positive": str(pos),
                     "negative": str(neg),
                     "out_dir": str(tmp_path / "from_config"),
+                    "seed": 7,  # eec has no such option, so the key is ignored
                 }
             ),
             encoding="utf-8",
@@ -118,6 +119,8 @@ class TestEecCommand:
         result = run_cli("eec", "--config", config)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "from_config" / "corpus.tsv").is_file()
+        meta = json.loads((tmp_path / "from_config" / "run_meta.json").read_text(encoding="utf-8"))
+        assert "seed" not in meta["provenance"]
 
 
 class TestTranslateCommand:
@@ -224,7 +227,7 @@ class TestTranslateCommand:
 
         def fake_fetch(cfg, utterances):
             configs.append(cfg)
-            return [TranslationRecord(u.id, "they are kind", backend="http") for u in utterances]
+            return [TranslationRecord(u.id, "they are kind") for u in utterances]
 
         monkeypatch.setattr(cli, "fetch_translations_http", fake_fetch)
         url = "http://127.0.0.1:9/translate"
@@ -250,7 +253,7 @@ class TestTgbiCommand:
         payload = json.loads((report_dir / "tgbi_report.json").read_text(encoding="utf-8"))
         assert payload["tgbi"] == 1.0
         assert payload["variant"] == "linear"
-        assert payload["provenance"]["seed"] == 42
+        assert "seed" not in payload["provenance"]
         assert "gender_lexicon" in payload["provenance"]["inputs"]
         assert (report_dir / "tgbi_table.txt").is_file()
         assert "Average:" in result.stdout
@@ -391,7 +394,10 @@ class TestRankCommand:
         ]
         result, skipped = rank(both, "--skip-invalid")
         assert result.returncode == 0, result.stderr
-        assert "query 'work-only' cannot satisfy template (2,2); skipped" in result.stderr
+        # one line, without the source path and line the warnings module adds
+        assert result.stderr.splitlines() == [
+            "warning: query 'work-only' cannot satisfy template (2,2); skipped"
+        ]
         _, alone = rank(query_file)
         values, alone_values = (
             dict(zip(table["cols"], zip(*table["aggregate_values"]))) for table in (skipped, alone)
@@ -523,8 +529,8 @@ class TestMergeRecords:
         from biaseval.translate import TranslationRecord
 
         corpus = [Utterance(i, f"s{i}", "informal", "positive", f"w{i}") for i in (3, 1, 2)]
-        existing = [TranslationRecord(i, f"old {i}", "file") for i in (1, 2, 9, 7)]
-        fetched = [TranslationRecord(i, f"new {i}", "http") for i in (2, 3, 8)]
+        existing = [TranslationRecord(i, f"old {i}") for i in (1, 2, 9, 7)]
+        fetched = [TranslationRecord(i, f"new {i}") for i in (2, 3, 8)]
         merged = _merge_records(corpus, existing, fetched)
         assert [(r.id, r.output) for r in merged] == [
             (3, "new 3"), (1, "old 1"), (2, "new 2"), (7, "old 7"), (8, "new 8"), (9, "old 9"),
@@ -587,6 +593,62 @@ class TestConfigChoices:
         assert not (tmp_path / "r" / "tgbi_report.json").exists()
 
 
+class TestOptionPrecedence:
+    """All five subcommands resolve options on one path: a given flag wins
+    over the config file's value, which wins over the declared default."""
+
+    @pytest.mark.parametrize("command,key,flag,default,config_value,from_config,given,from_flag", [
+        ("eec", "out_dir", "--out-dir", "eec_out", "c", "c", "f", "f"),
+        ("translate", "out", "--out", "translations_out.tsv", "c.tsv", "c.tsv", "f.tsv", "f.tsv"),
+        ("translate", "min_coverage", "--min-coverage", 0.95, "0.5", 0.5, "0.25", 0.25),
+        ("tgbi", "out_dir", "--out-dir", "tgbi_out", "c", "c", "f", "f"),
+        ("tgbi", "min_coverage", "--min-coverage", 0.95, 0, 0.0, "1", 1.0),
+        ("metrics", "out_dir", "--out-dir", "metrics_out", "c", "c", "f", "f"),
+        ("metrics", "lost_threshold", "--lost-threshold", 0.2, 1, 1.0, "0.5", 0.5),
+        ("rank", "out_dir", "--out-dir", "rank_out", "c", "c", "f", "f"),
+        ("rank", "seed", "--seed", 42, "7", 7, "3", 3),
+        ("rank", "metrics", "--metric", ("WEAT", "RNSB", "RND", "ECT"), ["RND"], ["RND"],
+         "ECT", ["ECT"]),
+    ])
+    def test_flag_beats_config_beats_default(self, tmp_path, monkeypatch, command, key, flag,
+                                             default, config_value, from_config, given,
+                                             from_flag):
+        from biaseval import cli
+
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: config_value}), encoding="utf-8")
+        assert cli.main([command]) == 0
+        assert cli.main([command, "--config", str(config)]) == 0
+        assert cli.main([command, "--config", str(config), flag, given]) == 0
+        expected = [default, from_config, from_flag]
+        values = [getattr(args, key) for args in seen]
+        assert values == expected
+        assert [type(value) for value in values] == [type(value) for value in expected]
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", "x", "config seed: invalid int value 'x'"),
+        ("queries", "q.json", "config queries: expected a list, got 'q.json'"),
+    ])
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys, key, value, message):
+        from biaseval import cli
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert cli.main(["rank", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command", ["eec", "tgbi"])
+    def test_seed_is_not_an_option_of_the_translation_path(self, capsys, command):
+        from biaseval import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 class TestInputHashing:
     def test_each_input_hashed_once_per_run(self, tmp_path, embedding_files, query_file,
                                             monkeypatch, capsys):
@@ -622,6 +684,30 @@ class TestInputHashing:
         }
 
 
+def bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv, content, capsys):
+    """Run ``argv`` in process with ``{bad}`` standing for a file holding
+    ``content``; return the bad file and the command's stderr lines."""
+    from biaseval import cli
+
+    occ, pos, neg = lexicon_files
+    eec_dir = tmp_path / "eec"
+    assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                     "--negative", str(neg), "--out-dir", str(eec_dir)]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    files = {
+        "bad": bad, "embedding": embedding_files[0], "queries": query_file,
+        "occupations": occ, "positive": pos, "negative": neg, "corpus": eec_dir / "corpus.tsv",
+        "views": eec_dir / "views.json",
+        "translations": all_they_translations(eec_dir / "corpus.tsv", tmp_path / "t.tsv"),
+    }
+    out = "--out" if argv[0] == "translate" else "--out-dir"
+    capsys.readouterr()
+    code = cli.main([arg.format(**files) for arg in argv] + [out, str(tmp_path / "out")])
+    assert code == 2
+    return bad, capsys.readouterr().err.splitlines()
+
+
 class TestNonUtf8Input:
     """A Latin-1 input file fails with exit 2 and one line naming the file,
     not the codec's bare complaint."""
@@ -640,23 +726,26 @@ class TestNonUtf8Input:
             "gender_lexicon"])
     def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
                             capsys):
-        from biaseval import cli
+        bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
+                                   "1 2\ncafé 1 0\n".encode("latin-1"), capsys)
+        assert err == [f"error: {bad}: not UTF-8 text (invalid continuation byte)"]
 
-        occ, pos, neg = lexicon_files
-        eec_dir = tmp_path / "eec"
-        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
-                         "--negative", str(neg), "--out-dir", str(eec_dir)]) == 0
-        bad = tmp_path / "latin1.txt"
-        bad.write_bytes("1 2\ncafé 1 0\n".encode("latin-1"))
-        files = {
-            "bad": bad, "embedding": embedding_files[0], "queries": query_file,
-            "positive": pos, "negative": neg, "corpus": eec_dir / "corpus.tsv",
-            "views": eec_dir / "views.json",
-            "translations": all_they_translations(eec_dir / "corpus.tsv", tmp_path / "t.tsv"),
-        }
-        out = "--out" if argv[0] == "translate" else "--out-dir"
-        capsys.readouterr()
-        code = cli.main([arg.format(**files) for arg in argv] + [out, str(tmp_path / "out")])
-        assert code == 2
-        [message] = capsys.readouterr().err.splitlines()
-        assert message == f"error: {bad}: not UTF-8 text (invalid continuation byte)"
+
+class TestMalformedJson:
+    """A JSON input file that does not parse fails with exit 2 and one line
+    naming the file, not the decoder's bare complaint."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--config", "{bad}"],
+        ["metrics", "--embedding", "a={embedding}", "--queries", "{bad}"],
+        ["eec", "--occupations", "{occupations}", "--positive", "{positive}",
+         "--negative", "{negative}", "--pronouns", "{bad}"],
+        ["eec", "--occupations", "{occupations}", "--positive", "{positive}",
+         "--negative", "{negative}", "--templates", "{bad}"],
+        ["tgbi", "--corpus", "{corpus}", "--views", "{bad}", "--translations", "{translations}"],
+    ], ids=["config", "queries", "pronouns", "templates", "views"])
+    def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
+                            capsys):
+        bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
+                                   b'{"metrics": [\n', capsys)
+        assert err == [f"error: {bad}: not valid JSON (Expecting value: line 2 column 1)"]

@@ -73,7 +73,7 @@ def test_views_json_round_trip(id_lists):
 
 @given(st.lists(st.tuples(ids, field), max_size=20, unique_by=lambda pair: pair[0]))
 def test_translations_tsv_round_trip(rows):
-    records = [TranslationRecord(uid, output, backend="file") for uid, output in rows]
+    records = [TranslationRecord(uid, output) for uid, output in rows]
     fields = [output for _uid, output in rows]
     assert _round_trip(write_translations_tsv, load_translations_tsv, records, fields) == records
 

@@ -107,7 +107,7 @@ class TestGenderLexicon:
 def pair(uid, text, failed=False):
     return (
         Utterance(uid, f"स्रोत {uid}", "informal", "positive", f"w{uid}"),
-        TranslationRecord(uid, text, backend="file", failed=failed),
+        TranslationRecord(uid, text, failed=failed),
     )
 
 
@@ -214,7 +214,7 @@ def seven_view_fixture():
 class TestScoreViews:
     def test_all_neutral_gives_one(self):
         utterances, views = seven_view_fixture()
-        pairs = [(u, TranslationRecord(u.id, "they are kind", "file")) for u in utterances]
+        pairs = [(u, TranslationRecord(u.id, "they are kind")) for u in utterances]
         report = score_views(views, pairs)
         assert report.tgbi == 1.0
         assert all(score.p_index == 1.0 for score in report.scores)
@@ -225,7 +225,7 @@ class TestScoreViews:
             (
                 u,
                 TranslationRecord(
-                    u.id, "she is kind" if u.id % 2 else "he is kind", "file"
+                    u.id, "she is kind" if u.id % 2 else "he is kind"
                 ),
             )
             for u in utterances
@@ -237,7 +237,7 @@ class TestScoreViews:
 
     def test_view_order_and_sizes(self):
         utterances, views = seven_view_fixture()
-        pairs = [(u, TranslationRecord(u.id, "they are kind", "file")) for u in utterances]
+        pairs = [(u, TranslationRecord(u.id, "they are kind")) for u in utterances]
         report = score_views(views, pairs)
         assert [s.view for s in report.scores] == [
             "informal", "formal", "impolite", "polite", "positive", "negative", "occupation",
@@ -246,7 +246,7 @@ class TestScoreViews:
 
     def test_missing_view_rejected(self):
         utterances, views = seven_view_fixture()
-        pairs = [(u, TranslationRecord(u.id, "they", "file")) for u in utterances]
+        pairs = [(u, TranslationRecord(u.id, "they")) for u in utterances]
         with pytest.raises(ValueError, match="missing views"):
             score_views(views[:-1], pairs)
 
@@ -258,7 +258,6 @@ class TestScoreViews:
                 TranslationRecord(
                     u.id,
                     "nothing here" if u.register == "informal" else "they are kind",
-                    "file",
                 ),
             )
             for u in utterances
@@ -269,7 +268,7 @@ class TestScoreViews:
     def test_empty_view_rejected(self):
         utterances, views = seven_view_fixture()
         pairs = [
-            (u, TranslationRecord(u.id, "they are kind", "file"))
+            (u, TranslationRecord(u.id, "they are kind"))
             for u in utterances
             if u.register != "informal"
         ]
@@ -282,7 +281,7 @@ class TestScoreViews:
             (
                 u,
                 TranslationRecord(
-                    u.id, "she is kind" if u.id % 4 else "they are kind", "file"
+                    u.id, "she is kind" if u.id % 4 else "they are kind"
                 ),
             )
             for u in utterances
@@ -380,7 +379,7 @@ class TestReferenceReproduction:
                         utterances.append(
                             Utterance(uid, f"स्रोत {uid}", register, category, f"w{uid}")
                         )
-                        records.append(TranslationRecord(uid, outputs[bucket], "file"))
+                        records.append(TranslationRecord(uid, outputs[bucket]))
         assert len(utterances) == 7914
 
         views = build_views(utterances)
@@ -399,7 +398,7 @@ class TestReportOutput:
             (
                 u,
                 TranslationRecord(
-                    u.id, "she is kind" if u.id % 3 == 0 else "they are kind", "file"
+                    u.id, "she is kind" if u.id % 3 == 0 else "they are kind"
                 ),
             )
             for u in utterances
@@ -408,7 +407,7 @@ class TestReportOutput:
 
     def test_report_dict_shape(self):
         payload = report_to_dict(self._report())
-        assert payload["backend"] == "file"
+        assert "backend" not in payload
         assert payload["variant"] == VARIANT_LINEAR
         assert len(payload["scores"]) == 7
         assert set(payload["scores"][0]) == {
@@ -418,8 +417,7 @@ class TestReportOutput:
     def test_rendered_table_layout(self):
         table = render_tgbi_table(self._report())
         lines = table.splitlines()
-        assert lines[0].startswith("Sentence")
-        assert "Size" in lines[0]
+        assert lines[0].split() == ["Sentence", "Size", "score"]
         assert lines[1].startswith("Informal")
         assert lines[-1].startswith("Average:")
         # each view row shows index followed by the (p_she, p_they) pair

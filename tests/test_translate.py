@@ -7,7 +7,7 @@ import requests
 from biaseval import BackendConfig, fetch_translations_http, join, load_translations_tsv
 from biaseval.eec import Utterance
 from biaseval.errors import JoinCoverageError, TranslationRunError
-from biaseval.translate import write_translations_tsv
+from biaseval.translate import TranslationRecord, write_translations_tsv
 
 
 def utterances(n):
@@ -257,3 +257,10 @@ class TestFetchTranslationsHttp:
         assert sessions
         assert all(len(session.threads) <= 1 for session in sessions)
         assert all(session.closed for session in sessions)
+
+
+def test_record_flags_are_keyword_only():
+    # a stray third positional argument must not mark the row failed
+    with pytest.raises(TypeError):
+        TranslationRecord(1, "x", "file")
+    assert TranslationRecord(1, "x", failed=True, retries=2).failed
