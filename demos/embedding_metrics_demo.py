@@ -68,7 +68,7 @@ print(f"RND   {result.value:+.4f}   (negative: career words sit nearer the mascu
 # RNSB trains a tiny logistic classifier career-vs-family, scores every
 # target word with it, and measures how far those scores are from uniform.
 # Zero would mean the classifier cannot tell the target words apart.
-result = rnsb(resolved, {"seed": 7})
+result = rnsb(resolved, seed=7)
 print(f"RNSB  {result.value:+.4f}   (0 = unbiased; training loss "
       f"{result.diagnostics['training_loss']:.3f})")
 

@@ -41,7 +41,7 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, read_json)
+                    RENDER_MODES, read_json, write_json)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -96,13 +96,6 @@ def _provenance(inputs: dict, flags: dict, **extra) -> dict:
     }
 
 
-def _write_json(payload: dict, path) -> None:
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
 def _require_file(path, what: str) -> Path:
     if path is None:
         raise ValueError(f"missing required input: {what}")
@@ -142,8 +135,11 @@ def _apply_config(command: argparse.ArgumentParser, path) -> None:
 
 def _config_value(action: argparse.Action, value):
     """A config value converted by the option's type and checked against its
-    choices, as argparse does with the flag's."""
+    choices, as argparse does with the flag's; an option without a type takes
+    a string."""
     key = action.dest
+    if action.type is None and not isinstance(value, str):
+        raise ValueError(f"config {key}: expected a string, got {value!r}")
     if action.type is not None:
         try:
             value = action.type(value)
@@ -162,15 +158,33 @@ def _load_pronouns(path):
     if not path:
         return DEFAULT_PRONOUNS
     data = read_json(_require_file(path, "pronoun spec file"))
-    return tuple(PronounSpec(d["surface"], d["register"], d["copula"]) for d in data)
+    fields = ("surface", "register", "copula")
+    if not isinstance(data, list) or not all(
+        isinstance(spec, dict) and all(isinstance(spec.get(f), str) for f in fields)
+        for spec in data
+    ):
+        raise ValueError(
+            f"{path}: expected a list of objects with string 'surface', 'register' and 'copula'"
+        )
+    return tuple(PronounSpec(*(spec[f] for f in fields)) for spec in data)
 
 
 def _load_templates(path):
+    """Templates by lexicon category; each may use only the fields
+    ``{pronoun}``, ``{lexeme}`` and ``{copula}``."""
     if not path:
         return None
     data = read_json(_require_file(path, "template file"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: templates must map lexicon category to a format string")
+    for category, template in data.items():
+        try:
+            template.format(pronoun="", lexeme="", copula="")
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"{path}: template '{category}' must be a format string using only "
+                "{pronoun}, {lexeme} and {copula}"
+            ) from None
     return data
 
 
@@ -200,7 +214,7 @@ def cmd_eec(args) -> int:
         "n_utterances": len(utterances),
         "view_sizes": {view.name: len(view) for view in views},
     }
-    _write_json(meta, out_dir / "run_meta.json")
+    write_json(meta, out_dir / "run_meta.json")
     for view in views:
         print(f"{view.name}\t{len(view)}")
     return 0
@@ -294,7 +308,7 @@ def cmd_tgbi(args) -> int:
         ),
     }
     payload.update(report_to_dict(report))
-    _write_json(payload, out_dir / "tgbi_report.json")
+    write_json(payload, out_dir / "tgbi_report.json")
     table = render_tgbi_table(report)
     (out_dir / "tgbi_table.txt").write_text(table, encoding="utf-8")
     print(table, end="")
@@ -320,11 +334,10 @@ def _check_templates(queries, metrics) -> None:
 
 
 def _embedding_inputs(args) -> argparse.Namespace:
-    """Output directory, classifier settings, embedding tables and queries of
-    a ``metrics`` or ``rank`` run; each input file is hashed once here,
-    however many reports cite it."""
+    """Output directory, embedding tables and queries of a ``metrics`` or
+    ``rank`` run; each input file is hashed once here, however many reports
+    cite it."""
     from .embeddings import load_word2vec_text
-    from .metrics import DEFAULT_CLASSIFIER_HYPER
     from .queries import load_queries
 
     out_dir = _out_dir(args.out_dir)
@@ -348,8 +361,7 @@ def _embedding_inputs(args) -> argparse.Namespace:
         _check_templates(queries, args.metrics)
     inputs.update({f"queries:{i}": path for i, path in enumerate(args.queries)})
     return argparse.Namespace(
-        out_dir=out_dir, hyper={**DEFAULT_CLASSIFIER_HYPER, "seed": args.seed},
-        tables=tables, queries=queries, inputs=_describe_inputs(inputs),
+        out_dir=out_dir, tables=tables, queries=queries, inputs=_describe_inputs(inputs),
     )
 
 
@@ -367,7 +379,7 @@ def cmd_metrics(args) -> int:
     for metric in args.metrics:
         subqueries = expand_subqueries(run.queries, METRIC_TEMPLATES[metric])
         matrix = build_score_matrix(
-            metric, run.tables, subqueries, lost_threshold=args.lost_threshold, hyper=run.hyper
+            metric, run.tables, subqueries, lost_threshold=args.lost_threshold, seed=args.seed
         )
         payload = {
             "provenance": _provenance(
@@ -376,7 +388,7 @@ def cmd_metrics(args) -> int:
             ),
         }
         payload.update(score_matrix_to_dict(matrix))
-        _write_json(payload, run.out_dir / f"scores_{metric}.json")
+        write_json(payload, run.out_dir / f"scores_{metric}.json")
         (run.out_dir / f"scores_{metric}.csv").write_text(
             score_matrix_csv(matrix), encoding="utf-8"
         )
@@ -396,7 +408,7 @@ def cmd_rank(args) -> int:
     run = _embedding_inputs(args)
     table = build_rank_table(
         args.metrics, run.tables, run.queries,
-        lost_threshold=args.lost_threshold, agg=args.agg, hyper=run.hyper,
+        lost_threshold=args.lost_threshold, agg=args.agg, seed=args.seed,
     )
     payload = {
         "provenance": _provenance(
@@ -407,7 +419,7 @@ def cmd_rank(args) -> int:
         ),
     }
     payload.update(rank_table_to_dict(table))
-    _write_json(payload, run.out_dir / "rank_table.json")
+    write_json(payload, run.out_dir / "rank_table.json")
     (run.out_dir / "rank_table.csv").write_text(rank_table_csv(table), encoding="utf-8")
     rendered = render_rank_table(table, mode=args.mode)
     (run.out_dir / "rank_table.txt").write_text(rendered, encoding="utf-8")

@@ -8,11 +8,10 @@ pronoun spec carries its own copula.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .names import FIELD_BREAK_RE, nfc, read_json, read_utf8
+from .names import content_lines, nfc, read_json, read_tsv, write_json, write_tsv
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -115,10 +114,7 @@ def load_lexicon(path, category: str) -> Lexicon:
     path = Path(path)
     entries: list[str] = []
     seen: set[str] = set()
-    for raw in read_utf8(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _lineno, line in content_lines(path):
         key = nfc(line)
         if key in seen:
             continue
@@ -198,48 +194,16 @@ def build_views(utterances) -> list[EvaluationSet]:
 
 
 def write_corpus_tsv(utterances, path) -> None:
-    lines = [CORPUS_HEADER]
-    for utterance in utterances:
-        for value in (utterance.text, utterance.register, utterance.lexicon_category, utterance.lexeme):
-            if FIELD_BREAK_RE.search(value):
-                raise ValueError(f"utterance {utterance.id}: field contains a tab or line break")
-        lines.append(
-            f"{utterance.id}\t{utterance.text}\t{utterance.register}"
-            f"\t{utterance.lexicon_category}\t{utterance.lexeme}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((u.id, u.text, u.register, u.lexicon_category, u.lexeme) for u in utterances)
+    write_tsv(path, CORPUS_HEADER, rows)
 
 
 def read_corpus_tsv(path) -> list[Utterance]:
-    path = Path(path)
-    lines = read_utf8(path).splitlines()
-    if not lines or lines[0] != CORPUS_HEADER:
-        raise ValueError(f"{path}: expected header {CORPUS_HEADER!r}")
-    utterances: list[Utterance] = []
-    seen_ids: set[int] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
-        try:
-            uid = int(parts[0])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: id must be an integer") from None
-        if uid in seen_ids:
-            raise ValueError(f"{path}:{lineno}: duplicate id {uid}")
-        seen_ids.add(uid)
-        utterances.append(Utterance(uid, parts[1], parts[2], parts[3], parts[4]))
-    return utterances
+    return [Utterance(uid, *fields) for uid, fields in read_tsv(path, CORPUS_HEADER)]
 
 
 def write_views_json(views, path) -> None:
-    payload = {view.name: list(view.utterance_ids) for view in views}
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json({view.name: list(view.utterance_ids) for view in views}, path)
 
 
 def read_views_json(path) -> list[EvaluationSet]:
@@ -250,4 +214,13 @@ def read_views_json(path) -> list[EvaluationSet]:
     missing = [name for name in VIEW_NAMES if name not in data]
     if missing:
         raise ValueError(f"{path}: missing views {missing}")
-    return [EvaluationSet(name, tuple(int(i) for i in data[name])) for name in VIEW_NAMES]
+    views = []
+    for name in VIEW_NAMES:
+        try:
+            ids = tuple(int(i) for i in data[name]) if isinstance(data[name], list) else None
+        except (TypeError, ValueError):
+            ids = None
+        if ids is None:
+            raise ValueError(f"{path}: view '{name}' must be a list of integer ids")
+        views.append(EvaluationSet(name, ids))
+    return views

@@ -41,8 +41,9 @@ def _mostly_devanagari(tokens) -> bool:
 class WordResolution:
     """Outcome of resolving a word list against one vocabulary.
 
-    ``found`` keeps input order and holds the vocabulary key actually matched
-    (NFC-normalized, case-folded when folding was active).
+    ``found`` keeps input order and holds the vocabulary key actually matched:
+    the word's NFC form if the table has it, else, when folding, its
+    lowercase form.
     """
 
     found: tuple[tuple[str, np.ndarray], ...]
@@ -94,23 +95,27 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return self.lookup(token) is not None
 
-    def _key(self, token: str, fold_case: bool | None) -> str:
-        """Vocabulary key of a token: NFC, then lowercase when folding."""
-        if fold_case is None:
-            fold_case = self.fold_case_default
+    def _match(self, token: str, fold_case: bool | None) -> tuple[str, np.ndarray | None]:
+        """Vocabulary key and vector of a token: its NFC form as given if
+        stored, else its lowercase form when folding; the vector is None
+        when neither is stored."""
         key = nfc(token)
-        return key.lower() if fold_case else key
+        vec = self.entries.get(key)
+        if vec is None and (self.fold_case_default if fold_case is None else fold_case):
+            key = key.lower()
+            vec = self.entries.get(key)
+        return key, vec
 
     def lookup(self, token: str, fold_case: bool | None = None) -> np.ndarray | None:
         """Return the stored vector for ``token``, or None when absent.
 
-        The token is NFC-normalized first; with ``fold_case`` it is lowercased
-        before the lookup (default on for Latin-script tables, off for
-        Devanagari-dominated ones).
+        The token is NFC-normalized and looked up as given; with
+        ``fold_case`` a miss is retried lowercased (default on for
+        Latin-script tables, off for Devanagari-dominated ones).
         """
         if not token:
             raise ValueError("token must be non-empty")
-        return self.entries.get(self._key(token, fold_case))
+        return self._match(token, fold_case)[1]
 
     def resolve_word_set(
         self,
@@ -133,8 +138,7 @@ class EmbeddingTable:
         found = []
         dropped = []
         for word in words:
-            key = self._key(word, fold_case)
-            vec = self.entries.get(key)
+            key, vec = self._match(word, fold_case)
             if vec is None:
                 dropped.append(word)
             else:
@@ -161,15 +165,15 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
 
     Expected format: a "<count> <dim>" header line, then <count>
     "<token> <component> ... <component>" lines, single-space separated,
-    UTF-8; trailing spaces, as the word2vec C tool writes, are ignored.
-    Duplicate tokens keep the first occurrence and are reported through a
-    warning.
+    UTF-8 with or without a byte-order mark; trailing spaces, as the
+    word2vec C tool writes, are ignored. Duplicate tokens keep the first
+    occurrence and are reported through a warning.
     """
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
     duplicates = 0
     try:
-        with path.open(encoding="utf-8") as handle:
+        with path.open(encoding="utf-8-sig") as handle:
             header = handle.readline().strip()
             fields = header.split()
             if len(fields) != 2:

@@ -23,7 +23,9 @@ from .errors import (
 from .names import DEFAULT_SEED, ECT, METRIC_NAMES, RND, RNSB, WEAT
 from .queries import QueryTemplate, ResolvedQuery
 
-DEFAULT_CLASSIFIER_HYPER = {"lr": 0.1, "epochs": 500, "seed": DEFAULT_SEED}
+# Gradient-descent step size and epoch count of the RNSB classifier.
+CLASSIFIER_LR = 0.1
+CLASSIFIER_EPOCHS = 500
 
 # Shape each metric demands; RNSB additionally accepts extra target sets.
 METRIC_TEMPLATES = {
@@ -34,7 +36,8 @@ METRIC_TEMPLATES = {
 }
 
 __all__ = [
-    "DEFAULT_CLASSIFIER_HYPER",
+    "CLASSIFIER_EPOCHS",
+    "CLASSIFIER_LR",
     "ECT",
     "METRIC_FUNCTIONS",
     "METRIC_NAMES",
@@ -157,19 +160,16 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
     return MetricResult(RND, float(value), rq.query_label, rq.embedding_name, diagnostics)
 
 
-def train_attribute_classifier(attributes_1, attributes_2, hyper=None) -> ClassifierModel:
+def train_attribute_classifier(attributes_1, attributes_2,
+                               seed: int = DEFAULT_SEED) -> ClassifierModel:
     """Full-batch logistic regression labelling the first attribute set 1
     and the second 0.
 
     Deterministic for a fixed seed: weights are initialized from a seeded
-    pseudorandom stream and updated by plain gradient descent on the mean
-    cross-entropy. Reported ``training_loss`` is the final cross-entropy.
+    pseudorandom stream and updated by ``CLASSIFIER_EPOCHS`` steps of plain
+    gradient descent, step size ``CLASSIFIER_LR``, on the mean cross-entropy.
+    Reported ``training_loss`` is the final cross-entropy.
     """
-    settings = dict(DEFAULT_CLASSIFIER_HYPER)
-    settings.update(hyper or {})
-    lr = float(settings["lr"])
-    epochs = int(settings["epochs"])
-    seed = int(settings["seed"])
     attributes_1 = np.atleast_2d(np.asarray(attributes_1, dtype=np.float64))
     attributes_2 = np.atleast_2d(np.asarray(attributes_2, dtype=np.float64))
     if attributes_1.size == 0 or attributes_2.size == 0:
@@ -182,10 +182,10 @@ def train_attribute_classifier(attributes_1, attributes_2, hyper=None) -> Classi
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, 0.01, size=x.shape[1])
     bias = 0.0
-    for _ in range(epochs):
+    for _ in range(CLASSIFIER_EPOCHS):
         p = _sigmoid(x @ weights + bias)
-        weights = weights - lr * (x.T @ (p - y) / n)
-        bias = bias - lr * float(np.sum(p - y) / n)
+        weights = weights - CLASSIFIER_LR * (x.T @ (p - y) / n)
+        bias = bias - CLASSIFIER_LR * float(np.sum(p - y) / n)
     p = _sigmoid(x @ weights + bias)
     # 0*log(0) is treated as 0, so a perfectly saturated correct fit has
     # loss 0 while a saturated misfit goes non-finite.
@@ -197,8 +197,7 @@ def train_attribute_classifier(attributes_1, attributes_2, hyper=None) -> Classi
     loss = -float(np.mean(log_likelihood))
     if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias)):
         raise DivergenceError(
-            f"training diverged (non-finite loss after {epochs} epochs); "
-            f"try a smaller lr than {lr}"
+            f"training diverged (non-finite loss after {CLASSIFIER_EPOCHS} epochs)"
         )
     weights.flags.writeable = False
     return ClassifierModel(weights, float(bias), loss)
@@ -216,17 +215,18 @@ def kl_from_uniform(p) -> float:
     return float(np.sum(p[nonzero] * np.log(p[nonzero] * p.size)))
 
 
-def rnsb(rq: ResolvedQuery, hyper=None) -> MetricResult:
+def rnsb(rq: ResolvedQuery, seed: int = DEFAULT_SEED) -> MetricResult:
     """Relative sentiment bias: KL divergence of the classifier-induced
     distribution over target words from the uniform distribution.
 
     The distribution's support is the union of all target-set words with
     duplicates across sets counted once; diagnostics report both the raw and
     deduplicated word counts so the effect of the union can be inspected.
+    ``seed`` seeds the classifier's initial weights.
     """
     _require_shape(rq, RNSB)
     a1, a2 = rq.attributes
-    model = train_attribute_classifier(a1.matrix, a2.matrix, hyper)
+    model = train_attribute_classifier(a1.matrix, a2.matrix, seed)
     support: dict[str, np.ndarray] = {}  # first occurrence of each token
     for target in rq.targets:
         for token, vector in zip(target.tokens, target.matrix):

@@ -1,8 +1,11 @@
-"""Names and defaults the command-line parser and several modules share: the
-choices the parser checks against, the default seed and lost-word threshold,
-the plain-text grid every report table is drawn with, what ends a TSV field,
-the token normalization the corpus builder shares with the embedding loader,
-and the UTF-8 text and JSON readers of the input files.
+"""Names, defaults and file formats that the command-line parser and several
+modules share: the parser's choices, the default seed and lost-word
+threshold, the plain-text grid of every report table, the token
+normalization the corpus builder shares with the embedding loader, and one
+reader or writer per file format: UTF-8 text, a byte-order mark dropped
+(:func:`read_utf8`), JSON inputs and reports (:func:`read_json`,
+:func:`write_json`), lexicon-style line lists (:func:`content_lines`) and
+id-keyed TSV tables (:func:`read_tsv`, :func:`write_tsv`).
 
 This module imports nothing heavier than the standard library, so the
 translation-path commands (``eec``, ``translate``, ``tgbi``) start without
@@ -28,7 +31,7 @@ RENDER_MODES = ("ranks", "raw")
 DEFAULT_SEED = 42
 DEFAULT_LOST_THRESHOLD = 0.2
 
-# A tab or any line boundary ``str.splitlines`` splits on, which the TSV readers use.
+# A tab or any line boundary ``str.splitlines`` splits on: what ends a TSV field.
 FIELD_BREAK_RE = re.compile("[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
 
 __all__ = [
@@ -42,10 +45,14 @@ __all__ = [
     "RND",
     "RNSB",
     "WEAT",
+    "content_lines",
     "nfc",
     "read_json",
+    "read_tsv",
     "read_utf8",
     "render_grid",
+    "write_json",
+    "write_tsv",
 ]
 
 
@@ -55,9 +62,10 @@ def nfc(text: str) -> str:
 
 
 def read_utf8(path) -> str:
-    """Text of a UTF-8 file; other bytes raise a ValueError naming the file."""
+    """Text of a UTF-8 file without its byte-order mark, if any; other bytes
+    raise a ValueError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -71,6 +79,57 @@ def read_json(path):
         raise ValueError(
             f"{path}: not valid JSON ({exc.msg}: line {exc.lineno} column {exc.colno})"
         ) from None
+
+
+def write_json(payload, path) -> None:
+    """Write a JSON report: keys sorted, two-space indent, non-ASCII kept."""
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def content_lines(path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each non-blank, non-'#' line of a UTF-8 file."""
+    lines = ((n, raw.strip()) for n, raw in enumerate(read_utf8(path).splitlines(), start=1))
+    return [(n, line) for n, line in lines if line and not line.startswith("#")]
+
+
+def read_tsv(path, header: str) -> list[tuple[int, list[str]]]:
+    """(id, other fields) of each non-blank row of a TSV file headed ``header``;
+    a wrong header or field count or a bad or repeated id raises a ValueError."""
+    path = Path(path)
+    lines = read_utf8(path).splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    width = header.count("\t") + 1
+    rows = []
+    seen: set[int] = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields")
+        try:
+            row_id = int(fields[0])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: id must be an integer") from None
+        if row_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate id {row_id}")
+        seen.add(row_id)
+        rows.append((row_id, fields[1:]))
+    return rows
+
+
+def write_tsv(path, header: str, rows) -> None:
+    """Write ``header`` and one tab-joined line per row, id first; a field
+    holding a tab or line break would split its row and raises a ValueError."""
+    lines = [header]
+    for row in rows:
+        fields = [str(value) for value in row]
+        if any(FIELD_BREAK_RE.search(field) for field in fields):
+            raise ValueError(f"{path}: id {fields[0]}: field contains a tab or line break")
+        lines.append("\t".join(fields))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def render_grid(header, rows) -> str:

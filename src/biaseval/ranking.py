@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyResolutionError, VocabularyLossError
 from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB
-from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, RENDER_MODES, render_grid
+from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
 
 __all__ = [
@@ -65,7 +65,7 @@ def build_score_matrix(
     tables,
     subqueries,
     lost_threshold: float = DEFAULT_LOST_THRESHOLD,
-    hyper=None,
+    seed: int = DEFAULT_SEED,
 ) -> ScoreMatrix:
     """Evaluate one metric on every embedding x subquery cell.
 
@@ -91,7 +91,7 @@ def build_score_matrix(
                 diagnostics[(table.name, query.label)] = {"missing": str(exc)}
                 continue
             if metric == RNSB:
-                result = METRIC_FUNCTIONS[metric](rq, hyper)
+                result = METRIC_FUNCTIONS[metric](rq, seed)
             else:
                 result = METRIC_FUNCTIONS[metric](rq)
             values[i, j] = result.value
@@ -149,7 +149,7 @@ def build_rank_table(
     queries,
     lost_threshold: float = DEFAULT_LOST_THRESHOLD,
     agg: str = "abs_mean",
-    hyper=None,
+    seed: int = DEFAULT_SEED,
 ) -> RankTable:
     """Run expand -> score -> aggregate -> rank for each metric.
 
@@ -175,7 +175,7 @@ def build_rank_table(
                 f"no query satisfies the {metric} template ({template.t},{template.a})"
             )
         matrix = build_score_matrix(
-            metric, tables, subqueries, lost_threshold=lost_threshold, hyper=hyper
+            metric, tables, subqueries, lost_threshold=lost_threshold, seed=seed
         )
         aggregates = aggregate_rows(matrix, agg=agg)
         for i, (_name, value) in enumerate(aggregates):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .eec import VIEW_NAMES
 from .errors import DegenerateDistributionError
-from .names import read_utf8, render_grid
+from .names import content_lines, render_grid
 
 BUCKET_SHE = "she"
 BUCKET_HE = "he"
@@ -101,10 +101,7 @@ def load_gender_lexicon(path) -> GenderLexicon:
     path = Path(path)
     sections: dict[str, list[str]] = {"she": [], "he": [], "they": []}
     current = None
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             if section not in sections:

@@ -17,10 +17,9 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import JoinCoverageError, TranslationRunError
-from .names import FIELD_BREAK_RE, read_utf8
+from .names import FIELD_BREAK_RE, read_tsv, write_tsv
 
 AUTH_ENV_VAR = "BIASEVAL_HTTP_AUTH"
 BACKENDS = ("file", "http")
@@ -76,36 +75,12 @@ class BackendConfig:
 
 def load_translations_tsv(path) -> list[TranslationRecord]:
     """Read "id<TAB>translation" rows; duplicate ids are an error."""
-    path = Path(path)
-    lines = read_utf8(path).splitlines()
-    if not lines or lines[0] != TRANSLATIONS_HEADER:
-        raise ValueError(f"{path}: expected header {TRANSLATIONS_HEADER!r}")
-    records: list[TranslationRecord] = []
-    seen: set[int] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
-        try:
-            record_id = int(parts[0])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: id must be an integer") from None
-        if record_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate id {record_id}")
-        seen.add(record_id)
-        records.append(TranslationRecord(record_id, parts[1]))
-    return records
+    return [TranslationRecord(record_id, output)
+            for record_id, (output,) in read_tsv(path, TRANSLATIONS_HEADER)]
 
 
 def write_translations_tsv(records, path) -> None:
-    lines = [TRANSLATIONS_HEADER]
-    for record in records:
-        if FIELD_BREAK_RE.search(record.output):
-            raise ValueError(f"record {record.id}: output contains a tab or line break")
-        lines.append(f"{record.id}\t{record.output}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_tsv(path, TRANSLATIONS_HEADER, ((record.id, record.output) for record in records))
 
 
 class _BatchFailure(Exception):

@@ -191,7 +191,7 @@ def test_criterion_4_oracle_equivalence():
                 attribute_blocks[1],
                 seed=seed,
             )
-            assert rnsb(full_rq, {"seed": seed}).value == expected
+            assert rnsb(full_rq, seed=seed).value == expected
 
 
 def test_criterion_5_invariants():

@@ -630,6 +630,8 @@ class TestOptionPrecedence:
     @pytest.mark.parametrize("key,value,message", [
         ("seed", "x", "config seed: invalid int value 'x'"),
         ("queries", "q.json", "config queries: expected a list, got 'q.json'"),
+        ("out_dir", 5, "config out_dir: expected a string, got 5"),
+        ("embeddings", [5], "config embeddings: expected a string, got 5"),
     ])
     def test_bad_config_value_names_the_key(self, tmp_path, capsys, key, value, message):
         from biaseval import cli
@@ -749,3 +751,29 @@ class TestMalformedJson:
         bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
                                    b'{"metrics": [\n', capsys)
         assert err == [f"error: {bad}: not valid JSON (Expecting value: line 2 column 1)"]
+
+
+class TestMalformedStructure:
+    """A JSON input that parses but has the wrong shape fails with exit 2 and
+    one line naming the file, not a traceback."""
+
+    eec = ["eec", "--occupations", "{occupations}", "--positive", "{positive}",
+           "--negative", "{negative}"]
+
+    @pytest.mark.parametrize("argv,content,message", [
+        (eec + ["--pronouns", "{bad}"], b'[{"surface": "x"}]',
+         "expected a list of objects with string 'surface', 'register' and 'copula'"),
+        (eec + ["--templates", "{bad}"], b'{"occupation": "{nope}"}',
+         "template 'occupation' must be a format string using only "
+         "{pronoun}, {lexeme} and {copula}"),
+        (["tgbi", "--corpus", "{corpus}", "--views", "{bad}", "--translations",
+          "{translations}"],
+         json.dumps({"informal": 5, "formal": [], "impolite": [], "polite": [], "positive": [],
+                     "negative": [], "occupation": []}).encode(),
+         "view 'informal' must be a list of integer ids"),
+    ], ids=["pronouns", "templates", "views"])
+    def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
+                            content, message, capsys):
+        bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
+                                   content, capsys)
+        assert err == [f"error: {bad}: {message}"]

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from biaseval import (
@@ -10,6 +12,7 @@ from biaseval import (
 from biaseval.eec import (
     DEFAULT_PRONOUNS,
     VIEW_NAMES,
+    Utterance,
     read_corpus_tsv,
     read_views_json,
     write_corpus_tsv,
@@ -27,6 +30,11 @@ class TestLoadLexicon:
         path.write_text("# comment\nडॉक्टर\n\nशिक्षक\nडॉक्टर\n", encoding="utf-8")
         lexicon = load_lexicon(path, "occupation")
         assert lexicon.entries == ("डॉक्टर", "शिक्षक")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "occ.txt"
+        path.write_text("डॉक्टर\nशिक्षक\n", encoding="utf-8-sig")
+        assert load_lexicon(path, "occupation").entries == ("डॉक्टर", "शिक्षक")
 
     def test_only_comments_is_error(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -140,6 +148,21 @@ class TestCorpusIo:
         write_corpus_tsv(generate_utterances([OCC, POS, NEG]), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        utterances = generate_utterances([OCC, POS, NEG])
+        path = tmp_path / "corpus.tsv"
+        write_corpus_tsv(utterances, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_corpus_tsv(path) == utterances
+
+    @pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\u2028b"])
+    def test_field_break_rejected(self, tmp_path, text):
+        path = tmp_path / "corpus.tsv"
+        with pytest.raises(ValueError) as exc:
+            write_corpus_tsv([Utterance(3, text, "informal", "positive", "x")], path)
+        assert str(exc.value) == f"{path}: id 3: field contains a tab or line break"
+        assert not path.exists()
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("nope\n1\tx\tinformal\tpositive\tx\n", encoding="utf-8")
@@ -163,6 +186,16 @@ class TestCorpusIo:
         path = tmp_path / "views.json"
         write_views_json(views, path)
         assert read_views_json(path) == views
+
+    @pytest.mark.parametrize("ids", [5, "1", None, ["x"], [[1]]])
+    def test_views_entry_not_an_id_list(self, tmp_path, ids):
+        data = {name: [1] for name in VIEW_NAMES}
+        data["formal"] = ids
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_views_json(path)
+        assert str(exc.value) == f"{path}: view 'formal' must be a list of integer ids"
 
     def test_views_missing_view(self, tmp_path):
         path = tmp_path / "views.json"

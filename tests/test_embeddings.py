@@ -21,6 +21,11 @@ class TestLoader:
         assert len(table) == 2
         np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\na 1 0\n", encoding="utf-8-sig")
+        np.testing.assert_array_equal(load_word2vec_text(path).lookup("a"), [1.0, 0.0])
+
     def test_devanagari_round_trip(self, tmp_path):
         path = tmp_path / "hi.txt"
         path.write_text("1 2\nक 0.5 -0.5\n", encoding="utf-8")
@@ -111,6 +116,19 @@ class TestLookup:
     def test_no_folding_misses(self, tmp_path):
         table = load_word2vec_text(write_w2v(tmp_path / "e.txt", {"doctor": [1.0, 0.0]}))
         assert table.lookup("Doctor", fold_case=False) is None
+
+    def test_capitalised_entry_found_when_folding(self):
+        table = EmbeddingTable.from_mapping("t", {"John": [1.0, 0.0]})
+        assert table.fold_case_default is True
+        np.testing.assert_array_equal(table.lookup("John"), [1.0, 0.0])
+        assert table.resolve_word_set(["John"]).found[0][0] == "John"
+
+    def test_exact_case_wins_over_folding(self):
+        table = EmbeddingTable.from_mapping("t", {"Apple": [1.0, 0.0], "apple": [0.0, 1.0]})
+        np.testing.assert_array_equal(table.lookup("Apple"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.lookup("APPLE"), [0.0, 1.0])
+        assert [key for key, _vec in table.resolve_word_set(["APPLE", "Apple"]).found] == [
+            "apple", "Apple"]
 
     def test_miss_is_none(self, toy_table):
         assert toy_table.lookup("absent") is None

@@ -207,6 +207,14 @@ class TestLoadQueries:
         )
         assert len(load_queries(path)) == 1
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(
+            json.dumps({"label": "one", "targets": [{"name": "t", "words": ["x"]}]}),
+            encoding="utf-8-sig",
+        )
+        assert load_queries(path)[0].targets[0].words == ("x",)
+
     def test_malformed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"targets": [{"name": "t"}]}]), encoding="utf-8")

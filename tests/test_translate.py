@@ -83,6 +83,12 @@ class TestLoadTranslationsTsv:
         write_translations_tsv(records, out)
         assert out.read_bytes() == path.read_bytes()
 
+    def test_write_rejects_field_break(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        with pytest.raises(ValueError) as exc:
+            write_translations_tsv([TranslationRecord(1, "ok"), TranslationRecord(2, "a\tb")], path)
+        assert str(exc.value) == f"{path}: id 2: field contains a tab or line break"
+
 
 class TestJoin:
     def test_full_coverage(self, tmp_path):
