@@ -166,7 +166,10 @@ def _load_pronouns(path):
         raise ValueError(
             f"{path}: expected a list of objects with string 'surface', 'register' and 'copula'"
         )
-    return tuple(PronounSpec(*(spec[f] for f in fields)) for spec in data)
+    try:
+        return tuple(PronounSpec(*(spec[f] for f in fields)) for spec in data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_templates(path):
@@ -291,6 +294,12 @@ def cmd_tgbi(args) -> int:
 
     corpus = read_corpus_tsv(corpus_path)
     views = read_views_json(views_path)
+    corpus_ids = {utterance.id for utterance in corpus}
+    for view in views:
+        unknown = [i for i in view.utterance_ids if i not in corpus_ids]
+        if unknown:
+            raise ValueError(f"{views_path}: view '{view.name}' lists {len(unknown)} id(s) "
+                             f"not in the corpus (first: {unknown[0]})")
     records = load_translations_tsv(translations_path)
     pairs = join(corpus, records, min_coverage=args.min_coverage)
     report = score_views(views, pairs, lexicon, variant=args.variant,

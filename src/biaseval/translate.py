@@ -17,6 +17,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import JoinCoverageError, TranslationRunError
 from .names import FIELD_BREAK_RE, read_tsv, write_tsv
@@ -25,6 +26,7 @@ AUTH_ENV_VAR = "BIASEVAL_HTTP_AUTH"
 BACKENDS = ("file", "http")
 BATCH_SIZE = 64
 DEFAULT_MIN_COVERAGE = 0.95
+MAX_RETRY_AFTER_S = 60
 TRANSLATIONS_HEADER = "id\ttranslation"
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "BATCH_SIZE",
     "BackendConfig",
     "DEFAULT_MIN_COVERAGE",
+    "MAX_RETRY_AFTER_S",
     "TranslationRecord",
     "fetch_translations_http",
     "join",
@@ -83,61 +86,76 @@ def write_translations_tsv(records, path) -> None:
     write_tsv(path, TRANSLATIONS_HEADER, ((record.id, record.output) for record in records))
 
 
-class _BatchFailure(Exception):
-    pass
+@dataclass(frozen=True)
+class _BatchFailure:
+    """A batch that will not be fetched again."""
+
+    message: str
+
+
+@dataclass(frozen=True)
+class _Retry:
+    """A batch worth another attempt; ``retry_after`` is the server's
+    ``Retry-After`` in seconds, or 0."""
+
+    message: str
+    retry_after: int = 0
 
 
 def _clean(text: str) -> str:
     return FIELD_BREAK_RE.sub(" ", text)
 
 
-def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch) -> list[TranslationRecord]:
+def _retry_after(response) -> int:
+    value = response.headers.get("Retry-After", "").strip()
+    return min(int(value), MAX_RETRY_AFTER_S) if value.isascii() and value.isdigit() else 0
+
+
+def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch, attempt: int):
+    """Make one attempt at ``batch``: its records, a ``_BatchFailure`` or a ``_Retry``."""
     import requests
 
     payload = {"texts": [{"id": u.id, "text": u.text} for u in batch]}
-    last_error = "no attempt made"
-    for attempt in range(cfg.retry_count + 1):
-        if attempt and cfg.retry_backoff:
-            time.sleep(cfg.retry_backoff * attempt)
-        try:
-            response = session.post(
-                cfg.location, json=payload, headers=headers, timeout=cfg.timeout
-            )
-        except requests.RequestException as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-            continue
-        if response.status_code >= 500:
-            last_error = f"HTTP {response.status_code}"
-            continue
-        if response.status_code != 200:
-            raise _BatchFailure(f"HTTP {response.status_code}")
-        try:
-            data = response.json()
-            translations = {int(item["id"]): str(item["text"]) for item in data["translations"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            last_error = f"malformed response: {exc!r}"
-            continue
-        records = []
-        for utterance in batch:
-            if utterance.id in translations:
-                records.append(TranslationRecord(
-                    utterance.id, _clean(translations[utterance.id]), retries=attempt
-                ))
-            else:
-                records.append(TranslationRecord(utterance.id, "", failed=True, retries=attempt))
-        return records
-    raise _BatchFailure(f"unreachable after {cfg.retry_count + 1} attempt(s): {last_error}")
+    try:
+        response = session.post(cfg.location, json=payload, headers=headers, timeout=cfg.timeout)
+    except requests.RequestException as exc:
+        return _Retry(f"{type(exc).__name__}: {exc}")
+    if response.status_code >= 500 or response.status_code == 429:
+        return _Retry(f"HTTP {response.status_code}", _retry_after(response))
+    if response.status_code != 200:
+        return _BatchFailure(f"HTTP {response.status_code}")
+    try:
+        data = response.json()
+        translations = {int(item["id"]): str(item["text"]) for item in data["translations"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        return _Retry(f"malformed response: {exc!r}")
+    records = []
+    for utterance in batch:
+        if utterance.id in translations:
+            records.append(TranslationRecord(
+                utterance.id, _clean(translations[utterance.id]), retries=attempt
+            ))
+        else:
+            records.append(TranslationRecord(utterance.id, "", failed=True, retries=attempt))
+    return records
 
 
 def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> list[TranslationRecord]:
     """Fetch translations in batches of up to 64 utterances.
 
-    Ids missing from an otherwise successful response become failed records;
-    a batch that stays unreachable after retries aborts the run with the
-    records completed so far attached, so the caller can resume. Batches may
-    be in flight concurrently up to ``cfg.max_in_flight``; results are merged
-    in corpus order regardless of completion order. The ``BIASEVAL_HTTP_AUTH``
-    environment variable, when set, is forwarded as the Authorization header.
+    Ids missing from an otherwise successful response become failed records.
+    A connection error, a 5xx or 429 status or a malformed body makes a batch
+    retryable; any other non-200 status fails it at once. Retryable batches
+    are fetched again in rounds, up to ``cfg.retry_count`` more times: before
+    round ``n`` the call sleeps once for ``cfg.retry_backoff * n`` seconds, or
+    for the largest integer ``Retry-After`` of the previous round's replies if
+    that is longer (capped at ``MAX_RETRY_AFTER_S``), so no worker waits out
+    a backoff. A failed batch, or one still unreachable after the last round,
+    aborts the run with the records completed so far attached, so the caller
+    can resume. Batches may be in flight concurrently up to
+    ``cfg.max_in_flight``; results are merged in corpus order regardless of
+    completion order. The ``BIASEVAL_HTTP_AUTH`` environment variable, when
+    set, is forwarded as the Authorization header.
 
     Without a ``session``, each worker thread opens its own
     ``requests.Session`` (sessions are not thread-safe) and every one is
@@ -160,29 +178,44 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
         local.session = requests.Session()
         opened.append(local.session)
 
-    def fetch(batch):
-        try:
-            return _fetch_batch(local.session if session is None else session, cfg, headers, batch)
-        except _BatchFailure as exc:
-            return exc
+    def fetch(batch, attempt):
+        return _fetch_batch(local.session if session is None else session, cfg, headers, batch,
+                            attempt)
 
     batches = [utterances[i : i + BATCH_SIZE] for i in range(0, len(utterances), BATCH_SIZE)]
+    results = [None] * len(batches)
+    pending = list(range(len(batches)))
+    retry_after = 0
     workers = min(cfg.max_in_flight, len(batches))
     initializer = open_session if session is None else None
     try:
         with ThreadPoolExecutor(max_workers=workers, initializer=initializer) as pool:
-            results = list(pool.map(fetch, batches))
+            for attempt in range(cfg.retry_count + 1):
+                if not pending:
+                    break
+                delay = max(cfg.retry_backoff * attempt, retry_after)
+                if delay:
+                    time.sleep(delay)
+                outcomes = pool.map(fetch, [batches[i] for i in pending], repeat(attempt))
+                for index, outcome in zip(pending, outcomes):
+                    results[index] = outcome
+                pending = [index for index in pending if isinstance(results[index], _Retry)]
+                retry_after = max((results[index].retry_after for index in pending), default=0)
     finally:
         for opened_session in opened:
             opened_session.close()
+    for index in pending:
+        results[index] = _BatchFailure(
+            f"unreachable after {cfg.retry_count + 1} attempt(s): {results[index].message}"
+        )
     completed = [record for result in results if isinstance(result, list) for record in result]
     failures = [(index, result) for index, result in enumerate(results)
                 if isinstance(result, _BatchFailure)]
     if failures:
-        first, message = failures[0]
+        first, failure = failures[0]
         raise TranslationRunError(
             f"translation backend failed ({len(failures)} of {len(batches)} batch(es), "
-            f"first batch {first}: {message}); {len(completed)} record(s) completed",
+            f"first batch {first}: {failure.message}); {len(completed)} record(s) completed",
             completed=completed,
         )
     return completed

@@ -267,6 +267,24 @@ class TestTgbiCommand:
         assert result.returncode == 2
         assert "absent.tsv" in result.stderr
 
+    def test_view_id_not_in_corpus_exits_2(self, tmp_path, capsys, lexicon_files):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        views = json.loads((out_dir / "views.json").read_text(encoding="utf-8"))
+        views["informal"] += [9999, 9998]
+        views_path = tmp_path / "views.json"
+        views_path.write_text(json.dumps(views), encoding="utf-8")
+        code = cli.main(["tgbi", "--corpus", str(out_dir / "corpus.tsv"),
+                         "--views", str(views_path), "--translations", str(translations),
+                         "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {views_path}: view 'informal' lists 2 id(s) not in the corpus (first: 9999)"
+        ]
+        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+
     def test_variant_flag(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
@@ -763,6 +781,9 @@ class TestMalformedStructure:
     @pytest.mark.parametrize("argv,content,message", [
         (eec + ["--pronouns", "{bad}"], b'[{"surface": "x"}]',
          "expected a list of objects with string 'surface', 'register' and 'copula'"),
+        (eec + ["--pronouns", "{bad}"],
+         b'[{"surface": "x", "register": "bogus", "copula": "y"}]',
+         "unknown register 'bogus'"),
         (eec + ["--templates", "{bad}"], b'{"occupation": "{nope}"}',
          "template 'occupation' must be a format string using only "
          "{pronoun}, {lexeme} and {copula}"),
@@ -771,7 +792,7 @@ class TestMalformedStructure:
          json.dumps({"informal": 5, "formal": [], "impolite": [], "polite": [], "positive": [],
                      "negative": [], "occupation": []}).encode(),
          "view 'informal' must be a list of integer ids"),
-    ], ids=["pronouns", "templates", "views"])
+    ], ids=["pronouns", "pronoun_register", "templates", "views"])
     def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
                             content, message, capsys):
         bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,

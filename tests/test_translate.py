@@ -5,6 +5,7 @@ import pytest
 import requests
 
 from biaseval import BackendConfig, fetch_translations_http, join, load_translations_tsv
+from biaseval import translate
 from biaseval.eec import Utterance
 from biaseval.errors import JoinCoverageError, TranslationRunError
 from biaseval.translate import TranslationRecord, write_translations_tsv
@@ -15,9 +16,10 @@ def utterances(n):
 
 
 class _Response:
-    def __init__(self, status_code, payload=None):
+    def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -47,6 +49,21 @@ def echo(payload, _call_index):
     return _Response(
         200, {"translations": [{"id": t["id"], "text": t["text"]} for t in payload["texts"]]}
     )
+
+
+def failing_first(failures):
+    """Responder that answers 503 to the first ``failures[id]`` posts of the
+    batch starting at ``id`` and echoes every other post."""
+    posts = {}
+
+    def respond(payload, call_index):
+        first = payload["texts"][0]["id"]
+        posts[first] = posts.get(first, 0) + 1
+        if posts[first] <= failures.get(first, 0):
+            return _Response(503)
+        return echo(payload, call_index)
+
+    return respond
 
 
 class TestLoadTranslationsTsv:
@@ -135,6 +152,14 @@ class TestBackendConfig:
             BackendConfig("u", retry_count=6)
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record each backoff sleep instead of waiting it out."""
+    recorded = []
+    monkeypatch.setattr(translate.time, "sleep", recorded.append)
+    return recorded
+
+
 class TestFetchTranslationsHttp:
     def _cfg(self, **kwargs):
         kwargs.setdefault("retry_backoff", 0.0)
@@ -220,6 +245,79 @@ class TestFetchTranslationsHttp:
             self._cfg(retry_count=1), utterances(1), session=FakeSession(recovering)
         )
         assert records[0].retries == 1
+
+    def test_all_retryable_batches_share_one_sleep_per_round(self, sleeps):
+        records = fetch_translations_http(
+            self._cfg(retry_backoff=0.5, max_in_flight=2), utterances(128),
+            session=FakeSession(failing_first({1: 1, 65: 1})),
+        )
+        assert sleeps == [0.5]
+        assert [r.retries for r in records] == [1] * 128
+
+    def test_backoff_grows_per_round(self, sleeps):
+        records = fetch_translations_http(
+            self._cfg(retry_backoff=0.5, retry_count=2, max_in_flight=2), utterances(128),
+            session=FakeSession(failing_first({1: 2, 65: 2})),
+        )
+        assert sleeps == [0.5, 1.0]
+        assert [r.retries for r in records] == [2] * 128
+
+    def test_completed_batches_are_not_posted_again(self, sleeps):
+        session = FakeSession(failing_first({1: 1, 129: 2}))
+        records = fetch_translations_http(
+            self._cfg(retry_backoff=0.5, retry_count=2, max_in_flight=1), utterances(130),
+            session=session,
+        )
+        # Round 0 posts every batch; later rounds only the ones that failed.
+        assert [call["texts"][0]["id"] for call in session.calls] == [1, 65, 129, 1, 129, 129]
+        assert [r.retries for r in records] == [1] * 64 + [0] * 64 + [2] * 2
+
+    def test_abort_text_and_completed_ids(self, sleeps):
+        # Pins behaviour that rounds keep: the abort message and the records
+        # completed by the batches around the unreachable one.
+        with pytest.raises(TranslationRunError) as excinfo:
+            fetch_translations_http(
+                self._cfg(retry_backoff=0.5, retry_count=2, max_in_flight=2), utterances(130),
+                session=FakeSession(failing_first({65: 3})),
+            )
+        assert str(excinfo.value) == (
+            "translation backend failed (1 of 3 batch(es), first batch 1: unreachable "
+            "after 3 attempt(s): HTTP 503); 66 record(s) completed"
+        )
+        assert excinfo.value.completed_ids == list(range(1, 65)) + [129, 130]
+
+    def test_too_many_requests_retried(self, sleeps):
+        def throttled(payload, call_index):
+            return _Response(429) if call_index == 1 else echo(payload, call_index)
+
+        records = fetch_translations_http(
+            self._cfg(retry_backoff=0.5), utterances(2), session=FakeSession(throttled)
+        )
+        assert [r.retries for r in records] == [1, 1]
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize("value,expected", [
+        ("3", 3), (" 3 ", 3), ("0", 0.5), ("600", translate.MAX_RETRY_AFTER_S),
+        ("-3", 0.5), ("1.5", 0.5), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5), ("\u0663", 0.5),
+    ])
+    def test_retry_after_lengthens_the_round_sleep(self, sleeps, value, expected):
+        def throttled(payload, call_index):
+            if call_index == 1:
+                return _Response(429, headers={"Retry-After": value})
+            return echo(payload, call_index)
+
+        fetch_translations_http(
+            self._cfg(retry_backoff=0.5), utterances(2), session=FakeSession(throttled)
+        )
+        assert sleeps == [expected]
+
+    def test_client_error_not_retried(self, sleeps):
+        # Pins behaviour that rounds keep: a 4xx other than 429 is final.
+        session = FakeSession(lambda _payload, _call_index: _Response(404))
+        with pytest.raises(TranslationRunError, match=r"first batch 0: HTTP 404\)"):
+            fetch_translations_http(self._cfg(retry_backoff=0.5), utterances(2), session=session)
+        assert len(session.calls) == 1
+        assert sleeps == []
 
     def test_output_whitespace_normalized(self):
         def tabby(payload, _call_index):
