@@ -32,9 +32,9 @@ _EXPORTS = {
         "build_score_matrix", "rank_embeddings", "render_rank_table",
     ),
     "tgbi": (
-        "DEFAULT_GENDER_LEXICON", "BucketCounts", "GenderLexicon", "SetScore", "TgbiReport",
-        "classify_sentence", "count_buckets", "load_gender_lexicon", "p_index",
-        "proportions", "render_tgbi_table", "score_views",
+        "DEFAULT_GENDER_LEXICON", "GenderLexicon", "SetScore", "TgbiReport",
+        "classify_sentence", "load_gender_lexicon", "p_index", "render_tgbi_table",
+        "score_views",
     ),
     "translate": (
         "BackendConfig", "TranslationRecord", "fetch_translations_http", "join",

@@ -237,6 +237,7 @@ def cmd_translate(args) -> int:
             raise ValueError("http backend needs --url")
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
+        join((), (), min_coverage=args.min_coverage)  # a bad --min-coverage fails before any request
         existing = load_translations_tsv(out) if out.is_file() else []
         # Failed rows are stored with an empty translation; fetch them again.
         have = {record.id for record in existing if record.output}

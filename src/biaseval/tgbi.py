@@ -2,16 +2,19 @@
 translation gender bias index.
 
 Each translated sentence lands in one of four buckets (she, he, they,
-unresolved) from a token lexicon match. Per view, the resolved proportions
-feed an index in [0, 1] where 1 means every gender-neutral source sentence
-stayed neutral and 0 means maximally gendered output. The corpus-level index
-is the mean over the seven views.
+unresolved) from a token lexicon match; a failed or empty translation is
+unresolved. :func:`score_views` counts the buckets of each view and takes
+the he/she/they proportions over its resolved sentences only; they feed an
+index in [0, 1] where 1 means every gender-neutral source sentence stayed
+neutral and 0 means maximally gendered output. The corpus-level index is the
+mean over the seven views.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +42,6 @@ __all__ = [
     "BUCKET_SHE",
     "BUCKET_THEY",
     "BUCKET_UNRESOLVED",
-    "BucketCounts",
     "DEFAULT_GENDER_LEXICON",
     "GenderLexicon",
     "SetScore",
@@ -48,10 +50,8 @@ __all__ = [
     "VARIANT_LINEAR",
     "VARIANT_SQRT",
     "classify_sentence",
-    "count_buckets",
     "load_gender_lexicon",
     "p_index",
-    "proportions",
     "render_tgbi_table",
     "report_to_dict",
     "score_views",
@@ -150,58 +150,6 @@ def classify_sentence(text, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
     return BUCKET_UNRESOLVED
 
 
-@dataclass(frozen=True)
-class BucketCounts:
-    n_she: int
-    n_he: int
-    n_they: int
-    n_unresolved: int
-    total: int
-
-    def __post_init__(self):
-        counts = (self.n_she, self.n_he, self.n_they, self.n_unresolved)
-        if any(c < 0 for c in counts):
-            raise ValueError("counts cannot be negative")
-        if sum(counts) != self.total:
-            raise ValueError("bucket counts do not add up to the total")
-
-
-def count_buckets(pairs, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
-                  ambiguous_policy: str = "unresolved") -> BucketCounts:
-    """Count buckets over (utterance, record) pairs; failed or empty
-    translations count as unresolved."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("no pairs to count")
-    n_she = n_he = n_they = n_unresolved = 0
-    for _utterance, record in pairs:
-        if record.failed or not record.output:
-            n_unresolved += 1
-            continue
-        bucket = classify_sentence(record.output, lexicon, ambiguous_policy)
-        if bucket == BUCKET_SHE:
-            n_she += 1
-        elif bucket == BUCKET_HE:
-            n_he += 1
-        elif bucket == BUCKET_THEY:
-            n_they += 1
-        else:
-            n_unresolved += 1
-    return BucketCounts(n_she, n_he, n_they, n_unresolved, len(pairs))
-
-
-def proportions(counts: BucketCounts):
-    """(p_he, p_she, p_they) over resolved sentences only.
-
-    Unresolved sentences are excluded rather than forced into a bucket; they
-    are reported separately so the exclusion stays visible.
-    """
-    resolved = counts.n_she + counts.n_he + counts.n_they
-    if resolved == 0:
-        raise DegenerateDistributionError("every sentence is unresolved")
-    return (counts.n_he / resolved, counts.n_she / resolved, counts.n_they / resolved)
-
-
 def p_index(p_he: float, p_she: float, p_they: float, variant: str = VARIANT_LINEAR) -> float:
     """Per-view neutrality index in [0, 1].
 
@@ -229,7 +177,6 @@ class SetScore:
     p_she: float
     p_they: float
     p_index: float
-    variant: str
     n_unresolved: int = 0
 
 
@@ -244,36 +191,34 @@ def score_views(views, pairs, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
                 variant: str = VARIANT_LINEAR, ambiguous_policy: str = "unresolved") -> TgbiReport:
     """Score the seven views and average their indices.
 
-    Every view must be present, non-empty, and not fully unresolved.
+    Each view's translations are bucketed with :func:`classify_sentence`; a
+    failed or empty translation counts as unresolved. Proportions are taken
+    over the resolved sentences only, so unresolved ones are left out rather
+    than forced into a bucket, and reported as ``n_unresolved``. Every view
+    must be present, non-empty, and not fully unresolved.
     """
     by_name = {view.name: view for view in views}
     missing = [name for name in VIEW_NAMES if name not in by_name]
     if missing:
         raise ValueError(f"missing views: {missing}")
-    pair_by_id = {utterance.id: (utterance, record) for utterance, record in pairs}
+    record_by_id = {utterance.id: record for utterance, record in pairs}
     scores = []
     for name in VIEW_NAMES:
-        view = by_name[name]
-        view_pairs = [pair_by_id[i] for i in view.utterance_ids if i in pair_by_id]
-        if not view_pairs:
+        records = [record_by_id[i] for i in by_name[name].utterance_ids if i in record_by_id]
+        if not records:
             raise DegenerateDistributionError(f"view '{name}' has no translated sentences")
-        counts = count_buckets(view_pairs, lexicon, ambiguous_policy)
-        try:
-            p_he, p_she, p_they = proportions(counts)
-        except DegenerateDistributionError:
-            raise DegenerateDistributionError(f"view '{name}' is fully unresolved") from None
-        scores.append(
-            SetScore(
-                name,
-                counts.total,
-                p_he,
-                p_she,
-                p_they,
-                p_index(p_he, p_she, p_they, variant),
-                variant,
-                counts.n_unresolved,
-            )
+        counts = Counter(
+            BUCKET_UNRESOLVED if record.failed or not record.output
+            else classify_sentence(record.output, lexicon, ambiguous_policy)
+            for record in records
         )
+        resolved = len(records) - counts[BUCKET_UNRESOLVED]
+        if not resolved:
+            raise DegenerateDistributionError(f"view '{name}' is fully unresolved")
+        p_he, p_she, p_they = (counts[bucket] / resolved
+                               for bucket in (BUCKET_HE, BUCKET_SHE, BUCKET_THEY))
+        scores.append(SetScore(name, len(records), p_he, p_she, p_they,
+                               p_index(p_he, p_she, p_they, variant), counts[BUCKET_UNRESOLVED]))
     tgbi = sum(score.p_index for score in scores) / len(scores)
     return TgbiReport(tuple(scores), float(tgbi), variant)
 

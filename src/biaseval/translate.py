@@ -65,15 +65,14 @@ class BackendConfig:
     retry_count: int = 2
     max_in_flight: int = 4
     retry_backoff: float = 0.5
-    headers: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not self.timeout > 0:  # also rejects NaN
+            raise ValueError("timeout (--timeout) must be positive")
         if not 0 <= self.retry_count <= 5:
-            raise ValueError("retry_count must lie in [0, 5]")
+            raise ValueError("retry_count (--retries) must lie in [0, 5]")
         if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
+            raise ValueError("max_in_flight (--max-in-flight) must be at least 1")
 
 
 def load_translations_tsv(path) -> list[TranslationRecord]:
@@ -164,11 +163,8 @@ def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> lis
     utterances = list(utterances)
     if not utterances:
         return []
-    headers = {}
     auth = os.environ.get(AUTH_ENV_VAR)
-    if auth:
-        headers["Authorization"] = auth
-    headers.update(cfg.headers)
+    headers = {"Authorization": auth} if auth else {}
     local = threading.local()
     opened = []
 
@@ -225,8 +221,11 @@ def join(utterances, records, min_coverage: float = DEFAULT_MIN_COVERAGE):
     """Inner-join corpus rows with translation records on id, corpus order.
 
     Corpus rows without a record and orphan records are reported through a
-    warning; coverage below ``min_coverage`` is an error.
+    warning; coverage below ``min_coverage`` is an error, and a
+    ``min_coverage`` outside [0, 1] is rejected before anything is joined.
     """
+    if not 0 <= min_coverage <= 1:
+        raise ValueError("min_coverage (--min-coverage) must lie in [0, 1]")
     utterances = list(utterances)
     by_id: dict[int, TranslationRecord] = {}
     for record in records:

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import write_w2v
 
+DATA_DIR = Path(__file__).parent / "data"
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -239,6 +241,49 @@ class TestTranslateCommand:
         assert code == 0
         assert configs == [BackendConfig(url, **expected)]
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--retries", "9", "retry_count (--retries) must lie in [0, 5]"),
+        ("--max-in-flight", "0", "max_in_flight (--max-in-flight) must be at least 1"),
+        ("--timeout", "0", "timeout (--timeout) must be positive"),
+        ("--timeout", "nan", "timeout (--timeout) must be positive"),
+    ])
+    def test_http_range_error_names_the_flag(
+        self, tmp_path, capsys, lexicon_files, monkeypatch, flag, value, message
+    ):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        monkeypatch.setattr(cli, "fetch_translations_http", pytest.fail)
+        code = cli.main([
+            "translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", "http",
+            "--url", "http://127.0.0.1:9/translate", "--out", str(tmp_path / "out.tsv"),
+            flag, value,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("backend", ["file", "http"])
+    @pytest.mark.parametrize("value", ["1.5", "-3"])
+    def test_min_coverage_out_of_range_exits_2(
+        self, tmp_path, capsys, lexicon_files, monkeypatch, backend, value
+    ):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        source = all_they_translations(out_dir / "corpus.tsv", tmp_path / "in.tsv")
+        monkeypatch.setattr(cli, "fetch_translations_http", pytest.fail)
+        out = tmp_path / "out.tsv"
+        code = cli.main([
+            "translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", backend,
+            "--translations", str(source), "--url", "http://127.0.0.1:9/translate",
+            "--out", str(out), "--min-coverage", value,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: min_coverage (--min-coverage) must lie in [0, 1]"
+        ]
+        assert not out.exists()
+
 
 class TestTgbiCommand:
     def test_all_neutral_reports_one(self, tmp_path, lexicon_files):
@@ -296,6 +341,70 @@ class TestTgbiCommand:
         assert result.returncode == 0, result.stderr
         payload = json.loads((tmp_path / "r" / "tgbi_report.json").read_text(encoding="utf-8"))
         assert payload["variant"] == "sqrt"
+
+    @pytest.mark.parametrize("value", ["1.5", "-3"])
+    def test_min_coverage_out_of_range_exits_2(self, tmp_path, capsys, lexicon_files, value):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        code = cli.main([
+            "tgbi", "--corpus", str(out_dir / "corpus.tsv"), "--views", str(out_dir / "views.json"),
+            "--translations", str(translations), "--out-dir", str(tmp_path / "r"),
+            "--min-coverage", value,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: min_coverage (--min-coverage) must lie in [0, 1]"
+        ]
+        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+
+    @pytest.mark.parametrize("name,flags", [
+        ("linear", []),
+        ("sqrt_first_token", ["--variant", "sqrt", "--ambiguous-policy", "first_token"]),
+    ])
+    def test_report_bytes_match_golden_files(self, tmp_path, capsys, monkeypatch, name, flags):
+        """Nine rows, one per register and category, translated to every
+        bucket: she, he, they, both gendered sets, nothing gendered, empty.
+        Relative paths keep the provenance block the same in any directory."""
+        from biaseval import cli
+
+        monkeypatch.chdir(tmp_path)
+        rows = [
+            ("वो डॉक्टर है", "informal", "occupation", "डॉक्टर", "she is a doctor"),
+            ("वह डॉक्टर है", "formal_impolite", "occupation", "डॉक्टर", "he is a doctor"),
+            ("वे डॉक्टर हैं", "formal_polite", "occupation", "डॉक्टर", "they are a doctor"),
+            ("वो अच्छा है", "informal", "positive", "अच्छा", "he says she is good"),
+            ("वह अच्छा है", "formal_impolite", "positive", "अच्छा", ""),
+            ("वे अच्छे हैं", "formal_polite", "positive", "अच्छे", "she is good"),
+            ("वो बुरा है", "informal", "negative", "बुरा", "the sky is bad"),
+            ("वह बुरा है", "formal_impolite", "negative", "बुरा", "they are bad"),
+            ("वे बुरे हैं", "formal_polite", "negative", "बुरे", "he is bad"),
+        ]
+        Path("corpus.tsv").write_text(
+            "id\ttext\tregister\tlexicon_category\tlexeme\n"
+            + "".join(f"{i}\t{text}\t{register}\t{category}\t{lexeme}\n"
+                      for i, (text, register, category, lexeme, _) in enumerate(rows, 1)),
+            encoding="utf-8",
+        )
+        Path("translations.tsv").write_text(
+            "id\ttranslation\n"
+            + "".join(f"{i}\t{row[4]}\n" for i, row in enumerate(rows, 1)),
+            encoding="utf-8",
+        )
+        Path("views.json").write_text(json.dumps({
+            "informal": [1, 4, 7], "formal": [2, 3, 5, 6, 8, 9], "impolite": [2, 5, 8],
+            "polite": [3, 6, 9], "positive": [4, 5, 6], "negative": [7, 8, 9],
+            "occupation": [1, 2, 3],
+        }), encoding="utf-8")
+        code = cli.main(["tgbi", "--corpus", "corpus.tsv", "--views", "views.json",
+                         "--translations", "translations.tsv", "--out-dir", "out", *flags])
+        assert code == 0
+        golden_table = (DATA_DIR / f"tgbi_table_{name}.txt").read_bytes()
+        assert Path("out/tgbi_table.txt").read_bytes() == golden_table
+        assert capsys.readouterr().out.encode("utf-8") == golden_table
+        golden_report = (DATA_DIR / f"tgbi_report_{name}.json").read_bytes()
+        assert Path("out/tgbi_report.json").read_bytes() == golden_report
 
 
 @pytest.fixture

@@ -3,17 +3,14 @@ import math
 import pytest
 
 from biaseval import (
-    BucketCounts,
     GenderLexicon,
     classify_sentence,
-    count_buckets,
     load_gender_lexicon,
     p_index,
-    proportions,
     render_tgbi_table,
     score_views,
 )
-from biaseval.eec import EvaluationSet, Utterance
+from biaseval.eec import VIEW_NAMES, EvaluationSet, Utterance
 from biaseval.errors import DegenerateDistributionError
 from biaseval.tgbi import (
     DEFAULT_GENDER_LEXICON,
@@ -111,7 +108,16 @@ def pair(uid, text, failed=False):
     )
 
 
+def score_one_view(pairs):
+    """The first view's score when each of the seven views holds every pair."""
+    ids = tuple(utterance.id for utterance, _record in pairs)
+    views = [EvaluationSet(name, ids) for name in VIEW_NAMES]
+    return score_views(views, pairs).scores[0]
+
+
 class TestCountBuckets:
+    """Bucket counts of a view, seen through ``score_views``."""
+
     def test_counts(self):
         pairs = [
             pair(1, "she is kind"),
@@ -119,39 +125,50 @@ class TestCountBuckets:
             pair(3, "she left"),
             pair(4, "he is kind"),
         ]
-        counts = count_buckets(pairs)
-        assert (counts.n_she, counts.n_he, counts.n_they, counts.n_unresolved) == (3, 1, 0, 0)
-        assert counts.total == 4
+        score = score_one_view(pairs)
+        assert (score.p_she, score.p_he, score.p_they) == (0.75, 0.25, 0.0)
+        assert (score.size, score.n_unresolved) == (4, 0)
 
     def test_failed_records_unresolved(self):
-        counts = count_buckets([pair(1, "she is kind"), pair(2, "", failed=True)])
-        assert counts.n_unresolved == 1
+        # a failed record counts as unresolved even when it carries text
+        score = score_one_view([
+            pair(1, "she is kind"),
+            pair(2, "", failed=True),
+            pair(3, "he is kind", failed=True),
+            pair(4, ""),
+        ])
+        assert (score.size, score.n_unresolved) == (4, 3)
+        assert (score.p_she, score.p_he, score.p_they) == (1.0, 0.0, 0.0)
 
     def test_all_unresolved(self):
-        counts = count_buckets([pair(1, "nothing gendered here")])
-        assert counts.n_unresolved == counts.total == 1
+        with pytest.raises(DegenerateDistributionError, match="'informal' is fully unresolved"):
+            score_one_view([pair(1, "nothing gendered here")])
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
-            count_buckets([])
-
-    def test_counts_invariant(self):
-        with pytest.raises(ValueError):
-            BucketCounts(1, 1, 1, 1, 5)
+        views = [EvaluationSet(name, (1,)) for name in VIEW_NAMES]
+        with pytest.raises(DegenerateDistributionError, match="has no translated sentences"):
+            score_views(views, [])
 
 
 class TestProportions:
+    """He/she/they proportions of a view, seen through ``score_views``."""
+
     def test_basic(self):
-        p_he, p_she, p_they = proportions(BucketCounts(1, 1, 2, 0, 4))
-        assert (p_he, p_she, p_they) == (0.25, 0.25, 0.5)
+        score = score_one_view([
+            pair(1, "he is kind"), pair(2, "she is kind"), pair(3, "they are"), pair(4, "they"),
+        ])
+        assert (score.p_he, score.p_she, score.p_they) == (0.25, 0.25, 0.5)
 
     def test_unresolved_excluded(self):
-        p_he, p_she, p_they = proportions(BucketCounts(0, 0, 5, 3, 8))
-        assert (p_he, p_she, p_they) == (0.0, 0.0, 1.0)
+        pairs = [pair(i, "they are kind") for i in range(1, 6)]
+        pairs += [pair(6, "he said she left"), pair(7, ""), pair(8, "", failed=True)]
+        score = score_one_view(pairs)
+        assert (score.p_he, score.p_she, score.p_they) == (0.0, 0.0, 1.0)
+        assert (score.size, score.n_unresolved) == (8, 3)
 
     def test_zero_resolved(self):
-        with pytest.raises(DegenerateDistributionError):
-            proportions(BucketCounts(0, 0, 0, 4, 4))
+        with pytest.raises(DegenerateDistributionError, match="fully unresolved"):
+            score_one_view([pair(i, "", failed=True) for i in range(1, 5)])
 
 
 class TestPIndex:

@@ -34,10 +34,12 @@ class FakeSession:
         self._responder = responder
         self._lock = threading.Lock()
         self.calls = []
+        self.headers = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         with self._lock:
             self.calls.append(json)
+            self.headers.append(headers)
             call_index = len(self.calls)
         return self._responder(json, call_index)
 
@@ -134,6 +136,13 @@ class TestJoin:
         with pytest.warns(UserWarning, match=r"orphan record\(s\): \[99\]"):
             pairs = join(corpus, records)
         assert [r.id for _u, r in pairs] == [1, 2]
+
+    @pytest.mark.parametrize("min_coverage", [1.5, -3.0, float("nan")])
+    def test_min_coverage_out_of_range_rejected(self, min_coverage):
+        corpus = utterances(2)
+        records = [TranslationRecord(1, "a"), TranslationRecord(2, "b")]
+        with pytest.raises(ValueError, match=r"^min_coverage \(--min-coverage\) must lie in \[0, 1\]$"):
+            join(corpus, records, min_coverage=min_coverage)
 
 
 def _write(tmp_path, text):
@@ -328,6 +337,20 @@ class TestFetchTranslationsHttp:
 
         records = fetch_translations_http(self._cfg(), utterances(1), session=FakeSession(tabby))
         assert records[0].output == "a b c d"
+
+    @pytest.mark.parametrize("auth,expected", [
+        ("Bearer t0k3n", {"Authorization": "Bearer t0k3n"}),
+        ("", {}),
+        (None, {}),
+    ])
+    def test_auth_env_var_sent_as_authorization(self, monkeypatch, auth, expected):
+        if auth is None:
+            monkeypatch.delenv(translate.AUTH_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(translate.AUTH_ENV_VAR, auth)
+        session = FakeSession(echo)
+        fetch_translations_http(self._cfg(), utterances(65), session=session)
+        assert session.headers == [expected, expected]
 
     def test_empty_corpus(self):
         assert fetch_translations_http(self._cfg(), []) == []
