@@ -8,6 +8,7 @@ Devanagari spellings match.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -234,8 +235,10 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
+    # np.linalg.norm's own sqrt(x.dot(x)); the clamp passes NaN, as np.clip does
+    norm_u = math.sqrt(u.dot(u))
+    norm_v = math.sqrt(v.dot(v))
     if norm_u == 0.0 or norm_v == 0.0:
         raise ValueError("cosine undefined for zero-norm vectors")
-    return float(np.clip(np.dot(u, v) / (norm_u * norm_v), -1.0, 1.0))
+    value = float(u.dot(v) / (norm_u * norm_v))
+    return 1.0 if value > 1.0 else -1.0 if value < -1.0 else value

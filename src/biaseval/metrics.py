@@ -83,13 +83,9 @@ class ClassifierModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function; no exponent is positive, so nothing overflows."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _require_shape(rq: ResolvedQuery, metric: str) -> None:
@@ -183,9 +179,9 @@ def train_attribute_classifier(attributes_1, attributes_2,
     weights = rng.normal(0.0, 0.01, size=x.shape[1])
     bias = 0.0
     for _ in range(CLASSIFIER_EPOCHS):
-        p = _sigmoid(x @ weights + bias)
-        weights = weights - CLASSIFIER_LR * (x.T @ (p - y) / n)
-        bias = bias - CLASSIFIER_LR * float(np.sum(p - y) / n)
+        residual = _sigmoid(x @ weights + bias) - y
+        weights = weights - CLASSIFIER_LR * (x.T @ residual / n)
+        bias = bias - CLASSIFIER_LR * float(residual.sum() / n)
     p = _sigmoid(x @ weights + bias)
     # 0*log(0) is treated as 0, so a perfectly saturated correct fit has
     # loss 0 while a saturated misfit goes non-finite.

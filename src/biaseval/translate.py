@@ -27,6 +27,7 @@ BACKENDS = ("file", "http")
 BATCH_SIZE = 64
 DEFAULT_MIN_COVERAGE = 0.95
 MAX_RETRY_AFTER_S = 60
+MAX_TIMEOUT_S = 3600
 TRANSLATIONS_HEADER = "id\ttranslation"
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "BackendConfig",
     "DEFAULT_MIN_COVERAGE",
     "MAX_RETRY_AFTER_S",
+    "MAX_TIMEOUT_S",
     "TranslationRecord",
     "fetch_translations_http",
     "join",
@@ -67,8 +69,8 @@ class BackendConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self):
-        if not self.timeout > 0:  # also rejects NaN
-            raise ValueError("timeout (--timeout) must be positive")
+        if not 0 < self.timeout <= MAX_TIMEOUT_S:  # also rejects NaN
+            raise ValueError(f"timeout (--timeout) must lie in (0, {MAX_TIMEOUT_S}]")
         if not 0 <= self.retry_count <= 5:
             raise ValueError("retry_count (--retries) must lie in [0, 5]")
         if self.max_in_flight < 1:

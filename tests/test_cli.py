@@ -244,8 +244,11 @@ class TestTranslateCommand:
     @pytest.mark.parametrize("flag,value,message", [
         ("--retries", "9", "retry_count (--retries) must lie in [0, 5]"),
         ("--max-in-flight", "0", "max_in_flight (--max-in-flight) must be at least 1"),
-        ("--timeout", "0", "timeout (--timeout) must be positive"),
-        ("--timeout", "nan", "timeout (--timeout) must be positive"),
+        ("--timeout", "0", "timeout (--timeout) must lie in (0, 3600]"),
+        ("--timeout", "nan", "timeout (--timeout) must lie in (0, 3600]"),
+        ("--timeout", "inf", "timeout (--timeout) must lie in (0, 3600]"),
+        ("--timeout", "1e300", "timeout (--timeout) must lie in (0, 3600]"),
+        ("--timeout", "3601", "timeout (--timeout) must lie in (0, 3600]"),
     ])
     def test_http_range_error_names_the_flag(
         self, tmp_path, capsys, lexicon_files, monkeypatch, flag, value, message
@@ -444,6 +447,44 @@ def query_file(tmp_path):
 
 
 class TestRankCommand:
+    def test_report_bytes_match_golden_files(self, tmp_path, monkeypatch):
+        """Every WEAT, RNSB, RND and ECT value, byte for byte, over two seeded
+        8-d tables. The second query's three target sets give RNSB extra
+        targets and WEAT, RND and ECT three target pairs. Relative paths keep
+        the provenance block the same in any directory."""
+        import numpy as np
+
+        from biaseval import cli
+
+        monkeypatch.chdir(tmp_path)
+        feminine = {"name": "feminine", "words": ["she", "her", "woman", "girl"]}
+        masculine = {"name": "masculine", "words": ["he", "him", "man", "boy"]}
+        queries = [
+            {"label": "career-family", "targets": [feminine, masculine], "attributes": [
+                {"name": "career", "words": ["career", "office", "salary", "business"]},
+                {"name": "family", "words": ["home", "family", "children", "parents"]},
+            ]},
+            {"label": "science-art",
+             "targets": [feminine, masculine,
+                         {"name": "neutral", "words": ["they", "them", "person"]}],
+             "attributes": [
+                 {"name": "science", "words": ["science", "math", "physics"]},
+                 {"name": "art", "words": ["art", "poetry", "dance"]},
+             ]},
+        ]
+        Path("queries.json").write_text(json.dumps(queries), encoding="utf-8")
+        words = dict.fromkeys(w for q in queries for group in ("targets", "attributes")
+                              for word_set in q[group] for w in word_set["words"])
+        for seed, name in ((3, "a"), (4, "b")):
+            rng = np.random.default_rng(seed)
+            write_w2v(Path(f"{name}.txt"), {w: rng.normal(size=8).round(4) for w in words})
+        code = cli.main(["rank", "--embedding", "a=a.txt", "--embedding", "b=b.txt",
+                         "--queries", "queries.json", "--out-dir", "out"])
+        assert code == 0
+        for name in ("json", "csv"):
+            golden = (DATA_DIR / f"rank_report.{name}").read_bytes()
+            assert Path(f"out/rank_table.{name}").read_bytes() == golden
+
     def test_two_embeddings_one_metric(self, tmp_path, embedding_files, query_file):
         emb_a, emb_b = embedding_files
         out_dir = tmp_path / "rank"

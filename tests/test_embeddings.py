@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,22 @@ class TestCosine:
         for _ in range(200):
             u = rng.normal(size=3)
             assert -1.0 <= cosine(u, -u) <= 1.0
+
+    def test_bits_match_norm_and_clip_formula(self):
+        def unclamped(u, v):
+            return np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+        rng = np.random.default_rng(19)
+        pairs = []
+        for _ in range(300):
+            u = rng.normal(size=int(rng.integers(1, 301))) * 10.0 ** rng.integers(-100, 100)
+            pairs += [(u, rng.normal(size=u.size)), (u, 3 * u), (u, -7 * u)]
+        # the clamp fires at both ends
+        assert max(unclamped(u, v) for u, v in pairs) > 1.0
+        assert min(unclamped(u, v) for u, v in pairs) < -1.0
+        pairs.append((np.array([1e200, 0.0]), np.array([1e200, 0.0])))  # inf / inf
+        with np.errstate(all="ignore"):
+            for u, v in pairs:
+                expected = float(np.clip(unclamped(u, v), -1, 1))
+                assert struct.pack("<d", cosine(u, v)) == struct.pack("<d", expected)
+            assert np.isnan(cosine(*pairs[-1]))

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,14 @@ from biaseval.errors import (
     TemplateMismatchError,
     UndefinedCorrelationError,
 )
-from biaseval.metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, fractional_ranks
+from biaseval.metrics import (
+    CLASSIFIER_EPOCHS,
+    CLASSIFIER_LR,
+    METRIC_FUNCTIONS,
+    METRIC_TEMPLATES,
+    _sigmoid,
+    fractional_ranks,
+)
 
 from conftest import make_resolved_query
 from oracles import ect_oracle, rnd_oracle, spearman_oracle, weat_oracle
@@ -219,6 +228,71 @@ class TestClassifier:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             train_attribute_classifier([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+
+def two_branch_sigmoid(z):
+    """1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+def gradient_descent_reference(attributes_1, attributes_2, seed):
+    """The classifier's training loop written out with the two-branch sigmoid."""
+    x = np.vstack([attributes_1, attributes_2])
+    y = np.concatenate([np.ones(len(attributes_1)), np.zeros(len(attributes_2))])
+    weights = np.random.default_rng(seed).normal(0.0, 0.01, size=x.shape[1])
+    bias = 0.0
+    for _ in range(CLASSIFIER_EPOCHS):
+        p = two_branch_sigmoid(x @ weights + bias)
+        weights = weights - CLASSIFIER_LR * (x.T @ (p - y) / len(x))
+        bias = bias - CLASSIFIER_LR * float(np.sum(p - y) / len(x))
+    return weights, bias
+
+
+class TestKernelBits:
+    """The kernels return the same bits as the plain formulas they replace."""
+
+    EXTREMES = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf]
+
+    def test_sigmoid_extremes_match_two_branch_form_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(np.array(self.EXTREMES))
+            expected = two_branch_sigmoid(np.array(self.EXTREMES))
+        assert got.tobytes() == expected.tobytes()
+        assert got.tolist() == [0.5, 0.5, 1.0, 5e-324, 1.0, 0.0, 1.0, 0.0]
+
+    def test_sigmoid_random_matches_two_branch_form(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            z = rng.normal(size=int(rng.integers(1, 50))) * 10.0 ** rng.integers(-3, 4)
+            assert _sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+
+    def test_training_matches_reference_loop(self):
+        rng = np.random.default_rng(29)
+        a1, a2 = rng.normal(size=(12, 300)), rng.normal(size=(12, 300))
+        model = train_attribute_classifier(a1, a2, seed=5)
+        weights, bias = gradient_descent_reference(a1, a2, seed=5)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.hex() == bias.hex()
+
+    def test_training_pinned_bytes(self):
+        # Taken with numpy 2.4 and its bundled OpenBLAS on x86-64. A BLAS
+        # that sums x @ w in another order moves these while the reference
+        # loop test above still passes.
+        rng = np.random.default_rng(29)
+        a1, a2 = rng.normal(size=(12, 300)), rng.normal(size=(12, 300))
+        model = train_attribute_classifier(a1, a2)
+        assert hashlib.sha256(model.weights.tobytes()).hexdigest() == (
+            "aab9d532d0bc5c8d15a52e35f7049e316a3e4da00b975a7d6d0dbfe40a97e2fc"
+        )
+        assert model.bias.hex() == "-0x1.0a30f87d15e45p-7"
+        assert model.training_loss.hex() == "0x1.b66be4ed56615p-10"
 
 
 class TestKlFromUniform:

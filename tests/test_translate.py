@@ -153,8 +153,10 @@ def _write(tmp_path, text):
 
 class TestBackendConfig:
     def test_validates_timeout(self):
-        with pytest.raises(ValueError):
-            BackendConfig("u", timeout=0)
+        for timeout in (0, 3600.5, float("inf")):
+            with pytest.raises(ValueError):
+                BackendConfig("u", timeout=timeout)
+        assert BackendConfig("u", timeout=translate.MAX_TIMEOUT_S).timeout == 3600
 
     def test_validates_retry_count(self):
         with pytest.raises(ValueError):
