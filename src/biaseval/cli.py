@@ -14,8 +14,9 @@ Every JSON report embeds a provenance block (input hashes and flags; for
 re-running a command on the same inputs produces byte-identical output.
 
 The embedding stack (numpy) is imported only by the ``metrics`` and ``rank``
-commands, and ``requests`` only by the HTTP translation backend, so the
-translation-path commands start without either.
+commands, and ``http.client`` (with ``ssl``) only by the HTTP translation
+backend, so the translation-path commands start without either. Beyond the
+standard library, numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -233,8 +234,6 @@ def cmd_translate(args) -> int:
         join(corpus, records, min_coverage=args.min_coverage)
         write_translations_tsv(records, out)
     else:
-        if not args.url:
-            raise ValueError("http backend needs --url")
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
         join((), (), min_coverage=args.min_coverage)  # a bad --min-coverage fails before any request

@@ -18,6 +18,13 @@ import numpy as np
 from .errors import EmbeddingFormatError, EmptyResolutionError, VocabularyLossError
 from .names import DEFAULT_LOST_THRESHOLD, nfc
 
+# Rows whose largest component magnitude lies outside
+# [MIN_COMPONENT, MAX_COMPONENT] are rejected at load (all-zero rows aside):
+# within it, every squared norm stays finite and normal for any dimension
+# below 1e100, so cosine's sqrt(x.x) neither overflows nor underflows.
+MAX_COMPONENT = 1e100
+MIN_COMPONENT = 1e-100
+
 __all__ = [
     "EmbeddingTable",
     "WordResolution",
@@ -36,6 +43,18 @@ def _mostly_devanagari(tokens) -> bool:
     if not tokens:
         return False
     return sum(_is_devanagari(t) for t in tokens) * 2 > len(tokens)
+
+
+def _range_error(vec: np.ndarray) -> str | None:
+    """Why the components of a row are out of range, or None if they are not."""
+    peak = float(np.abs(vec).max(initial=0.0))
+    if not math.isfinite(peak):
+        return "non-finite component"
+    if peak > MAX_COMPONENT:
+        return f"component magnitude {peak:g} above {MAX_COMPONENT:g}"
+    if 0.0 < peak < MIN_COMPONENT:
+        return f"largest component magnitude {peak:g} below {MIN_COMPONENT:g}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -82,8 +101,9 @@ class EmbeddingTable:
                 raise ValueError(
                     f"vector for {token!r} has {vec.shape[0]} components, expected {dim}"
                 )
-            if not np.isfinite(vec).all():
-                raise ValueError(f"vector for {token!r} has non-finite components")
+            problem = _range_error(vec)
+            if problem:
+                raise ValueError(f"vector for {token!r}: {problem}")
             vec.flags.writeable = False
             entries[nfc(token)] = vec
         if fold_case_default is None:
@@ -200,8 +220,9 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                     vec = np.array([float(c) for c in components], dtype=np.float64)
                 except ValueError:
                     raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-                if not np.isfinite(vec).all():
-                    raise EmbeddingFormatError(f"{path}:{lineno}: non-finite component")
+                problem = _range_error(vec)
+                if problem:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
                 key = nfc(token)
                 if key in entries:
                     duplicates += 1

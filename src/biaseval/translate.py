@@ -7,17 +7,24 @@ wrapper around a commercial service:
 
     request:  {"texts": [{"id": int, "text": str}, ...]}
     response: {"translations": [{"id": int, "text": str}, ...]}
+
+It runs on the standard library's ``http.client``, imported on the first
+fetch: one keep-alive connection per worker thread, straight to the URL's
+host (no proxy), no redirects, and the system CA store for ``https``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
+from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import JoinCoverageError, TranslationRunError
 from .names import FIELD_BREAK_RE, read_tsv, write_tsv
@@ -28,6 +35,7 @@ BATCH_SIZE = 64
 DEFAULT_MIN_COVERAGE = 0.95
 MAX_RETRY_AFTER_S = 60
 MAX_TIMEOUT_S = 3600
+RETRY_BACKOFF_S = 0.5
 TRANSLATIONS_HEADER = "id\ttranslation"
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
     "DEFAULT_MIN_COVERAGE",
     "MAX_RETRY_AFTER_S",
     "MAX_TIMEOUT_S",
+    "RETRY_BACKOFF_S",
     "TranslationRecord",
     "fetch_translations_http",
     "join",
@@ -58,6 +67,19 @@ class TranslationRecord:
     retries: int = field(default=0, kw_only=True)
 
 
+def _is_endpoint(location) -> bool:
+    """Whether ``location`` is an http or https URL with a host, free of the
+    whitespace and control characters that no request line can carry."""
+    if not isinstance(location, str) or not location.isprintable() or " " in location:
+        return False
+    try:
+        url = urlsplit(location)
+        url.port  # raises ValueError for a port out of range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Settings of the HTTP backend; ``location`` is the endpoint URL."""
@@ -66,9 +88,12 @@ class BackendConfig:
     timeout: float = 10.0
     retry_count: int = 2
     max_in_flight: int = 4
-    retry_backoff: float = 0.5
 
     def __post_init__(self):
+        if not _is_endpoint(self.location):
+            raise ValueError(
+                f"location (--url) must be an http or https URL with a host, got {self.location!r}"
+            )
         if not 0 < self.timeout <= MAX_TIMEOUT_S:  # also rejects NaN
             raise ValueError(f"timeout (--timeout) must lie in (0, {MAX_TIMEOUT_S}]")
         if not 0 <= self.retry_count <= 5:
@@ -112,22 +137,26 @@ def _retry_after(response) -> int:
     return min(int(value), MAX_RETRY_AFTER_S) if value.isascii() and value.isdigit() else 0
 
 
-def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch, attempt: int):
-    """Make one attempt at ``batch``: its records, a ``_BatchFailure`` or a ``_Retry``."""
-    import requests
+def _fetch_batch(connection, target: str, headers: dict, batch, attempt: int):
+    """Make one attempt at ``batch``: its records, a ``_BatchFailure`` or a ``_Retry``.
+    A connection error closes ``connection``, so its next request reconnects."""
+    import http.client
 
-    payload = {"texts": [{"id": u.id, "text": u.text} for u in batch]}
+    body = json.dumps({"texts": [{"id": u.id, "text": u.text} for u in batch]}).encode()
     try:
-        response = session.post(cfg.location, json=payload, headers=headers, timeout=cfg.timeout)
-    except requests.RequestException as exc:
+        connection.request("POST", target, body, headers)
+        response = connection.getresponse()
+        reply = response.read()  # in full, whatever the status, so the connection stays usable
+    except (OSError, http.client.HTTPException) as exc:
+        connection.close()
         return _Retry(f"{type(exc).__name__}: {exc}")
-    if response.status_code >= 500 or response.status_code == 429:
-        return _Retry(f"HTTP {response.status_code}", _retry_after(response))
-    if response.status_code != 200:
-        return _BatchFailure(f"HTTP {response.status_code}")
+    if response.status >= 500 or response.status == 429:
+        return _Retry(f"HTTP {response.status}", _retry_after(response))
+    if response.status != 200:
+        return _BatchFailure(f"HTTP {response.status}")
     try:
-        data = response.json()
-        translations = {int(item["id"]): str(item["text"]) for item in data["translations"]}
+        translations = {int(item["id"]): str(item["text"])
+                        for item in json.loads(reply)["translations"]}
     except (KeyError, TypeError, ValueError) as exc:
         return _Retry(f"malformed response: {exc!r}")
     records = []
@@ -141,67 +170,83 @@ def _fetch_batch(session, cfg: BackendConfig, headers: dict, batch, attempt: int
     return records
 
 
-def fetch_translations_http(cfg: BackendConfig, utterances, session=None) -> list[TranslationRecord]:
+def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationRecord]:
     """Fetch translations in batches of up to 64 utterances.
 
     Ids missing from an otherwise successful response become failed records.
     A connection error, a 5xx or 429 status or a malformed body makes a batch
-    retryable; any other non-200 status fails it at once. Retryable batches
-    are fetched again in rounds, up to ``cfg.retry_count`` more times: before
-    round ``n`` the call sleeps once for ``cfg.retry_backoff * n`` seconds, or
-    for the largest integer ``Retry-After`` of the previous round's replies if
-    that is longer (capped at ``MAX_RETRY_AFTER_S``), so no worker waits out
-    a backoff. A failed batch, or one still unreachable after the last round,
-    aborts the run with the records completed so far attached, so the caller
-    can resume. Batches may be in flight concurrently up to
-    ``cfg.max_in_flight``; results are merged in corpus order regardless of
-    completion order. The ``BIASEVAL_HTTP_AUTH`` environment variable, when
-    set, is forwarded as the Authorization header.
+    retryable; any other non-200 status, a redirect included, fails it at
+    once. Retryable batches are fetched again in rounds, up to
+    ``cfg.retry_count`` more times: before round ``n`` the call sleeps once
+    for ``RETRY_BACKOFF_S * n`` seconds, or for the largest integer
+    ``Retry-After`` of the previous round's replies if that is longer (capped
+    at ``MAX_RETRY_AFTER_S``), so no worker waits out a backoff. A failed
+    batch, or one still unreachable after the last round, aborts the run with
+    the records completed so far attached, so the caller can resume. Batches
+    may be in flight concurrently up to ``cfg.max_in_flight``; results are
+    merged in corpus order regardless of completion order. The
+    ``BIASEVAL_HTTP_AUTH`` environment variable, when set, is forwarded as the
+    Authorization header.
 
-    Without a ``session``, each worker thread opens its own
-    ``requests.Session`` (sessions are not thread-safe) and every one is
-    closed before returning; a caller-supplied session is used as given.
+    Each worker thread keeps one keep-alive connection to the URL's host
+    (``https`` verifies against the system CA store). Connections are closed
+    before each retry round and all of them before returning.
     """
+    import http.client
+
     utterances = list(utterances)
     if not utterances:
         return []
+    url = urlsplit(cfg.location)
+    if url.scheme == "https":
+        import ssl
+
+        connect = partial(http.client.HTTPSConnection, url.hostname,
+                          url.port or http.client.HTTPS_PORT, context=ssl.create_default_context())
+    else:
+        connect = partial(http.client.HTTPConnection, url.hostname,
+                          url.port or http.client.HTTP_PORT)
+    # Percent-encode the non-ASCII letters a request line cannot carry raw.
+    target = quote(urlunsplit(("", "", url.path or "/", url.query, "")),
+                   safe="!#$%&'()*+,/:;=?@[]~")
     auth = os.environ.get(AUTH_ENV_VAR)
-    headers = {"Authorization": auth} if auth else {}
+    headers = {"Content-Type": "application/json"}
+    if auth:
+        headers["Authorization"] = auth
     local = threading.local()
     opened = []
 
-    def open_session():
-        import requests
-
-        local.session = requests.Session()
-        opened.append(local.session)
+    def open_connection():
+        local.connection = connect(timeout=cfg.timeout)
+        opened.append(local.connection)
 
     def fetch(batch, attempt):
-        return _fetch_batch(local.session if session is None else session, cfg, headers, batch,
-                            attempt)
+        return _fetch_batch(local.connection, target, headers, batch, attempt)
 
     batches = [utterances[i : i + BATCH_SIZE] for i in range(0, len(utterances), BATCH_SIZE)]
     results = [None] * len(batches)
     pending = list(range(len(batches)))
     retry_after = 0
     workers = min(cfg.max_in_flight, len(batches))
-    initializer = open_session if session is None else None
     try:
-        with ThreadPoolExecutor(max_workers=workers, initializer=initializer) as pool:
+        with ThreadPoolExecutor(max_workers=workers, initializer=open_connection) as pool:
             for attempt in range(cfg.retry_count + 1):
                 if not pending:
                     break
-                delay = max(cfg.retry_backoff * attempt, retry_after)
-                if delay:
-                    time.sleep(delay)
+                if attempt:
+                    # A connection left idle through the sleep may outlive the
+                    # server's keep-alive timeout, so the round reconnects.
+                    for connection in opened:
+                        connection.close()
+                    time.sleep(max(RETRY_BACKOFF_S * attempt, retry_after))
                 outcomes = pool.map(fetch, [batches[i] for i in pending], repeat(attempt))
                 for index, outcome in zip(pending, outcomes):
                     results[index] = outcome
                 pending = [index for index in pending if isinstance(results[index], _Retry)]
                 retry_after = max((results[index].retry_after for index in pending), default=0)
     finally:
-        for opened_session in opened:
-            opened_session.close()
+        for connection in opened:
+            connection.close()
     for index in pending:
         results[index] = _BatchFailure(
             f"unreachable after {cfg.retry_count + 1} attempt(s): {results[index].message}"

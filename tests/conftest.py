@@ -1,3 +1,9 @@
+import json
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -48,3 +54,102 @@ def weat_query():
         attributes=(WordSet("a1", ("east",)), WordSet("a2", ("north",))),
         label="toy-weat",
     )
+
+
+def echo(texts, _call=None):
+    """Translation items that return every posted text unchanged."""
+    return [{"id": t["id"], "text": t["text"]} for t in texts]
+
+
+class Post(NamedTuple):
+    """One POST the translation server received."""
+
+    connection: tuple  # the client's (host, port): one per TCP connection
+    path: str
+    headers: dict
+    texts: list
+
+
+class _TranslationHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, as real backends speak
+    disable_nagle_algorithm = True  # the body must not wait on the client's delayed ACK
+
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        outcome = self.server.record(Post(self.client_address, self.path, dict(self.headers), texts))
+        if outcome is None:
+            self.close_connection = True  # hang up without a reply
+            return
+        if isinstance(outcome, tuple):
+            (status, headers), body = outcome, {}
+        else:
+            status, headers, body = 200, {}, {"translations": outcome}
+        payload = json.dumps(body).encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def finish(self):
+        super().finish()
+        self.server.closed(self.client_address)
+
+    def log_message(self, *args):
+        pass
+
+
+class TranslationServer(ThreadingHTTPServer):
+    """A translation backend on 127.0.0.1, served from a background thread.
+
+    ``reply(texts, call)`` answers the ``call``-th POST (counted from 1),
+    whose posted items are ``texts``, with one of: a list of translation
+    items, sent as a 200 reply; a ``(status, headers)`` pair, sent with an
+    empty JSON object; or None, which closes the connection unanswered.
+    It echoes every text by default. ``posts`` records each POST.
+    """
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _TranslationHandler)
+        self.url = f"http://127.0.0.1:{self.server_port}/translate"
+        self.reply = echo
+        self.posts: list[Post] = []
+        self.closed_connections: set = set()
+        self._changed = threading.Condition()
+        # A short poll interval lets shutdown() return quickly.
+        threading.Thread(target=self.serve_forever, args=(0.02,), daemon=True).start()
+
+    def record(self, post: Post):
+        with self._changed:
+            self.posts.append(post)
+            call = len(self.posts)
+        return self.reply(post.texts, call)
+
+    def closed(self, connection) -> None:
+        with self._changed:
+            self.closed_connections.add(connection)
+            self._changed.notify_all()
+
+    def handle_error(self, request, client_address):
+        # A client that hung up before the reply (after its timeout) is expected.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def all_closed(self, timeout: float = 10.0) -> bool:
+        """Whether every connection that posted is closed, waiting up to
+        ``timeout`` seconds for the server to see the clients hang up."""
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: {post.connection for post in self.posts} <= self.closed_connections,
+                timeout,
+            )
+
+
+@pytest.fixture
+def translation_server():
+    server = TranslationServer()
+    yield server
+    server.shutdown()
+    server.server_close()

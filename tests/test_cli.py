@@ -1,8 +1,6 @@
 import json
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -148,48 +146,20 @@ class TestTranslateCommand:
         assert result.returncode == 1
         assert "coverage" in result.stderr
 
-    def test_http_backend_echo_server(self, tmp_path, lexicon_files):
+    def test_http_backend_echo_server(self, tmp_path, lexicon_files, translation_server):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
-
-        class Echo(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                payload = json.loads(self.rfile.read(length))
-                body = json.dumps(
-                    {
-                        "translations": [
-                            {"id": t["id"], "text": "they are a person"}
-                            for t in payload["texts"]
-                        ]
-                    }
-                ).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            out = tmp_path / "http.tsv"
-            result = run_cli(
-                "translate", "--corpus", out_dir / "corpus.tsv",
-                "--backend", "http",
-                "--url", f"http://127.0.0.1:{server.server_port}/translate",
-                "--out", out,
-            )
-            assert result.returncode == 0, result.stderr
-            lines = out.read_text(encoding="utf-8").splitlines()
-            assert len(lines) == 19  # header + 18 corpus rows
-            assert all(line.endswith("they are a person") for line in lines[1:])
-        finally:
-            server.shutdown()
-            server.server_close()
+        translation_server.reply = (
+            lambda texts, call: [{"id": t["id"], "text": "they are a person"} for t in texts]
+        )
+        out = tmp_path / "http.tsv"
+        result = run_cli(
+            "translate", "--corpus", out_dir / "corpus.tsv",
+            "--backend", "http", "--url", translation_server.url, "--out", out,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 19  # header + 18 corpus rows
+        assert all(line.endswith("they are a person") for line in lines[1:])
 
     def test_http_unreachable_exits_1_and_keeps_partial_output(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
@@ -264,6 +234,20 @@ class TestTranslateCommand:
         ])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("url", [None, "notaurl", "ftp://127.0.0.1/x", "http://"])
+    def test_malformed_url_exits_2_before_any_request(self, tmp_path, lexicon_files, url):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        out = tmp_path / "out.tsv"
+        result = run_cli(
+            "translate", "--corpus", out_dir / "corpus.tsv", "--backend", "http",
+            *(() if url is None else ("--url", url)), "--out", out,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: location (--url) must be an http or https URL with a host, got {url!r}"
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("backend", ["file", "http"])
     @pytest.mark.parametrize("value", ["1.5", "-3"])
@@ -605,6 +589,33 @@ class TestMetricsCommand:
         assert (out_dir / "scores_WEAT.csv").is_file()
 
 
+class TestOutOfRangeVector:
+    """A row whose squared norm would overflow or underflow fails at load with
+    exit 2 and one line naming the file and line, not with a silent 0.0
+    cosine, an unrankable table or a zero-norm error."""
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    @pytest.mark.parametrize("peak,message", [
+        ("1e200", "component magnitude 1e+200 above 1e+100"),
+        ("1e-200", "largest component magnitude 1e-200 below 1e-100"),
+    ])
+    def test_exits_2_naming_the_row(self, tmp_path, capsys, embedding_files, query_file,
+                                    command, peak, message):
+        from biaseval import cli
+
+        emb_a, emb_b = embedding_files
+        lines = emb_a.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("she "))
+        lines[lineno - 1] = f"she {peak} {peak} 0 0"
+        emb_a.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main([
+            command, "--embedding", f"a={emb_a}", "--embedding", f"b={emb_b}",
+            "--queries", str(query_file), "--metric", "WEAT", "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {emb_a}:{lineno}: {message}"]
+
+
 class TestDeterminism:
     def test_eec_outputs_byte_identical(self, tmp_path, lexicon_files):
         occ, pos, neg = lexicon_files
@@ -634,57 +645,32 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-def serve_translations(translate):
-    """Start an HTTP backend whose reply for each posted batch is
-    ``translate(texts)``; return (server, url, posted ids per request)."""
-    posted = []
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            posted.append([t["id"] for t in payload["texts"]])
-            body = json.dumps({"translations": translate(payload["texts"])}).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, f"http://127.0.0.1:{server.server_port}/translate", posted
-
-
 class TestTranslateResume:
-    def test_rerun_refetches_failed_rows(self, tmp_path, lexicon_files):
+    def test_rerun_refetches_failed_rows(self, tmp_path, lexicon_files, translation_server):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         omitted = {3, 5}
         healthy = True
 
-        def translate(texts):
+        def reply(texts, call):
             return [{"id": t["id"], "text": f"they {t['id']}"} for t in texts
                     if healthy or t["id"] not in omitted]
 
-        server, url, posted = serve_translations(translate)
+        translation_server.reply = reply
         out = tmp_path / "http.tsv"
         argv = ["translate", "--corpus", out_dir / "corpus.tsv", "--backend", "http",
-                "--url", url, "--out", out]
-        try:
-            healthy = False
-            assert run_cli(*argv).returncode == 0
-            rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:])
-            assert {int(uid) for uid, text in rows.items() if not text} == omitted
+                "--url", translation_server.url, "--out", out]
+        healthy = False
+        assert run_cli(*argv).returncode == 0
+        rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:])
+        assert {int(uid) for uid, text in rows.items() if not text} == omitted
 
-            healthy = True
-            posted.clear()
-            result = run_cli(*argv)
-            assert result.returncode == 0, result.stderr
-        finally:
-            server.shutdown()
-            server.server_close()
-        assert posted == [sorted(omitted)]
+        healthy = True
+        translation_server.posts.clear()
+        result = run_cli(*argv)
+        assert result.returncode == 0, result.stderr
+        assert [[t["id"] for t in post.texts] for post in translation_server.posts] == [
+            sorted(omitted)
+        ]
         rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:])
         assert len(rows) == 18
         assert all(text == f"they {uid}" for uid, text in rows.items())

@@ -73,6 +73,29 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match="non-finite"):
             load_word2vec_text(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("1e200 -3 0", "component magnitude 1e+200 above 1e+100"),
+        ("1e-200 -1e-250 0", "largest component magnitude 1e-200 below 1e-100"),
+    ])
+    def test_out_of_range_component(self, tmp_path, row, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 3\na 1 0 0\nb {row}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}:3: {message}"
+        with pytest.raises(ValueError) as excinfo:
+            EmbeddingTable.from_mapping("t", {"a": [1.0, 0.0, 0.0], "b": row.split()})
+        assert str(excinfo.value) == f"vector for 'b': {message}"
+
+    @pytest.mark.parametrize("row", ["0 0 0", "1e100 1e-300 -1e100", "-1e-100 0 0"])
+    def test_in_range_rows_load_unchanged(self, tmp_path, row):
+        path = tmp_path / "ok.txt"
+        path.write_text(f"1 3\nb {row}\n", encoding="utf-8")
+        expected = [float(c) for c in row.split()]
+        np.testing.assert_array_equal(load_word2vec_text(path).lookup("b"), expected)
+        np.testing.assert_array_equal(EmbeddingTable.from_mapping("t", {"b": expected}).lookup("b"),
+                                      expected)
+
     def test_non_numeric_component(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 2\na x 1\n", encoding="utf-8")

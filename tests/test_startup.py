@@ -1,18 +1,17 @@
 """Start-up cost of each command path: which heavy libraries it imports.
 
 Every probe runs in a fresh interpreter, because this test process has
-already imported numpy and requests.
+already imported numpy and http.client. ``requests`` is listed so that a
+probe shows any command that still loads it.
 """
 
 import json
 import subprocess
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-HEAVY = ("numpy", "requests")
+HEAVY = ("numpy", "requests", "http.client")
 
 
 def heavy_modules_after(code: str) -> list:
@@ -75,35 +74,13 @@ def test_translation_path_commands_load_neither(tmp_path, corpus_dir):
     ) == []
 
 
-def test_http_backend_loads_requests_only(tmp_path, corpus_dir):
+def test_http_backend_loads_http_client_only(tmp_path, corpus_dir, translation_server):
     eec_dir, eec_argv = corpus_dir
     heavy_modules_after_cli(*eec_argv)
-
-    class Echo(BaseHTTPRequestHandler):
-        def do_POST(self):
-            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            body = json.dumps(
-                {"translations": [{"id": t["id"], "text": "they"} for t in payload["texts"]]}
-            ).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        assert heavy_modules_after_cli(
-            "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http",
-            "--url", f"http://127.0.0.1:{server.server_port}/translate",
-            "--out", tmp_path / "http.tsv",
-        ) == ["requests"]
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert heavy_modules_after_cli(
+        "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http",
+        "--url", translation_server.url, "--out", tmp_path / "http.tsv",
+    ) == ["http.client"]
 
 
 def test_every_public_name_and_submodule_resolves():
@@ -128,4 +105,4 @@ def test_every_public_name_and_submodule_resolves():
         "    pass\n"
         "else:\n"
         "    raise AssertionError('unknown name resolved')\n"
-    ) == ["numpy"]  # requests waits for the first HTTP fetch
+    ) == ["numpy"]  # http.client waits for the first HTTP fetch
