@@ -217,7 +217,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                         f"{path}:{lineno}: expected {dim} components, got {len(components)}"
                     )
                 try:
-                    vec = np.array([float(c) for c in components], dtype=np.float64)
+                    vec = np.array(components, dtype=np.float64)
                 except ValueError:
                     raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
                 problem = _range_error(vec)

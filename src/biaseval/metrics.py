@@ -9,6 +9,9 @@ target words.
 
 from __future__ import annotations
 
+import hashlib
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,10 @@ from .queries import QueryTemplate, ResolvedQuery
 # Gradient-descent step size and epoch count of the RNSB classifier.
 CLASSIFIER_LR = 0.1
 CLASSIFIER_EPOCHS = 500
+
+# Classifiers fitted inside the innermost open _classifier_scope, keyed by
+# both attribute matrices and the seed; None outside every scope.
+_fitted_classifiers: ContextVar[dict | None] = ContextVar("_fitted_classifiers", default=None)
 
 # Shape each metric demands; RNSB additionally accepts extra target sets.
 METRIC_TEMPLATES = {
@@ -156,6 +163,18 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
     return MetricResult(RND, float(value), rq.query_label, rq.embedding_name, diagnostics)
 
 
+@contextmanager
+def _classifier_scope():
+    """Until exit, ``train_attribute_classifier`` calls with equal attribute
+    matrices and integer seed share one fitted model. A fit that raises is
+    not kept, so every call that needs it raises again."""
+    token = _fitted_classifiers.set({})
+    try:
+        yield
+    finally:
+        _fitted_classifiers.reset(token)
+
+
 def train_attribute_classifier(attributes_1, attributes_2,
                                seed: int = DEFAULT_SEED) -> ClassifierModel:
     """Full-batch logistic regression labelling the first attribute set 1
@@ -165,6 +184,10 @@ def train_attribute_classifier(attributes_1, attributes_2,
     pseudorandom stream and updated by ``CLASSIFIER_EPOCHS`` steps of plain
     gradient descent, step size ``CLASSIFIER_LR``, on the mean cross-entropy.
     Reported ``training_loss`` is the final cross-entropy.
+
+    Each call fits a new model, except within one ``build_score_matrix``
+    call: there, calls with identical attribute matrices and seed return the
+    model the first of them fitted.
     """
     attributes_1 = np.atleast_2d(np.asarray(attributes_1, dtype=np.float64))
     attributes_2 = np.atleast_2d(np.asarray(attributes_2, dtype=np.float64))
@@ -172,6 +195,23 @@ def train_attribute_classifier(attributes_1, attributes_2,
         raise ValueError("attribute matrices must be non-empty")
     if attributes_1.shape[1] != attributes_2.shape[1]:
         raise ValueError("attribute matrices must share their dimension")
+    fitted = _fitted_classifiers.get()
+    if fitted is None or not isinstance(seed, (int, np.integer)):
+        return _fit_classifier(attributes_1, attributes_2, seed)
+    # A digest rather than the raw bytes keeps the held keys small.
+    digest = hashlib.blake2b()
+    for matrix in (attributes_1, attributes_2):
+        digest.update(np.ascontiguousarray(matrix))
+    key = (attributes_1.shape, attributes_2.shape, seed, digest.digest())
+    model = fitted.get(key)
+    if model is None:
+        model = fitted[key] = _fit_classifier(attributes_1, attributes_2, seed)
+    return model
+
+
+def _fit_classifier(attributes_1, attributes_2, seed) -> ClassifierModel:
+    """The training loop of ``train_attribute_classifier`` on two validated
+    float64 matrices."""
     x = np.vstack([attributes_1, attributes_2])
     y = np.concatenate([np.ones(len(attributes_1)), np.zeros(len(attributes_2))])
     n = len(x)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyResolutionError, VocabularyLossError
-from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB
+from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope
 from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
 
@@ -71,7 +71,8 @@ def build_score_matrix(
 
     Subqueries are expected to satisfy the metric's template already.
     Resolution failures (vocabulary loss, empty sets) leave a NaN cell and a
-    diagnostics entry; other errors propagate.
+    diagnostics entry; other errors propagate. RNSB cells with identical
+    attribute matrices share one fitted classifier for the call.
     """
     if metric not in METRIC_FUNCTIONS:
         raise ValueError(f"unknown metric '{metric}'")
@@ -83,24 +84,26 @@ def build_score_matrix(
         raise ValueError("no subqueries given")
     values = np.full((len(tables), len(subqueries)), np.nan)
     diagnostics: dict = {}
-    for i, table in enumerate(tables):
-        for j, query in enumerate(subqueries):
-            try:
-                rq = resolve_query(query, table, lost_threshold=lost_threshold)
-            except (VocabularyLossError, EmptyResolutionError) as exc:
-                diagnostics[(table.name, query.label)] = {"missing": str(exc)}
-                continue
-            if metric == RNSB:
-                result = METRIC_FUNCTIONS[metric](rq, seed)
-            else:
-                result = METRIC_FUNCTIONS[metric](rq)
-            values[i, j] = result.value
-            cell = dict(result.diagnostics)
-            dropped = {s.name: list(s.dropped) for s in rq.targets + rq.attributes if s.dropped}
-            if dropped:
-                cell["dropped"] = dropped
-            if cell:
-                diagnostics[(table.name, query.label)] = cell
+    with _classifier_scope():
+        for i, table in enumerate(tables):
+            for j, query in enumerate(subqueries):
+                try:
+                    rq = resolve_query(query, table, lost_threshold=lost_threshold)
+                except (VocabularyLossError, EmptyResolutionError) as exc:
+                    diagnostics[(table.name, query.label)] = {"missing": str(exc)}
+                    continue
+                if metric == RNSB:
+                    result = METRIC_FUNCTIONS[metric](rq, seed)
+                else:
+                    result = METRIC_FUNCTIONS[metric](rq)
+                values[i, j] = result.value
+                cell = dict(result.diagnostics)
+                sets = rq.targets + rq.attributes
+                dropped = {s.name: list(s.dropped) for s in sets if s.dropped}
+                if dropped:
+                    cell["dropped"] = dropped
+                if cell:
+                    diagnostics[(table.name, query.label)] = cell
     return ScoreMatrix(
         metric, [t.name for t in tables], [q.label for q in subqueries], values, diagnostics
     )

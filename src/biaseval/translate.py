@@ -186,7 +186,8 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
     may be in flight concurrently up to ``cfg.max_in_flight``; results are
     merged in corpus order regardless of completion order. The
     ``BIASEVAL_HTTP_AUTH`` environment variable, when set, is forwarded as the
-    Authorization header.
+    Authorization header; a value with a control character or a character
+    outside Latin-1 is rejected before any request, without quoting it.
 
     Each worker thread keeps one keep-alive connection to the URL's host
     (``https`` verifies against the system CA store). Connections are closed
@@ -212,6 +213,9 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
     auth = os.environ.get(AUTH_ENV_VAR)
     headers = {"Content-Type": "application/json"}
     if auth:
+        # Checked here, not by http.client, whose errors quote the value.
+        if not all(" " <= c <= "\xff" and c != "\x7f" for c in auth):
+            raise ValueError(f"{AUTH_ENV_VAR} must be Latin-1 text without control characters")
         headers["Authorization"] = auth
     local = threading.local()
     opened = []

@@ -34,6 +34,24 @@ def make_resolved_query(targets, attributes, label="q", embedding="toy"):
 
 
 @pytest.fixture
+def classifier_fits(monkeypatch):
+    """The seed of each RNSB classifier fit, in call order, a fit that raises
+    included; ``train_attribute_classifier`` calls that reuse a model add
+    nothing."""
+    from biaseval import metrics
+
+    fit = metrics._fit_classifier
+    seeds = []
+
+    def counted(attributes_1, attributes_2, seed):
+        seeds.append(seed)
+        return fit(attributes_1, attributes_2, seed)
+
+    monkeypatch.setattr(metrics, "_fit_classifier", counted)
+    return seeds
+
+
+@pytest.fixture
 def toy_table():
     return EmbeddingTable.from_mapping(
         "toy",

@@ -271,6 +271,29 @@ class TestTranslateCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("auth", ["Bearer s3cret\nX: y", "Bearer s3cret\t", "Bearer s3cret€",
+                                      "Bearer s3cret\x7f"])
+    def test_bad_auth_value_exits_2_before_any_request_without_echoing_it(
+        self, tmp_path, capsys, lexicon_files, monkeypatch, translation_server, auth
+    ):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        monkeypatch.setenv("BIASEVAL_HTTP_AUTH", auth)
+        out = tmp_path / "out.tsv"
+        code = cli.main([
+            "translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", "http",
+            "--url", translation_server.url, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: BIASEVAL_HTTP_AUTH must be Latin-1 text without control characters"
+        ]
+        assert "s3cret" not in err
+        assert translation_server.posts == []
+        assert not out.exists()
+
 
 class TestTgbiCommand:
     def test_all_neutral_reports_one(self, tmp_path, lexicon_files):

@@ -102,6 +102,29 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match="non-numeric"):
             load_word2vec_text(path)
 
+    # A component parses exactly when Python's float() accepts it.
+    @pytest.mark.parametrize("component,expected", [
+        ("1_0", 10.0), ("١", 1.0), ("1e-400", 0.0), ("-0", -0.0), ("+.5E+1", 5.0),
+    ])
+    def test_float_syntax_accepted(self, tmp_path, component, expected):
+        path = tmp_path / "ok.txt"
+        path.write_text(f"1 2\na {component} 1\n", encoding="utf-8")
+        got = load_word2vec_text(path).lookup("a")
+        assert got.tobytes() == np.array([expected, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("component,message", [
+        ("infinity", "non-finite component"), ("1e500", "non-finite component"),
+        ("", "non-numeric component"), ("0x10", "non-numeric component"),
+        ("−1", "non-numeric component"), ("1d5", "non-numeric component"),
+        ("#1", "non-numeric component"),
+    ])
+    def test_float_syntax_rejected(self, tmp_path, component, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 2\na {component} 1\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}:2: {message}"
+
     def test_empty_vocabulary(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 3\n", encoding="utf-8")

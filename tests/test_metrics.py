@@ -27,6 +27,7 @@ from biaseval.metrics import (
     CLASSIFIER_LR,
     METRIC_FUNCTIONS,
     METRIC_TEMPLATES,
+    _classifier_scope,
     _sigmoid,
     fractional_ranks,
 )
@@ -228,6 +229,73 @@ class TestClassifier:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             train_attribute_classifier([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+
+class TestClassifierScope:
+    """Inside ``_classifier_scope`` equal attribute matrices and seed share one
+    fit; outside it every call fits."""
+
+    def test_direct_calls_fit_every_time(self, classifier_fits):
+        rng = np.random.default_rng(9)
+        a1, a2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        first = train_attribute_classifier(a1, a2, seed=4)
+        second = train_attribute_classifier(a1, a2, seed=4)
+        assert first is not second
+        rq = random_resolved_query(rng)
+        assert rnsb(rq, seed=4).value == rnsb(rq, seed=4).value
+        assert classifier_fits == [4, 4, 4, 4]
+
+    def test_equal_matrices_and_seed_share_one_model(self, classifier_fits):
+        rng = np.random.default_rng(9)
+        a1, a2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        with _classifier_scope():
+            first = train_attribute_classifier(a1, a2, seed=4)
+            # an equal copy in another layout, as another table would hold it
+            again = train_attribute_classifier(np.asfortranarray(a1), a2.tolist(), seed=4)
+            other_seed = train_attribute_classifier(a1, a2, seed=5)
+            other_values = train_attribute_classifier(a1 + 1.0, a2, seed=4)
+            swapped = train_attribute_classifier(a2, a1, seed=4)
+        assert again is first
+        assert classifier_fits == [4, 5, 4, 4]
+        assert len({id(m) for m in (first, other_seed, other_values, swapped)}) == 4
+
+    @pytest.mark.parametrize("seed", [None, [1, 2]])
+    def test_non_integer_seed_fits_every_time(self, classifier_fits, seed):
+        # default_rng(None) draws fresh entropy, and a list is unhashable.
+        with _classifier_scope():
+            train_attribute_classifier([[1.0, 0.0]], [[0.0, 1.0]], seed=seed)
+            train_attribute_classifier([[1.0, 0.0]], [[0.0, 1.0]], seed=seed)
+        assert classifier_fits == [seed, seed]
+
+    def test_scope_ends_on_exit(self, classifier_fits):
+        a1, a2 = [[1.0, 0.0]], [[0.0, 1.0]]
+        for _ in range(2):
+            with _classifier_scope():
+                train_attribute_classifier(a1, a2)
+                train_attribute_classifier(a1, a2)
+        train_attribute_classifier(a1, a2)
+        assert len(classifier_fits) == 3
+
+    def test_failed_fit_is_not_kept(self, classifier_fits):
+        a1, a2 = [[1e200, 0.0]], [[1e200, 0.0], [1e200, 0.0]]
+        with _classifier_scope():
+            for _ in range(2):
+                with pytest.raises(DivergenceError, match="training diverged"):
+                    train_attribute_classifier(a1, a2)
+            with pytest.raises(ValueError, match="must share their dimension"):
+                train_attribute_classifier([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+        assert len(classifier_fits) == 2
+
+    def test_shared_model_has_the_bits_of_a_fresh_fit(self):
+        rng = np.random.default_rng(29)
+        a1, a2 = rng.normal(size=(12, 300)), rng.normal(size=(12, 300))
+        fresh = train_attribute_classifier(a1, a2, seed=5)
+        with _classifier_scope():
+            train_attribute_classifier(a1, a2, seed=5)
+            shared = train_attribute_classifier(a1.copy(), a2.copy(), seed=5)
+        assert shared.weights.tobytes() == fresh.weights.tobytes()
+        assert shared.bias.hex() == fresh.bias.hex()
+        assert shared.training_loss.hex() == fresh.training_loss.hex()
 
 
 def two_branch_sigmoid(z):

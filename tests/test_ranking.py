@@ -13,8 +13,10 @@ from biaseval import (
     rank_embeddings,
     render_rank_table,
     resolve_query,
+    rnsb,
     weat,
 )
+from biaseval import metrics
 from biaseval.metrics import METRIC_NAMES
 from biaseval.ranking import (
     RankTable,
@@ -99,6 +101,56 @@ class TestBuildScoreMatrix:
         )
         matrix = build_score_matrix("WEAT", [table], [query])
         assert matrix.diagnostics[("e1", "lossy")]["dropped"] == {"t2": ["gone"]}
+
+
+def rnsb_subquery(label, target_start, attribute_start):
+    t = TOKENS[target_start : target_start + 4]
+    a = TOKENS[attribute_start : attribute_start + 4]
+    return Query(
+        targets=(WordSet("t1", t[:2]), WordSet("t2", t[2:])),
+        attributes=(WordSet("a1", a[:2]), WordSet("a2", a[2:])),
+        label=label,
+    )
+
+
+class TestRnsbClassifierReuse:
+    """Within one build_score_matrix call, RNSB cells whose attribute
+    matrices and seed are equal share one fitted classifier."""
+
+    # sq0 and sq1 share their attribute pair; sq2 has its own.
+    SUBQUERIES = [rnsb_subquery("sq0", 0, 8), rnsb_subquery("sq1", 2, 8),
+                  rnsb_subquery("sq2", 0, 6)]
+
+    def test_shared_attribute_pair_fits_once(self, classifier_fits, monkeypatch):
+        models = []
+        train = metrics.train_attribute_classifier
+
+        def spy(*args):
+            models.append(train(*args))
+            return models[-1]
+
+        monkeypatch.setattr(metrics, "train_attribute_classifier", spy)
+        table = make_table("e1", 1, TOKENS)
+        matrix = build_score_matrix("RNSB", [table], self.SUBQUERIES, seed=3)
+        assert classifier_fits == [3, 3]
+        assert models[0] is models[1]
+        assert models[2] is not models[0]
+        for j, query in enumerate(self.SUBQUERIES):
+            assert matrix.values[0, j] == rnsb(resolve_query(query, table), seed=3).value
+
+    def test_tables_fit_apart_unless_their_vectors_are_equal(self, classifier_fits):
+        tables = [make_table("e1", 1, TOKENS), make_table("e2", 2, TOKENS),
+                  make_table("e1-copy", 1, TOKENS)]
+        matrix = build_score_matrix("RNSB", tables, self.SUBQUERIES)
+        assert len(classifier_fits) == 4
+        assert matrix.values[2].tobytes() == matrix.values[0].tobytes()
+
+    def test_each_call_fits_again(self, classifier_fits):
+        tables = [make_table("e1", 1, TOKENS)]
+        first = build_score_matrix("RNSB", tables, self.SUBQUERIES)
+        second = build_score_matrix("RNSB", tables, self.SUBQUERIES)
+        assert len(classifier_fits) == 4
+        assert first.values.tobytes() == second.values.tobytes()
 
 
 class TestAggregateRows:
