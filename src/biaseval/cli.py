@@ -344,11 +344,15 @@ def _check_templates(queries, metrics) -> None:
 
 def _embedding_inputs(args) -> argparse.Namespace:
     """Output directory, embedding tables and queries of a ``metrics`` or
-    ``rank`` run; each input file is hashed once here, however many reports
-    cite it."""
+    ``rank`` run, after ``--seed`` and ``--lost-threshold`` are range-checked;
+    each input file is hashed once here, however many reports cite it."""
     from .embeddings import load_word2vec_text
     from .queries import load_queries
 
+    if args.seed < 0:
+        raise ValueError("seed (--seed) must be a non-negative integer")
+    if not 0 <= args.lost_threshold <= 1:  # also rejects NaN
+        raise ValueError("lost_threshold (--lost-threshold) must lie in [0, 1]")
     out_dir = _out_dir(args.out_dir)
     tables, inputs = [], {}
     for spec in args.embeddings:

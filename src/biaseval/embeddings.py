@@ -25,6 +25,12 @@ from .names import DEFAULT_LOST_THRESHOLD, nfc
 MAX_COMPONENT = 1e100
 MIN_COMPONENT = 1e-100
 
+# Rows per call to numpy's C reader in load_word2vec_text.
+CHUNK_ROWS = 256
+# Characters numpy's C reader strips around a number as whitespace and
+# float() refuses; a chunk holding one is parsed row by row.
+_C_READER_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
 __all__ = [
     "EmbeddingTable",
     "WordResolution",
@@ -81,10 +87,10 @@ class EmbeddingTable:
     fold_case_default: bool = True
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
         if not self.entries:
             raise ValueError(f"embedding table '{self.name}' is empty")
+        if self.dim <= 0:
+            raise ValueError("dim must be positive")
 
     @classmethod
     def from_mapping(cls, name, mapping, fold_case_default=None) -> "EmbeddingTable":
@@ -92,6 +98,8 @@ class EmbeddingTable:
         entries: dict[str, np.ndarray] = {}
         dim = 0
         for token, components in mapping.items():
+            if not token:
+                raise ValueError("empty token")
             vec = np.asarray(components, dtype=np.float64).copy()
             if vec.ndim != 1:
                 raise ValueError(f"vector for {token!r} is not one-dimensional")
@@ -189,10 +197,17 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     UTF-8 with or without a byte-order mark; trailing spaces, as the
     word2vec C tool writes, are ignored. Duplicate tokens keep the first
     occurrence and are reported through a warning.
+
+    Rows are parsed in chunks of ``CHUNK_ROWS`` by numpy's C reader; a chunk
+    it refuses is parsed row by row as ``float()`` would, which accepts a
+    superset of the reader's syntax with the same bits. Every row is
+    checked, and an error names the first bad row's ``file:line``.
     """
     path = Path(path)
     entries: dict[str, np.ndarray] = {}
-    duplicates = 0
+    rows_read = 0
+    chunk: list[tuple[int, str, str]] = []  # (line number, token, components)
+    problem = None
     try:
         with path.open(encoding="utf-8-sig") as handle:
             header = handle.readline().strip()
@@ -210,33 +225,31 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                 line = raw.rstrip("\r\n")
                 if not line:
                     continue
-                parts = line.rstrip(" ").split(" ")
-                token, components = parts[0], parts[1:]
-                if len(components) != dim:
-                    raise EmbeddingFormatError(
-                        f"{path}:{lineno}: expected {dim} components, got {len(components)}"
-                    )
-                try:
-                    vec = np.array(components, dtype=np.float64)
-                except ValueError:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-                problem = _range_error(vec)
-                if problem:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
-                key = nfc(token)
-                if key in entries:
-                    duplicates += 1
-                    continue
-                vec.flags.writeable = False
-                entries[key] = vec
+                line = line.rstrip(" ")
+                found = line.count(" ")
+                if found != dim:
+                    problem = f"{path}:{lineno}: expected {dim} components, got {found}"
+                    break
+                token, _, components = line.partition(" ")
+                if not token:
+                    problem = f"{path}:{lineno}: empty token"
+                    break
+                chunk.append((lineno, token, components))
+                rows_read += 1
+                if len(chunk) == CHUNK_ROWS:
+                    _keep_rows(entries, path, chunk, dim)
+                    chunk = []
     except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        problem = f"{path}: not UTF-8 text ({exc.reason})"
+    if chunk:  # checked before the problem below, which lies further on
+        _keep_rows(entries, path, chunk, dim)
+    if problem:
+        raise EmbeddingFormatError(problem)
     if not entries:
         raise EmbeddingFormatError(f"{path}: empty vocabulary")
-    if len(entries) + duplicates != count:
-        raise EmbeddingFormatError(
-            f"{path}: header declares {count} rows, read {len(entries) + duplicates}"
-        )
+    if rows_read != count:
+        raise EmbeddingFormatError(f"{path}: header declares {count} rows, read {rows_read}")
+    duplicates = rows_read - len(entries)
     if duplicates:
         warnings.warn(
             f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
@@ -248,6 +261,49 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
         entries=entries,
         fold_case_default=not _mostly_devanagari(entries),
     )
+
+
+def _keep_rows(entries: dict, path, chunk, dim: int) -> None:
+    """Parse and check a chunk of rows, then store each row whose NFC token
+    is new under that token."""
+    for (_lineno, token, _components), vec in zip(chunk, _parse_chunk(path, chunk, dim)):
+        entries.setdefault(nfc(token), vec)
+
+
+def _parse_chunk(path, chunk, dim: int):
+    """Read-only vectors of a chunk of rows, parsed in one call to numpy's C
+    reader when it accepts every row and every row is in range; otherwise
+    row by row, which raises at the first bad row."""
+    texts = [components for _lineno, _token, components in chunk]
+    if any(sep in text for text in texts for sep in _C_READER_ONLY_SPACES):
+        return _parse_rows_exactly(path, chunk)
+    try:
+        block = np.loadtxt(texts, delimiter=" ", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return _parse_rows_exactly(path, chunk)
+    peaks = np.abs(block).max(axis=1)  # NaN where a row holds one
+    in_range = (peaks <= MAX_COMPONENT) & ((peaks >= MIN_COMPONENT) | (peaks == 0.0))
+    if block.shape != (len(chunk), dim) or not in_range.all():
+        return _parse_rows_exactly(path, chunk)
+    block.flags.writeable = False
+    return block
+
+
+def _parse_rows_exactly(path, chunk) -> list[np.ndarray]:
+    """Read-only vectors of rows parsed one by one with ``float()``'s syntax;
+    the first row that does not parse or is out of range raises."""
+    vectors = []
+    for lineno, _token, components in chunk:
+        try:
+            vec = np.array(components.split(" "), dtype=np.float64)
+        except ValueError:
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
+        problem = _range_error(vec)
+        if problem:
+            raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
+        vec.flags.writeable = False
+        vectors.append(vec)
+    return vectors
 
 
 def cosine(u, v) -> float:

@@ -186,8 +186,8 @@ def train_attribute_classifier(attributes_1, attributes_2,
     Reported ``training_loss`` is the final cross-entropy.
 
     Each call fits a new model, except within one ``build_score_matrix``
-    call: there, calls with identical attribute matrices and seed return the
-    model the first of them fitted.
+    call: there, calls with identical attribute matrices and seed return one
+    model, fitted either by the first of them or ahead of them in a stack.
     """
     attributes_1 = np.atleast_2d(np.asarray(attributes_1, dtype=np.float64))
     attributes_2 = np.atleast_2d(np.asarray(attributes_2, dtype=np.float64))
@@ -198,45 +198,98 @@ def train_attribute_classifier(attributes_1, attributes_2,
     fitted = _fitted_classifiers.get()
     if fitted is None or not isinstance(seed, (int, np.integer)):
         return _fit_classifier(attributes_1, attributes_2, seed)
-    # A digest rather than the raw bytes keeps the held keys small.
-    digest = hashlib.blake2b()
-    for matrix in (attributes_1, attributes_2):
-        digest.update(np.ascontiguousarray(matrix))
-    key = (attributes_1.shape, attributes_2.shape, seed, digest.digest())
+    key = _classifier_key(attributes_1, attributes_2, seed)
     model = fitted.get(key)
     if model is None:
         model = fitted[key] = _fit_classifier(attributes_1, attributes_2, seed)
     return model
 
 
+def _classifier_key(attributes_1, attributes_2, seed) -> tuple:
+    """Memo key of a fit: both shapes, the seed and a digest of both
+    matrices; a digest rather than the raw bytes keeps the held keys small."""
+    digest = hashlib.blake2b()
+    for matrix in (attributes_1, attributes_2):
+        digest.update(np.ascontiguousarray(matrix))
+    return (attributes_1.shape, attributes_2.shape, seed, digest.digest())
+
+
+def _prefit_classifiers(attribute_pairs, seed) -> None:
+    """Fit into the open ``_classifier_scope`` the classifiers it lacks for
+    these pairs of validated float64 attribute matrices, one stacked descent
+    per pair of shapes.
+
+    A model that diverges is not kept, nor is any model of a stack in which
+    numpy meets a floating-point event it would report: the call that needs
+    such a model fits it alone, with the warnings and error it always had.
+    """
+    fitted = _fitted_classifiers.get()
+    if fitted is None or not isinstance(seed, (int, np.integer)):
+        return
+    stacks: dict[tuple, dict] = {}
+    for attributes_1, attributes_2 in attribute_pairs:
+        key = _classifier_key(attributes_1, attributes_2, seed)
+        if key not in fitted:
+            stacks.setdefault(key[:2], {})[key] = (attributes_1, attributes_2, seed)
+    reported = {event: "ignore" if how == "ignore" else "raise"
+                for event, how in np.geterr().items()}
+    for problems in stacks.values():
+        try:
+            with np.errstate(**reported):
+                models = _fit_classifiers(list(problems.values()))
+        except FloatingPointError:
+            continue
+        for key, model in zip(problems, models):
+            if model is not None:
+                fitted[key] = model
+
+
 def _fit_classifier(attributes_1, attributes_2, seed) -> ClassifierModel:
-    """The training loop of ``train_attribute_classifier`` on two validated
-    float64 matrices."""
-    x = np.vstack([attributes_1, attributes_2])
-    y = np.concatenate([np.ones(len(attributes_1)), np.zeros(len(attributes_2))])
-    n = len(x)
-    rng = np.random.default_rng(seed)
-    weights = rng.normal(0.0, 0.01, size=x.shape[1])
-    bias = 0.0
-    for _ in range(CLASSIFIER_EPOCHS):
-        residual = _sigmoid(x @ weights + bias) - y
-        weights = weights - CLASSIFIER_LR * (x.T @ residual / n)
-        bias = bias - CLASSIFIER_LR * float(residual.sum() / n)
-    p = _sigmoid(x @ weights + bias)
-    # 0*log(0) is treated as 0, so a perfectly saturated correct fit has
-    # loss 0 while a saturated misfit goes non-finite.
-    with np.errstate(divide="ignore"):
-        log_likelihood = np.empty_like(p)
-        positive = y == 1
-        log_likelihood[positive] = np.log(p[positive])
-        log_likelihood[~positive] = np.log1p(-p[~positive])
-    loss = -float(np.mean(log_likelihood))
-    if not (np.isfinite(loss) and np.isfinite(weights).all() and np.isfinite(bias)):
+    """The training of ``train_attribute_classifier`` on two validated
+    float64 matrices: a stack of one."""
+    (model,) = _fit_classifiers([(attributes_1, attributes_2, seed)])
+    if model is None:
         raise DivergenceError(
             f"training diverged (non-finite loss after {CLASSIFIER_EPOCHS} epochs)"
         )
+    return model
+
+
+def _fit_classifiers(problems) -> list[ClassifierModel | None]:
+    """One model per ``(attributes_1, attributes_2, seed)`` problem, all of
+    equal shapes, trained in one gradient descent over the stacked problems;
+    None for a model whose loss or parameters end non-finite.
+
+    Each model has the bits of a descent run on its problem alone: every
+    product is one matrix-vector product per problem and every sum runs
+    along one problem's row.
+    """
+    n_first = len(problems[0][0])
+    x = np.stack([np.vstack([attributes_1, attributes_2])
+                  for attributes_1, attributes_2, _seed in problems])
+    n = x.shape[1]
+    y = np.concatenate([np.ones(n_first), np.zeros(n - n_first)])
+    weights = np.stack([np.random.default_rng(seed).normal(0.0, 0.01, size=x.shape[2])
+                        for _a1, _a2, seed in problems])
+    bias = np.zeros(len(problems))
+    for _ in range(CLASSIFIER_EPOCHS):
+        residual = _sigmoid(np.matmul(x, weights[:, :, None])[:, :, 0] + bias[:, None]) - y
+        weights = weights - CLASSIFIER_LR * (np.matmul(residual[:, None, :], x)[:, 0] / n)
+        bias = bias - CLASSIFIER_LR * (residual.sum(axis=1) / n)
+    p = _sigmoid(np.matmul(x, weights[:, :, None])[:, :, 0] + bias[:, None])
+    # 0*log(0) is treated as 0, so a perfectly saturated correct fit has
+    # loss 0 while a saturated misfit goes non-finite.
+    with np.errstate(divide="ignore"):
+        log_likelihood = np.concatenate(
+            [np.log(p[:, :n_first]), np.log1p(-p[:, n_first:])], axis=1
+        )
+    losses = -log_likelihood.mean(axis=1)
     weights.flags.writeable = False
-    return ClassifierModel(weights, float(bias), loss)
+    return [
+        ClassifierModel(w, float(b), float(loss))
+        if np.isfinite(loss) and np.isfinite(w).all() and np.isfinite(b) else None
+        for w, b, loss in zip(weights, bias, losses)
+    ]
 
 
 def kl_from_uniform(p) -> float:

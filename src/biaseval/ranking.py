@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyResolutionError, VocabularyLossError
-from .metrics import METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope
+from .metrics import (METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope,
+                      _prefit_classifiers)
 from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
-from .queries import expand_subqueries, resolve_query
+from .queries import ResolvedQuery, expand_subqueries, resolve_query
 
 __all__ = [
     "AGGREGATIONS",
@@ -84,13 +85,25 @@ def build_score_matrix(
         raise ValueError("no subqueries given")
     values = np.full((len(tables), len(subqueries)), np.nan)
     diagnostics: dict = {}
+    # Per attribute pair, the first RNSB cell that uses it: in each table
+    # these cells are resolved first, and their classifiers fitted in stacks.
+    lead_cells: dict = {}
+    if metric == RNSB:
+        for j, query in enumerate(subqueries):
+            lead_cells.setdefault(query.attributes, j)
     with _classifier_scope():
         for i, table in enumerate(tables):
+            held = {j: _resolve(subqueries[j], table, lost_threshold)
+                    for j in lead_cells.values()}
+            _prefit_classifiers(
+                [tuple(a.matrix for a in rq.attributes) for rq in held.values()
+                 if isinstance(rq, ResolvedQuery) and len(rq.attributes) == 2],
+                seed,
+            )
             for j, query in enumerate(subqueries):
-                try:
-                    rq = resolve_query(query, table, lost_threshold=lost_threshold)
-                except (VocabularyLossError, EmptyResolutionError) as exc:
-                    diagnostics[(table.name, query.label)] = {"missing": str(exc)}
+                rq = held.pop(j) if j in held else _resolve(query, table, lost_threshold)
+                if not isinstance(rq, ResolvedQuery):
+                    diagnostics[(table.name, query.label)] = {"missing": str(rq)}
                     continue
                 if metric == RNSB:
                     result = METRIC_FUNCTIONS[metric](rq, seed)
@@ -107,6 +120,15 @@ def build_score_matrix(
     return ScoreMatrix(
         metric, [t.name for t in tables], [q.label for q in subqueries], values, diagnostics
     )
+
+
+def _resolve(query, table, lost_threshold):
+    """The query resolved against the table, or the resolution error that
+    makes its cell missing."""
+    try:
+        return resolve_query(query, table, lost_threshold=lost_threshold)
+    except (VocabularyLossError, EmptyResolutionError) as exc:
+        return exc
 
 
 def aggregate_rows(matrix: ScoreMatrix, agg: str = "abs_mean"):

@@ -35,19 +35,19 @@ def make_resolved_query(targets, attributes, label="q", embedding="toy"):
 
 @pytest.fixture
 def classifier_fits(monkeypatch):
-    """The seed of each RNSB classifier fit, in call order, a fit that raises
-    included; ``train_attribute_classifier`` calls that reuse a model add
-    nothing."""
+    """The seed of each RNSB classifier fitted, one entry per model of a
+    stacked fit, in call order, a fit that diverges or raises included;
+    ``train_attribute_classifier`` calls that reuse a model add nothing."""
     from biaseval import metrics
 
-    fit = metrics._fit_classifier
+    fit = metrics._fit_classifiers
     seeds = []
 
-    def counted(attributes_1, attributes_2, seed):
-        seeds.append(seed)
-        return fit(attributes_1, attributes_2, seed)
+    def counted(problems):
+        seeds.extend(seed for _attributes_1, _attributes_2, seed in problems)
+        return fit(problems)
 
-    monkeypatch.setattr(metrics, "_fit_classifier", counted)
+    monkeypatch.setattr(metrics, "_fit_classifiers", counted)
     return seeds
 
 

@@ -639,6 +639,78 @@ class TestOutOfRangeVector:
         assert capsys.readouterr().err.splitlines() == [f"error: {emb_a}:{lineno}: {message}"]
 
 
+class TestSeedAndLostThreshold:
+    """Out-of-range --seed and --lost-threshold exit 2 with one line naming
+    the flag, before any input is read."""
+
+    SEED = "seed (--seed) must be a non-negative integer"
+    THRESHOLD = "lost_threshold (--lost-threshold) must lie in [0, 1]"
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    @pytest.mark.parametrize("key,flag,value,message", [
+        ("seed", "--seed", -1, SEED),
+        ("lost_threshold", "--lost-threshold", 2, THRESHOLD),
+        ("lost_threshold", "--lost-threshold", -0.5, THRESHOLD),
+        ("lost_threshold", "--lost-threshold", float("nan"), THRESHOLD),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_range_error_names_the_flag(self, tmp_path, capsys, command, key, flag, value,
+                                        message, source):
+        from biaseval import cli
+
+        out = tmp_path / "out"
+        argv = [command, "--embedding", f"a={tmp_path / 'missing.txt'}",
+                "--queries", str(tmp_path / "missing.json"), "--metric", "WEAT",
+                "--out-dir", str(out)]
+        if source == "flag":
+            argv += [flag, str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--seed", "0"], ["--lost-threshold", "0"],
+                                      ["--lost-threshold", "1"]])
+    def test_bounds_are_accepted(self, tmp_path, embedding_files, query_file, argv):
+        emb_a, _ = embedding_files
+        result = run_cli("metrics", "--embedding", f"a={emb_a}", "--queries", query_file,
+                         "--out-dir", tmp_path / "out", *argv)
+        assert result.returncode == 0, result.stderr
+
+
+class TestDivergingClassifier:
+    """A classifier that diverges fails the run as it always has, with one
+    error line and nothing else on stderr, however its fit was batched."""
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, command):
+        import numpy as np
+
+        from biaseval import cli
+
+        rng = np.random.default_rng(5)
+        words = ["she", "her", "he", "him", "c1", "c2", "f1", "f2", "s1", "s2", "a1", "a2"]
+        vectors = {w: rng.normal(size=4) for w in words}
+        vectors["a1"], vectors["a2"] = vectors["a1"] * 1e90, vectors["a2"] * 1e90
+        emb = write_w2v(tmp_path / "emb.txt", vectors)
+        sets = {name: {"name": name, "words": [f"{name[0]}1", f"{name[0]}2"]}
+                for name in ("career", "family", "science", "art")}
+        queries = [{"label": "q", "targets": [{"name": "fem", "words": ["she", "her"]},
+                                              {"name": "mas", "words": ["he", "him"]}],
+                    "attributes": list(sets.values())}]
+        query_path = tmp_path / "q.json"
+        query_path.write_text(json.dumps(queries), encoding="utf-8")
+        code = cli.main([command, "--embedding", f"e={emb}", "--queries", str(query_path),
+                         "--metric", "RNSB", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged (non-finite loss after 500 epochs)"
+        ]
+
+
 class TestDeterminism:
     def test_eec_outputs_byte_identical(self, tmp_path, lexicon_files):
         occ, pos, neg = lexicon_files

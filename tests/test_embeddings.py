@@ -1,9 +1,15 @@
+import contextlib
 import struct
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from biaseval import EmbeddingTable, cosine, load_word2vec_text
+from biaseval import EmbeddingTable, cosine, embeddings, load_word2vec_text
 from biaseval.errors import (
     EmbeddingFormatError,
     EmptyResolutionError,
@@ -125,6 +131,65 @@ class TestLoader:
             load_word2vec_text(path)
         assert str(excinfo.value) == f"{path}:2: {message}"
 
+    def test_empty_token(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\na 1 0\n 0 1\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}:3: empty token"
+        with pytest.raises(ValueError, match="^empty token$"):
+            EmbeddingTable.from_mapping("t", {"a": [1.0, 0.0], "": [0.0, 1.0]})
+
+    def test_empty_mapping_names_the_table(self):
+        with pytest.raises(ValueError, match="^embedding table 't' is empty$"):
+            EmbeddingTable.from_mapping("t", {})
+
+    # Each bad row as (row, message); all of them share one chunk.
+    BAD_ROWS = [("b 1e200 0", "component magnitude 1e+200 above 1e+100"),
+                ("c x 0", "non-numeric component"),
+                ("d 1 0 0", "expected 2 components, got 3"),
+                (" 1 0", "empty token"),
+                ("e 1\x1c 0", "non-numeric component")]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("first", range(len(BAD_ROWS)))
+    def test_first_bad_row_of_a_chunk_is_reported(self, tmp_path, first, reverse):
+        others = [row for i, row in enumerate(self.BAD_ROWS) if i != first]
+        rows = [self.BAD_ROWS[first]] + (others[::-1] if reverse else others)
+        path = tmp_path / "bad.txt"
+        path.write_text("7 2\na 1 0\n" + "\n".join(row for row, _ in rows) + "\nz 0 1\n",
+                        encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}:3: {rows[0][1]}"
+
+    def test_plain_decimals_never_take_the_row_by_row_path(self, tmp_path, monkeypatch):
+        exact_rows = []
+        parse = embeddings._parse_rows_exactly
+
+        def spy(path, chunk):
+            exact_rows.extend(lineno for lineno, _token, _components in chunk)
+            return parse(path, chunk)
+
+        monkeypatch.setattr(embeddings, "_parse_rows_exactly", spy)
+        rng = np.random.default_rng(3)
+        rows = 2 * embeddings.CHUNK_ROWS + 5
+        values = rng.normal(0.0, 0.25, size=(rows, 6)).round(6)
+        values[7] = 0.0  # an all-zero row is in range
+        lines = [f"w{i} " + " ".join(f"{v:.6f}" for v in row) for i, row in enumerate(values)]
+        path = tmp_path / "plain.txt"
+        path.write_text(f"{rows} 6\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        table = load_word2vec_text(path)
+        assert exact_rows == []
+        for i, row in enumerate(values):
+            assert table.lookup(f"w{i}").tobytes() == np.array(
+                [float(f"{v:.6f}") for v in row]).tobytes()
+        # A row only float() reads sends its chunk, and that chunk alone, row by row.
+        lines[3] = "w3 1_0 " + " ".join(["0"] * 5)
+        path.write_text(f"{rows} 6\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        assert load_word2vec_text(path).lookup("w3")[0] == 10.0
+        assert exact_rows == list(range(2, 2 + embeddings.CHUNK_ROWS))
+
     def test_empty_vocabulary(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 3\n", encoding="utf-8")
@@ -153,6 +218,58 @@ class TestLoader:
         table = load_word2vec_text(path)
         with pytest.raises(ValueError):
             table.lookup("a")[0] = 5.0
+
+
+# Components that the C reader and float() both read, that only float()
+# reads, and that neither reads or that are out of range.
+PLAIN = st.floats(-9.0, 9.0).map("{:.6f}".format)
+FLOAT_ONLY = st.sampled_from(["1_0", "١", "٣.٥", "\u30001", "2\xa0", "\x0c-3", "\u2028.5",
+                              "1_0e-1_0", "\u0b6b"])
+BAD = st.sampled_from(["x", "1\x1c", "\x1f2", "nan", "-inf", "1e200", "1e-200", "1__0", "\x00"])
+
+
+def float_reference(lines):
+    """Vectors by token of rows parsed one by one with float(), or the error
+    text the loader should give after the file name."""
+    entries = {}
+    for lineno, line in enumerate(lines, start=2):
+        token, *components = line.split(" ")
+        try:
+            vec = np.array([float(c) for c in components])
+        except ValueError:
+            return f"{lineno}: non-numeric component"
+        problem = embeddings._range_error(vec)
+        if problem:
+            return f"{lineno}: {problem}"
+        entries.setdefault(token, vec)
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(2, 4), st.integers(1, 9))
+def test_chunked_parse_matches_float_row_by_row(data, dim, chunk_rows, n_rows):
+    """Rows of plain decimals mixed with float()-only syntax and bad
+    components, across chunk boundaries, give float()'s bytes and errors."""
+    kinds = [PLAIN, FLOAT_ONLY]
+    if data.draw(st.booleans(), label="with bad components"):
+        kinds = [PLAIN, PLAIN, PLAIN, FLOAT_ONLY, BAD]
+    components = st.lists(st.one_of(*kinds), min_size=dim, max_size=dim)
+    lines = [f"w{data.draw(st.integers(0, n_rows))} " + " ".join(data.draw(components))
+             for _ in range(n_rows)]
+    expected = float_reference(lines)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(embeddings, "CHUNK_ROWS",
+                                                                 chunk_rows):
+        path = Path(tmp) / "emb.txt"
+        path.write_text(f"{n_rows} {dim}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        if isinstance(expected, str):
+            with pytest.raises(EmbeddingFormatError) as excinfo:
+                load_word2vec_text(path)
+            assert str(excinfo.value) == f"{path}:{expected}"
+        else:
+            with pytest.warns() if len(expected) < n_rows else contextlib.nullcontext():
+                table = load_word2vec_text(path)
+            assert {t: table.lookup(t).tobytes() for t in expected} == {
+                t: v.tobytes() for t, v in expected.items()}
 
 
 class TestLookup:

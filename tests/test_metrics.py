@@ -28,6 +28,7 @@ from biaseval.metrics import (
     METRIC_FUNCTIONS,
     METRIC_TEMPLATES,
     _classifier_scope,
+    _fit_classifiers,
     _sigmoid,
     fractional_ranks,
 )
@@ -361,6 +362,50 @@ class TestKernelBits:
         )
         assert model.bias.hex() == "-0x1.0a30f87d15e45p-7"
         assert model.training_loss.hex() == "0x1.b66be4ed56615p-10"
+
+
+def cross_entropy_reference(attributes_1, attributes_2, weights, bias):
+    """The final mean cross-entropy of a model, written out."""
+    p = two_branch_sigmoid(np.vstack([attributes_1, attributes_2]) @ weights + bias)
+    n_first = len(attributes_1)
+    return -float(np.mean(np.concatenate([np.log(p[:n_first]), np.log1p(-p[n_first:])])))
+
+
+class TestStackedFit:
+    """One descent over a stack of problems gives each model the bits of the
+    one-model reference loop."""
+
+    def test_bits_match_reference_loop(self):
+        rng = np.random.default_rng(416)
+        fitted = 0
+        while fitted < 416:
+            size, dim = int(rng.integers(1, 14)), int(rng.integers(2, 302))
+            n_1, n_2 = (int(n) for n in rng.integers(1, 13, size=2))
+            scale = 10.0 ** int(rng.integers(-2, 2))
+            problems = [(rng.normal(size=(n_1, dim)) * scale, rng.normal(size=(n_2, dim)),
+                         int(rng.integers(0, 2**31))) for _ in range(size)]
+            for (a1, a2, seed), model in zip(problems, _fit_classifiers(problems)):
+                weights, bias = gradient_descent_reference(a1, a2, seed)
+                assert model.weights.tobytes() == weights.tobytes()
+                assert model.bias.hex() == bias.hex()
+                assert model.training_loss.hex() == cross_entropy_reference(
+                    a1, a2, weights, bias).hex()
+            fitted += size
+
+    @pytest.mark.parametrize("scale", [1e90, 1e200])
+    def test_a_diverging_model_leaves_the_others_unchanged(self, scale):
+        # 1e90 saturates without a floating-point event; 1e200 overflows.
+        rng = np.random.default_rng(8)
+        problems = [(rng.normal(size=(3, 5)), rng.normal(size=(2, 5)), seed) for seed in range(3)]
+        problems[1] = (problems[1][0], problems[1][1] * scale, 1)
+        with np.errstate(all="ignore"):
+            models = _fit_classifiers(problems)
+        assert models[1] is None
+        for i in (0, 2):
+            alone = train_attribute_classifier(*problems[i])
+            assert models[i].weights.tobytes() == alone.weights.tobytes()
+            assert models[i].bias.hex() == alone.bias.hex()
+            assert models[i].training_loss.hex() == alone.training_loss.hex()
 
 
 class TestKlFromUniform:

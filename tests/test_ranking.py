@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from biaseval import (
     weat,
 )
 from biaseval import metrics
+from biaseval.errors import DivergenceError
 from biaseval.metrics import METRIC_NAMES
 from biaseval.ranking import (
     RankTable,
@@ -151,6 +153,33 @@ class TestRnsbClassifierReuse:
         second = build_score_matrix("RNSB", tables, self.SUBQUERIES)
         assert len(classifier_fits) == 4
         assert first.values.tobytes() == second.values.tobytes()
+
+
+    def test_a_diverging_pair_fails_its_cell_with_the_warnings_of_a_lone_fit(self):
+        # sq2's first attribute set overflows the descent; its classifier
+        # shares a stack with sq0's. A table built directly skips the
+        # loader's range check.
+        rng = np.random.default_rng(5)
+        entries = {t: rng.normal(size=3) for t in TOKENS}
+        for t in TOKENS[6:8]:
+            entries[t] = entries[t] * 1e200
+        table = EmbeddingTable("e1", 3, entries)
+
+        def record(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DivergenceError) as excinfo:
+                    run()
+            return str(excinfo.value), [(w.category, str(w.message)) for w in caught]
+
+        def cell_by_cell():
+            for query in self.SUBQUERIES:
+                rnsb(resolve_query(query, table), seed=3)
+
+        stacked = record(lambda: build_score_matrix("RNSB", [table], self.SUBQUERIES, seed=3))
+        expected = record(cell_by_cell)
+        assert expected[1]
+        assert stacked == expected
 
 
 class TestAggregateRows:
