@@ -20,7 +20,7 @@ _EXPORTS = {
     "embeddings": ("EmbeddingTable", "WordResolution", "cosine", "load_word2vec_text"),
     "metrics": (
         "ClassifierModel", "MetricResult", "ect", "kl_from_uniform", "rnd", "rnsb",
-        "spearman", "train_attribute_classifier", "weat", "weat_association",
+        "spearman", "train_attribute_classifier", "weat",
     ),
     "queries": (
         "Query", "QueryTemplate", "ResolvedQuery", "ResolvedSet", "WordSet",

@@ -329,11 +329,11 @@ def _check_templates(queries, metrics) -> None:
     template. ``--skip-invalid`` skips this check; ``expand_subqueries`` then
     warns and skips such a query only for the templates it cannot fill."""
     from .metrics import METRIC_TEMPLATES
-    from .queries import subquery_count
+    from .queries import fits_template
 
     for metric in metrics:
         template = METRIC_TEMPLATES[metric]
-        bad = [q for q in queries if subquery_count(q, template) == 0]
+        bad = [q for q in queries if not fits_template(q, template)]
         if bad:
             labels = ", ".join(f"'{q.label}'" for q in bad)
             raise ValueError(
@@ -344,8 +344,10 @@ def _check_templates(queries, metrics) -> None:
 
 def _embedding_inputs(args) -> argparse.Namespace:
     """Output directory, embedding tables and queries of a ``metrics`` or
-    ``rank`` run, after ``--seed`` and ``--lost-threshold`` are range-checked;
-    each input file is hashed once here, however many reports cite it."""
+    ``rank`` run. ``--seed`` and ``--lost-threshold`` are range-checked, the
+    embedding names checked for repeats and the queries read and checked
+    before any embedding file is parsed; each input file is hashed once here,
+    however many reports cite it."""
     from .embeddings import load_word2vec_text
     from .queries import load_queries
 
@@ -354,16 +356,15 @@ def _embedding_inputs(args) -> argparse.Namespace:
     if not 0 <= args.lost_threshold <= 1:  # also rejects NaN
         raise ValueError("lost_threshold (--lost-threshold) must lie in [0, 1]")
     out_dir = _out_dir(args.out_dir)
-    tables, inputs = [], {}
+    locations = {}  # table name -> file, in flag order
     for spec in args.embeddings:
-        if "=" in spec:
-            name, _, location = spec.partition("=")
-        else:
-            name, location = Path(spec).stem, spec
-        table = load_word2vec_text(_require_file(location, "embedding file"), name)
-        tables.append(table)
-        inputs[f"embedding:{table.name}"] = location
-    if not tables:
+        name, _, location = spec.partition("=") if "=" in spec else ("", "", spec)
+        name = name or Path(location).stem
+        if name in locations:
+            raise ValueError(f"embedding name '{name}' is given twice (--embedding); "
+                             "name each table uniquely with NAME=PATH")
+        locations[name] = location
+    if not locations:
         raise ValueError("at least one --embedding is required")
     if not args.queries:
         raise ValueError("at least one --queries file is required")
@@ -372,6 +373,9 @@ def _embedding_inputs(args) -> argparse.Namespace:
         queries.extend(load_queries(_require_file(path, "query file")))
     if not args.skip_invalid:
         _check_templates(queries, args.metrics)
+    tables = [load_word2vec_text(_require_file(location, "embedding file"), name)
+              for name, location in locations.items()]
+    inputs = {f"embedding:{name}": location for name, location in locations.items()}
     inputs.update({f"queries:{i}": path for i, path in enumerate(args.queries)})
     return argparse.Namespace(
         out_dir=out_dir, tables=tables, queries=queries, inputs=_describe_inputs(inputs),

@@ -15,7 +15,18 @@ from .names import content_lines, nfc, read_json, read_tsv, write_json, write_ts
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
-VIEW_NAMES = ("informal", "formal", "impolite", "polite", "positive", "negative", "occupation")
+# The seven views in report order: each view's name, the utterance field it
+# selects on and the values of that field it holds.
+VIEWS = (
+    ("informal", "register", ("informal",)),
+    ("formal", "register", ("formal_impolite", "formal_polite")),
+    ("impolite", "register", ("formal_impolite",)),
+    ("polite", "register", ("formal_polite",)),
+    ("positive", "lexicon_category", ("positive",)),
+    ("negative", "lexicon_category", ("negative",)),
+    ("occupation", "lexicon_category", ("occupation",)),
+)
+VIEW_NAMES = tuple(name for name, _field, _values in VIEWS)
 
 CORPUS_HEADER = "id\ttext\tregister\tlexicon_category\tlexeme"
 
@@ -28,6 +39,7 @@ __all__ = [
     "PronounSpec",
     "REGISTERS",
     "Utterance",
+    "VIEWS",
     "VIEW_NAMES",
     "build_views",
     "generate_utterances",
@@ -162,15 +174,19 @@ def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> 
 
 
 def build_views(utterances) -> list[EvaluationSet]:
-    """Slice the corpus into its seven overlapping views.
+    """Slice the corpus into the overlapping views of :data:`VIEWS`.
 
     The three register views partition the corpus, as do the three lexicon
-    views; formal is the disjoint union of polite and impolite.
+    views; formal is the disjoint union of polite and impolite. Each view
+    keeps corpus order.
     """
-    utterances = list(utterances)
+    ids = {name: [] for name in VIEW_NAMES}
+    # The id lists of the views each register, and each category, belongs to.
     by_register = {register: [] for register in REGISTERS}
     by_category = {category: [] for category in CATEGORIES}
-    formal: list[int] = []
+    for name, field, values in VIEWS:
+        for value in values:
+            (by_register if field == "register" else by_category)[value].append(ids[name])
     for utterance in utterances:
         if utterance.register not in by_register:
             raise ValueError(f"utterance {utterance.id} has unknown register '{utterance.register}'")
@@ -178,19 +194,9 @@ def build_views(utterances) -> list[EvaluationSet]:
             raise ValueError(
                 f"utterance {utterance.id} has unknown category '{utterance.lexicon_category}'"
             )
-        by_register[utterance.register].append(utterance.id)
-        by_category[utterance.lexicon_category].append(utterance.id)
-        if utterance.register in ("formal_impolite", "formal_polite"):
-            formal.append(utterance.id)
-    return [
-        EvaluationSet("informal", tuple(by_register["informal"])),
-        EvaluationSet("formal", tuple(formal)),
-        EvaluationSet("impolite", tuple(by_register["formal_impolite"])),
-        EvaluationSet("polite", tuple(by_register["formal_polite"])),
-        EvaluationSet("positive", tuple(by_category["positive"])),
-        EvaluationSet("negative", tuple(by_category["negative"])),
-        EvaluationSet("occupation", tuple(by_category["occupation"])),
-    ]
+        for view_ids in by_register[utterance.register] + by_category[utterance.lexicon_category]:
+            view_ids.append(utterance.id)
+    return [EvaluationSet(name, tuple(ids[name])) for name in VIEW_NAMES]
 
 
 def write_corpus_tsv(utterances, path) -> None:
@@ -222,5 +228,9 @@ def read_views_json(path) -> list[EvaluationSet]:
             ids = None
         if ids is None:
             raise ValueError(f"{path}: view '{name}' must be a list of integer ids")
+        if len(set(ids)) != len(ids):
+            seen: set[int] = set()
+            repeated = next(i for i in ids if i in seen or seen.add(i))
+            raise ValueError(f"{path}: view '{name}' lists id {repeated} more than once")
         views.append(EvaluationSet(name, ids))
     return views

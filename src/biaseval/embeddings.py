@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +40,15 @@ __all__ = [
 ]
 
 
-def _is_devanagari(token: str) -> bool:
-    return any(0x0900 <= ord(ch) <= 0x097F for ch in token)
-
-
 def _mostly_devanagari(tokens) -> bool:
-    tokens = list(tokens)
-    if not tokens:
-        return False
-    return sum(_is_devanagari(t) for t in tokens) * 2 > len(tokens)
+    """Whether more than half of the tokens hold a Devanagari character."""
+    devanagari = sum(any(0x0900 <= ord(ch) <= 0x097F for ch in token) for token in tokens)
+    return devanagari * 2 > len(tokens)
 
 
-def _range_error(vec: np.ndarray) -> str | None:
-    """Why the components of a row are out of range, or None if they are not."""
-    peak = float(np.abs(vec).max(initial=0.0))
+def _range_error(peak: float) -> str | None:
+    """Why a row whose largest component magnitude is ``peak`` is out of
+    range, or None if it is not."""
     if not math.isfinite(peak):
         return "non-finite component"
     if peak > MAX_COMPONENT:
@@ -79,21 +74,24 @@ class WordResolution:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable token -> vector map with a fixed dimension."""
+    """Immutable token -> vector map with a fixed dimension; a lookup miss
+    is retried lowercased (``fold_case_default``) unless most tokens are
+    Devanagari."""
 
     name: str
     dim: int
     entries: dict[str, np.ndarray]
-    fold_case_default: bool = True
+    fold_case_default: bool = field(init=False)
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError(f"embedding table '{self.name}' is empty")
         if self.dim <= 0:
             raise ValueError("dim must be positive")
+        object.__setattr__(self, "fold_case_default", not _mostly_devanagari(self.entries))
 
     @classmethod
-    def from_mapping(cls, name, mapping, fold_case_default=None) -> "EmbeddingTable":
+    def from_mapping(cls, name, mapping) -> "EmbeddingTable":
         """Build a table from a token -> components mapping, validating shapes."""
         entries: dict[str, np.ndarray] = {}
         dim = 0
@@ -109,14 +107,12 @@ class EmbeddingTable:
                 raise ValueError(
                     f"vector for {token!r} has {vec.shape[0]} components, expected {dim}"
                 )
-            problem = _range_error(vec)
+            problem = _range_error(np.abs(vec).max(initial=0.0))
             if problem:
                 raise ValueError(f"vector for {token!r}: {problem}")
             vec.flags.writeable = False
             entries[nfc(token)] = vec
-        if fold_case_default is None:
-            fold_case_default = not _mostly_devanagari(entries)
-        return cls(name=name, dim=dim, entries=entries, fold_case_default=fold_case_default)
+        return cls(name=name, dim=dim, entries=entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -124,33 +120,31 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return self.lookup(token) is not None
 
-    def _match(self, token: str, fold_case: bool | None) -> tuple[str, np.ndarray | None]:
+    def _match(self, token: str) -> tuple[str, np.ndarray | None]:
         """Vocabulary key and vector of a token: its NFC form as given if
         stored, else its lowercase form when folding; the vector is None
         when neither is stored."""
         key = nfc(token)
         vec = self.entries.get(key)
-        if vec is None and (self.fold_case_default if fold_case is None else fold_case):
+        if vec is None and self.fold_case_default:
             key = key.lower()
             vec = self.entries.get(key)
         return key, vec
 
-    def lookup(self, token: str, fold_case: bool | None = None) -> np.ndarray | None:
+    def lookup(self, token: str) -> np.ndarray | None:
         """Return the stored vector for ``token``, or None when absent.
 
-        The token is NFC-normalized and looked up as given; with
-        ``fold_case`` a miss is retried lowercased (default on for
-        Latin-script tables, off for Devanagari-dominated ones).
+        The token is NFC-normalized and looked up as given; when the table
+        folds case, a miss is retried lowercased.
         """
         if not token:
             raise ValueError("token must be non-empty")
-        return self._match(token, fold_case)[1]
+        return self._match(token)[1]
 
     def resolve_word_set(
         self,
         words,
         lost_threshold: float = DEFAULT_LOST_THRESHOLD,
-        fold_case: bool | None = None,
         set_name: str | None = None,
     ) -> WordResolution:
         """Look up every word, dropping misses, and fail on excessive loss.
@@ -167,7 +161,7 @@ class EmbeddingTable:
         found = []
         dropped = []
         for word in words:
-            key, vec = self._match(word, fold_case)
+            key, vec = self._match(word)
             if vec is None:
                 dropped.append(word)
             else:
@@ -255,12 +249,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
             f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
             stacklevel=2,
         )
-    return EmbeddingTable(
-        name=name or path.stem,
-        dim=dim,
-        entries=entries,
-        fold_case_default=not _mostly_devanagari(entries),
-    )
+    return EmbeddingTable(name=name or path.stem, dim=dim, entries=entries)
 
 
 def _keep_rows(entries: dict, path, chunk, dim: int) -> None:
@@ -281,9 +270,8 @@ def _parse_chunk(path, chunk, dim: int):
         block = np.loadtxt(texts, delimiter=" ", comments=None, quotechar=None, ndmin=2)
     except ValueError:
         return _parse_rows_exactly(path, chunk)
-    peaks = np.abs(block).max(axis=1)  # NaN where a row holds one
-    in_range = (peaks <= MAX_COMPONENT) & ((peaks >= MIN_COMPONENT) | (peaks == 0.0))
-    if block.shape != (len(chunk), dim) or not in_range.all():
+    peaks = np.abs(block).max(axis=1).tolist()  # NaN where a row holds one
+    if block.shape != (len(chunk), dim) or any(map(_range_error, peaks)):
         return _parse_rows_exactly(path, chunk)
     block.flags.writeable = False
     return block
@@ -298,7 +286,7 @@ def _parse_rows_exactly(path, chunk) -> list[np.ndarray]:
             vec = np.array(components.split(" "), dtype=np.float64)
         except ValueError:
             raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-        problem = _range_error(vec)
+        problem = _range_error(np.abs(vec).max(initial=0.0))
         if problem:
             raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
         vec.flags.writeable = False

@@ -62,7 +62,6 @@ __all__ = [
     "spearman",
     "train_attribute_classifier",
     "weat",
-    "weat_association",
 ]
 
 
@@ -107,17 +106,6 @@ def _require_shape(rq: ResolvedQuery, metric: str) -> None:
         )
 
 
-def weat_association(w, attributes_1, attributes_2) -> float:
-    """Mean cosine of ``w`` with the first attribute matrix minus the second."""
-    attributes_1 = np.atleast_2d(np.asarray(attributes_1, dtype=np.float64))
-    attributes_2 = np.atleast_2d(np.asarray(attributes_2, dtype=np.float64))
-    if attributes_1.size == 0 or attributes_2.size == 0:
-        raise ValueError("attribute matrices must be non-empty")
-    mean_1 = float(np.mean([cosine(w, row) for row in attributes_1]))
-    mean_2 = float(np.mean([cosine(w, row) for row in attributes_2]))
-    return mean_1 - mean_2
-
-
 def weat(rq: ResolvedQuery) -> MetricResult:
     """Word association test: summed differential association of two target
     sets with two attribute sets.
@@ -128,10 +116,15 @@ def weat(rq: ResolvedQuery) -> MetricResult:
     """
     _require_shape(rq, WEAT)
     t1, t2 = rq.targets
-    a1, a2 = (s.matrix for s in rq.attributes)
-    total = sum(weat_association(w, a1, a2) for w in t1.matrix) - sum(
-        weat_association(w, a1, a2) for w in t2.matrix
-    )
+    a1, a2 = (np.atleast_2d(np.asarray(s.matrix, dtype=np.float64)) for s in rq.attributes)
+    if a1.size == 0 or a2.size == 0:
+        raise ValueError("attribute matrices must be non-empty")
+
+    def association(w) -> float:  # mean cosine with a1 minus mean cosine with a2
+        return (float(np.mean([cosine(w, row) for row in a1]))
+                - float(np.mean([cosine(w, row) for row in a2])))
+
+    total = sum(association(w) for w in t1.matrix) - sum(association(w) for w in t2.matrix)
     diagnostics = {"set_sizes": {s.name: len(s.matrix) for s in rq.targets + rq.attributes}}
     return MetricResult(WEAT, float(total), rq.query_label, rq.embedding_name, diagnostics)
 

@@ -122,14 +122,20 @@ def read_tsv(path, header: str) -> list[tuple[int, list[str]]]:
 
 def write_tsv(path, header: str, rows) -> None:
     """Write ``header`` and one tab-joined line per row, id first; a field
-    holding a tab or line break would split its row and raises a ValueError."""
+    holding a tab or line break would split its row, and one holding a lone
+    surrogate has no UTF-8 form: either raises a ValueError, writing nothing."""
     lines = [header]
     for row in rows:
         fields = [str(value) for value in row]
         if any(FIELD_BREAK_RE.search(field) for field in fields):
             raise ValueError(f"{path}: id {fields[0]}: field contains a tab or line break")
         lines.append("\t".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    try:
+        Path(path).write_bytes(text.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        row_id = lines[text.count("\n", 0, exc.start)].partition("\t")[0]
+        raise ValueError(f"{path}: id {row_id}: field holds a lone surrogate") from None
 
 
 def render_grid(header, rows) -> str:

@@ -13,7 +13,6 @@ vectors as matrix rows, and the words the table lacks.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -32,9 +31,9 @@ __all__ = [
     "WordSet",
     "default_queries_path",
     "expand_subqueries",
+    "fits_template",
     "load_queries",
     "resolve_query",
-    "subquery_count",
     "validate_query",
 ]
 
@@ -115,11 +114,10 @@ def validate_query(query: Query, template: QueryTemplate) -> bool:
     return len(query.targets) == template.t and len(query.attributes) == template.a
 
 
-def subquery_count(query: Query, template: QueryTemplate) -> int:
-    """Number of subqueries the query yields for a template, before dedup."""
-    return math.comb(len(query.targets), template.t) * math.comb(
-        len(query.attributes), template.a
-    )
+def fits_template(query: Query, template: QueryTemplate) -> bool:
+    """True iff the query has at least the template's set counts, so that it
+    yields at least one subquery."""
+    return len(query.targets) >= template.t and len(query.attributes) >= template.a
 
 
 def _subquery_label(base: str, target_combo, attribute_combo) -> str:
@@ -140,7 +138,7 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
     subqueries: list[Query] = []
     seen: set[tuple[frozenset, frozenset]] = set()
     for query in queries:
-        if len(query.targets) < template.t or len(query.attributes) < template.a:
+        if not fits_template(query, template):
             warnings.warn(
                 f"query '{query.label}' cannot satisfy template "
                 f"({template.t},{template.a}); skipped",

@@ -340,6 +340,27 @@ class TestTgbiCommand:
         ]
         assert not (tmp_path / "r" / "tgbi_report.json").exists()
 
+    def test_view_listing_an_id_twice_exits_2(self, tmp_path, capsys, lexicon_files):
+        """A repeated id would count its sentence twice in the view's size
+        and proportions."""
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        views = json.loads((out_dir / "views.json").read_text(encoding="utf-8"))
+        repeated = views["informal"][0]
+        views["informal"].append(repeated)
+        views_path = tmp_path / "views.json"
+        views_path.write_text(json.dumps(views), encoding="utf-8")
+        code = cli.main(["tgbi", "--corpus", str(out_dir / "corpus.tsv"),
+                         "--views", str(views_path), "--translations", str(translations),
+                         "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {views_path}: view 'informal' lists id {repeated} more than once"
+        ]
+        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+
     def test_variant_flag(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
@@ -610,6 +631,66 @@ class TestMetricsCommand:
         assert payload["rows"] == ["a", "b"]
         assert len(payload["values"][0]) == 1
         assert (out_dir / "scores_WEAT.csv").is_file()
+
+
+class TestEmbeddingInputOrder:
+    """``metrics`` and ``rank`` reject a repeated embedding name and read and
+    check the queries before any embedding file is parsed."""
+
+    UNPARSEABLE = "1 2\na 1\n"  # the row has one component of two
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    def test_repeated_name_exits_2_before_any_table_is_parsed(self, tmp_path, capsys,
+                                                              embedding_files, query_file,
+                                                              command):
+        from biaseval import cli
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self.UNPARSEABLE, encoding="utf-8")
+        for first, second in ((embedding_files[0], embedding_files[1]), (bad, bad)):
+            code = cli.main([command, "--embedding", f"x={first}", "--embedding", f"x={second}",
+                             "--queries", str(query_file), "--metric", "WEAT",
+                             "--out-dir", str(tmp_path / "out")])
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == [
+                "error: embedding name 'x' is given twice (--embedding); "
+                "name each table uniquely with NAME=PATH"
+            ]
+        assert not (tmp_path / "out" / "scores_WEAT.json").exists()
+
+    def test_names_taken_from_file_stems_collide(self, tmp_path, embedding_files, query_file):
+        copies = []
+        for directory in ("d1", "d2"):
+            (tmp_path / directory).mkdir()
+            copies.append(tmp_path / directory / "a.txt")
+            copies[-1].write_bytes(embedding_files[0].read_bytes())
+        result = run_cli("metrics", "--embedding", copies[0], "--embedding", copies[1],
+                         "--queries", query_file, "--out-dir", tmp_path / "out")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "error: embedding name 'a' is given twice (--embedding); "
+            "name each table uniquely with NAME=PATH"
+        ]
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    @pytest.mark.parametrize("queries,message", [
+        ({"targets": [{"name": "t"}]}, "{path}: query #0 is malformed: KeyError('words')"),
+        ({"label": "one", "targets": [{"name": "t", "words": ["she"]}]},
+         "query 'one' does not satisfy the WEAT template (2 target sets, 2 attribute sets)"),
+    ], ids=["malformed", "template"])
+    def test_query_error_wins_over_a_bad_table(self, tmp_path, capsys, command, queries,
+                                               message):
+        from biaseval import cli
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self.UNPARSEABLE, encoding="utf-8")
+        query_path = tmp_path / "broken.json"
+        query_path.write_text(json.dumps(queries), encoding="utf-8")
+        code = cli.main([command, "--embedding", f"x={bad}", "--queries", str(query_path),
+                         "--metric", "WEAT", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + message.format(path=query_path)]
 
 
 class TestOutOfRangeVector:

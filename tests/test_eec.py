@@ -12,6 +12,7 @@ from biaseval import (
 from biaseval.eec import (
     DEFAULT_PRONOUNS,
     VIEW_NAMES,
+    VIEWS,
     Utterance,
     read_corpus_tsv,
     read_views_json,
@@ -133,6 +134,27 @@ class TestBuildViews:
         assert [v.name for v in views] == list(VIEW_NAMES)
         assert all(len(v) == 0 for v in views)
 
+    def test_each_view_holds_its_table_values_in_corpus_order(self):
+        utterances = generate_utterances([OCC, POS, NEG])[::-1]
+        utterances = utterances[1::2] + utterances[::2]  # ids in no sorted order
+        views = build_views(utterances)
+        assert VIEW_NAMES == tuple(name for name, _field, _values in VIEWS)
+        assert [v.name for v in views] == list(VIEW_NAMES)
+        for view, (_name, field, values) in zip(views, VIEWS):
+            assert view.utterance_ids == tuple(
+                u.id for u in utterances if getattr(u, field) in values)
+
+    @pytest.mark.parametrize("register,category,message", [
+        ("royal", "positive", "utterance 7 has unknown register 'royal'"),
+        ("informal", "neutral", "utterance 7 has unknown category 'neutral'"),
+    ])
+    def test_unknown_value_rejected(self, register, category, message):
+        utterances = [Utterance(1, "a", "informal", "positive", "a"),
+                      Utterance(7, "b", register, category, "b")]
+        with pytest.raises(ValueError) as exc:
+            build_views(utterances)
+        assert str(exc.value) == message
+
 
 class TestCorpusIo:
     def test_round_trip(self, tmp_path):
@@ -161,6 +183,15 @@ class TestCorpusIo:
         with pytest.raises(ValueError) as exc:
             write_corpus_tsv([Utterance(3, text, "informal", "positive", "x")], path)
         assert str(exc.value) == f"{path}: id 3: field contains a tab or line break"
+        assert not path.exists()
+
+    def test_lone_surrogate_rejected_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        utterances = [Utterance(1, "a", "informal", "positive", "a"),
+                      Utterance(3, "b \ud800", "informal", "positive", "b")]
+        with pytest.raises(ValueError) as exc:
+            write_corpus_tsv(utterances, path)
+        assert str(exc.value) == f"{path}: id 3: field holds a lone surrogate"
         assert not path.exists()
 
     def test_header_validation(self, tmp_path):
@@ -196,6 +227,15 @@ class TestCorpusIo:
         with pytest.raises(ValueError) as exc:
             read_views_json(path)
         assert str(exc.value) == f"{path}: view 'formal' must be a list of integer ids"
+
+    def test_views_repeated_id_rejected(self, tmp_path):
+        data = {name: [1] for name in VIEW_NAMES}
+        data["informal"] = [1, 3, 2, 3, 2]
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_views_json(path)
+        assert str(exc.value) == f"{path}: view 'informal' lists id 3 more than once"
 
     def test_views_missing_view(self, tmp_path):
         path = tmp_path / "views.json"

@@ -238,7 +238,7 @@ def float_reference(lines):
             vec = np.array([float(c) for c in components])
         except ValueError:
             return f"{lineno}: non-numeric component"
-        problem = embeddings._range_error(vec)
+        problem = embeddings._range_error(float(np.abs(vec).max(initial=0.0)))
         if problem:
             return f"{lineno}: {problem}"
         entries.setdefault(token, vec)
@@ -278,9 +278,25 @@ class TestLookup:
         assert table.fold_case_default is True
         np.testing.assert_array_equal(table.lookup("Doctor"), [1.0, 0.0])
 
-    def test_no_folding_misses(self, tmp_path):
-        table = load_word2vec_text(write_w2v(tmp_path / "e.txt", {"doctor": [1.0, 0.0]}))
-        assert table.lookup("Doctor", fold_case=False) is None
+    def test_devanagari_majority_table_does_not_fold_a_latin_miss(self, tmp_path):
+        table = load_word2vec_text(write_w2v(
+            tmp_path / "e.txt", {"डॉक्टर": [0.0, 1.0], "नर्स": [1.0, 1.0], "doctor": [1.0, 0.0]}))
+        assert table.fold_case_default is False
+        np.testing.assert_array_equal(table.lookup("doctor"), [1.0, 0.0])
+        assert table.lookup("Doctor") is None
+        assert table.resolve_word_set(["doctor", "Doctor"], lost_threshold=0.5).dropped == (
+            "Doctor",)
+
+    @pytest.mark.parametrize("tokens,folds", [(("क", "ख", "doctor"), False),
+                                              (("क", "doctor"), True)])
+    def test_direct_construction_derives_folding(self, tokens, folds):
+        table = EmbeddingTable("t", 2, {token: np.ones(2) for token in tokens})
+        assert table.fold_case_default is folds
+        assert (table.lookup("Doctor") is not None) is folds
+
+    def test_folding_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            EmbeddingTable("t", 2, {"a": np.ones(2)}, fold_case_default=False)
 
     def test_capitalised_entry_found_when_folding(self):
         table = EmbeddingTable.from_mapping("t", {"John": [1.0, 0.0]})

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -15,7 +16,6 @@ from biaseval import (
     spearman,
     train_attribute_classifier,
     weat,
-    weat_association,
 )
 from biaseval.errors import (
     DivergenceError,
@@ -32,6 +32,7 @@ from biaseval.metrics import (
     _sigmoid,
     fractional_ranks,
 )
+from biaseval.queries import ResolvedSet
 
 from conftest import make_resolved_query
 from oracles import ect_oracle, rnd_oracle, spearman_oracle, weat_oracle
@@ -61,21 +62,35 @@ def random_resolved_query(rng, n_targets=2, n_attributes=2, dim=3):
 
 
 class TestWeatAssociation:
+    """One word's association, read through ``weat`` on one-word target
+    sets: the second target word is balanced between the attribute sets, so
+    its association is 0 and ``weat`` is the first word's association."""
+
+    BALANCED = [1.0, 1.0]
+
     def test_separated_attributes(self):
-        assert weat_association(E1, [E1], [E2]) == pytest.approx(1.0)
+        rq = make_resolved_query({"t1": {"x": E1}, "t2": {"y": self.BALANCED}},
+                                 {"a1": {"p": E1}, "a2": {"q": E2}})
+        assert weat(rq).value == pytest.approx(1.0)
 
     def test_equal_attribute_sets(self):
         rng = np.random.default_rng(0)
-        attrs = rng.normal(size=(4, 3))
-        w = rng.normal(size=3)
-        assert weat_association(w, attrs, attrs) == 0.0
+        attrs = {f"p{i}": row for i, row in enumerate(rng.normal(size=(4, 3)))}
+        targets = {"t1": {"x": rng.normal(size=3)}, "t2": {"y": rng.normal(size=3)}}
+        rq = make_resolved_query(targets, {"a1": attrs, "a2": dict(attrs)})
+        assert weat(rq).value == 0.0
 
     def test_balanced_word(self):
-        assert weat_association([1.0, 1.0], [E1], [E2]) == pytest.approx(0.0, abs=1e-12)
+        rq = make_resolved_query({"t1": {"x": self.BALANCED}, "t2": {"y": [-1.0, -1.0]}},
+                                 {"a1": {"p": E1}, "a2": {"q": E2}})
+        assert weat(rq).value == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            weat_association(E1, np.empty((0, 2)), [E2])
+        rq = make_resolved_query({"t1": {"x": E1}, "t2": {"y": E2}},
+                                 {"a1": {"p": E1}, "a2": {"q": E2}})
+        empty = ResolvedSet("a1", (), np.empty((0, 2)), ())
+        with pytest.raises(ValueError, match="attribute matrices must be non-empty"):
+            weat(dataclasses.replace(rq, attributes=(empty, rq.attributes[1])))
 
 
 class TestWeat:

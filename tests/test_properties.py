@@ -1,7 +1,7 @@
 """Property tests for the file readers and writers: a writer either rejects
-a field holding a tab or a line break or writes a file that reads back
-unchanged, and malformed embedding files fail only with
-``EmbeddingFormatError``."""
+a field holding a tab, a line break or a lone surrogate (which has no UTF-8
+form) or writes a file that reads back unchanged, and malformed embedding
+files fail only with ``EmbeddingFormatError``."""
 
 import tempfile
 from pathlib import Path
@@ -29,8 +29,9 @@ ids = st.integers(min_value=-(2**63), max_value=2**63)
 field = st.text(st.one_of(st.characters(), st.sampled_from("\t\n\r\x0b\x0c\x1c\x85\u2028")))
 
 
-def _breaks_field(text: str) -> bool:
-    return "\t" in text or len((text + "x").splitlines()) > 1
+def _unwritable(text: str) -> bool:
+    lone_surrogate = any(0xD800 <= ord(ch) <= 0xDFFF for ch in text)
+    return "\t" in text or len((text + "x").splitlines()) > 1 or lone_surrogate
 
 
 def _round_trip(write, read, value, fields):
@@ -39,7 +40,7 @@ def _round_trip(write, read, value, fields):
         try:
             write(value, path)
         except ValueError:
-            assert any(_breaks_field(text) for text in fields)
+            assert any(_unwritable(text) for text in fields)
             return value
         return read(path)
 
@@ -65,8 +66,10 @@ def test_corpus_tsv_round_trip(utterances):
     assert _round_trip(write_corpus_tsv, read_corpus_tsv, utterances, fields) == utterances
 
 
-@given(st.lists(st.lists(ids, max_size=20), min_size=len(VIEW_NAMES), max_size=len(VIEW_NAMES)))
+@given(st.lists(st.lists(ids, max_size=20, unique=True), min_size=len(VIEW_NAMES),
+                max_size=len(VIEW_NAMES)))
 def test_views_json_round_trip(id_lists):
+    # A view lists each id once; read_views_json rejects a repeat.
     views = [EvaluationSet(name, tuple(uids)) for name, uids in zip(VIEW_NAMES, id_lists)]
     assert _round_trip(write_views_json, read_views_json, views, []) == views
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from biaseval import (
     validate_query,
 )
 from biaseval.errors import EmptyResolutionError, VocabularyLossError
+from biaseval.queries import fits_template
 
 
 class TestWordSet:
@@ -141,6 +143,19 @@ class TestExpandSubqueries:
         template = QueryTemplate(2, 1)
         for sq in expand_subqueries([_query(3, 3)], template):
             assert validate_query(sq, template)
+
+    @pytest.mark.parametrize("n_targets", [1, 2, 3])
+    @pytest.mark.parametrize("n_attributes", [0, 1, 2, 3])
+    def test_yields_subqueries_iff_the_query_fits(self, n_targets, n_attributes):
+        template = QueryTemplate(2, 2)
+        query = _query(n_targets, n_attributes)
+        fits = n_targets >= 2 and n_attributes >= 2
+        assert fits_template(query, template) is fits
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            subqueries = expand_subqueries([query], template)
+        assert bool(subqueries) is fits
+        assert len(caught) == (not fits)
 
     def test_deterministic(self):
         queries = [_query(3, 3, label="a"), _query(2, 3, label="b", prefix="b")]

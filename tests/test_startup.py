@@ -106,3 +106,21 @@ def test_every_public_name_and_submodule_resolves():
         "else:\n"
         "    raise AssertionError('unknown name resolved')\n"
     ) == ["numpy"]  # http.client waits for the first HTTP fetch
+
+
+def test_export_lists_name_only_what_exists():
+    """Every name in a submodule's ``__all__`` resolves, and every name the
+    package re-exports is in its module's ``__all__``, so a deleted function
+    cannot stay listed in either."""
+    import importlib
+
+    import biaseval
+
+    for name in biaseval._SUBMODULES:
+        module = importlib.import_module(f"biaseval.{name}")
+        missing = [public for public in getattr(module, "__all__", ())
+                   if not hasattr(module, public)]
+        assert not missing, f"biaseval.{name}.__all__ lists {missing}"
+    for name, exported in biaseval._EXPORTS.items():
+        unlisted = sorted(set(exported) - set(importlib.import_module(f"biaseval.{name}").__all__))
+        assert not unlisted, f"biaseval._EXPORTS['{name}'] holds {unlisted}"
