@@ -42,7 +42,7 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, read_json, write_json)
+                    RENDER_MODES, read_json, write_json, write_utf8)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -135,16 +135,16 @@ def _apply_config(command: argparse.ArgumentParser, path) -> None:
 
 
 def _config_value(action: argparse.Action, value):
-    """A config value converted by the option's type and checked against its
-    choices, as argparse does with the flag's; an option without a type takes
-    a string."""
+    """A config value converted by the option's type, from its JSON text if
+    not a string (so ``3.7`` is no int), and checked against its choices, as
+    argparse does with the flag's; an option without a type takes a string."""
     key = action.dest
     if action.type is None and not isinstance(value, str):
         raise ValueError(f"config {key}: expected a string, got {value!r}")
     if action.type is not None:
         try:
-            value = action.type(value)
-        except (TypeError, ValueError):
+            value = action.type(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
             raise ValueError(
                 f"config {key}: invalid {action.type.__name__} value {value!r}"
             ) from None
@@ -319,7 +319,7 @@ def cmd_tgbi(args) -> int:
     payload.update(report_to_dict(report))
     write_json(payload, out_dir / "tgbi_report.json")
     table = render_tgbi_table(report)
-    (out_dir / "tgbi_table.txt").write_text(table, encoding="utf-8")
+    write_utf8(out_dir / "tgbi_table.txt", table)
     print(table, end="")
     return 0
 
@@ -406,9 +406,7 @@ def cmd_metrics(args) -> int:
         }
         payload.update(score_matrix_to_dict(matrix))
         write_json(payload, run.out_dir / f"scores_{metric}.json")
-        (run.out_dir / f"scores_{metric}.csv").write_text(
-            score_matrix_csv(matrix), encoding="utf-8"
-        )
+        write_utf8(run.out_dir / f"scores_{metric}.csv", score_matrix_csv(matrix))
         print(f"{metric}:")
         print(render_score_matrix(matrix), end="")
     return 0
@@ -437,9 +435,9 @@ def cmd_rank(args) -> int:
     }
     payload.update(rank_table_to_dict(table))
     write_json(payload, run.out_dir / "rank_table.json")
-    (run.out_dir / "rank_table.csv").write_text(rank_table_csv(table), encoding="utf-8")
+    write_utf8(run.out_dir / "rank_table.csv", rank_table_csv(table))
     rendered = render_rank_table(table, mode=args.mode)
-    (run.out_dir / "rank_table.txt").write_text(rendered, encoding="utf-8")
+    write_utf8(run.out_dir / "rank_table.txt", rendered)
     print(rendered, end="")
     return 0
 

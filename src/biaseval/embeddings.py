@@ -46,6 +46,11 @@ def _mostly_devanagari(tokens) -> bool:
     return devanagari * 2 > len(tokens)
 
 
+def _peaks(matrix: np.ndarray) -> np.ndarray:
+    """Largest component magnitude along the last axis, NaN where a NaN lies."""
+    return np.maximum(matrix.max(axis=-1), -matrix.min(axis=-1))
+
+
 def _range_error(peak: float) -> str | None:
     """Why a row whose largest component magnitude is ``peak`` is out of
     range, or None if it is not."""
@@ -74,48 +79,60 @@ class WordResolution:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Immutable token -> vector map with a fixed dimension; a lookup miss
-    is retried lowercased (``fold_case_default``) unless most tokens are
-    Devanagari."""
+    """Immutable float64 vectors: row i of ``matrix`` is the vector of the NFC
+    token ``tokens[i]``; a repeated token keeps its first row. Every row is
+    checked here and ``matrix`` made read-only, not copied. A lookup miss is
+    retried lowercased (``fold_case_default``) unless most tokens are Devanagari."""
 
     name: str
-    dim: int
-    entries: dict[str, np.ndarray]
+    tokens: tuple[str, ...]
+    matrix: np.ndarray
     fold_case_default: bool = field(init=False)
+    _rows: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.entries:
+        tokens, matrix = self.tokens, self.matrix
+        if not tokens:
             raise ValueError(f"embedding table '{self.name}' is empty")
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        object.__setattr__(self, "fold_case_default", not _mostly_devanagari(self.entries))
+        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                and matrix.ndim == 2 and matrix.shape[0] == len(tokens) and matrix.shape[1]):
+            raise ValueError(f"embedding table '{self.name}': matrix must be float64 with "
+                             f"{len(tokens)} rows of one or more components")
+        rows: dict[str, int] = {}
+        for row, token in enumerate(tokens):
+            if not token:
+                raise ValueError("empty token")
+            rows.setdefault(token, row)
+        for token, peak in zip(tokens, _peaks(matrix).tolist()):
+            problem = _range_error(peak)
+            if problem:
+                raise ValueError(f"vector for {token!r}: {problem}")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "fold_case_default", not _mostly_devanagari(rows))
 
     @classmethod
     def from_mapping(cls, name, mapping) -> "EmbeddingTable":
-        """Build a table from a token -> components mapping, validating shapes."""
-        entries: dict[str, np.ndarray] = {}
-        dim = 0
+        """Build a table from a token -> components mapping, validating
+        shapes; of two tokens with one NFC form, the first is kept."""
+        tokens, vectors = [], []
         for token, components in mapping.items():
-            if not token:
-                raise ValueError("empty token")
-            vec = np.asarray(components, dtype=np.float64).copy()
+            vec = np.asarray(components, dtype=np.float64)
             if vec.ndim != 1:
                 raise ValueError(f"vector for {token!r} is not one-dimensional")
-            if not dim:
-                dim = vec.shape[0]
-            if vec.shape[0] != dim:
-                raise ValueError(
-                    f"vector for {token!r} has {vec.shape[0]} components, expected {dim}"
-                )
-            problem = _range_error(np.abs(vec).max(initial=0.0))
-            if problem:
-                raise ValueError(f"vector for {token!r}: {problem}")
-            vec.flags.writeable = False
-            entries[nfc(token)] = vec
-        return cls(name=name, dim=dim, entries=entries)
+            if vectors and vec.shape != vectors[0].shape:
+                raise ValueError(f"vector for {token!r} has {vec.shape[0]} components, "
+                                 f"expected {vectors[0].shape[0]}")
+            tokens.append(nfc(token))
+            vectors.append(vec)
+        return cls(name, tuple(tokens), np.array(vectors, dtype=np.float64))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._rows)
 
     def __contains__(self, token: str) -> bool:
         return self.lookup(token) is not None
@@ -125,11 +142,11 @@ class EmbeddingTable:
         stored, else its lowercase form when folding; the vector is None
         when neither is stored."""
         key = nfc(token)
-        vec = self.entries.get(key)
-        if vec is None and self.fold_case_default:
+        row = self._rows.get(key)
+        if row is None and self.fold_case_default:
             key = key.lower()
-            vec = self.entries.get(key)
-        return key, vec
+            row = self._rows.get(key)
+        return key, None if row is None else self.matrix[row]
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Return the stored vector for ``token``, or None when absent.
@@ -198,8 +215,8 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     checked, and an error names the first bad row's ``file:line``.
     """
     path = Path(path)
-    entries: dict[str, np.ndarray] = {}
-    rows_read = 0
+    tokens: list[str] = []  # NFC token of each row read
+    blocks: list[np.ndarray] = []  # parsed chunks of rows
     chunk: list[tuple[int, str, str]] = []  # (line number, token, components)
     problem = None
     try:
@@ -229,40 +246,32 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                     problem = f"{path}:{lineno}: empty token"
                     break
                 chunk.append((lineno, token, components))
-                rows_read += 1
+                tokens.append(nfc(token))
                 if len(chunk) == CHUNK_ROWS:
-                    _keep_rows(entries, path, chunk, dim)
+                    blocks.append(_parse_chunk(path, chunk, dim))
                     chunk = []
     except UnicodeDecodeError as exc:
         problem = f"{path}: not UTF-8 text ({exc.reason})"
     if chunk:  # checked before the problem below, which lies further on
-        _keep_rows(entries, path, chunk, dim)
+        blocks.append(_parse_chunk(path, chunk, dim))
     if problem:
         raise EmbeddingFormatError(problem)
-    if not entries:
+    if not tokens:
         raise EmbeddingFormatError(f"{path}: empty vocabulary")
-    if rows_read != count:
-        raise EmbeddingFormatError(f"{path}: header declares {count} rows, read {rows_read}")
-    duplicates = rows_read - len(entries)
+    if len(tokens) != count:
+        raise EmbeddingFormatError(f"{path}: header declares {count} rows, read {len(tokens)}")
+    table = EmbeddingTable(name or path.stem, tuple(tokens), np.concatenate(blocks))
+    duplicates = len(tokens) - len(table)
     if duplicates:
-        warnings.warn(
-            f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
-            stacklevel=2,
-        )
-    return EmbeddingTable(name=name or path.stem, dim=dim, entries=entries)
+        warnings.warn(f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
+                      stacklevel=2)
+    return table
 
 
-def _keep_rows(entries: dict, path, chunk, dim: int) -> None:
-    """Parse and check a chunk of rows, then store each row whose NFC token
-    is new under that token."""
-    for (_lineno, token, _components), vec in zip(chunk, _parse_chunk(path, chunk, dim)):
-        entries.setdefault(nfc(token), vec)
-
-
-def _parse_chunk(path, chunk, dim: int):
-    """Read-only vectors of a chunk of rows, parsed in one call to numpy's C
-    reader when it accepts every row and every row is in range; otherwise
-    row by row, which raises at the first bad row."""
+def _parse_chunk(path, chunk, dim: int) -> np.ndarray:
+    """The rows of a chunk, parsed in one call to numpy's C reader when it
+    accepts every row and every row is in range; otherwise row by row,
+    which raises at the first bad row."""
     texts = [components for _lineno, _token, components in chunk]
     if any(sep in text for text in texts for sep in _C_READER_ONLY_SPACES):
         return _parse_rows_exactly(path, chunk)
@@ -270,28 +279,25 @@ def _parse_chunk(path, chunk, dim: int):
         block = np.loadtxt(texts, delimiter=" ", comments=None, quotechar=None, ndmin=2)
     except ValueError:
         return _parse_rows_exactly(path, chunk)
-    peaks = np.abs(block).max(axis=1).tolist()  # NaN where a row holds one
-    if block.shape != (len(chunk), dim) or any(map(_range_error, peaks)):
+    if block.shape != (len(chunk), dim) or any(map(_range_error, _peaks(block).tolist())):
         return _parse_rows_exactly(path, chunk)
-    block.flags.writeable = False
     return block
 
 
-def _parse_rows_exactly(path, chunk) -> list[np.ndarray]:
-    """Read-only vectors of rows parsed one by one with ``float()``'s syntax;
-    the first row that does not parse or is out of range raises."""
+def _parse_rows_exactly(path, chunk) -> np.ndarray:
+    """The rows of a chunk parsed one by one with ``float()``'s syntax; the
+    first row that does not parse or is out of range raises."""
     vectors = []
     for lineno, _token, components in chunk:
         try:
             vec = np.array(components.split(" "), dtype=np.float64)
         except ValueError:
             raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-        problem = _range_error(np.abs(vec).max(initial=0.0))
+        problem = _range_error(_peaks(vec))
         if problem:
             raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
-        vec.flags.writeable = False
         vectors.append(vec)
-    return vectors
+    return np.array(vectors)
 
 
 def cosine(u, v) -> float:

@@ -2,10 +2,11 @@
 modules share: the parser's choices, the default seed and lost-word
 threshold, the plain-text grid of every report table, the token
 normalization the corpus builder shares with the embedding loader, and one
-reader or writer per file format: UTF-8 text, a byte-order mark dropped
-(:func:`read_utf8`), JSON inputs and reports (:func:`read_json`,
-:func:`write_json`), lexicon-style line lists (:func:`content_lines`) and
-id-keyed TSV tables (:func:`read_tsv`, :func:`write_tsv`).
+reader or writer per file format: UTF-8 text, a byte-order mark dropped on
+reading (:func:`read_utf8`, :func:`write_utf8`), JSON inputs and reports
+(:func:`read_json`, :func:`write_json`), lexicon-style line lists
+(:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
+:func:`write_tsv`).
 
 This module imports nothing heavier than the standard library, so the
 translation-path commands (``eec``, ``translate``, ``tgbi``) start without
@@ -53,6 +54,7 @@ __all__ = [
     "render_grid",
     "write_json",
     "write_tsv",
+    "write_utf8",
 ]
 
 
@@ -70,6 +72,17 @@ def read_utf8(path) -> str:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def write_utf8(path, text: str) -> None:
+    """Write ``text`` as UTF-8; a lone surrogate, which has no UTF-8 form,
+    raises a ValueError naming ``file:line`` before the file is opened."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line, char = text.count("\n", 0, exc.start) + 1, text[exc.start]
+        raise ValueError(f"{path}:{line}: lone surrogate {char!r} has no UTF-8 form") from None
+    Path(path).write_bytes(data)
+
+
 def read_json(path):
     """Parsed JSON of a UTF-8 file; malformed JSON raises a ValueError naming
     the file."""
@@ -83,8 +96,7 @@ def read_json(path):
 
 def write_json(payload, path) -> None:
     """Write a JSON report: keys sorted, two-space indent, non-ASCII kept."""
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_utf8(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def content_lines(path) -> list[tuple[int, str]]:
@@ -121,21 +133,16 @@ def read_tsv(path, header: str) -> list[tuple[int, list[str]]]:
 
 
 def write_tsv(path, header: str, rows) -> None:
-    """Write ``header`` and one tab-joined line per row, id first; a field
-    holding a tab or line break would split its row, and one holding a lone
-    surrogate has no UTF-8 form: either raises a ValueError, writing nothing."""
+    """Write ``header`` and one tab-joined line per row, id first, with
+    :func:`write_utf8`; a field holding a tab or line break, which would split
+    its row, raises a ValueError, writing nothing."""
     lines = [header]
     for row in rows:
         fields = [str(value) for value in row]
         if any(FIELD_BREAK_RE.search(field) for field in fields):
             raise ValueError(f"{path}: id {fields[0]}: field contains a tab or line break")
         lines.append("\t".join(fields))
-    text = "\n".join(lines) + "\n"
-    try:
-        Path(path).write_bytes(text.encode("utf-8"))
-    except UnicodeEncodeError as exc:
-        row_id = lines[text.count("\n", 0, exc.start)].partition("\t")[0]
-        raise ValueError(f"{path}: id {row_id}: field holds a lone surrogate") from None
+    write_utf8(path, "\n".join(lines) + "\n")
 
 
 def render_grid(header, rows) -> str:

@@ -81,6 +81,9 @@ def build_score_matrix(
     subqueries = list(subqueries)
     if not tables:
         raise ValueError("no embeddings given")
+    names = [t.name for t in tables]
+    if len(set(names)) != len(names):
+        raise ValueError(f"embedding names must be unique: {names}")
     if not subqueries:
         raise ValueError("no subqueries given")
     values = np.full((len(tables), len(subqueries)), np.nan)
@@ -117,9 +120,7 @@ def build_score_matrix(
                     cell["dropped"] = dropped
                 if cell:
                     diagnostics[(table.name, query.label)] = cell
-    return ScoreMatrix(
-        metric, [t.name for t in tables], [q.label for q in subqueries], values, diagnostics
-    )
+    return ScoreMatrix(metric, names, [q.label for q in subqueries], values, diagnostics)
 
 
 def _resolve(query, table, lost_threshold):
@@ -187,8 +188,6 @@ def build_rank_table(
     if not metrics:
         raise ValueError("no metrics given")
     names = [t.name for t in tables]
-    if len(set(names)) != len(names):
-        raise ValueError(f"embedding names must be unique: {names}")
     aggregate_values = np.zeros((len(tables), len(metrics)))
     ranks = np.zeros((len(tables), len(metrics)), dtype=int)
     diagnostics: dict = {}

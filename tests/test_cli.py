@@ -959,6 +959,9 @@ class TestOptionPrecedence:
 
     @pytest.mark.parametrize("key,value,message", [
         ("seed", "x", "config seed: invalid int value 'x'"),
+        ("seed", 3.7, "config seed: invalid int value 3.7"),
+        ("seed", True, "config seed: invalid int value True"),
+        ("lost_threshold", True, "config lost_threshold: invalid float value True"),
         ("queries", "q.json", "config queries: expected a list, got 'q.json'"),
         ("out_dir", 5, "config out_dir: expected a string, got 5"),
         ("embeddings", [5], "config embeddings: expected a string, got 5"),
@@ -1110,3 +1113,28 @@ class TestMalformedStructure:
         bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
                                    content, capsys)
         assert err == [f"error: {bad}: {message}"]
+
+
+class TestUnencodableOutput:
+    """Report text with no UTF-8 form (a lone surrogate, as a Latin-1 command
+    line or file name decodes to) fails with exit 2 and one line naming the
+    output file and line, and leaves no file behind."""
+
+    @pytest.mark.parametrize("command,name,label,report", [
+        ("metrics", "\udcff", "career-family", "scores_WEAT.json:6: lone surrogate '\\udcff'"),
+        ("rank", "a", "q\ud800", "rank_table.json:12: lone surrogate '\\ud800'"),
+    ])
+    def test_names_the_output_line_and_writes_nothing(self, tmp_path, capsys, embedding_files,
+                                                      query_file, command, name, label, report):
+        from biaseval import cli
+
+        queries = json.loads(query_file.read_text(encoding="utf-8"))
+        queries[0]["label"] = label
+        query_file.write_text(json.dumps(queries), encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main([command, "--embedding", f"{name}={embedding_files[0]}",
+                         "--queries", str(query_file), "--metric", "WEAT", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out}/{report} has no UTF-8 form"]
+        assert list(out.iterdir()) == []

@@ -191,7 +191,7 @@ class TestCorpusIo:
                       Utterance(3, "b \ud800", "informal", "positive", "b")]
         with pytest.raises(ValueError) as exc:
             write_corpus_tsv(utterances, path)
-        assert str(exc.value) == f"{path}: id 3: field holds a lone surrogate"
+        assert str(exc.value) == f"{path}:3: lone surrogate '\\ud800' has no UTF-8 form"
         assert not path.exists()
 
     def test_header_validation(self, tmp_path):

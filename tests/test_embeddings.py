@@ -1,6 +1,7 @@
 import contextlib
 import struct
 import tempfile
+import unicodedata
 from pathlib import Path
 from unittest import mock
 
@@ -92,6 +93,11 @@ class TestLoader:
         with pytest.raises(ValueError) as excinfo:
             EmbeddingTable.from_mapping("t", {"a": [1.0, 0.0, 0.0], "b": row.split()})
         assert str(excinfo.value) == f"vector for 'b': {message}"
+        # A table built directly is checked the same way.
+        matrix = np.array([[1.0, 0.0, 0.0], [float(c) for c in row.split()]])
+        with pytest.raises(ValueError) as excinfo:
+            EmbeddingTable("t", ("a", "b"), matrix)
+        assert str(excinfo.value) == f"vector for 'b': {message}"
 
     @pytest.mark.parametrize("row", ["0 0 0", "1e100 1e-300 -1e100", "-1e-100 0 0"])
     def test_in_range_rows_load_unchanged(self, tmp_path, row):
@@ -139,6 +145,8 @@ class TestLoader:
         assert str(excinfo.value) == f"{path}:3: empty token"
         with pytest.raises(ValueError, match="^empty token$"):
             EmbeddingTable.from_mapping("t", {"a": [1.0, 0.0], "": [0.0, 1.0]})
+        with pytest.raises(ValueError, match="^empty token$"):
+            EmbeddingTable("t", ("a", ""), np.ones((2, 2)))
 
     def test_empty_mapping_names_the_table(self):
         with pytest.raises(ValueError, match="^embedding table 't' is empty$"):
@@ -213,6 +221,17 @@ class TestLoader:
             assert stored is not None
             np.testing.assert_array_equal(stored, np.asarray(components))
 
+    def test_nfc_duplicates_keep_the_first_row_as_the_loader_does(self, tmp_path):
+        composed = "été"
+        decomposed = unicodedata.normalize("NFD", composed)
+        mapping = {composed: [1.0, 0.0], decomposed: [0.0, 1.0]}
+        from_mapping = EmbeddingTable.from_mapping("t", mapping)
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            loaded = load_word2vec_text(write_w2v(tmp_path / "e.txt", mapping))
+        for table in (from_mapping, loaded):
+            assert len(table) == 1
+            np.testing.assert_array_equal(table.lookup(decomposed), [1.0, 0.0])
+
     def test_vectors_read_only(self, tmp_path):
         path = write_w2v(tmp_path / "ro.txt", {"a": [1.0, 2.0]})
         table = load_word2vec_text(path)
@@ -272,6 +291,41 @@ def test_chunked_parse_matches_float_row_by_row(data, dim, chunk_rows, n_rows):
                 t: v.tobytes() for t, v in expected.items()}
 
 
+class TestTableContract:
+    """Whoever builds a table, its constructor checks every row and freezes
+    the matrix it is given."""
+
+    @pytest.mark.parametrize("tokens,matrix", [
+        (("a",), np.ones(2)),
+        (("a", "b"), np.ones((1, 2))),
+        (("a",), np.ones((1, 2), dtype=np.float32)),
+        (("a",), np.ones((1, 0))),
+        (("a",), [[1.0, 0.0]]),
+    ])
+    def test_a_matrix_not_one_float64_row_per_token_is_rejected(self, tokens, matrix):
+        with pytest.raises(ValueError, match="^embedding table 't': matrix must be float64"):
+            EmbeddingTable("t", tokens, matrix)
+
+    def test_matrix_is_frozen_in_place_and_a_repeat_keeps_its_first_row(self):
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        table = EmbeddingTable("t", ("a", "b", "a"), matrix)
+        assert table.matrix is matrix and not matrix.flags.writeable
+        assert (len(table), table.dim) == (2, 2)
+        np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
+        found = table.resolve_word_set(["b", "a"]).found
+        assert [key for key, _vec in found] == ["b", "a"]
+        assert all(np.shares_memory(vec, matrix) for _key, vec in found)
+
+    def test_loaded_table_is_one_matrix_row_per_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("3 2\na 1 0\nb 0 1\na 9 9\n", encoding="utf-8")
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            table = load_word2vec_text(path)
+        assert table.tokens == ("a", "b", "a")
+        np.testing.assert_array_equal(table.matrix, [[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
+        assert not table.matrix.flags.writeable
+
+
 class TestLookup:
     def test_case_folding_hits_lowercase_entry(self, tmp_path):
         table = load_word2vec_text(write_w2v(tmp_path / "e.txt", {"doctor": [1.0, 0.0]}))
@@ -290,13 +344,13 @@ class TestLookup:
     @pytest.mark.parametrize("tokens,folds", [(("क", "ख", "doctor"), False),
                                               (("क", "doctor"), True)])
     def test_direct_construction_derives_folding(self, tokens, folds):
-        table = EmbeddingTable("t", 2, {token: np.ones(2) for token in tokens})
+        table = EmbeddingTable("t", tokens, np.ones((len(tokens), 2)))
         assert table.fold_case_default is folds
         assert (table.lookup("Doctor") is not None) is folds
 
     def test_folding_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
-            EmbeddingTable("t", 2, {"a": np.ones(2)}, fold_case_default=False)
+            EmbeddingTable("t", ("a",), np.ones((1, 2)), fold_case_default=False)
 
     def test_capitalised_entry_found_when_folding(self):
         table = EmbeddingTable.from_mapping("t", {"John": [1.0, 0.0]})

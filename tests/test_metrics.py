@@ -239,7 +239,8 @@ class TestClassifier:
 
     def test_divergence_error(self):
         # one step on inputs this large saturates every output on the wrong side
-        with pytest.raises(DivergenceError, match="training diverged"):
+        with pytest.raises(DivergenceError, match="training diverged"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             train_attribute_classifier([[1e200, 0.0]], [[1e200, 0.0], [1e200, 0.0]])
 
     def test_dimension_mismatch(self):
@@ -296,7 +297,8 @@ class TestClassifierScope:
         a1, a2 = [[1e200, 0.0]], [[1e200, 0.0], [1e200, 0.0]]
         with _classifier_scope():
             for _ in range(2):
-                with pytest.raises(DivergenceError, match="training diverged"):
+                with pytest.raises(DivergenceError, match="training diverged"), \
+                        pytest.warns(RuntimeWarning, match="overflow"):
                     train_attribute_classifier(a1, a2)
             with pytest.raises(ValueError, match="must share their dimension"):
                 train_attribute_classifier([[1.0, 0.0]], [[1.0, 0.0, 0.0]])

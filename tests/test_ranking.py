@@ -62,6 +62,11 @@ class TestBuildScoreMatrix:
         assert matrix.cols == ["sq0", "sq1", "sq2"]
         assert np.isfinite(matrix.values).all()
 
+    def test_repeated_table_names_rejected(self):
+        tables = [make_table("x", 1, TOKENS), make_table("x", 2, TOKENS)]
+        with pytest.raises(ValueError, match=r"^embedding names must be unique: \['x', 'x'\]$"):
+            build_score_matrix("WEAT", tables, [weat_subquery(0)])
+
     def test_unresolvable_cell_is_missing(self):
         okay = make_table("okay", 1, TOKENS + ["extra0", "extra1"])
         sparse = make_table("sparse", 2, TOKENS)
@@ -156,14 +161,13 @@ class TestRnsbClassifierReuse:
 
 
     def test_a_diverging_pair_fails_its_cell_with_the_warnings_of_a_lone_fit(self):
-        # sq2's first attribute set overflows the descent; its classifier
-        # shares a stack with sq0's. A table built directly skips the
-        # loader's range check.
+        # sq2's first attribute set, in range but large, makes the descent
+        # underflow and then diverge; its classifier shares a stack with sq0's.
         rng = np.random.default_rng(5)
         entries = {t: rng.normal(size=3) for t in TOKENS}
         for t in TOKENS[6:8]:
-            entries[t] = entries[t] * 1e200
-        table = EmbeddingTable("e1", 3, entries)
+            entries[t] = entries[t] * 1e90
+        table = EmbeddingTable.from_mapping("e1", entries)
 
         def record(run):
             with warnings.catch_warnings(record=True) as caught:
@@ -176,8 +180,9 @@ class TestRnsbClassifierReuse:
             for query in self.SUBQUERIES:
                 rnsb(resolve_query(query, table), seed=3)
 
-        stacked = record(lambda: build_score_matrix("RNSB", [table], self.SUBQUERIES, seed=3))
-        expected = record(cell_by_cell)
+        with np.errstate(under="warn"):
+            stacked = record(lambda: build_score_matrix("RNSB", [table], self.SUBQUERIES, seed=3))
+            expected = record(cell_by_cell)
         assert expected[1]
         assert stacked == expected
 
@@ -268,7 +273,7 @@ class TestBuildRankTable:
 
     def test_identical_embeddings_tie_by_registration(self):
         base = make_table("first", 7, TOKENS)
-        clone = EmbeddingTable.from_mapping("second", {k: v for k, v in base.entries.items()})
+        clone = EmbeddingTable("second", base.tokens, base.matrix.copy())
         table = build_rank_table(["WEAT", "RND"], [base, clone], self._queries())
         np.testing.assert_allclose(table.aggregate_values[0], table.aggregate_values[1])
         assert list(table.ranks[0]) == [1, 1]
