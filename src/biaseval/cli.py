@@ -35,6 +35,7 @@ from .eec import (
     build_views,
     generate_utterances,
     load_lexicon,
+    merge_templates,
     read_corpus_tsv,
     read_views_json,
     write_corpus_tsv,
@@ -74,10 +75,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _describe_inputs(inputs: dict) -> dict:
     """Provenance entry per input: a file path with its sha256, any other
     value as given. Idempotent, so a described block can be reused."""
@@ -88,13 +85,12 @@ def _describe_inputs(inputs: dict) -> dict:
     }
 
 
-def _provenance(inputs: dict, flags: dict, **extra) -> dict:
-    return {
-        "version": __version__,
-        "flags": flags,
-        "inputs": _describe_inputs(inputs),
-        **extra,
-    }
+def _write_report(path, body: dict, inputs: dict, flags: dict, **extra) -> None:
+    """Write ``body`` as a JSON report under its provenance block: the
+    version, the flags, the inputs described and any ``extra`` entries."""
+    provenance = {"version": __version__, "flags": flags,
+                  "inputs": _describe_inputs(inputs), **extra}
+    write_json({"provenance": provenance, **body}, path)
 
 
 def _require_file(path, what: str) -> Path:
@@ -174,22 +170,16 @@ def _load_pronouns(path):
 
 
 def _load_templates(path):
-    """Templates by lexicon category; each may use only the fields
-    ``{pronoun}``, ``{lexeme}`` and ``{copula}``."""
+    """Templates by lexicon category, checked by :func:`merge_templates`."""
     if not path:
         return None
     data = read_json(_require_file(path, "template file"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: templates must map lexicon category to a format string")
-    for category, template in data.items():
-        try:
-            template.format(pronoun="", lexeme="", copula="")
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-            raise ValueError(
-                f"{path}: template '{category}' must be a format string using only "
-                "{pronoun}, {lexeme} and {copula}"
-            ) from None
-    return data
+    try:
+        return merge_templates(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_eec(args) -> int:
@@ -210,15 +200,12 @@ def cmd_eec(args) -> int:
 
     write_corpus_tsv(utterances, out_dir / "corpus.tsv")
     write_views_json(views, out_dir / "views.json")
-    meta = {
-        "provenance": _provenance(
-            {"occupations": occupations, "positive": positive, "negative": negative},
-            {"pronoun_registers": [p.register for p in pronouns]},
-        ),
-        "n_utterances": len(utterances),
-        "view_sizes": {view.name: len(view) for view in views},
-    }
-    write_json(meta, out_dir / "run_meta.json")
+    _write_report(
+        out_dir / "run_meta.json",
+        {"n_utterances": len(utterances), "view_sizes": {view.name: len(view) for view in views}},
+        {"occupations": occupations, "positive": positive, "negative": negative},
+        {"pronoun_registers": [p.register for p in pronouns]},
+    )
     for view in views:
         print(f"{view.name}\t{len(view)}")
     return 0
@@ -281,16 +268,9 @@ def cmd_tgbi(args) -> int:
         lexicon_hash = _sha256(lexicon_file)
     else:
         lexicon = DEFAULT_GENDER_LEXICON
-        lexicon_hash = _sha256_text(
-            json.dumps(
-                {
-                    "she": sorted(lexicon.she_words),
-                    "he": sorted(lexicon.he_words),
-                    "they": sorted(lexicon.they_words),
-                },
-                sort_keys=True,
-            )
-        )
+        words = {"she": sorted(lexicon.she_words), "he": sorted(lexicon.he_words),
+                 "they": sorted(lexicon.they_words)}
+        lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
 
     corpus = read_corpus_tsv(corpus_path)
     views = read_views_json(views_path)
@@ -305,19 +285,13 @@ def cmd_tgbi(args) -> int:
     report = score_views(views, pairs, lexicon, variant=args.variant,
                          ambiguous_policy=args.ambiguous_policy)
 
-    payload = {
-        "provenance": _provenance(
-            {
-                "corpus": corpus_path,
-                "views": views_path,
-                "translations": translations_path,
-                "gender_lexicon": {"sha256": lexicon_hash},
-            },
-            {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy},
-        ),
-    }
-    payload.update(report_to_dict(report))
-    write_json(payload, out_dir / "tgbi_report.json")
+    _write_report(
+        out_dir / "tgbi_report.json",
+        report_to_dict(report),
+        {"corpus": corpus_path, "views": views_path, "translations": translations_path,
+         "gender_lexicon": {"sha256": lexicon_hash}},
+        {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy},
+    )
     table = render_tgbi_table(report)
     write_utf8(out_dir / "tgbi_table.txt", table)
     print(table, end="")
@@ -383,29 +357,16 @@ def _embedding_inputs(args) -> argparse.Namespace:
 
 
 def cmd_metrics(args) -> int:
-    from .metrics import METRIC_TEMPLATES
-    from .queries import expand_subqueries
-    from .ranking import (
-        build_score_matrix,
-        render_score_matrix,
-        score_matrix_csv,
-        score_matrix_to_dict,
-    )
+    from .ranking import render_score_matrix, score_matrices, score_matrix_csv, score_matrix_to_dict
 
     run = _embedding_inputs(args)
-    for metric in args.metrics:
-        subqueries = expand_subqueries(run.queries, METRIC_TEMPLATES[metric])
-        matrix = build_score_matrix(
-            metric, run.tables, subqueries, lost_threshold=args.lost_threshold, seed=args.seed
-        )
-        payload = {
-            "provenance": _provenance(
-                run.inputs, {"metric": metric, "lost_threshold": args.lost_threshold},
-                seed=args.seed,
-            ),
-        }
-        payload.update(score_matrix_to_dict(matrix))
-        write_json(payload, run.out_dir / f"scores_{metric}.json")
+    matrices = score_matrices(args.metrics, run.tables, run.queries,
+                              lost_threshold=args.lost_threshold, seed=args.seed)
+    for matrix in matrices:
+        metric = matrix.metric
+        _write_report(run.out_dir / f"scores_{metric}.json", score_matrix_to_dict(matrix),
+                      run.inputs, {"metric": metric, "lost_threshold": args.lost_threshold},
+                      seed=args.seed)
         write_utf8(run.out_dir / f"scores_{metric}.csv", score_matrix_csv(matrix))
         print(f"{metric}:")
         print(render_score_matrix(matrix), end="")
@@ -413,28 +374,17 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .ranking import (
-        build_rank_table,
-        rank_table_csv,
-        rank_table_to_dict,
-        render_rank_table,
-    )
+    from .ranking import build_rank_table, rank_table_csv, rank_table_to_dict, render_rank_table
 
     run = _embedding_inputs(args)
     table = build_rank_table(
         args.metrics, run.tables, run.queries,
         lost_threshold=args.lost_threshold, agg=args.agg, seed=args.seed,
     )
-    payload = {
-        "provenance": _provenance(
-            run.inputs,
-            {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
-             "metrics": args.metrics},
-            seed=args.seed,
-        ),
-    }
-    payload.update(rank_table_to_dict(table))
-    write_json(payload, run.out_dir / "rank_table.json")
+    _write_report(run.out_dir / "rank_table.json", rank_table_to_dict(table), run.inputs,
+                  {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
+                   "metrics": args.metrics},
+                  seed=args.seed)
     write_utf8(run.out_dir / "rank_table.csv", rank_table_csv(table))
     rendered = render_rank_table(table, mode=args.mode)
     write_utf8(run.out_dir / "rank_table.txt", rendered)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from string import Formatter
 
 from .names import content_lines, nfc, read_json, read_tsv, write_json, write_tsv
 
@@ -44,6 +45,7 @@ __all__ = [
     "build_views",
     "generate_utterances",
     "load_lexicon",
+    "merge_templates",
     "read_corpus_tsv",
     "read_views_json",
     "write_corpus_tsv",
@@ -123,22 +125,39 @@ DEFAULT_TEMPLATES = {
 def load_lexicon(path, category: str) -> Lexicon:
     """One entry per line; blank lines and '#' comments ignored; duplicates
     keep the first occurrence."""
-    path = Path(path)
-    entries: list[str] = []
-    seen: set[str] = set()
-    for _lineno, line in content_lines(path):
-        key = nfc(line)
-        if key in seen:
-            continue
-        seen.add(key)
-        entries.append(key)
+    entries = tuple(dict.fromkeys(nfc(line) for _lineno, line in content_lines(path)))
     if not entries:
         raise ValueError(f"{path}: lexicon is empty after filtering")
-    return Lexicon(category, tuple(entries))
+    return Lexicon(category, entries)
+
+
+def merge_templates(templates=None) -> dict:
+    """:data:`DEFAULT_TEMPLATES` overlaid by ``templates``. Each names a
+    lexicon category and is a format string using ``{pronoun}`` and
+    ``{lexeme}``, without which texts would collide, and no other field but
+    ``{copula}``."""
+    merged = dict(DEFAULT_TEMPLATES)
+    for category, template in (templates or {}).items():
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown template category '{category}' "
+                             f"(expected one of {', '.join(CATEGORIES)})")
+        try:
+            template.format(pronoun="", lexeme="", copula="")
+            fields = {field for _text, field, _spec, _conv in Formatter().parse(template)}
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            fields = None
+        if fields is None or not fields <= {None, "pronoun", "lexeme", "copula"}:
+            raise ValueError(f"template '{category}' must be a format string using only "
+                             "{pronoun}, {lexeme} and {copula}")
+        if not {"pronoun", "lexeme"} <= fields:
+            raise ValueError(f"template '{category}' must use both {{pronoun}} and {{lexeme}}")
+        merged[category] = template
+    return merged
 
 
 def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> list[Utterance]:
-    """Cross every lexicon entry with every pronoun register.
+    """Cross every lexicon entry with every pronoun register, each category
+    with its template (see :func:`merge_templates`).
 
     Generation order is lexicon order outer, register order inner; ids are
     assigned sequentially in that order. Exact-duplicate texts are removed,
@@ -150,16 +169,12 @@ def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> 
     registers = [spec.register for spec in pronouns]
     if len(set(registers)) != len(registers):
         raise ValueError(f"duplicate registers in pronoun specs: {registers}")
-    merged_templates = dict(DEFAULT_TEMPLATES)
-    merged_templates.update(templates or {})
+    merged_templates = merge_templates(templates)
     utterances: list[Utterance] = []
     seen_texts: set[str] = set()
     next_id = 1
     for lexicon in lexicons:
-        try:
-            template = merged_templates[lexicon.category]
-        except KeyError:
-            raise ValueError(f"no template for lexicon category '{lexicon.category}'") from None
+        template = merged_templates[lexicon.category]
         for lexeme in lexicon.entries:
             for spec in pronouns:
                 text = template.format(pronoun=spec.surface, lexeme=lexeme, copula=spec.copula)

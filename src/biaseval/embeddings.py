@@ -77,12 +77,13 @@ class WordResolution:
     loss_fraction: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Immutable float64 vectors: row i of ``matrix`` is the vector of the NFC
     token ``tokens[i]``; a repeated token keeps its first row. Every row is
     checked here and ``matrix`` made read-only, not copied. A lookup miss is
-    retried lowercased (``fold_case_default``) unless most tokens are Devanagari."""
+    retried lowercased (``fold_case_default``) unless most tokens are Devanagari.
+    Tables compare and hash by identity."""
 
     name: str
     tokens: tuple[str, ...]

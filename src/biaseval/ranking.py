@@ -34,6 +34,7 @@ __all__ = [
     "rank_table_to_dict",
     "render_rank_table",
     "render_score_matrix",
+    "score_matrices",
     "score_matrix_csv",
     "score_matrix_to_dict",
 ]
@@ -75,8 +76,7 @@ def build_score_matrix(
     diagnostics entry; other errors propagate. RNSB cells with identical
     attribute matrices share one fitted classifier for the call.
     """
-    if metric not in METRIC_FUNCTIONS:
-        raise ValueError(f"unknown metric '{metric}'")
+    _template(metric)
     tables = list(tables)
     subqueries = list(subqueries)
     if not tables:
@@ -121,6 +121,47 @@ def build_score_matrix(
                 if cell:
                     diagnostics[(table.name, query.label)] = cell
     return ScoreMatrix(metric, names, [q.label for q in subqueries], values, diagnostics)
+
+
+def _template(metric: str):
+    """The metric's template; an unknown name raises a ValueError."""
+    if metric not in METRIC_TEMPLATES:
+        raise ValueError(f"unknown metric '{metric}'")
+    return METRIC_TEMPLATES[metric]
+
+
+def score_matrices(
+    metrics,
+    tables,
+    queries,
+    lost_threshold: float = DEFAULT_LOST_THRESHOLD,
+    seed: int = DEFAULT_SEED,
+) -> list[ScoreMatrix]:
+    """One score matrix per metric, in the order given, over each metric's
+    subqueries of ``queries``.
+
+    Every metric is checked and its subqueries expanded before any matrix
+    is built, and every matrix is built before any is returned, so a
+    failing metric leaves no partial result.
+    """
+    metrics = list(metrics)
+    tables = list(tables)
+    queries = list(queries)
+    if not metrics:
+        raise ValueError("no metrics given")
+    expanded = []
+    for metric in metrics:
+        template = _template(metric)
+        subqueries = expand_subqueries(queries, template)
+        if not subqueries:
+            raise ValueError(
+                f"no query satisfies the {metric} template ({template.t},{template.a})"
+            )
+        expanded.append(subqueries)
+    return [
+        build_score_matrix(metric, tables, subqueries, lost_threshold=lost_threshold, seed=seed)
+        for metric, subqueries in zip(metrics, expanded)
+    ]
 
 
 def _resolve(query, table, lost_threshold):
@@ -177,38 +218,25 @@ def build_rank_table(
     agg: str = "abs_mean",
     seed: int = DEFAULT_SEED,
 ) -> RankTable:
-    """Run expand -> score -> aggregate -> rank for each metric.
+    """Aggregate and rank each of :func:`score_matrices`' matrices.
 
     Rows are embeddings in registration order, columns are metrics; both the
     aggregate values and the rank indices are kept.
     """
-    metrics = list(metrics)
-    tables = list(tables)
-    queries = list(queries)
-    if not metrics:
-        raise ValueError("no metrics given")
-    names = [t.name for t in tables]
-    aggregate_values = np.zeros((len(tables), len(metrics)))
-    ranks = np.zeros((len(tables), len(metrics)), dtype=int)
+    matrices = score_matrices(metrics, tables, queries, lost_threshold=lost_threshold, seed=seed)
+    names = list(matrices[0].rows)
+    aggregate_values = np.zeros((len(names), len(matrices)))
+    ranks = np.zeros((len(names), len(matrices)), dtype=int)
     diagnostics: dict = {}
-    for j, metric in enumerate(metrics):
-        template = METRIC_TEMPLATES[metric]
-        subqueries = expand_subqueries(queries, template)
-        if not subqueries:
-            raise ValueError(
-                f"no query satisfies the {metric} template ({template.t},{template.a})"
-            )
-        matrix = build_score_matrix(
-            metric, tables, subqueries, lost_threshold=lost_threshold, seed=seed
-        )
+    for j, matrix in enumerate(matrices):
         aggregates = aggregate_rows(matrix, agg=agg)
         for i, (_name, value) in enumerate(aggregates):
             aggregate_values[i, j] = value
         for name, rank in rank_embeddings(aggregates):
             ranks[names.index(name), j] = rank
         if matrix.diagnostics:
-            diagnostics[metric] = matrix.diagnostics
-    return RankTable(names, metrics, aggregate_values, ranks, diagnostics)
+            diagnostics[matrix.metric] = matrix.diagnostics
+    return RankTable(names, [m.metric for m in matrices], aggregate_values, ranks, diagnostics)
 
 
 def _flatten_diagnostics(diagnostics: dict) -> dict:

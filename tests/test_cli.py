@@ -604,6 +604,21 @@ class TestRankCommand:
         assert values["RND"] != alone_values["RND"]
         assert values["ECT"] != alone_values["ECT"]
 
+    def test_table_missing_every_cell_exits_2_naming_the_first_cause(
+        self, tmp_path, capsys, embedding_files, query_file
+    ):
+        from biaseval import cli
+
+        other = write_w2v(tmp_path / "other.txt", {"x": [1.0, 0.0], "y": [0.0, 1.0]})
+        code = cli.main(["rank", "--embedding", f"a={embedding_files[0]}",
+                         "--embedding", f"b={other}", "--queries", str(query_file),
+                         "--metric", "WEAT", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: embedding 'b' has no present WEAT scores (all cells missing; "
+            "first cause: word set 'feminine': no word found in 'b')"
+        ]
+
     def test_raw_mode_render(self, tmp_path, embedding_files, query_file):
         emb_a, emb_b = embedding_files
         out_dir = tmp_path / "rank"
@@ -631,6 +646,44 @@ class TestMetricsCommand:
         assert payload["rows"] == ["a", "b"]
         assert len(payload["values"][0]) == 1
         assert (out_dir / "scores_WEAT.csv").is_file()
+
+    def test_a_failing_metric_leaves_no_report_and_prints_nothing(self, tmp_path, capsys,
+                                                                  embedding_files):
+        """Every metric is scored before any report is written or printed."""
+        from biaseval import cli
+
+        queries = tmp_path / "one_word.json"
+        queries.write_text(json.dumps({
+            "label": "q",
+            "targets": [{"name": "f", "words": ["she", "her"]},
+                        {"name": "m", "words": ["he", "him"]}],
+            "attributes": [{"name": "c", "words": ["career"]}, {"name": "h", "words": ["home"]}],
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = cli.main(["metrics", "--embedding", f"a={embedding_files[0]}",
+                         "--queries", str(queries), "--metric", "WEAT", "--metric", "ECT",
+                         "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["error: ECT needs at least two attribute words"]
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
+    def test_skip_invalid_names_the_template_no_query_fills(self, tmp_path, embedding_files):
+        queries = tmp_path / "narrow.json"
+        queries.write_text(json.dumps({
+            "label": "narrow",
+            "targets": [{"name": "f", "words": ["she", "her"]}],
+            "attributes": [{"name": "c", "words": ["career", "office"]}],
+        }), encoding="utf-8")
+        result = run_cli("metrics", "--embedding", f"a={embedding_files[0]}",
+                         "--queries", queries, "--metric", "RND", "--skip-invalid",
+                         "--out-dir", tmp_path / "out")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "warning: query 'narrow' cannot satisfy template (2,1); skipped",
+            "error: no query satisfies the RND template (2,1)",
+        ]
 
 
 class TestEmbeddingInputOrder:
@@ -1102,12 +1155,18 @@ class TestMalformedStructure:
         (eec + ["--templates", "{bad}"], b'{"occupation": "{nope}"}',
          "template 'occupation' must be a format string using only "
          "{pronoun}, {lexeme} and {copula}"),
+        (eec + ["--templates", "{bad}"], b'{"occupaton": "{pronoun} {lexeme} {copula}"}',
+         "unknown template category 'occupaton' (expected one of occupation, positive, "
+         "negative)"),
+        (eec + ["--templates", "{bad}"], b'{"occupation": "{lexeme}"}',
+         "template 'occupation' must use both {pronoun} and {lexeme}"),
         (["tgbi", "--corpus", "{corpus}", "--views", "{bad}", "--translations",
           "{translations}"],
          json.dumps({"informal": 5, "formal": [], "impolite": [], "polite": [], "positive": [],
                      "negative": [], "occupation": []}).encode(),
          "view 'informal' must be a list of integer ids"),
-    ], ids=["pronouns", "pronoun_register", "templates", "views"])
+    ], ids=["pronouns", "pronoun_register", "templates", "template_category",
+            "template_without_pronoun", "views"])
     def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
                             content, message, capsys):
         bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,19 @@ class TestGenerateUtterances:
             [POS], templates={"positive": "{pronoun} बहुत {lexeme} {copula}"}
         )
         assert utterances[1].text == "वे बहुत अच्छा हैं"
+
+    @pytest.mark.parametrize("templates,message", [
+        ({"occupaton": "{pronoun} {lexeme}"}, "unknown template category 'occupaton'"),
+        ({"occupation": "{lexeme} {copula}"}, "must use both {pronoun} and {lexeme}"),
+        ({"occupation": "{pronoun} {copula}"}, "must use both {pronoun} and {lexeme}"),
+        ({"occupation": "{pronoun} {lexeme} {verb}"}, "must be a format string using only"),
+        ({"occupation": "{pronoun.upper} {lexeme}"}, "must be a format string using only"),
+        ({"occupation": "{pronoun} {lexeme"}, "must be a format string using only"),
+        ({"occupation": 5}, "must be a format string using only"),
+    ])
+    def test_bad_template_rejected(self, templates, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_utterances([OCC], templates=templates)
 
     def test_duplicate_registers_rejected(self):
         specs = (DEFAULT_PRONOUNS[0], DEFAULT_PRONOUNS[0])

@@ -316,6 +316,14 @@ class TestTableContract:
         assert [key for key, _vec in found] == ["b", "a"]
         assert all(np.shares_memory(vec, matrix) for _key, vec in found)
 
+    def test_tables_compare_and_hash_by_identity(self):
+        a = EmbeddingTable.from_mapping("t", {"x": [1.0, 0.0]})
+        b = EmbeddingTable.from_mapping("t", {"x": [1.0, 0.0]})
+        assert a != b
+        assert a == a
+        assert a not in [b]
+        assert {a: 1}[a] == 1
+
     def test_loaded_table_is_one_matrix_row_per_line(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("3 2\na 1 0\nb 0 1\na 9 9\n", encoding="utf-8")

@@ -26,6 +26,7 @@ from biaseval.ranking import (
     rank_table_csv,
     rank_table_to_dict,
     render_score_matrix,
+    score_matrices,
     score_matrix_csv,
     score_matrix_to_dict,
 )
@@ -216,6 +217,16 @@ class TestAggregateRows:
         with pytest.raises(ValueError, match="no present"):
             aggregate_rows(self._matrix([[np.nan, np.nan]]))
 
+    def test_fully_missing_row_names_its_first_cause(self):
+        matrix = self._matrix([[np.nan, np.nan], [0.1, 0.2]])
+        matrix.diagnostics = {("e0", "q1"): {"missing": "second"},
+                              ("e0", "q0"): {"missing": "first"},
+                              ("e1", "q0"): {"missing": "other row"}}
+        with pytest.raises(ValueError) as info:
+            aggregate_rows(matrix)
+        assert str(info.value) == ("embedding 'e0' has no present WEAT scores "
+                                   "(all cells missing; first cause: first)")
+
     def test_unknown_aggregation(self):
         with pytest.raises(ValueError):
             aggregate_rows(self._matrix([[0.1]]), agg="median")
@@ -245,19 +256,20 @@ class TestRankEmbeddings:
             rank_embeddings([])
 
 
-class TestBuildRankTable:
-    def _queries(self):
-        return [
-            Query(
-                targets=(WordSet("t1", TOKENS[:3]), WordSet("t2", TOKENS[3:6])),
-                attributes=(WordSet("a1", TOKENS[6:9]), WordSet("a2", TOKENS[9:12])),
-                label="full",
-            )
-        ]
+def full_queries():
+    return [
+        Query(
+            targets=(WordSet("t1", TOKENS[:3]), WordSet("t2", TOKENS[3:6])),
+            attributes=(WordSet("a1", TOKENS[6:9]), WordSet("a2", TOKENS[9:12])),
+            label="full",
+        )
+    ]
 
+
+class TestBuildRankTable:
     def test_four_by_four(self):
         tables = [make_table(f"e{i}", i, TOKENS) for i in range(4)]
-        table = build_rank_table(METRIC_NAMES, tables, self._queries())
+        table = build_rank_table(METRIC_NAMES, tables, full_queries())
         assert table.aggregate_values.shape == (4, 4)
         assert table.ranks.shape == (4, 4)
         assert table.cols == list(METRIC_NAMES)
@@ -266,7 +278,7 @@ class TestBuildRankTable:
 
     def test_lower_score_ranks_first(self):
         tables = [make_table("e0", 0, TOKENS), make_table("e1", 1, TOKENS)]
-        table = build_rank_table(["WEAT"], tables, self._queries())
+        table = build_rank_table(["WEAT"], tables, full_queries())
         values = table.aggregate_values[:, 0]
         best = int(np.argmin(values))
         assert table.ranks[best, 0] == 1
@@ -274,15 +286,15 @@ class TestBuildRankTable:
     def test_identical_embeddings_tie_by_registration(self):
         base = make_table("first", 7, TOKENS)
         clone = EmbeddingTable("second", base.tokens, base.matrix.copy())
-        table = build_rank_table(["WEAT", "RND"], [base, clone], self._queries())
+        table = build_rank_table(["WEAT", "RND"], [base, clone], full_queries())
         np.testing.assert_allclose(table.aggregate_values[0], table.aggregate_values[1])
         assert list(table.ranks[0]) == [1, 1]
         assert list(table.ranks[1]) == [2, 2]
 
     def test_row_permutation(self):
         tables = [make_table(f"e{i}", i, TOKENS) for i in range(3)]
-        forward = build_rank_table(["WEAT"], tables, self._queries())
-        backward = build_rank_table(["WEAT"], tables[::-1], self._queries())
+        forward = build_rank_table(["WEAT"], tables, full_queries())
+        backward = build_rank_table(["WEAT"], tables[::-1], full_queries())
         np.testing.assert_allclose(
             forward.aggregate_values[::-1], backward.aggregate_values
         )
@@ -290,7 +302,7 @@ class TestBuildRankTable:
     def test_duplicate_names_rejected(self):
         tables = [make_table("same", 0, TOKENS), make_table("same", 1, TOKENS)]
         with pytest.raises(ValueError, match="unique"):
-            build_rank_table(["WEAT"], tables, self._queries())
+            build_rank_table(["WEAT"], tables, full_queries())
 
     def test_no_satisfiable_query(self):
         tables = [make_table("e0", 0, TOKENS)]
@@ -302,6 +314,43 @@ class TestBuildRankTable:
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="no query satisfies"):
                 build_rank_table(["WEAT"], tables, [narrow])
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'BOGUS'"):
+            build_rank_table(["BOGUS"], [make_table("e0", 0, TOKENS)], full_queries())
+
+
+class TestScoreMatrices:
+    def test_one_matrix_per_metric_in_order(self):
+        tables = [make_table("e0", 0, TOKENS), make_table("e1", 1, TOKENS)]
+        matrices = score_matrices(["RND", "WEAT", "RND"], iter(tables), iter(full_queries()))
+        assert [m.metric for m in matrices] == ["RND", "WEAT", "RND"]
+        direct = build_score_matrix("WEAT", tables, full_queries())
+        np.testing.assert_array_equal(matrices[1].values, direct.values)
+        assert (matrices[1].rows, matrices[1].cols) == (["e0", "e1"], ["full"])
+        assert len(matrices[0].cols) == 2  # RND: one subquery per attribute set
+        np.testing.assert_array_equal(matrices[0].values, matrices[2].values)
+
+    def test_rejects_no_metrics_and_unknown_names(self):
+        tables = [make_table("e0", 0, TOKENS)]
+        with pytest.raises(ValueError, match="no metrics given"):
+            score_matrices([], tables, full_queries())
+        with pytest.raises(ValueError, match="unknown metric 'BOGUS'"):
+            score_matrices(["WEAT", "BOGUS"], tables, full_queries())
+
+    def test_checks_every_template_before_scoring(self, monkeypatch):
+        """A metric no query fits fails the call before any matrix is built."""
+        import biaseval.ranking
+
+        built = []
+        monkeypatch.setattr(biaseval.ranking, "build_score_matrix",
+                            lambda metric, *args, **kwargs: built.append(metric))
+        one_attribute = Query(targets=(WordSet("t1", TOKENS[:3]), WordSet("t2", TOKENS[3:6])),
+                              attributes=(WordSet("a1", TOKENS[6:9]),), label="one")
+        with pytest.warns(UserWarning, match="cannot satisfy template \\(2,2\\)"):
+            with pytest.raises(ValueError, match="no query satisfies the WEAT template \\(2,2\\)"):
+                score_matrices(["RND", "WEAT"], [make_table("e0", 0, TOKENS)], [one_attribute])
+        assert built == []
 
 
 class TestSerialization:

@@ -48,6 +48,13 @@ class TestLoadTranslationsTsv:
         with pytest.raises(ValueError, match="duplicate id 1"):
             load_translations_tsv(path)
 
+    def test_non_integer_id(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("id\ttranslation\n1\ta\nx7\tb\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_translations_tsv(path)
+        assert str(info.value) == f"{path}:3: id must be an integer"
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("id\ttranslation\n", encoding="utf-8")
