@@ -2,7 +2,8 @@
 ranking, and bias-index scoring.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input error. Errors
-and warnings reach stderr as one ``error: ...`` or ``warning: ...`` line each.
+and warnings reach stderr as one ``error: ...`` or ``warning: ...`` line each,
+whatever warning filter the caller set (``-W error`` included).
 
 An option takes the flag's value if given, else the ``--config`` file's value
 under the option's dest, else the default declared in :func:`build_parser`.
@@ -488,6 +489,7 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings():
+        warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             if args.config:

@@ -237,12 +237,10 @@ def read_views_json(path) -> list[EvaluationSet]:
         raise ValueError(f"{path}: missing views {missing}")
     views = []
     for name in VIEW_NAMES:
-        try:
-            ids = tuple(int(i) for i in data[name]) if isinstance(data[name], list) else None
-        except (TypeError, ValueError):
-            ids = None
-        if ids is None:
+        ids = data[name]
+        if not isinstance(ids, list) or not all(type(i) is int for i in ids):
             raise ValueError(f"{path}: view '{name}' must be a list of integer ids")
+        ids = tuple(ids)
         if len(set(ids)) != len(ids):
             seen: set[int] = set()
             repeated = next(i for i in ids if i in seen or seen.add(i))

@@ -42,27 +42,24 @@ __all__ = [
 class WordSet:
     """A named, ordered list of unique words.
 
-    Words are NFC-normalized on construction; duplicates keep the first
-    occurrence.
+    ``words`` is a list or tuple of strings, never one string; they are
+    NFC-normalized on construction and duplicates keep the first occurrence.
     """
 
     name: str
     words: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"word set name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("word set name must be non-empty")
-        seen = set()
-        normalized = []
-        for word in self.words:
-            key = nfc(word)
-            if key in seen:
-                continue
-            seen.add(key)
-            normalized.append(key)
-        if not normalized:
+        if not isinstance(self.words, (list, tuple)):
+            raise TypeError(f"word set '{self.name}' words must be a list, got {self.words!r}")
+        words = tuple(dict.fromkeys(nfc(word) for word in self.words))
+        if not words:
             raise ValueError(f"word set '{self.name}' has no words")
-        object.__setattr__(self, "words", tuple(normalized))
+        object.__setattr__(self, "words", words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -95,6 +92,8 @@ class Query:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise TypeError(f"query label must be a string, got {self.label!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "attributes", tuple(self.attributes))
         if not self.targets:
@@ -152,16 +151,9 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
                 if key in seen:
                     continue
                 seen.add(key)
-                if exact:
-                    subqueries.append(query)
-                else:
-                    subqueries.append(
-                        Query(
-                            target_combo,
-                            attribute_combo,
-                            label=_subquery_label(query.label, target_combo, attribute_combo),
-                        )
-                    )
+                label = (query.label if exact
+                         else _subquery_label(query.label, target_combo, attribute_combo))
+                subqueries.append(Query(target_combo, attribute_combo, label=label))
     return subqueries
 
 
@@ -215,7 +207,8 @@ def load_queries(path) -> list[Query]:
     """Read one query or a list of queries from a UTF-8 JSON file.
 
     Expected shape per query: {"label": str, "targets": [{"name": str,
-    "words": [str]}], "attributes": [...]}. Unknown keys are ignored.
+    "words": [str]}], "attributes": [...]}. Unknown keys are ignored; a
+    label, name, words list or word of another type makes the query malformed.
     """
     path = Path(path)
     data = read_json(path)
@@ -226,17 +219,9 @@ def load_queries(path) -> list[Query]:
     queries = []
     for index, entry in enumerate(data):
         try:
-            queries.append(
-                Query(
-                    targets=tuple(
-                        WordSet(s["name"], tuple(s["words"])) for s in entry.get("targets", ())
-                    ),
-                    attributes=tuple(
-                        WordSet(s["name"], tuple(s["words"])) for s in entry.get("attributes", ())
-                    ),
-                    label=entry.get("label", ""),
-                )
-            )
+            targets, attributes = ([WordSet(s["name"], s["words"]) for s in entry.get(key, ())]
+                                   for key in ("targets", "attributes"))
+            queries.append(Query(targets, attributes, label=entry.get("label", "")))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: query #{index} is malformed: {exc!r}") from None
     return queries

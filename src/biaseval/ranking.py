@@ -142,13 +142,17 @@ def score_matrices(
 
     Every metric is checked and its subqueries expanded before any matrix
     is built, and every matrix is built before any is returned, so a
-    failing metric leaves no partial result.
+    failing metric leaves no partial result. A metric given twice is
+    rejected before anything is expanded.
     """
     metrics = list(metrics)
     tables = list(tables)
     queries = list(queries)
     if not metrics:
         raise ValueError("no metrics given")
+    repeated = [metric for i, metric in enumerate(metrics) if metric in metrics[:i]]
+    if repeated:
+        raise ValueError(f"metric '{repeated[0]}' is given more than once")
     expanded = []
     for metric in metrics:
         template = _template(metric)
@@ -227,15 +231,12 @@ def build_rank_table(
     names = list(matrices[0].rows)
     aggregate_values = np.zeros((len(names), len(matrices)))
     ranks = np.zeros((len(names), len(matrices)), dtype=int)
-    diagnostics: dict = {}
     for j, matrix in enumerate(matrices):
         aggregates = aggregate_rows(matrix, agg=agg)
-        for i, (_name, value) in enumerate(aggregates):
-            aggregate_values[i, j] = value
-        for name, rank in rank_embeddings(aggregates):
-            ranks[names.index(name), j] = rank
-        if matrix.diagnostics:
-            diagnostics[matrix.metric] = matrix.diagnostics
+        values, rank_of = dict(aggregates), dict(rank_embeddings(aggregates))
+        aggregate_values[:, j] = [values[name] for name in names]
+        ranks[:, j] = [rank_of[name] for name in names]
+    diagnostics = {m.metric: m.diagnostics for m in matrices if m.diagnostics}
     return RankTable(names, [m.metric for m in matrices], aggregate_values, ranks, diagnostics)
 
 

@@ -155,8 +155,11 @@ def _fetch_batch(connection, target: str, headers: dict, batch, attempt: int):
     if response.status != 200:
         return _BatchFailure(f"HTTP {response.status}")
     try:
-        translations = {int(item["id"]): str(item["text"])
-                        for item in json.loads(reply)["translations"]}
+        translations = {}
+        for item in json.loads(reply)["translations"]:
+            if type(item["id"]) is not int or not isinstance(item["text"], str):
+                raise TypeError(f"item {item!r} needs an integer id and a string text")
+            translations[item["id"]] = item["text"]
     except (KeyError, TypeError, ValueError) as exc:
         return _Retry(f"malformed response: {exc!r}")
     records = []
@@ -174,9 +177,10 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
     """Fetch translations in batches of up to 64 utterances.
 
     Ids missing from an otherwise successful response become failed records.
-    A connection error, a 5xx or 429 status or a malformed body makes a batch
-    retryable; any other non-200 status, a redirect included, fails it at
-    once. Retryable batches are fetched again in rounds, up to
+    A connection error, a 5xx or 429 status or a malformed body (an item
+    whose id is not a JSON integer or whose text is not a string included)
+    makes a batch retryable; any other non-200 status, a redirect included,
+    fails it at once. Retryable batches are fetched again in rounds, up to
     ``cfg.retry_count`` more times: before round ``n`` the call sleeps once
     for ``RETRY_BACKOFF_S * n`` seconds, or for the largest integer
     ``Retry-After`` of the previous round's replies if that is longer (capped

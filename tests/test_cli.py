@@ -686,6 +686,62 @@ class TestMetricsCommand:
         ]
 
 
+class TestRepeatedMetric:
+    """A metric named twice, by flag or in the config file, is one usage
+    error: exit 2, one line and no report."""
+
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_exits_2_without_a_report(self, tmp_path, capsys, embedding_files, query_file,
+                                      command, source):
+        from biaseval import cli
+
+        if source == "flags":
+            given = ["--metric", "WEAT", "--metric", "RND", "--metric", "WEAT"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"metrics": ["WEAT", "RND", "WEAT"]}), encoding="utf-8")
+            given = ["--config", str(config)]
+        out_dir = tmp_path / "out"
+        code = cli.main([command, "--embedding", f"a={embedding_files[0]}",
+                         "--embedding", f"b={embedding_files[1]}", "--queries", str(query_file),
+                         "--out-dir", str(out_dir), *given])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["error: metric 'WEAT' is given more than once"]
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []
+
+
+class TestWarningFilters:
+    def test_an_error_filter_changes_no_output(self, tmp_path, embedding_files, query_file):
+        """``-W error`` and ``PYTHONWARNINGS=error`` leave a warning a
+        ``warning:`` line, as in a plain run."""
+        import os
+
+        payload = json.loads(query_file.read_text(encoding="utf-8"))
+        narrow = {"label": "narrow", "targets": payload[0]["targets"],
+                  "attributes": payload[0]["attributes"][:1]}
+        queries = tmp_path / "with_narrow.json"
+        queries.write_text(json.dumps(payload + [narrow]), encoding="utf-8")
+        args = ["-m", "biaseval", "rank", "--embedding", f"a={embedding_files[0]}",
+                "--queries", str(queries), "--metric", "WEAT", "--skip-invalid",
+                "--out-dir", str(tmp_path / "out")]
+
+        def run(*options, **env):
+            result = subprocess.run([sys.executable, *options, *args], capture_output=True,
+                                    text=True, env={**os.environ, **env})
+            return result.returncode, result.stdout, result.stderr
+
+        plain = run()
+        assert plain[0] == 0
+        assert plain[2].splitlines() == [
+            "warning: query 'narrow' cannot satisfy template (2,2); skipped"
+        ]
+        assert run("-W", "error") == plain
+        assert run(PYTHONWARNINGS="error") == plain
+
+
 class TestEmbeddingInputOrder:
     """``metrics`` and ``rank`` reject a repeated embedding name and read and
     check the queries before any embedding file is parsed."""
@@ -730,7 +786,9 @@ class TestEmbeddingInputOrder:
         ({"targets": [{"name": "t"}]}, "{path}: query #0 is malformed: KeyError('words')"),
         ({"label": "one", "targets": [{"name": "t", "words": ["she"]}]},
          "query 'one' does not satisfy the WEAT template (2 target sets, 2 attribute sets)"),
-    ], ids=["malformed", "template"])
+        ({"label": 7, "targets": [{"name": "t", "words": ["she"]}]},
+         "{path}: query #0 is malformed: TypeError('query label must be a string, got 7')"),
+    ], ids=["malformed", "template", "label"])
     def test_query_error_wins_over_a_bad_table(self, tmp_path, capsys, command, queries,
                                                message):
         from biaseval import cli

@@ -232,7 +232,8 @@ class TestCorpusIo:
         write_views_json(views, path)
         assert read_views_json(path) == views
 
-    @pytest.mark.parametrize("ids", [5, "1", None, ["x"], [[1]]])
+    @pytest.mark.parametrize("ids", [5, "1", None, ["x"], [[1]], [2.7, True, "3"], [1.0],
+                                     [True], ["3"]])
     def test_views_entry_not_an_id_list(self, tmp_path, ids):
         data = {name: [1] for name in VIEW_NAMES}
         data["formal"] = ids

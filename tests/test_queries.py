@@ -230,11 +230,21 @@ class TestLoadQueries:
         )
         assert load_queries(path)[0].targets[0].words == ("x",)
 
-    def test_malformed(self, tmp_path):
+    @pytest.mark.parametrize("entry,cause", [
+        ({"targets": [{"name": "t"}]}, "KeyError('words')"),
+        ({"targets": [{"name": "t", "words": "she"}]},
+         "TypeError(\"word set 't' words must be a list, got 'she'\")"),
+        ({"targets": [{"name": 7, "words": ["she"]}]},
+         "TypeError('word set name must be a string, got 7')"),
+        ({"label": 7, "targets": [{"name": "t", "words": ["she"]}]},
+         "TypeError('query label must be a string, got 7')"),
+    ], ids=["no-words", "words-string", "name-number", "label-number"])
+    def test_malformed(self, tmp_path, entry, cause):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps([{"targets": [{"name": "t"}]}]), encoding="utf-8")
-        with pytest.raises(ValueError, match="malformed"):
+        path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
             load_queries(path)
+        assert str(exc.value) == f"{path}: query #0 is malformed: {cause}"
 
     def test_bundled_defaults_load(self):
         queries = load_queries(default_queries_path())

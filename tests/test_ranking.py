@@ -298,6 +298,7 @@ class TestBuildRankTable:
         np.testing.assert_allclose(
             forward.aggregate_values[::-1], backward.aggregate_values
         )
+        np.testing.assert_array_equal(forward.ranks[::-1], backward.ranks)
 
     def test_duplicate_names_rejected(self):
         tables = [make_table("same", 0, TOKENS), make_table("same", 1, TOKENS)]
@@ -323,13 +324,25 @@ class TestBuildRankTable:
 class TestScoreMatrices:
     def test_one_matrix_per_metric_in_order(self):
         tables = [make_table("e0", 0, TOKENS), make_table("e1", 1, TOKENS)]
-        matrices = score_matrices(["RND", "WEAT", "RND"], iter(tables), iter(full_queries()))
-        assert [m.metric for m in matrices] == ["RND", "WEAT", "RND"]
+        matrices = score_matrices(["RND", "WEAT"], iter(tables), iter(full_queries()))
+        assert [m.metric for m in matrices] == ["RND", "WEAT"]
         direct = build_score_matrix("WEAT", tables, full_queries())
         np.testing.assert_array_equal(matrices[1].values, direct.values)
         assert (matrices[1].rows, matrices[1].cols) == (["e0", "e1"], ["full"])
         assert len(matrices[0].cols) == 2  # RND: one subquery per attribute set
-        np.testing.assert_array_equal(matrices[0].values, matrices[2].values)
+
+    def test_rejects_a_repeated_metric_before_expanding_any(self, monkeypatch):
+        """The metric named is the one whose second occurrence comes first."""
+        import biaseval.ranking
+
+        expanded = []
+        monkeypatch.setattr(biaseval.ranking, "expand_subqueries",
+                            lambda queries, template: expanded.append(template))
+        with pytest.raises(ValueError) as exc:
+            score_matrices(["WEAT", "RND", "RND", "WEAT"], [make_table("e0", 0, TOKENS)],
+                           full_queries())
+        assert str(exc.value) == "metric 'RND' is given more than once"
+        assert expanded == []
 
     def test_rejects_no_metrics_and_unknown_names(self):
         tables = [make_table("e0", 0, TOKENS)]

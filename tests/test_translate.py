@@ -303,6 +303,23 @@ class TestFetchTranslationsHttp:
         records = fetch_translations_http(BackendConfig(translation_server.url), utterances(1))
         assert records[0].output == "a b c d"
 
+    @pytest.mark.parametrize("item", [
+        {"id": 1, "text": None}, {"id": 1.0, "text": "x"}, {"id": True, "text": "x"},
+        {"id": "1", "text": "x"},
+    ], ids=["null-text", "float-id", "bool-id", "string-id"])
+    def test_mistyped_item_makes_the_reply_malformed(self, translation_server, item):
+        """An item whose id is no JSON integer or whose text is no string is
+        not coerced onto a corpus id: the reply is retried."""
+        translation_server.reply = (
+            lambda texts, call: echo(texts) + [item] if call == 1 else echo(texts)
+        )
+        records = fetch_translations_http(
+            BackendConfig(translation_server.url, retry_count=1), utterances(2)
+        )
+        assert [(r.id, r.output, r.retries) for r in records] == [
+            (u.id, u.text, 1) for u in utterances(2)
+        ]
+
     @pytest.mark.parametrize("auth,expected", [
         ("Bearer t0k3n", {"Authorization": "Bearer t0k3n"}),
         ("", {}),
