@@ -269,8 +269,7 @@ def cmd_tgbi(args) -> int:
         lexicon_hash = _sha256(lexicon_file)
     else:
         lexicon = DEFAULT_GENDER_LEXICON
-        words = {"she": sorted(lexicon.she_words), "he": sorted(lexicon.he_words),
-                 "they": sorted(lexicon.they_words)}
+        words = {bucket: sorted(tokens) for bucket, tokens in lexicon.sections().items()}
         lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
 
     corpus = read_corpus_tsv(corpus_path)

@@ -115,11 +115,7 @@ DEFAULT_PRONOUNS = (
     PronounSpec("वो", "informal", "है"),
 )
 
-DEFAULT_TEMPLATES = {
-    "occupation": "{pronoun} {lexeme} {copula}",
-    "positive": "{pronoun} {lexeme} {copula}",
-    "negative": "{pronoun} {lexeme} {copula}",
-}
+DEFAULT_TEMPLATES = {category: "{pronoun} {lexeme} {copula}" for category in CATEGORIES}
 
 
 def load_lexicon(path, category: str) -> Lexicon:
@@ -195,23 +191,16 @@ def build_views(utterances) -> list[EvaluationSet]:
     views; formal is the disjoint union of polite and impolite. Each view
     keeps corpus order.
     """
-    ids = {name: [] for name in VIEW_NAMES}
-    # The id lists of the views each register, and each category, belongs to.
-    by_register = {register: [] for register in REGISTERS}
-    by_category = {category: [] for category in CATEGORIES}
-    for name, field, values in VIEWS:
-        for value in values:
-            (by_register if field == "register" else by_category)[value].append(ids[name])
+    utterances = list(utterances)
     for utterance in utterances:
-        if utterance.register not in by_register:
+        if utterance.register not in REGISTERS:
             raise ValueError(f"utterance {utterance.id} has unknown register '{utterance.register}'")
-        if utterance.lexicon_category not in by_category:
+        if utterance.lexicon_category not in CATEGORIES:
             raise ValueError(
                 f"utterance {utterance.id} has unknown category '{utterance.lexicon_category}'"
             )
-        for view_ids in by_register[utterance.register] + by_category[utterance.lexicon_category]:
-            view_ids.append(utterance.id)
-    return [EvaluationSet(name, tuple(ids[name])) for name in VIEW_NAMES]
+    return [EvaluationSet(name, tuple(u.id for u in utterances if getattr(u, field) in values))
+            for name, field, values in VIEWS]
 
 
 def write_corpus_tsv(utterances, path) -> None:
@@ -220,7 +209,11 @@ def write_corpus_tsv(utterances, path) -> None:
 
 
 def read_corpus_tsv(path) -> list[Utterance]:
-    return [Utterance(uid, *fields) for uid, fields in read_tsv(path, CORPUS_HEADER)]
+    rows = read_tsv(path, CORPUS_HEADER)
+    try:
+        return [Utterance(uid, *fields) for uid, fields in rows]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_views_json(views, path) -> None:

@@ -222,7 +222,7 @@ def load_queries(path) -> list[Query]:
             targets, attributes = ([WordSet(s["name"], s["words"]) for s in entry.get(key, ())]
                                    for key in ("targets", "attributes"))
             queries.append(Query(targets, attributes, label=entry.get("label", "")))
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: query #{index} is malformed: {exc!r}") from None
     return queries
 

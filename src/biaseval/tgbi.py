@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .eec import VIEW_NAMES
@@ -26,6 +26,8 @@ BUCKET_SHE = "she"
 BUCKET_HE = "he"
 BUCKET_THEY = "they"
 BUCKET_UNRESOLVED = "unresolved"
+# The buckets a lexicon's token sets decide, in lexicon field and file order.
+GENDER_BUCKETS = (BUCKET_SHE, BUCKET_HE, BUCKET_THEY)
 
 VARIANT_LINEAR = "linear"
 VARIANT_SQRT = "sqrt"
@@ -43,6 +45,7 @@ __all__ = [
     "BUCKET_THEY",
     "BUCKET_UNRESOLVED",
     "DEFAULT_GENDER_LEXICON",
+    "GENDER_BUCKETS",
     "GenderLexicon",
     "SetScore",
     "TgbiReport",
@@ -67,17 +70,21 @@ class GenderLexicon:
     they_words: frozenset
 
     def __post_init__(self):
-        for attr in ("she_words", "he_words", "they_words"):
-            words = frozenset(str(w).lower() for w in getattr(self, attr))
+        bucket_of: dict[str, str] = {}
+        for bucket in GENDER_BUCKETS:
+            words = frozenset(str(w).lower() for w in getattr(self, f"{bucket}_words"))
             if not words:
-                raise ValueError(f"{attr} must be non-empty")
-            object.__setattr__(self, attr, words)
-        if (
-            self.she_words & self.he_words
-            or self.she_words & self.they_words
-            or self.he_words & self.they_words
-        ):
-            raise ValueError("gender lexicon sets must be pairwise disjoint")
+                raise ValueError(f"gender lexicon section [{bucket}] is empty")
+            for word in sorted(words):
+                if word in bucket_of:
+                    raise ValueError(f"gender lexicon sets must be pairwise disjoint: {word!r} "
+                                     f"is in [{bucket_of[word]}] and [{bucket}]")
+                bucket_of[word] = bucket
+            object.__setattr__(self, f"{bucket}_words", words)
+
+    def sections(self) -> dict[str, frozenset]:
+        """The token set of each bucket of :data:`GENDER_BUCKETS`, in order."""
+        return {bucket: getattr(self, f"{bucket}_words") for bucket in GENDER_BUCKETS}
 
 
 # Reconstructed conventional associations around the bare she/he/they
@@ -97,9 +104,11 @@ DEFAULT_GENDER_LEXICON = GenderLexicon(
 
 def load_gender_lexicon(path) -> GenderLexicon:
     """Parse a lexicon file with "[she]", "[he]", "[they]" sections, one
-    token per line; '#' starts a comment."""
+    token per line; '#' starts a comment. A missing or empty section, or a
+    token in two sections, raises a ValueError naming the file."""
     path = Path(path)
-    sections: dict[str, list[str]] = {"she": [], "he": [], "they": []}
+    sections: dict[str, list[str]] = {bucket: [] for bucket in GENDER_BUCKETS}
+    headings = "/".join(f"[{bucket}]" for bucket in sections)
     current = None
     for lineno, line in content_lines(path):
         if line.startswith("[") and line.endswith("]"):
@@ -109,13 +118,12 @@ def load_gender_lexicon(path) -> GenderLexicon:
             current = section
             continue
         if current is None:
-            raise ValueError(f"{path}:{lineno}: token before any [she]/[he]/[they] section")
-        sections[current].append(line.lower())
-    return GenderLexicon(
-        she_words=frozenset(sections["she"]),
-        he_words=frozenset(sections["he"]),
-        they_words=frozenset(sections["they"]),
-    )
+            raise ValueError(f"{path}:{lineno}: token before any {headings} section")
+        sections[current].append(line)
+    try:
+        return GenderLexicon(*sections.values())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def classify_sentence(text, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
@@ -228,18 +236,7 @@ def report_to_dict(report: TgbiReport) -> dict:
         "variant": report.variant,
         "tgbi": report.tgbi,
         "unresolved_total": sum(score.n_unresolved for score in report.scores),
-        "scores": [
-            {
-                "view": score.view,
-                "size": score.size,
-                "p_he": score.p_he,
-                "p_she": score.p_she,
-                "p_they": score.p_they,
-                "p_index": score.p_index,
-                "n_unresolved": score.n_unresolved,
-            }
-            for score in report.scores
-        ],
+        "scores": [asdict(score) for score in report.scores],
     }
 
 

@@ -309,7 +309,9 @@ class TestTgbiCommand:
         assert payload["tgbi"] == 1.0
         assert payload["variant"] == "linear"
         assert "seed" not in payload["provenance"]
-        assert "gender_lexicon" in payload["provenance"]["inputs"]
+        assert payload["provenance"]["inputs"]["gender_lexicon"] == {
+            "sha256": "b3ce2e5fc4439730248d69726b0ad26cff8f12df0a4df8cebc0bb985f6c6fc03"
+        }
         assert (report_dir / "tgbi_table.txt").is_file()
         assert "Average:" in result.stdout
 
@@ -321,6 +323,26 @@ class TestTgbiCommand:
         )
         assert result.returncode == 2
         assert "absent.tsv" in result.stderr
+
+    def test_overlapping_lexicon_sections_exit_2_naming_the_file(
+        self, tmp_path, capsys, lexicon_files
+    ):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("[she]\nshe\n[he]\nhe\nshe\n[they]\nthey\n", encoding="utf-8")
+        code = cli.main(["tgbi", "--corpus", str(out_dir / "corpus.tsv"),
+                         "--views", str(out_dir / "views.json"),
+                         "--translations", str(translations), "--gender-lexicon", str(lexicon),
+                         "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {lexicon}: gender lexicon sets must be pairwise disjoint: "
+            "'she' is in [she] and [he]"
+        ]
+        assert not (tmp_path / "r" / "tgbi_report.json").exists()
 
     def test_view_id_not_in_corpus_exits_2(self, tmp_path, capsys, lexicon_files):
         from biaseval import cli

@@ -214,6 +214,17 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match="header"):
             read_corpus_tsv(path)
 
+    def test_empty_text_names_the_file(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(
+            "id\ttext\tregister\tlexicon_category\tlexeme\n"
+            "1\t\tinformal\tpositive\ta\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc:
+            read_corpus_tsv(path)
+        assert str(exc.value) == f"{path}: utterance 1 has empty text"
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text(

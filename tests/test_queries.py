@@ -238,7 +238,17 @@ class TestLoadQueries:
          "TypeError('word set name must be a string, got 7')"),
         ({"label": 7, "targets": [{"name": "t", "words": ["she"]}]},
          "TypeError('query label must be a string, got 7')"),
-    ], ids=["no-words", "words-string", "name-number", "label-number"])
+        ({"targets": [{"name": "t", "words": []}]},
+         "ValueError(\"word set 't' has no words\")"),
+        ({"targets": [{"name": "", "words": ["she"]}]},
+         "ValueError('word set name must be non-empty')"),
+        ({"label": "q", "attributes": [{"name": "a", "words": ["good"]}]},
+         "ValueError('a query needs at least one target set')"),
+        ({"label": "q",
+          "targets": [{"name": "t", "words": ["she"]}, {"name": "t", "words": ["he"]}]},
+         "ValueError(\"duplicate set names in query 'q': ['t', 't']\")"),
+    ], ids=["no-words", "words-string", "name-number", "label-number", "empty-words",
+            "empty-name", "no-targets", "repeated-name"])
     def test_malformed(self, tmp_path, entry, cause):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([entry]), encoding="utf-8")

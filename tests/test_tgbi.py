@@ -14,6 +14,7 @@ from biaseval.eec import VIEW_NAMES, EvaluationSet, Utterance
 from biaseval.errors import DegenerateDistributionError
 from biaseval.tgbi import (
     DEFAULT_GENDER_LEXICON,
+    GENDER_BUCKETS,
     VARIANT_LINEAR,
     VARIANT_SQRT,
     report_to_dict,
@@ -94,6 +95,27 @@ class TestGenderLexicon:
         path.write_text("she\n[she]\n", encoding="utf-8")
         with pytest.raises(ValueError, match="before any"):
             load_gender_lexicon(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[she]\nshe\nboth\n[he]\nhe\nBoth\n[they]\nthey\n",
+         "gender lexicon sets must be pairwise disjoint: 'both' is in [she] and [he]"),
+        ("[she]\nshe\n[he]\nhe\n[they]\nthey\nHer\n[she]\nher\n",
+         "gender lexicon sets must be pairwise disjoint: 'her' is in [she] and [they]"),
+        ("[she]\nshe\n[he]\nhe\n[they]\n# none yet\n",
+         "gender lexicon section [they] is empty"),
+        ("[she]\nshe\n[they]\nthey\n", "gender lexicon section [he] is empty"),
+    ], ids=["she-he", "she-they", "empty-they", "missing-he"])
+    def test_file_error_names_the_file_and_section(self, tmp_path, text, message):
+        path = tmp_path / "lex.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_gender_lexicon(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_sections_in_bucket_order(self):
+        sections = DEFAULT_GENDER_LEXICON.sections()
+        assert tuple(sections) == GENDER_BUCKETS == ("she", "he", "they")
+        assert sections["they"] is DEFAULT_GENDER_LEXICON.they_words
 
     def test_default_lexicon_disjoint(self):
         assert not (DEFAULT_GENDER_LEXICON.she_words & DEFAULT_GENDER_LEXICON.he_words)
