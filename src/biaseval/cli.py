@@ -31,9 +31,11 @@ from pathlib import Path
 
 from . import __version__
 from .eec import (
+    CATEGORIES,
     DEFAULT_PRONOUNS,
     PronounSpec,
     build_views,
+    check_pronouns,
     generate_utterances,
     load_lexicon,
     merge_templates,
@@ -66,6 +68,8 @@ from .translate import (
 )
 
 _HASH_CHUNK = 1 << 20
+# The dest of each lexicon option of ``eec``, in CATEGORIES order.
+_LEXICON_OPTIONS = ("occupations", "positive", "negative")
 
 
 def _sha256(path) -> str:
@@ -101,12 +105,6 @@ def _require_file(path, what: str) -> Path:
     if not resolved.is_file():
         raise FileNotFoundError(f"{what} not found: {resolved}")
     return resolved
-
-
-def _out_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _apply_config(command: argparse.ArgumentParser, path) -> None:
@@ -157,15 +155,14 @@ def _load_pronouns(path):
         return DEFAULT_PRONOUNS
     data = read_json(_require_file(path, "pronoun spec file"))
     fields = ("surface", "register", "copula")
-    if not isinstance(data, list) or not all(
-        isinstance(spec, dict) and all(isinstance(spec.get(f), str) for f in fields)
-        for spec in data
-    ):
-        raise ValueError(
-            f"{path}: expected a list of objects with string 'surface', 'register' and 'copula'"
-        )
     try:
-        return tuple(PronounSpec(*(spec[f] for f in fields)) for spec in data)
+        if not isinstance(data, list) or not all(
+            isinstance(spec, dict) and all(isinstance(spec.get(f), str) for f in fields)
+            for spec in data
+        ):
+            raise ValueError("expected a list of objects with string 'surface', 'register' "
+                             "and 'copula'")
+        return check_pronouns(PronounSpec(*(spec[f] for f in fields)) for spec in data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -184,27 +181,22 @@ def _load_templates(path):
 
 
 def cmd_eec(args) -> int:
-    occupations = _require_file(args.occupations, "occupation lexicon")
-    positive = _require_file(args.positive, "positive lexicon")
-    negative = _require_file(args.negative, "negative lexicon")
-    out_dir = _out_dir(args.out_dir)
+    lexicon_files = {dest: _require_file(getattr(args, dest), f"{category} lexicon")
+                     for category, dest in zip(CATEGORIES, _LEXICON_OPTIONS)}
     pronouns = _load_pronouns(args.pronouns)
     templates = _load_templates(args.templates)
 
-    lexicons = [
-        load_lexicon(occupations, "occupation"),
-        load_lexicon(positive, "positive"),
-        load_lexicon(negative, "negative"),
-    ]
+    lexicons = list(map(load_lexicon, lexicon_files.values(), CATEGORIES))
     utterances = generate_utterances(lexicons, pronouns, templates)
     views = build_views(utterances)
 
+    out_dir = Path(args.out_dir)
     write_corpus_tsv(utterances, out_dir / "corpus.tsv")
     write_views_json(views, out_dir / "views.json")
     _write_report(
         out_dir / "run_meta.json",
         {"n_utterances": len(utterances), "view_sizes": {view.name: len(view) for view in views}},
-        {"occupations": occupations, "positive": positive, "negative": negative},
+        lexicon_files,
         {"pronoun_registers": [p.register for p in pronouns]},
     )
     for view in views:
@@ -219,8 +211,6 @@ def cmd_translate(args) -> int:
 
     if args.backend == "file":
         records = load_translations_tsv(_require_file(args.translations, "translations TSV"))
-        join(corpus, records, min_coverage=args.min_coverage)
-        write_translations_tsv(records, out)
     else:
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
@@ -234,13 +224,11 @@ def cmd_translate(args) -> int:
         except TranslationRunError as exc:
             merged = _merge_records(corpus, existing, exc.completed)
             write_translations_tsv(merged, out)
-            raise TranslationRunError(
-                f"{exc}; wrote {len(merged)} row(s) to {out}; rerun to resume",
-                completed=merged,
-            ) from None
-        merged = _merge_records(corpus, existing, fetched)
-        join(corpus, merged, min_coverage=args.min_coverage)
-        write_translations_tsv(merged, out)
+            raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
+                                      "rerun to resume", completed=merged) from None
+        records = _merge_records(corpus, existing, fetched)
+    join(corpus, records, min_coverage=args.min_coverage)
+    write_translations_tsv(records, out)
     print(f"wrote {out}")
     return 0
 
@@ -261,7 +249,7 @@ def cmd_tgbi(args) -> int:
     corpus_path = _require_file(args.corpus, "corpus TSV")
     views_path = _require_file(args.views, "views manifest")
     translations_path = _require_file(args.translations, "translations TSV")
-    out_dir = _out_dir(args.out_dir)
+    out_dir = Path(args.out_dir)
 
     if args.gender_lexicon:
         lexicon_file = _require_file(args.gender_lexicon, "gender lexicon")
@@ -329,7 +317,6 @@ def _embedding_inputs(args) -> argparse.Namespace:
         raise ValueError("seed (--seed) must be a non-negative integer")
     if not 0 <= args.lost_threshold <= 1:  # also rejects NaN
         raise ValueError("lost_threshold (--lost-threshold) must lie in [0, 1]")
-    out_dir = _out_dir(args.out_dir)
     locations = {}  # table name -> file, in flag order
     for spec in args.embeddings:
         name, _, location = spec.partition("=") if "=" in spec else ("", "", spec)
@@ -351,9 +338,8 @@ def _embedding_inputs(args) -> argparse.Namespace:
               for name, location in locations.items()]
     inputs = {f"embedding:{name}": location for name, location in locations.items()}
     inputs.update({f"queries:{i}": path for i, path in enumerate(args.queries)})
-    return argparse.Namespace(
-        out_dir=out_dir, tables=tables, queries=queries, inputs=_describe_inputs(inputs),
-    )
+    return argparse.Namespace(out_dir=Path(args.out_dir), tables=tables, queries=queries,
+                              inputs=_describe_inputs(inputs))
 
 
 def cmd_metrics(args) -> int:
@@ -414,9 +400,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     eec = subparsers.add_parser(
         "eec", help="generate the gender-neutral source corpus and its seven views"
     )
-    eec.add_argument("--occupations", help="occupation lexicon, one entry per line")
-    eec.add_argument("--positive", help="positive sentiment lexicon")
-    eec.add_argument("--negative", help="negative sentiment lexicon")
+    for category, dest in zip(CATEGORIES, _LEXICON_OPTIONS):
+        eec.add_argument(f"--{dest}", help=f"{category} lexicon, one entry per line")
     eec.add_argument("--pronouns", help="JSON file overriding the default pronoun specs")
     eec.add_argument("--templates", help="JSON file mapping lexicon category to a template")
     eec.add_argument("--out-dir", dest="out_dir", default="eec_out")

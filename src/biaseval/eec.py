@@ -43,6 +43,7 @@ __all__ = [
     "VIEWS",
     "VIEW_NAMES",
     "build_views",
+    "check_pronouns",
     "generate_utterances",
     "load_lexicon",
     "merge_templates",
@@ -151,6 +152,17 @@ def merge_templates(templates=None) -> dict:
     return merged
 
 
+def check_pronouns(pronouns) -> tuple[PronounSpec, ...]:
+    """The pronoun specs as a tuple, checked to hold one or more registers, each once."""
+    pronouns = tuple(pronouns)
+    if not pronouns:
+        raise ValueError("at least one pronoun spec is required")
+    registers = [spec.register for spec in pronouns]
+    if len(set(registers)) != len(registers):
+        raise ValueError(f"duplicate registers in pronoun specs: {registers}")
+    return pronouns
+
+
 def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> list[Utterance]:
     """Cross every lexicon entry with every pronoun register, each category
     with its template (see :func:`merge_templates`).
@@ -159,12 +171,7 @@ def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> 
     assigned sequentially in that order. Exact-duplicate texts are removed,
     first occurrence kept.
     """
-    pronouns = tuple(pronouns)
-    if not pronouns:
-        raise ValueError("at least one pronoun spec is required")
-    registers = [spec.register for spec in pronouns]
-    if len(set(registers)) != len(registers):
-        raise ValueError(f"duplicate registers in pronoun specs: {registers}")
+    pronouns = check_pronouns(pronouns)
     merged_templates = merge_templates(templates)
     utterances: list[Utterance] = []
     seen_texts: set[str] = set()

@@ -8,8 +8,10 @@ Devanagari spellings match.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,13 +204,16 @@ class EmbeddingTable:
 
 
 def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
-    """Load a word2vec text file.
+    """Load a word2vec or GloVe text file.
 
-    Expected format: a "<count> <dim>" header line, then <count>
+    Expected format: an optional "<count> <dim>" header line, then
     "<token> <component> ... <component>" lines, single-space separated,
-    UTF-8 with or without a byte-order mark; trailing spaces, as the
-    word2vec C tool writes, are ignored. Duplicate tokens keep the first
-    occurrence and are reported through a warning.
+    UTF-8 with or without a byte-order mark; trailing spaces, as the word2vec
+    C tool writes, are ignored. A first line of exactly two integer fields is
+    the header (word2vec, fastText); otherwise (GloVe) the first row gives
+    <dim>, so a header-less 1-d file whose first token and component are
+    integers reads as a header. Duplicate tokens keep their first row, with
+    a warning.
 
     Rows are parsed in chunks of ``CHUNK_ROWS`` by numpy's C reader; a chunk
     it refuses is parsed row by row as ``float()`` would, which accepts a
@@ -217,23 +222,21 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     """
     path = Path(path)
     tokens: list[str] = []  # NFC token of each row read
-    blocks: list[np.ndarray] = []  # parsed chunks of rows
+    values = array("d")  # the components of every parsed row, row after row
     chunk: list[tuple[int, str, str]] = []  # (line number, token, components)
     problem = None
     try:
         with path.open(encoding="utf-8-sig") as handle:
-            header = handle.readline().strip()
-            fields = header.split()
-            if len(fields) != 2:
-                raise EmbeddingFormatError(f"{path}: malformed header {header!r}")
-            try:
-                count = int(fields[0])
-                dim = int(fields[1])
-            except ValueError:
-                raise EmbeddingFormatError(f"{path}: malformed header {header!r}") from None
+            first = handle.readline()
+            try:  # a "<count> <dim>" header
+                count, dim = map(int, first.split())
+                rows = enumerate(handle, start=2)
+            except ValueError:  # no header: the first row gives the dimension
+                count, dim = None, first.rstrip("\r\n").rstrip(" ").count(" ")
+                rows = enumerate(itertools.chain([first], handle), start=1)
             if dim <= 0:
                 raise EmbeddingFormatError(f"{path}: dimension must be positive, got {dim}")
-            for lineno, raw in enumerate(handle, start=2):
+            for lineno, raw in rows:
                 line = raw.rstrip("\r\n")
                 if not line:
                     continue
@@ -249,19 +252,20 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                 chunk.append((lineno, token, components))
                 tokens.append(nfc(token))
                 if len(chunk) == CHUNK_ROWS:
-                    blocks.append(_parse_chunk(path, chunk, dim))
+                    values.frombytes(_parse_chunk(path, chunk, dim).tobytes())
                     chunk = []
     except UnicodeDecodeError as exc:
         problem = f"{path}: not UTF-8 text ({exc.reason})"
     if chunk:  # checked before the problem below, which lies further on
-        blocks.append(_parse_chunk(path, chunk, dim))
+        values.frombytes(_parse_chunk(path, chunk, dim).tobytes())
     if problem:
         raise EmbeddingFormatError(problem)
     if not tokens:
         raise EmbeddingFormatError(f"{path}: empty vocabulary")
-    if len(tokens) != count:
+    if count is not None and len(tokens) != count:
         raise EmbeddingFormatError(f"{path}: header declares {count} rows, read {len(tokens)}")
-    table = EmbeddingTable(name or path.stem, tuple(tokens), np.concatenate(blocks))
+    matrix = np.frombuffer(values).reshape(len(tokens), dim)
+    table = EmbeddingTable(name or path.stem, tuple(tokens), matrix)
     duplicates = len(tokens) - len(table)
     if duplicates:
         warnings.warn(f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",

@@ -73,13 +73,15 @@ def read_utf8(path) -> str:
 
 
 def write_utf8(path, text: str) -> None:
-    """Write ``text`` as UTF-8; a lone surrogate, which has no UTF-8 form,
-    raises a ValueError naming ``file:line`` before the file is opened."""
+    """Write ``text`` as UTF-8, making any missing parent directory; a lone
+    surrogate, which has no UTF-8 form, raises a ValueError naming
+    ``file:line`` before anything is made."""
     try:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         line, char = text.count("\n", 0, exc.start) + 1, text[exc.start]
         raise ValueError(f"{path}:{line}: lone surrogate {char!r} has no UTF-8 form") from None
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(data)
 
 

@@ -180,6 +180,30 @@ class TestTranslateCommand:
         assert lines[1] == "1\tthey are kind"
         assert lines[2] == "2\tthey are kind"
 
+    @pytest.mark.parametrize("backend", ["file", "http"])
+    def test_out_into_a_new_directory(self, tmp_path, lexicon_files, translation_server,
+                                      backend):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        source = all_they_translations(out_dir / "corpus.tsv", tmp_path / "in.tsv")
+        out = tmp_path / "new" / "dir" / "x.tsv"
+        result = run_cli("translate", "--corpus", out_dir / "corpus.tsv", "--backend", backend,
+                         "--translations", source, "--url", translation_server.url, "--out", out)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"wrote {out}\n"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 19  # header + 18 corpus rows
+
+    def test_http_partial_output_into_a_new_directory(self, tmp_path, lexicon_files):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        out = tmp_path / "new" / "x.tsv"
+        result = run_cli(
+            "translate", "--corpus", out_dir / "corpus.tsv",
+            "--backend", "http", "--url", "http://127.0.0.1:9/translate",
+            "--retries", 0, "--timeout", 2, "--out", out,
+        )
+        assert result.returncode == 1
+        assert result.stderr.endswith(f"; wrote 0 row(s) to {out}; rerun to resume\n")
+        assert out.read_text(encoding="utf-8") == "id\ttranslation\n"
 
     @pytest.mark.parametrize("flags,config,expected", [
         ((), {}, {}),
@@ -342,7 +366,7 @@ class TestTgbiCommand:
             f"error: {lexicon}: gender lexicon sets must be pairwise disjoint: "
             "'she' is in [she] and [he]"
         ]
-        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+        assert not (tmp_path / "r").exists()
 
     def test_view_id_not_in_corpus_exits_2(self, tmp_path, capsys, lexicon_files):
         from biaseval import cli
@@ -360,7 +384,7 @@ class TestTgbiCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {views_path}: view 'informal' lists 2 id(s) not in the corpus (first: 9999)"
         ]
-        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+        assert not (tmp_path / "r").exists()
 
     def test_view_listing_an_id_twice_exits_2(self, tmp_path, capsys, lexicon_files):
         """A repeated id would count its sentence twice in the view's size
@@ -381,7 +405,7 @@ class TestTgbiCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {views_path}: view 'informal' lists id {repeated} more than once"
         ]
-        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+        assert not (tmp_path / "r").exists()
 
     def test_variant_flag(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
@@ -410,7 +434,7 @@ class TestTgbiCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: min_coverage (--min-coverage) must lie in [0, 1]"
         ]
-        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("name,flags", [
         ("linear", []),
@@ -689,7 +713,7 @@ class TestMetricsCommand:
         assert code == 2
         assert captured.err.splitlines() == ["error: ECT needs at least two attribute words"]
         assert captured.out == ""
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     def test_skip_invalid_names_the_template_no_query_fills(self, tmp_path, embedding_files):
         queries = tmp_path / "narrow.json"
@@ -732,7 +756,7 @@ class TestRepeatedMetric:
         assert code == 2
         assert captured.err.splitlines() == ["error: metric 'WEAT' is given more than once"]
         assert captured.out == ""
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
 
 class TestWarningFilters:
@@ -1053,7 +1077,7 @@ class TestConfigChoices:
         assert result.stderr.splitlines() == [
             f"error: config {key}: invalid choice 'BAD' (choose from {choices})"
         ]
-        assert not (tmp_path / "r" / "tgbi_report.json").exists()
+        assert not (tmp_path / "r").exists()
 
 
 class TestOptionPrecedence:
@@ -1154,7 +1178,8 @@ class TestInputHashing:
 
 def bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv, content, capsys):
     """Run ``argv`` in process with ``{bad}`` standing for a file holding
-    ``content``; return the bad file and the command's stderr lines."""
+    ``content``; check that it exits 2 and makes no output file or directory,
+    and return the bad file and the command's stderr lines."""
     from biaseval import cli
 
     occ, pos, neg = lexicon_files
@@ -1173,6 +1198,7 @@ def bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv, 
     capsys.readouterr()
     code = cli.main([arg.format(**files) for arg in argv] + [out, str(tmp_path / "out")])
     assert code == 2
+    assert not (tmp_path / "out").exists()
     return bad, capsys.readouterr().err.splitlines()
 
 
@@ -1232,6 +1258,11 @@ class TestMalformedStructure:
         (eec + ["--pronouns", "{bad}"],
          b'[{"surface": "x", "register": "bogus", "copula": "y"}]',
          "unknown register 'bogus'"),
+        (eec + ["--pronouns", "{bad}"], b'[]', "at least one pronoun spec is required"),
+        (eec + ["--pronouns", "{bad}"],
+         b'[{"surface": "x", "register": "informal", "copula": "y"},'
+         b' {"surface": "z", "register": "informal", "copula": "y"}]',
+         "duplicate registers in pronoun specs: ['informal', 'informal']"),
         (eec + ["--templates", "{bad}"], b'{"occupation": "{nope}"}',
          "template 'occupation' must be a format string using only "
          "{pronoun}, {lexeme} and {copula}"),
@@ -1245,8 +1276,8 @@ class TestMalformedStructure:
          json.dumps({"informal": 5, "formal": [], "impolite": [], "polite": [], "positive": [],
                      "negative": [], "occupation": []}).encode(),
          "view 'informal' must be a list of integer ids"),
-    ], ids=["pronouns", "pronoun_register", "templates", "template_category",
-            "template_without_pronoun", "views"])
+    ], ids=["pronouns", "pronoun_register", "no_pronouns", "pronoun_registers_repeated",
+            "templates", "template_category", "template_without_pronoun", "views"])
     def test_names_the_file(self, tmp_path, lexicon_files, embedding_files, query_file, argv,
                             content, message, capsys):
         bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
@@ -1276,4 +1307,4 @@ class TestUnencodableOutput:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {out}/{report} has no UTF-8 form"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()

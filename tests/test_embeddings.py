@@ -66,12 +66,38 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match="expected 3 components"):
             load_word2vec_text(path)
 
-    @pytest.mark.parametrize("header", ["", "3", "a b", "2 3 4"])
-    def test_malformed_header(self, tmp_path, header):
+    @pytest.mark.parametrize("first,message", [
+        ("", ": dimension must be positive, got 0"),  # a blank first row
+        ("3", ": dimension must be positive, got 0"),  # a first row without components
+        ("a b", ":1: non-numeric component"),  # a 1-d first row
+        ("2 3 4", ":2: expected 2 components, got 3"),  # a 2-d first row
+        ("2 0", ": dimension must be positive, got 0"),  # a header
+        ("3 3", ": header declares 3 rows, read 1"),  # a header
+        ("7 1", ":2: expected 1 components, got 3"),  # a 1-d row of integers is a header
+    ], ids=["blank", "no_components", "1d_row", "2d_row", "zero_dim_header", "count_header",
+            "integer_1d_row"])
+    def test_malformed_first_line(self, tmp_path, first, message):
+        """A first line of two integers is a header; any other is the first
+        row, which gives the dimension (the GloVe layout)."""
         path = tmp_path / "bad.txt"
-        path.write_text(f"{header}\na 1 0 0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="header"):
+        path.write_text(f"{first}\na 1 0 0\n", encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
             load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}{message}"
+
+    def test_glove_layout_loads_as_with_a_header(self, tmp_path):
+        rows = "the 0.1 -0.2 0.3 \nof 1e-3 2 -4\nthe 9 9 9\nand 0 0 1\n"
+        with_header = tmp_path / "w2v.txt"
+        with_header.write_text("4 3\n" + rows, encoding="utf-8")
+        without = tmp_path / "glove.txt"
+        without.write_text(rows, encoding="utf-8-sig")
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            expected = load_word2vec_text(with_header, name="t")
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            table = load_word2vec_text(without, name="t")
+        assert table.tokens == expected.tokens == ("the", "of", "the", "and")
+        assert table.matrix.tobytes() == expected.matrix.tobytes()
+        assert table.matrix.shape == (4, 3) and not table.matrix.flags.writeable
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
     def test_non_finite_component(self, tmp_path, component):

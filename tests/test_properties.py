@@ -1,9 +1,11 @@
 """Property tests for the file readers and writers: a writer either rejects
 a field holding a tab, a line break or a lone surrogate (which has no UTF-8
 form) or writes a file that reads back unchanged, and malformed embedding
-files fail only with ``EmbeddingFormatError``."""
+files fail only with ``EmbeddingFormatError``; one that loads warns only of
+repeated tokens."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -101,6 +103,10 @@ def test_malformed_embedding_file_raises_only_format_error(header, body):
         path = Path(tmp) / "emb.txt"
         path.write_text("\n".join([header] + body) + "\n", encoding="utf-8")
         try:
-            load_word2vec_text(path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                load_word2vec_text(path)
         except EmbeddingFormatError:
             pass
+        else:  # a file that loads warns of nothing but its repeated tokens
+            assert all("duplicate token(s)" in str(w.message) for w in caught)
