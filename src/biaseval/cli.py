@@ -15,15 +15,15 @@ Every JSON report embeds a provenance block (input hashes and flags; for
 re-running a command on the same inputs produces byte-identical output.
 
 The embedding stack (numpy) is imported only by the ``metrics`` and ``rank``
-commands, and ``http.client`` (with ``ssl``) only by the HTTP translation
-backend, so the translation-path commands start without either. Beyond the
+commands, ``http.client`` (with ``ssl``) only by the HTTP translation
+backend, and ``hashlib`` only by the commands that write provenance, so
+``translate --backend file`` starts without any of them. Beyond the
 standard library, numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import warnings
@@ -46,7 +46,7 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, read_json, write_json, write_utf8)
+                    RENDER_MODES, encode_utf8, json_text, read_json, write_utf8)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -73,6 +73,8 @@ _LEXICON_OPTIONS = ("occupations", "positive", "negative")
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(_HASH_CHUNK), b""):
@@ -90,12 +92,12 @@ def _describe_inputs(inputs: dict) -> dict:
     }
 
 
-def _write_report(path, body: dict, inputs: dict, flags: dict, **extra) -> None:
-    """Write ``body`` as a JSON report under its provenance block: the
+def _report_json(body: dict, inputs: dict, flags: dict, **extra) -> str:
+    """``body`` as a JSON report's text under its provenance block: the
     version, the flags, the inputs described and any ``extra`` entries."""
     provenance = {"version": __version__, "flags": flags,
                   "inputs": _describe_inputs(inputs), **extra}
-    write_json({"provenance": provenance, **body}, path)
+    return json_text({"provenance": provenance, **body})
 
 
 def _require_file(path, what: str) -> Path:
@@ -190,15 +192,18 @@ def cmd_eec(args) -> int:
     utterances = generate_utterances(lexicons, pronouns, templates)
     views = build_views(utterances)
 
+    # Only run_meta.json cites the lexicon paths: encoded first and written last,
+    # it fails, as corpus.tsv does, before any output exists.
     out_dir = Path(args.out_dir)
-    write_corpus_tsv(utterances, out_dir / "corpus.tsv")
-    write_views_json(views, out_dir / "views.json")
-    _write_report(
-        out_dir / "run_meta.json",
+    meta_path = out_dir / "run_meta.json"
+    meta = encode_utf8(meta_path, _report_json(
         {"n_utterances": len(utterances), "view_sizes": {view.name: len(view) for view in views}},
         lexicon_files,
         {"pronoun_registers": [p.register for p in pronouns]},
-    )
+    ))
+    write_corpus_tsv(utterances, out_dir / "corpus.tsv")
+    write_views_json(views, out_dir / "views.json")
+    meta_path.write_bytes(meta)
     for view in views:
         print(f"{view.name}\t{len(view)}")
     return 0
@@ -256,6 +261,8 @@ def cmd_tgbi(args) -> int:
         lexicon = load_gender_lexicon(lexicon_file)
         lexicon_hash = _sha256(lexicon_file)
     else:
+        import hashlib
+
         lexicon = DEFAULT_GENDER_LEXICON
         words = {bucket: sorted(tokens) for bucket, tokens in lexicon.sections().items()}
         lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
@@ -273,13 +280,12 @@ def cmd_tgbi(args) -> int:
     report = score_views(views, pairs, lexicon, variant=args.variant,
                          ambiguous_policy=args.ambiguous_policy)
 
-    _write_report(
-        out_dir / "tgbi_report.json",
+    write_utf8(out_dir / "tgbi_report.json", _report_json(
         report_to_dict(report),
         {"corpus": corpus_path, "views": views_path, "translations": translations_path,
          "gender_lexicon": {"sha256": lexicon_hash}},
         {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy},
-    )
+    ))
     table = render_tgbi_table(report)
     write_utf8(out_dir / "tgbi_table.txt", table)
     print(table, end="")
@@ -350,9 +356,9 @@ def cmd_metrics(args) -> int:
                               lost_threshold=args.lost_threshold, seed=args.seed)
     for matrix in matrices:
         metric = matrix.metric
-        _write_report(run.out_dir / f"scores_{metric}.json", score_matrix_to_dict(matrix),
-                      run.inputs, {"metric": metric, "lost_threshold": args.lost_threshold},
-                      seed=args.seed)
+        write_utf8(run.out_dir / f"scores_{metric}.json", _report_json(
+            score_matrix_to_dict(matrix), run.inputs,
+            {"metric": metric, "lost_threshold": args.lost_threshold}, seed=args.seed))
         write_utf8(run.out_dir / f"scores_{metric}.csv", score_matrix_csv(matrix))
         print(f"{metric}:")
         print(render_score_matrix(matrix), end="")
@@ -367,10 +373,10 @@ def cmd_rank(args) -> int:
         args.metrics, run.tables, run.queries,
         lost_threshold=args.lost_threshold, agg=args.agg, seed=args.seed,
     )
-    _write_report(run.out_dir / "rank_table.json", rank_table_to_dict(table), run.inputs,
-                  {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
-                   "metrics": args.metrics},
-                  seed=args.seed)
+    write_utf8(run.out_dir / "rank_table.json", _report_json(
+        rank_table_to_dict(table), run.inputs,
+        {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
+         "metrics": args.metrics}, seed=args.seed))
     write_utf8(run.out_dir / "rank_table.csv", rank_table_csv(table))
     rendered = render_rank_table(table, mode=args.mode)
     write_utf8(run.out_dir / "rank_table.txt", rendered)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from string import Formatter
 
-from .names import content_lines, nfc, read_json, read_tsv, write_json, write_tsv
+from .names import content_lines, json_text, nfc, read_json, read_tsv, write_tsv, write_utf8
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -86,7 +86,7 @@ class PronounSpec:
             raise ValueError("copula must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     id: int
     text: str
@@ -216,15 +216,11 @@ def write_corpus_tsv(utterances, path) -> None:
 
 
 def read_corpus_tsv(path) -> list[Utterance]:
-    rows = read_tsv(path, CORPUS_HEADER)
-    try:
-        return [Utterance(uid, *fields) for uid, fields in rows]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_tsv(path, CORPUS_HEADER, Utterance)
 
 
 def write_views_json(views, path) -> None:
-    write_json({view.name: list(view.utterance_ids) for view in views}, path)
+    write_utf8(path, json_text({view.name: list(view.utterance_ids) for view in views}))
 
 
 def read_views_json(path) -> list[EvaluationSet]:

@@ -228,6 +228,8 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     try:
         with path.open(encoding="utf-8-sig") as handle:
             first = handle.readline()
+            if not first:
+                raise EmbeddingFormatError(f"{path}: empty vocabulary")
             try:  # a "<count> <dim>" header
                 count, dim = map(int, first.split())
                 rows = enumerate(handle, start=2)
@@ -235,7 +237,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                 count, dim = None, first.rstrip("\r\n").rstrip(" ").count(" ")
                 rows = enumerate(itertools.chain([first], handle), start=1)
             if dim <= 0:
-                raise EmbeddingFormatError(f"{path}: dimension must be positive, got {dim}")
+                raise EmbeddingFormatError(f"{path}:1: dimension must be positive, got {dim}")
             for lineno, raw in rows:
                 line = raw.rstrip("\r\n")
                 if not line:

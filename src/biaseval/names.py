@@ -3,9 +3,9 @@ modules share: the parser's choices, the default seed and lost-word
 threshold, the plain-text grid of every report table, the token
 normalization the corpus builder shares with the embedding loader, and one
 reader or writer per file format: UTF-8 text, a byte-order mark dropped on
-reading (:func:`read_utf8`, :func:`write_utf8`), JSON inputs and reports
-(:func:`read_json`, :func:`write_json`), lexicon-style line lists
-(:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
+reading (:func:`read_utf8`, :func:`encode_utf8`, :func:`write_utf8`), JSON
+inputs and reports (:func:`read_json`, :func:`json_text`), lexicon-style
+line lists (:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
 :func:`write_tsv`).
 
 This module imports nothing heavier than the standard library, so the
@@ -47,12 +47,13 @@ __all__ = [
     "RNSB",
     "WEAT",
     "content_lines",
+    "encode_utf8",
+    "json_text",
     "nfc",
     "read_json",
     "read_tsv",
     "read_utf8",
     "render_grid",
-    "write_json",
     "write_tsv",
     "write_utf8",
 ]
@@ -72,15 +73,20 @@ def read_utf8(path) -> str:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def write_utf8(path, text: str) -> None:
-    """Write ``text`` as UTF-8, making any missing parent directory; a lone
-    surrogate, which has no UTF-8 form, raises a ValueError naming
-    ``file:line`` before anything is made."""
+def encode_utf8(path, text: str) -> bytes:
+    """``text`` as UTF-8 for the file ``path``; a lone surrogate, which has no
+    UTF-8 form, raises a ValueError naming ``file:line``."""
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         line, char = text.count("\n", 0, exc.start) + 1, text[exc.start]
         raise ValueError(f"{path}:{line}: lone surrogate {char!r} has no UTF-8 form") from None
+
+
+def write_utf8(path, text: str) -> None:
+    """Write ``text`` as UTF-8, making any missing parent directory once it
+    is encoded, so a text :func:`encode_utf8` refuses makes nothing."""
+    data = encode_utf8(path, text)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_bytes(data)
 
@@ -96,9 +102,9 @@ def read_json(path):
         ) from None
 
 
-def write_json(payload, path) -> None:
-    """Write a JSON report: keys sorted, two-space indent, non-ASCII kept."""
-    write_utf8(path, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+def json_text(payload) -> str:
+    """A JSON report's text: keys sorted, two-space indent, non-ASCII kept."""
+    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
 def content_lines(path) -> list[tuple[int, str]]:
@@ -107,17 +113,20 @@ def content_lines(path) -> list[tuple[int, str]]:
     return [(n, line) for n, line in lines if line and not line.startswith("#")]
 
 
-def read_tsv(path, header: str) -> list[tuple[int, list[str]]]:
-    """(id, other fields) of each non-blank row of a TSV file headed ``header``;
-    a wrong header or field count or a bad or repeated id raises a ValueError."""
+def read_tsv(path, header: str, build) -> list:
+    """``build(id, *other fields)`` of each non-blank row of a TSV file headed
+    ``header``, built as it is read, equal field values sharing one string. The
+    first bad row (wrong field count, bad or repeated id, or a ``build``
+    ValueError, as ``<file>: <message>``) or a wrong header raises a ValueError."""
     path = Path(path)
-    lines = read_utf8(path).splitlines()
-    if not lines or lines[0] != header:
+    lines = iter(read_utf8(path).splitlines())
+    if next(lines, None) != header:
         raise ValueError(f"{path}: expected header {header!r}")
     width = header.count("\t") + 1
-    rows = []
+    shared: dict[str, str] = {}
     seen: set[int] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         fields = line.split("\t")
@@ -130,7 +139,10 @@ def read_tsv(path, header: str) -> list[tuple[int, list[str]]]:
         if row_id in seen:
             raise ValueError(f"{path}:{lineno}: duplicate id {row_id}")
         seen.add(row_id)
-        rows.append((row_id, fields[1:]))
+        try:
+            rows.append(build(row_id, *(shared.setdefault(f, f) for f in fields[1:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return rows
 
 

@@ -8,19 +8,18 @@ wrapper around a commercial service:
     request:  {"texts": [{"id": int, "text": str}, ...]}
     response: {"translations": [{"id": int, "text": str}, ...]}
 
-It runs on the standard library's ``http.client``, imported on the first
-fetch: one keep-alive connection per worker thread, straight to the URL's
-host (no proxy), no redirects, and the system CA store for ``https``.
+It runs on the standard library's ``http.client`` and a thread pool, both
+imported on the first fetch: one keep-alive connection per worker thread,
+straight to the URL's host (no proxy), no redirects, and the system CA store
+for ``https``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationRecord:
     """One translated corpus row; ``output`` may be empty only when failed.
     ``failed`` and ``retries`` are keyword-only, so a stray third positional
@@ -104,8 +103,7 @@ class BackendConfig:
 
 def load_translations_tsv(path) -> list[TranslationRecord]:
     """Read "id<TAB>translation" rows; duplicate ids are an error."""
-    return [TranslationRecord(record_id, output)
-            for record_id, (output,) in read_tsv(path, TRANSLATIONS_HEADER)]
+    return read_tsv(path, TRANSLATIONS_HEADER, TranslationRecord)
 
 
 def write_translations_tsv(records, path) -> None:
@@ -198,6 +196,8 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
     before each retry round and all of them before returning.
     """
     import http.client
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
     utterances = list(utterances)
     if not utterances:

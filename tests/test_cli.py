@@ -1308,3 +1308,31 @@ class TestUnencodableOutput:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {out}/{report} has no UTF-8 form"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("lexicon_name,pronoun,report", [
+        (b"occ\xff.txt", "वह", "run_meta.json:15: lone surrogate '\\udcff'"),
+        (b"occ.txt", "\ud800", "corpus.tsv:2: lone surrogate '\\ud800'"),
+    ], ids=["lexicon_file_name", "pronoun_surface"])
+    def test_eec_writes_no_output(self, tmp_path, capsys, lexicon_files, lexicon_name, pronoun,
+                                  report):
+        """``eec`` encodes every output before it writes the first, whether the
+        text lies in run_meta.json (a lexicon path) or corpus.tsv (a pronoun)."""
+        import os
+
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        lexicon = tmp_path / os.fsdecode(lexicon_name)
+        lexicon.write_bytes(occ.read_bytes())
+        pronouns = tmp_path / "pronouns.json"
+        pronouns.write_text(json.dumps(
+            [{"surface": pronoun, "register": "formal_impolite", "copula": "है"}]
+        ), encoding="utf-8")
+        out = tmp_path / "out"
+        code = cli.main(["eec", "--occupations", str(lexicon), "--positive", str(pos),
+                         "--negative", str(neg), "--pronouns", str(pronouns),
+                         "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {out}/{report} has no UTF-8 form"]
+        assert not out.exists()

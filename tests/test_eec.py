@@ -1,5 +1,7 @@
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -215,10 +217,13 @@ class TestCorpusIo:
             read_corpus_tsv(path)
 
     def test_empty_text_names_the_file(self, tmp_path):
+        """Rows are built as they are read, so the empty text is reported
+        before the next row's duplicate id."""
         path = tmp_path / "corpus.tsv"
         path.write_text(
             "id\ttext\tregister\tlexicon_category\tlexeme\n"
-            "1\t\tinformal\tpositive\ta\n",
+            "1\t\tinformal\tpositive\ta\n"
+            "1\tb\tinformal\tpositive\tb\n",
             encoding="utf-8",
         )
         with pytest.raises(ValueError) as exc:
@@ -235,6 +240,36 @@ class TestCorpusIo:
         )
         with pytest.raises(ValueError, match="duplicate"):
             read_corpus_tsv(path)
+
+    def test_paper_scale_rows_are_slotted_and_share_field_values(self, tmp_path):
+        """The 1100/820/738-lexeme corpus holds under 260 bytes per row once
+        read: slotted rows whose repeated fields share one string (a dict
+        per row and a string per field held 467)."""
+        rng = random.Random(0)
+        consonants = [chr(c) for c in range(0x0915, 0x0939)]
+        signs = ["", "\u093e", "\u093f", "\u0940", "\u0941", "\u0947", "\u094b"]
+        words = set()
+        while len(words) < 1100 + 820 + 738:
+            words.add("".join(rng.choice(consonants) + rng.choice(signs)
+                              for _ in range(rng.randint(2, 4))))
+        words = sorted(words)
+        lexicons = [Lexicon("occupation", tuple(words[:1100])),
+                    Lexicon("positive", tuple(words[1100:1920])),
+                    Lexicon("negative", tuple(words[1920:]))]
+        path = tmp_path / "corpus.tsv"
+        write_corpus_tsv(generate_utterances(lexicons), path)
+        tracemalloc.start()
+        try:
+            rows = read_corpus_tsv(path)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 7974
+        assert held / len(rows) < 260
+        assert not hasattr(rows[0], "__dict__")
+        assert rows[0].register is rows[3].register
+        assert rows[0].lexeme is rows[2].lexeme
+        assert rows[0].lexicon_category is rows[3299].lexicon_category
 
     def test_views_round_trip(self, tmp_path):
         utterances = generate_utterances([OCC, POS, NEG])

@@ -67,11 +67,11 @@ class TestLoader:
             load_word2vec_text(path)
 
     @pytest.mark.parametrize("first,message", [
-        ("", ": dimension must be positive, got 0"),  # a blank first row
-        ("3", ": dimension must be positive, got 0"),  # a first row without components
+        ("", ":1: dimension must be positive, got 0"),  # a blank first row
+        ("3", ":1: dimension must be positive, got 0"),  # a first row without components
         ("a b", ":1: non-numeric component"),  # a 1-d first row
         ("2 3 4", ":2: expected 2 components, got 3"),  # a 2-d first row
-        ("2 0", ": dimension must be positive, got 0"),  # a header
+        ("2 0", ":1: dimension must be positive, got 0"),  # a header
         ("3 3", ": header declares 3 rows, read 1"),  # a header
         ("7 1", ":2: expected 1 components, got 3"),  # a 1-d row of integers is a header
     ], ids=["blank", "no_components", "1d_row", "2d_row", "zero_dim_header", "count_header",
@@ -224,11 +224,13 @@ class TestLoader:
         assert load_word2vec_text(path).lookup("w3")[0] == 10.0
         assert exact_rows == list(range(2, 2 + embeddings.CHUNK_ROWS))
 
-    def test_empty_vocabulary(self, tmp_path):
+    @pytest.mark.parametrize("text", ["0 3\n", "", "\ufeff"], ids=["header", "empty", "bom"])
+    def test_empty_vocabulary(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text("0 3\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="empty vocabulary"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
             load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}: empty vocabulary"
 
     def test_duplicates_first_wins_with_warning(self, tmp_path):
         path = tmp_path / "dup.txt"

@@ -12,28 +12,32 @@ import sys
 import pytest
 
 HEAVY = ("numpy", "requests", "http.client")
+# Loaded only by the commands that use them: hashlib (with OpenSSL) to hash
+# provenance inputs, the thread pool to fetch over HTTP.
+ON_USE = ("hashlib", "concurrent.futures")
 
 
-def heavy_modules_after(code: str) -> list:
-    """Run ``code`` in a fresh interpreter; return which of HEAVY it loaded."""
+def heavy_modules_after(code: str, modules=HEAVY) -> list:
+    """Run ``code`` in a fresh interpreter; return which of ``modules`` it loaded."""
     probe = (
         code
         + "\nimport json, sys\n"
-        + f"print(json.dumps([name for name in {HEAVY!r} if name in sys.modules]))"
+        + f"print(json.dumps([name for name in {tuple(modules)!r} if name in sys.modules]))"
     )
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def heavy_modules_after_cli(*argv) -> list:
+def heavy_modules_after_cli(*argv, modules=HEAVY) -> list:
     """Run one command through ``biaseval.cli.main`` in a fresh interpreter."""
     args = [str(arg) for arg in argv]
     return heavy_modules_after(
         "import contextlib, io\n"
         "import biaseval.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert biaseval.cli.main({args!r}) == 0\n"
+        f"    assert biaseval.cli.main({args!r}) == 0\n",
+        modules,
     )
 
 
@@ -49,12 +53,15 @@ def corpus_dir(tmp_path):
 
 
 def test_import_cli_loads_neither():
-    assert heavy_modules_after("import biaseval.cli") == []
+    assert heavy_modules_after("import biaseval.cli", HEAVY + ON_USE) == []
 
 
 def test_translation_path_commands_load_neither(tmp_path, corpus_dir):
+    """No translation-path command loads numpy or http.client, none loads the
+    thread pool, and ``translate --backend file``, which writes no
+    provenance, does not load hashlib either."""
     eec_dir, eec_argv = corpus_dir
-    assert heavy_modules_after_cli(*eec_argv) == []
+    assert heavy_modules_after_cli(*eec_argv, modules=HEAVY + ON_USE) == ["hashlib"]
 
     corpus = eec_dir / "corpus.tsv"
     ids = [line.split("\t")[0] for line in corpus.read_text(encoding="utf-8").splitlines()[1:]]
@@ -66,12 +73,12 @@ def test_translation_path_commands_load_neither(tmp_path, corpus_dir):
     translations = tmp_path / "translations.tsv"
     assert heavy_modules_after_cli(
         "translate", "--corpus", corpus, "--backend", "file",
-        "--translations", source, "--out", translations,
+        "--translations", source, "--out", translations, modules=HEAVY + ON_USE,
     ) == []
     assert heavy_modules_after_cli(
         "tgbi", "--corpus", corpus, "--views", eec_dir / "views.json",
-        "--translations", translations, "--out-dir", tmp_path / "tgbi",
-    ) == []
+        "--translations", translations, "--out-dir", tmp_path / "tgbi", modules=HEAVY + ON_USE,
+    ) == ["hashlib"]
 
 
 def test_http_backend_loads_http_client_only(tmp_path, corpus_dir, translation_server):
@@ -79,8 +86,8 @@ def test_http_backend_loads_http_client_only(tmp_path, corpus_dir, translation_s
     heavy_modules_after_cli(*eec_argv)
     assert heavy_modules_after_cli(
         "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http",
-        "--url", translation_server.url, "--out", tmp_path / "http.tsv",
-    ) == ["http.client"]
+        "--url", translation_server.url, "--out", tmp_path / "http.tsv", modules=HEAVY + ON_USE,
+    ) == ["http.client", "concurrent.futures"]
 
 
 def test_every_public_name_and_submodule_resolves():

@@ -1,6 +1,7 @@
 import http.client
 import threading
 from collections import defaultdict
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -73,6 +74,18 @@ class TestLoadTranslationsTsv:
         out = tmp_path / "out.tsv"
         write_translations_tsv(records, out)
         assert out.read_bytes() == path.read_bytes()
+
+    def test_records_are_slotted_and_frozen(self, tmp_path):
+        path = _write(tmp_path, "id\ttranslation\n1\tthey are kind\n2\tthey are kind\n")
+        first, second = load_translations_tsv(path)
+        assert first.output is second.output
+        assert not hasattr(first, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            first.output = "x"
+        # A name that is no field raises TypeError on some Python versions
+        # (a dataclasses bug in frozen slotted classes), else an AttributeError.
+        with pytest.raises((AttributeError, TypeError)):
+            first.note = "x"
 
     def test_write_rejects_field_break(self, tmp_path):
         path = tmp_path / "t.tsv"
