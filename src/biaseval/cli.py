@@ -46,7 +46,7 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, encode_utf8, json_text, read_json, write_utf8)
+                    RENDER_MODES, encode_utf8, json_text, read_json, write_utf8, write_utf8_files)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -313,9 +313,9 @@ def _check_templates(queries, metrics) -> None:
 def _embedding_inputs(args) -> argparse.Namespace:
     """Output directory, embedding tables and queries of a ``metrics`` or
     ``rank`` run. ``--seed`` and ``--lost-threshold`` are range-checked, the
-    embedding names checked for repeats and the queries read and checked
-    before any embedding file is parsed; each input file is hashed once here,
-    however many reports cite it."""
+    embedding names checked for repeats, the queries read and checked and
+    every embedding file found before ``tables`` parses one as it is taken;
+    each input file is hashed once here, however many reports cite it."""
     from .embeddings import load_word2vec_text
     from .queries import load_queries
 
@@ -340,8 +340,8 @@ def _embedding_inputs(args) -> argparse.Namespace:
         queries.extend(load_queries(_require_file(path, "query file")))
     if not args.skip_invalid:
         _check_templates(queries, args.metrics)
-    tables = [load_word2vec_text(_require_file(location, "embedding file"), name)
-              for name, location in locations.items()]
+    files = [_require_file(location, "embedding file") for location in locations.values()]
+    tables = map(load_word2vec_text, files, locations)
     inputs = {f"embedding:{name}": location for name, location in locations.items()}
     inputs.update({f"queries:{i}": path for i, path in enumerate(args.queries)})
     return argparse.Namespace(out_dir=Path(args.out_dir), tables=tables, queries=queries,
@@ -354,14 +354,15 @@ def cmd_metrics(args) -> int:
     run = _embedding_inputs(args)
     matrices = score_matrices(args.metrics, run.tables, run.queries,
                               lost_threshold=args.lost_threshold, seed=args.seed)
+    outputs = {}
     for matrix in matrices:
         metric = matrix.metric
-        write_utf8(run.out_dir / f"scores_{metric}.json", _report_json(
+        outputs[run.out_dir / f"scores_{metric}.json"] = _report_json(
             score_matrix_to_dict(matrix), run.inputs,
-            {"metric": metric, "lost_threshold": args.lost_threshold}, seed=args.seed))
-        write_utf8(run.out_dir / f"scores_{metric}.csv", score_matrix_csv(matrix))
-        print(f"{metric}:")
-        print(render_score_matrix(matrix), end="")
+            {"metric": metric, "lost_threshold": args.lost_threshold}, seed=args.seed)
+        outputs[run.out_dir / f"scores_{metric}.csv"] = score_matrix_csv(matrix)
+    write_utf8_files(outputs)
+    print("".join(f"{m.metric}:\n{render_score_matrix(m)}" for m in matrices), end="")
     return 0
 
 
@@ -373,13 +374,13 @@ def cmd_rank(args) -> int:
         args.metrics, run.tables, run.queries,
         lost_threshold=args.lost_threshold, agg=args.agg, seed=args.seed,
     )
-    write_utf8(run.out_dir / "rank_table.json", _report_json(
+    rendered = render_rank_table(table, mode=args.mode)
+    write_utf8_files({run.out_dir / "rank_table.json": _report_json(
         rank_table_to_dict(table), run.inputs,
         {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
-         "metrics": args.metrics}, seed=args.seed))
-    write_utf8(run.out_dir / "rank_table.csv", rank_table_csv(table))
-    rendered = render_rank_table(table, mode=args.mode)
-    write_utf8(run.out_dir / "rank_table.txt", rendered)
+         "metrics": args.metrics}, seed=args.seed),
+        run.out_dir / "rank_table.csv": rank_table_csv(table),
+        run.out_dir / "rank_table.txt": rendered})
     print(rendered, end="")
     return 0
 

@@ -3,10 +3,10 @@ modules share: the parser's choices, the default seed and lost-word
 threshold, the plain-text grid of every report table, the token
 normalization the corpus builder shares with the embedding loader, and one
 reader or writer per file format: UTF-8 text, a byte-order mark dropped on
-reading (:func:`read_utf8`, :func:`encode_utf8`, :func:`write_utf8`), JSON
-inputs and reports (:func:`read_json`, :func:`json_text`), lexicon-style
-line lists (:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
-:func:`write_tsv`).
+reading (:func:`read_utf8`, :func:`encode_utf8`, :func:`write_utf8`,
+:func:`write_utf8_files`), JSON inputs and reports (:func:`read_json`,
+:func:`json_text`), lexicon-style line lists (:func:`content_lines`) and
+id-keyed TSV tables (:func:`read_tsv`, :func:`write_tsv`).
 
 This module imports nothing heavier than the standard library, so the
 translation-path commands (``eec``, ``translate``, ``tgbi``) start without
@@ -56,6 +56,7 @@ __all__ = [
     "render_grid",
     "write_tsv",
     "write_utf8",
+    "write_utf8_files",
 ]
 
 
@@ -86,9 +87,16 @@ def encode_utf8(path, text: str) -> bytes:
 def write_utf8(path, text: str) -> None:
     """Write ``text`` as UTF-8, making any missing parent directory once it
     is encoded, so a text :func:`encode_utf8` refuses makes nothing."""
-    data = encode_utf8(path, text)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
+    write_utf8_files({path: text})
+
+
+def write_utf8_files(texts: dict) -> None:
+    """:func:`write_utf8` of each ``{path: text}`` item, all encoded before
+    any file or directory is made, so one text refused makes nothing."""
+    encoded = [(Path(path), encode_utf8(path, text)) for path, text in texts.items()]
+    for path, data in encoded:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
 
 
 def read_json(path):

@@ -140,13 +140,14 @@ def score_matrices(
     """One score matrix per metric, in the order given, over each metric's
     subqueries of ``queries``.
 
-    Every metric is checked and its subqueries expanded before any matrix
-    is built, and every matrix is built before any is returned, so a
-    failing metric leaves no partial result. A metric given twice is
-    rejected before anything is expanded.
+    Every metric is checked and its subqueries expanded before any table is
+    taken, and every matrix is built before any is returned, so a failing
+    metric leaves no partial result; a metric given twice is rejected first.
+    ``tables`` is consumed once: each table is scored for every metric, by
+    one :func:`build_score_matrix` call each, and released before the next
+    is taken, so an iterator that loads its tables holds one at a time.
     """
     metrics = list(metrics)
-    tables = list(tables)
     queries = list(queries)
     if not metrics:
         raise ValueError("no metrics given")
@@ -162,10 +163,20 @@ def score_matrices(
                 f"no query satisfies the {metric} template ({template.t},{template.a})"
             )
         expanded.append(subqueries)
-    return [
-        build_score_matrix(metric, tables, subqueries, lost_threshold=lost_threshold, seed=seed)
-        for metric, subqueries in zip(metrics, expanded)
-    ]
+    names, rows = [], [[] for _ in metrics]  # per metric, its one-table matrices
+    for table in tables:
+        names.append(table.name)
+        if table.name in names[:-1]:
+            raise ValueError(f"embedding names must be unique: {names}")
+        for parts, metric, subqueries in zip(rows, metrics, expanded):
+            parts.append(build_score_matrix(metric, [table], subqueries,
+                                            lost_threshold=lost_threshold, seed=seed))
+        del table  # else it stays alive while the next table loads
+    if not names:
+        raise ValueError("no embeddings given")
+    return [ScoreMatrix(metric, list(names), parts[0].cols, np.vstack([p.values for p in parts]),
+                        {cell: info for p in parts for cell, info in p.diagnostics.items()})
+            for metric, parts in zip(metrics, rows)]
 
 
 def _resolve(query, table, lost_threshold):

@@ -849,6 +849,34 @@ class TestEmbeddingInputOrder:
         assert capsys.readouterr().err.splitlines() == [
             "error: " + message.format(path=query_path)]
 
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    @pytest.mark.parametrize("first_scores", [True, False], ids=["first_scores", "first_fails"])
+    def test_tables_fail_in_the_order_they_are_scored(self, tmp_path, capsys, embedding_files,
+                                                      query_file, command, first_scores):
+        """The second table is parsed after the first is scored: a malformed
+        second file exits 2, unless the first table already failed a metric."""
+        from biaseval import cli
+        from biaseval.embeddings import load_word2vec_text
+
+        first = embedding_files[0]
+        if not first_scores:  # equal career vectors: ECT has no rank order
+            table = load_word2vec_text(first)
+            vectors = dict(zip(table.tokens, table.matrix))
+            vectors["office"] = vectors["salary"] = vectors["career"]
+            first = write_w2v(tmp_path / "flat.txt", vectors)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 4\nshe 1 2 3\nhe 1 2 3 4\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = cli.main([command, "--embedding", f"a={first}", "--embedding", f"b={bad}",
+                         "--queries", str(query_file), "--metric", "ECT",
+                         "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert (code, captured.err.splitlines()) == (
+            (2, [f"error: {bad}:2: expected 4 components, got 3"]) if first_scores
+            else (1, ["error: constant input has no rank order"]))
+        assert captured.out == ""
+        assert not out_dir.exists()
+
 
 class TestOutOfRangeVector:
     """A row whose squared norm would overflow or underflow fails at load with
@@ -1307,6 +1335,24 @@ class TestUnencodableOutput:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {out}/{report} has no UTF-8 form"]
+        assert not out.exists()
+
+    def test_metrics_writes_no_report_when_a_later_one_fails(self, tmp_path, embedding_files,
+                                                            query_file):
+        """Only the RND report holds the label: its query does not fit WEAT."""
+        queries = json.loads(query_file.read_text(encoding="utf-8"))
+        queries.append({"label": "bad\ud800", "targets": queries[0]["targets"],
+                        "attributes": [{"name": "work", "words": ["career", "office"]}]})
+        query_file.write_text(json.dumps(queries), encoding="utf-8")
+        out = tmp_path / "m"
+        result = run_cli("metrics", "--embedding", f"a={embedding_files[0]}",
+                         "--queries", query_file, "--metric", "WEAT", "--metric", "RND",
+                         "--skip-invalid", "--out-dir", out)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "warning: query 'bad\\ud800' cannot satisfy template (2,2); skipped",
+            f"error: {out}/scores_RND.json:5: lone surrogate '\\ud800' has no UTF-8 form"]
+        assert result.stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("lexicon_name,pronoun,report", [

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from biaseval import (
 )
 from biaseval import metrics
 from biaseval.errors import DivergenceError
-from biaseval.metrics import METRIC_NAMES
+from biaseval.metrics import METRIC_NAMES, METRIC_TEMPLATES
+from biaseval.queries import expand_subqueries
 from biaseval.ranking import (
     RankTable,
     ScoreMatrix,
@@ -330,6 +332,39 @@ class TestScoreMatrices:
         np.testing.assert_array_equal(matrices[1].values, direct.values)
         assert (matrices[1].rows, matrices[1].cols) == (["e0", "e1"], ["full"])
         assert len(matrices[0].cols) == 2  # RND: one subquery per attribute set
+
+    def test_holds_one_table_at_a_time(self):
+        """Each table, and its matrix, is released before the next is taken;
+        streamed or listed, the matrices are those of one call over all tables."""
+        refs, alive_when_taken = [], []
+
+        def stream():
+            for seed in range(3):
+                alive_when_taken.append([ref() is not None for ref in refs])
+                table = make_table(f"e{seed}", seed, TOKENS)
+                refs.extend([weakref.ref(table), weakref.ref(table.matrix)])
+                yield table
+                del table
+
+        streamed = score_matrices(METRIC_NAMES, stream(), full_queries())
+        assert alive_when_taken == [[], [False] * 2, [False] * 4]
+        tables = [make_table(f"e{seed}", seed, TOKENS) for seed in range(3)]
+        listed = score_matrices(METRIC_NAMES, tables, full_queries())
+        for metric, one, other in zip(METRIC_NAMES, streamed, listed):
+            whole = build_score_matrix(metric, tables,
+                                       expand_subqueries(full_queries(), METRIC_TEMPLATES[metric]))
+            for matrix in (one, other):
+                assert (matrix.metric, matrix.rows, matrix.cols, matrix.diagnostics) == (
+                    whole.metric, whole.rows, whole.cols, whole.diagnostics)
+                assert matrix.values.tobytes() == whole.values.tobytes()
+
+    def test_checks_table_names_as_they_arrive(self):
+        tables = (make_table(name, seed, TOKENS) for seed, name in enumerate("xyx"))
+        repeated = r"^embedding names must be unique: \['x', 'y', 'x'\]$"
+        with pytest.raises(ValueError, match=repeated):
+            score_matrices(["WEAT"], tables, full_queries())
+        with pytest.raises(ValueError, match="^no embeddings given$"):
+            score_matrices(["WEAT"], iter(()), full_queries())
 
     def test_rejects_a_repeated_metric_before_expanding_any(self, monkeypatch):
         """The metric named is the one whose second occurrence comes first."""
