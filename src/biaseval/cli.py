@@ -10,6 +10,12 @@ under the option's dest, else the default declared in :func:`build_parser`.
 A config key naming no option of the command, such as ``seed`` for ``eec``
 and ``tgbi``, is ignored.
 
+Every command reads its inputs and builds every output before it writes the
+first, and prints only after the last write: a failing command writes nothing
+and prints nothing, and an output naming one of its input files exits 2. The
+one exception is an aborted HTTP translation, which writes the rows it fetched
+so that a rerun resumes.
+
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
 re-running a command on the same inputs produces byte-identical output.
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -36,17 +43,17 @@ from .eec import (
     PronounSpec,
     build_views,
     check_pronouns,
+    corpus_tsv_text,
     generate_utterances,
     load_lexicon,
     merge_templates,
     read_corpus_tsv,
     read_views_json,
-    write_corpus_tsv,
-    write_views_json,
+    views_json_text,
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, encode_utf8, json_text, read_json, write_utf8, write_utf8_files)
+                    RENDER_MODES, json_text, read_json, write_utf8_files)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -64,12 +71,15 @@ from .translate import (
     fetch_translations_http,
     join,
     load_translations_tsv,
-    write_translations_tsv,
+    translations_tsv_text,
 )
 
 _HASH_CHUNK = 1 << 20
 # The dest of each lexicon option of ``eec``, in CATEGORIES order.
 _LEXICON_OPTIONS = ("occupations", "positive", "negative")
+# The dests of the options that name input files, beside ``--embedding``'s.
+_INPUT_OPTIONS = (*_LEXICON_OPTIONS, "pronouns", "templates", "corpus", "translations", "views",
+                  "gender_lexicon", "queries", "config")
 
 
 def _sha256(path) -> str:
@@ -182,7 +192,7 @@ def _load_templates(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_eec(args) -> int:
+def cmd_eec(args) -> tuple[dict, str]:
     lexicon_files = {dest: _require_file(getattr(args, dest), f"{category} lexicon")
                      for category, dest in zip(CATEGORIES, _LEXICON_OPTIONS)}
     pronouns = _load_pronouns(args.pronouns)
@@ -192,24 +202,18 @@ def cmd_eec(args) -> int:
     utterances = generate_utterances(lexicons, pronouns, templates)
     views = build_views(utterances)
 
-    # Only run_meta.json cites the lexicon paths: encoded first and written last,
-    # it fails, as corpus.tsv does, before any output exists.
     out_dir = Path(args.out_dir)
-    meta_path = out_dir / "run_meta.json"
-    meta = encode_utf8(meta_path, _report_json(
-        {"n_utterances": len(utterances), "view_sizes": {view.name: len(view) for view in views}},
-        lexicon_files,
-        {"pronoun_registers": [p.register for p in pronouns]},
-    ))
-    write_corpus_tsv(utterances, out_dir / "corpus.tsv")
-    write_views_json(views, out_dir / "views.json")
-    meta_path.write_bytes(meta)
-    for view in views:
-        print(f"{view.name}\t{len(view)}")
-    return 0
+    sizes = {view.name: len(view) for view in views}
+    return {
+        out_dir / "corpus.tsv": corpus_tsv_text(utterances, out_dir / "corpus.tsv"),
+        out_dir / "views.json": views_json_text(views),
+        out_dir / "run_meta.json": _report_json(
+            {"n_utterances": len(utterances), "view_sizes": sizes},
+            lexicon_files, {"pronoun_registers": [p.register for p in pronouns]}),
+    }, "".join(f"{name}\t{size}\n" for name, size in sizes.items())
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> tuple[dict, str]:
     corpus_path = _require_file(args.corpus, "corpus TSV")
     out = Path(args.out)
     corpus = read_corpus_tsv(corpus_path)
@@ -228,14 +232,12 @@ def cmd_translate(args) -> int:
             fetched = fetch_translations_http(cfg, todo)
         except TranslationRunError as exc:
             merged = _merge_records(corpus, existing, exc.completed)
-            write_translations_tsv(merged, out)
+            write_utf8_files({out: translations_tsv_text(merged, out)})
             raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
                                       "rerun to resume", completed=merged) from None
         records = _merge_records(corpus, existing, fetched)
     join(corpus, records, min_coverage=args.min_coverage)
-    write_translations_tsv(records, out)
-    print(f"wrote {out}")
-    return 0
+    return {out: translations_tsv_text(records, out)}, f"wrote {out}\n"
 
 
 def _merge_records(corpus, existing, fetched):
@@ -250,7 +252,7 @@ def _merge_records(corpus, existing, fetched):
     return ordered + extras
 
 
-def cmd_tgbi(args) -> int:
+def cmd_tgbi(args) -> tuple[dict, str]:
     corpus_path = _require_file(args.corpus, "corpus TSV")
     views_path = _require_file(args.views, "views manifest")
     translations_path = _require_file(args.translations, "translations TSV")
@@ -280,16 +282,13 @@ def cmd_tgbi(args) -> int:
     report = score_views(views, pairs, lexicon, variant=args.variant,
                          ambiguous_policy=args.ambiguous_policy)
 
-    write_utf8(out_dir / "tgbi_report.json", _report_json(
+    report_json = _report_json(
         report_to_dict(report),
         {"corpus": corpus_path, "views": views_path, "translations": translations_path,
          "gender_lexicon": {"sha256": lexicon_hash}},
-        {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy},
-    ))
+        {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy})
     table = render_tgbi_table(report)
-    write_utf8(out_dir / "tgbi_table.txt", table)
-    print(table, end="")
-    return 0
+    return {out_dir / "tgbi_report.json": report_json, out_dir / "tgbi_table.txt": table}, table
 
 
 def _check_templates(queries, metrics) -> None:
@@ -348,7 +347,7 @@ def _embedding_inputs(args) -> argparse.Namespace:
                               inputs=_describe_inputs(inputs))
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> tuple[dict, str]:
     from .ranking import render_score_matrix, score_matrices, score_matrix_csv, score_matrix_to_dict
 
     run = _embedding_inputs(args)
@@ -361,12 +360,10 @@ def cmd_metrics(args) -> int:
             score_matrix_to_dict(matrix), run.inputs,
             {"metric": metric, "lost_threshold": args.lost_threshold}, seed=args.seed)
         outputs[run.out_dir / f"scores_{metric}.csv"] = score_matrix_csv(matrix)
-    write_utf8_files(outputs)
-    print("".join(f"{m.metric}:\n{render_score_matrix(m)}" for m in matrices), end="")
-    return 0
+    return outputs, "".join(f"{m.metric}:\n{render_score_matrix(m)}" for m in matrices)
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> tuple[dict, str]:
     from .ranking import build_rank_table, rank_table_csv, rank_table_to_dict, render_rank_table
 
     run = _embedding_inputs(args)
@@ -375,14 +372,27 @@ def cmd_rank(args) -> int:
         lost_threshold=args.lost_threshold, agg=args.agg, seed=args.seed,
     )
     rendered = render_rank_table(table, mode=args.mode)
-    write_utf8_files({run.out_dir / "rank_table.json": _report_json(
+    return {run.out_dir / "rank_table.json": _report_json(
         rank_table_to_dict(table), run.inputs,
         {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
          "metrics": args.metrics}, seed=args.seed),
         run.out_dir / "rank_table.csv": rank_table_csv(table),
-        run.out_dir / "rank_table.txt": rendered})
-    print(rendered, end="")
-    return 0
+        run.out_dir / "rank_table.txt": rendered}, rendered
+
+
+def _refuse_input_outputs(outputs: dict, args) -> None:
+    """Raise a ValueError naming an output that is the same file as one of
+    the command's inputs. The HTTP backend reads no ``--translations``; its
+    ``--out`` is its resume state, read and then rewritten."""
+    inputs = [spec.split("=", 1)[-1] for spec in getattr(args, "embeddings", ())]
+    for dest in _INPUT_OPTIONS:
+        if dest != "translations" or getattr(args, "backend", None) != "http":
+            value = getattr(args, dest, None)
+            inputs += [value] if isinstance(value, str) else value or ()
+    for out in filter(os.path.exists, outputs):
+        for path in filter(None, inputs):
+            if os.path.samefile(out, path):
+                raise ValueError(f"output {out} is the same file as input {path}")
 
 
 class _Repeatable(argparse.Action):
@@ -443,12 +453,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tgbi.add_argument("--out-dir", dest="out_dir", default="tgbi_out")
     tgbi.set_defaults(func=cmd_tgbi)
 
-    metrics = subparsers.add_parser(
-        "metrics", help="raw per-(embedding, subquery) metric values"
-    )
-    rank = subparsers.add_parser(
-        "rank", help="aggregate metric scores and rank embeddings"
-    )
+    metrics = subparsers.add_parser("metrics", help="raw per-(embedding, subquery) metric values")
+    rank = subparsers.add_parser("rank", help="aggregate metric scores and rank embeddings")
     for sub, out_dir in ((metrics, "metrics_out"), (rank, "rank_out")):
         sub.add_argument("--embedding", dest="embeddings", action=_Repeatable, default=(),
                          metavar="EMBEDDING",
@@ -461,11 +467,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                          default=DEFAULT_LOST_THRESHOLD)
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sub.add_argument("--out-dir", dest="out_dir", default=out_dir)
-        sub.add_argument(
-            "--skip-invalid",
-            action="store_true",
-            help="skip queries that do not satisfy a metric's template instead of failing",
-        )
+        sub.add_argument("--skip-invalid", action="store_true", help="skip queries that do "
+                         "not satisfy a metric's template instead of failing")
     rank.add_argument("--agg", choices=AGGREGATIONS, default="abs_mean")
     rank.add_argument("--mode", choices=RENDER_MODES, default="ranks")
     metrics.set_defaults(func=cmd_metrics)
@@ -486,7 +489,11 @@ def main(argv=None) -> int:
             if args.config:
                 _apply_config(commands[args.command], args.config)
                 args = parser.parse_args(argv)
-            return args.func(args)
+            outputs, shown = args.func(args)
+            _refuse_input_outputs(outputs, args)
+            write_utf8_files(outputs)
+            print(shown, end="")
+            return 0
         except (EmbeddingFormatError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from string import Formatter
 
-from .names import content_lines, json_text, nfc, read_json, read_tsv, write_tsv, write_utf8
+from .names import content_lines, json_text, nfc, read_json, read_tsv, tsv_text, write_utf8_files
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -44,11 +44,13 @@ __all__ = [
     "VIEW_NAMES",
     "build_views",
     "check_pronouns",
+    "corpus_tsv_text",
     "generate_utterances",
     "load_lexicon",
     "merge_templates",
     "read_corpus_tsv",
     "read_views_json",
+    "views_json_text",
     "write_corpus_tsv",
     "write_views_json",
 ]
@@ -210,17 +212,25 @@ def build_views(utterances) -> list[EvaluationSet]:
             for name, field, values in VIEWS]
 
 
-def write_corpus_tsv(utterances, path) -> None:
+def corpus_tsv_text(utterances, path) -> str:
     rows = ((u.id, u.text, u.register, u.lexicon_category, u.lexeme) for u in utterances)
-    write_tsv(path, CORPUS_HEADER, rows)
+    return tsv_text(path, CORPUS_HEADER, rows)
+
+
+def write_corpus_tsv(utterances, path) -> None:
+    write_utf8_files({path: corpus_tsv_text(utterances, path)})
 
 
 def read_corpus_tsv(path) -> list[Utterance]:
     return read_tsv(path, CORPUS_HEADER, Utterance)
 
 
+def views_json_text(views) -> str:
+    return json_text({view.name: list(view.utterance_ids) for view in views})
+
+
 def write_views_json(views, path) -> None:
-    write_utf8(path, json_text({view.name: list(view.utterance_ids) for view in views}))
+    write_utf8_files({path: views_json_text(views)})
 
 
 def read_views_json(path) -> list[EvaluationSet]:

@@ -223,6 +223,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     path = Path(path)
     tokens: list[str] = []  # NFC token of each row read
     values = array("d")  # the components of every parsed row, row after row
+    stored = 0  # how many of them are parsed
     chunk: list[tuple[int, str, str]] = []  # (line number, token, components)
     problem = None
     try:
@@ -238,6 +239,8 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                 rows = enumerate(itertools.chain([first], handle), start=1)
             if dim <= 0:
                 raise EmbeddingFormatError(f"{path}:1: dimension must be positive, got {dim}")
+            if count:  # sized once, as growing may copy it; a component takes 2 bytes or more
+                values = array("d", [0.0]) * min(max(count, 0) * dim, path.stat().st_size // 2)
             for lineno, raw in rows:
                 line = raw.rstrip("\r\n")
                 if not line:
@@ -254,12 +257,12 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
                 chunk.append((lineno, token, components))
                 tokens.append(nfc(token))
                 if len(chunk) == CHUNK_ROWS:
-                    values.frombytes(_parse_chunk(path, chunk, dim).tobytes())
+                    stored = _store(values, stored, _parse_chunk(path, chunk, dim))
                     chunk = []
     except UnicodeDecodeError as exc:
         problem = f"{path}: not UTF-8 text ({exc.reason})"
     if chunk:  # checked before the problem below, which lies further on
-        values.frombytes(_parse_chunk(path, chunk, dim).tobytes())
+        _store(values, stored, _parse_chunk(path, chunk, dim))
     if problem:
         raise EmbeddingFormatError(problem)
     if not tokens:
@@ -273,6 +276,14 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
         warnings.warn(f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
                       stacklevel=2)
     return table
+
+
+def _store(values: array, start: int, block: np.ndarray) -> int:
+    """Copy ``block`` into ``values`` from ``start`` on; return where it ends."""
+    part = array("d")
+    part.frombytes(memoryview(block).cast("B"))
+    values[start:start + len(part)] = part
+    return start + len(part)
 
 
 def _parse_chunk(path, chunk, dim: int) -> np.ndarray:

@@ -3,10 +3,10 @@ modules share: the parser's choices, the default seed and lost-word
 threshold, the plain-text grid of every report table, the token
 normalization the corpus builder shares with the embedding loader, and one
 reader or writer per file format: UTF-8 text, a byte-order mark dropped on
-reading (:func:`read_utf8`, :func:`encode_utf8`, :func:`write_utf8`,
-:func:`write_utf8_files`), JSON inputs and reports (:func:`read_json`,
-:func:`json_text`), lexicon-style line lists (:func:`content_lines`) and
-id-keyed TSV tables (:func:`read_tsv`, :func:`write_tsv`).
+reading (:func:`read_utf8`, :func:`write_utf8_files`), JSON inputs and
+reports (:func:`read_json`, :func:`json_text`), lexicon-style line lists
+(:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
+:func:`tsv_text`).
 
 This module imports nothing heavier than the standard library, so the
 translation-path commands (``eec``, ``translate``, ``tgbi``) start without
@@ -47,15 +47,13 @@ __all__ = [
     "RNSB",
     "WEAT",
     "content_lines",
-    "encode_utf8",
     "json_text",
     "nfc",
     "read_json",
     "read_tsv",
     "read_utf8",
     "render_grid",
-    "write_tsv",
-    "write_utf8",
+    "tsv_text",
     "write_utf8_files",
 ]
 
@@ -74,26 +72,18 @@ def read_utf8(path) -> str:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def encode_utf8(path, text: str) -> bytes:
-    """``text`` as UTF-8 for the file ``path``; a lone surrogate, which has no
-    UTF-8 form, raises a ValueError naming ``file:line``."""
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        line, char = text.count("\n", 0, exc.start) + 1, text[exc.start]
-        raise ValueError(f"{path}:{line}: lone surrogate {char!r} has no UTF-8 form") from None
-
-
-def write_utf8(path, text: str) -> None:
-    """Write ``text`` as UTF-8, making any missing parent directory once it
-    is encoded, so a text :func:`encode_utf8` refuses makes nothing."""
-    write_utf8_files({path: text})
-
-
 def write_utf8_files(texts: dict) -> None:
-    """:func:`write_utf8` of each ``{path: text}`` item, all encoded before
-    any file or directory is made, so one text refused makes nothing."""
-    encoded = [(Path(path), encode_utf8(path, text)) for path, text in texts.items()]
+    """Write each ``{path: text}`` item as UTF-8, making any missing parent
+    directory. Every text is encoded before any file or directory is made: a
+    lone surrogate, which has no UTF-8 form, raises a ValueError naming
+    ``file:line`` and makes nothing."""
+    encoded = []
+    for path, text in texts.items():
+        try:
+            encoded.append((Path(path), text.encode("utf-8")))
+        except UnicodeEncodeError as exc:
+            line, char = text.count("\n", 0, exc.start) + 1, text[exc.start]
+            raise ValueError(f"{path}:{line}: lone surrogate {char!r} has no UTF-8 form") from None
     for path, data in encoded:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
@@ -154,17 +144,17 @@ def read_tsv(path, header: str, build) -> list:
     return rows
 
 
-def write_tsv(path, header: str, rows) -> None:
-    """Write ``header`` and one tab-joined line per row, id first, with
-    :func:`write_utf8`; a field holding a tab or line break, which would split
-    its row, raises a ValueError, writing nothing."""
+def tsv_text(path, header: str, rows) -> str:
+    """The text of the TSV file ``path``: ``header`` and one tab-joined line
+    per row, id first; a field holding a tab or line break, which would split
+    its row, raises a ValueError."""
     lines = [header]
     for row in rows:
         fields = [str(value) for value in row]
         if any(FIELD_BREAK_RE.search(field) for field in fields):
             raise ValueError(f"{path}: id {fields[0]}: field contains a tab or line break")
         lines.append("\t".join(fields))
-    write_utf8(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def render_grid(header, rows) -> str:

@@ -284,23 +284,18 @@ def score_matrix_csv(matrix: ScoreMatrix) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["embedding"] + list(matrix.cols))
-    for name, row in zip(matrix.rows, matrix.values):
-        writer.writerow([name] + ["" if np.isnan(v) else repr(float(v)) for v in row])
+    writer.writerows([name] + ["" if np.isnan(v) else repr(float(v)) for v in row]
+                     for name, row in zip(matrix.rows, matrix.values))
     return buffer.getvalue()
 
 
 def rank_table_csv(table: RankTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    header = ["embedding"]
-    for metric in table.cols:
-        header += [f"{metric}_value", f"{metric}_rank"]
-    writer.writerow(header)
-    for i, name in enumerate(table.rows):
-        row = [name]
-        for j in range(len(table.cols)):
-            row += [repr(float(table.aggregate_values[i, j])), str(int(table.ranks[i, j]))]
-        writer.writerow(row)
+    writer.writerow(["embedding"] + [f"{m}_{k}" for m in table.cols for k in ("value", "rank")])
+    for name, values, ranks in zip(table.rows, table.aggregate_values, table.ranks):
+        cells = [(repr(float(v)), str(int(r))) for v, r in zip(values, ranks)]
+        writer.writerow([name] + [cell for pair in cells for cell in pair])
     return buffer.getvalue()
 
 
@@ -312,22 +307,13 @@ def render_rank_table(table: RankTable, mode: str = "ranks") -> str:
     """
     if mode not in RENDER_MODES:
         raise ValueError(f"unknown mode '{mode}' (expected 'ranks' or 'raw')")
-    header = ["Embedding"] + list(table.cols)
-    rows = []
-    for i, name in enumerate(table.rows):
-        cells = [name]
-        for j in range(len(table.cols)):
-            if mode == "ranks":
-                cells.append(str(int(table.ranks[i, j])))
-            else:
-                cells.append(f"{table.aggregate_values[i, j]:.6f}")
-        rows.append(cells)
-    return render_grid(header, rows)
+    ranked = mode == "ranks"
+    rows = [[name] + [str(int(v)) if ranked else f"{v:.6f}" for v in row]
+            for name, row in zip(table.rows, table.ranks if ranked else table.aggregate_values)]
+    return render_grid(["Embedding"] + list(table.cols), rows)
 
 
 def render_score_matrix(matrix: ScoreMatrix) -> str:
-    header = ["Embedding"] + list(matrix.cols)
-    rows = []
-    for name, values in zip(matrix.rows, matrix.values):
-        rows.append([name] + ["-" if np.isnan(v) else f"{v:.6f}" for v in values])
-    return render_grid(header, rows)
+    rows = [[name] + ["-" if np.isnan(v) else f"{v:.6f}" for v in values]
+            for name, values in zip(matrix.rows, matrix.values)]
+    return render_grid(["Embedding"] + list(matrix.cols), rows)

@@ -244,13 +244,8 @@ def render_tgbi_table(report: TgbiReport) -> str:
     """Plain-text view table: one row per view, index with the (p_she,
     p_they) pair beside it, average in the last row."""
     header = ["Sentence", "Size", "score"]
-    rows = [
-        [
-            score.view.capitalize(),
-            str(score.size),
-            f"{score.p_index:.4f} ({score.p_she:.4f}, {score.p_they:.4f})",
-        ]
-        for score in report.scores
-    ]
+    rows = [[score.view.capitalize(), str(score.size),
+             f"{score.p_index:.4f} ({score.p_she:.4f}, {score.p_they:.4f})"]
+            for score in report.scores]
     rows.append(["Average:", "", f"{report.tgbi:.4f}"])
     return render_grid(header, rows)

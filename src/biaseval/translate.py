@@ -26,7 +26,7 @@ from itertools import repeat
 from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import JoinCoverageError, TranslationRunError
-from .names import FIELD_BREAK_RE, read_tsv, write_tsv
+from .names import FIELD_BREAK_RE, read_tsv, tsv_text, write_utf8_files
 
 AUTH_ENV_VAR = "BIASEVAL_HTTP_AUTH"
 BACKENDS = ("file", "http")
@@ -50,6 +50,7 @@ __all__ = [
     "fetch_translations_http",
     "join",
     "load_translations_tsv",
+    "translations_tsv_text",
     "write_translations_tsv",
 ]
 
@@ -106,8 +107,12 @@ def load_translations_tsv(path) -> list[TranslationRecord]:
     return read_tsv(path, TRANSLATIONS_HEADER, TranslationRecord)
 
 
+def translations_tsv_text(records, path) -> str:
+    return tsv_text(path, TRANSLATIONS_HEADER, ((record.id, record.output) for record in records))
+
+
 def write_translations_tsv(records, path) -> None:
-    write_tsv(path, TRANSLATIONS_HEADER, ((record.id, record.output) for record in records))
+    write_utf8_files({path: translations_tsv_text(records, path)})
 
 
 @dataclass(frozen=True)
@@ -124,10 +129,6 @@ class _Retry:
 
     message: str
     retry_after: int = 0
-
-
-def _clean(text: str) -> str:
-    return FIELD_BREAK_RE.sub(" ", text)
 
 
 def _retry_after(response) -> int:
@@ -163,8 +164,8 @@ def _fetch_batch(connection, target: str, headers: dict, batch, attempt: int):
     records = []
     for utterance in batch:
         if utterance.id in translations:
-            records.append(TranslationRecord(
-                utterance.id, _clean(translations[utterance.id]), retries=attempt
+            records.append(TranslationRecord(  # a tab or line break would split its TSV row
+                utterance.id, FIELD_BREAK_RE.sub(" ", translations[utterance.id]), retries=attempt
             ))
         else:
             records.append(TranslationRecord(utterance.id, "", failed=True, retries=attempt))

@@ -1131,7 +1131,7 @@ class TestOptionPrecedence:
         from biaseval import cli
 
         seen = []
-        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or ({}, ""))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: config_value}), encoding="utf-8")
         assert cli.main([command]) == 0
@@ -1313,6 +1313,87 @@ class TestMalformedStructure:
         assert err == [f"error: {bad}: {message}"]
 
 
+class TestOutputNamingAnInput:
+    """An output that is the same file as one of the command's inputs exits 2
+    with one line naming both, before anything is written."""
+
+    @pytest.mark.parametrize("spelling", ["same_path", "symlink"])
+    def test_translate_out_is_the_corpus(self, tmp_path, lexicon_files, spelling):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        corpus = out_dir / "corpus.tsv"
+        source = all_they_translations(corpus, tmp_path / "t.tsv")
+        before = corpus.read_bytes()
+        out = corpus
+        if spelling == "symlink":
+            out = tmp_path / "link.tsv"
+            out.symlink_to(corpus)
+        result = run_cli("translate", "--corpus", corpus, "--backend", "file",
+                         "--translations", source, "--out", out)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: output {out} is the same file as input {corpus}"]
+        assert result.stdout == ""
+        assert corpus.read_bytes() == before
+
+    def test_eec_out_dir_holds_a_lexicon(self, tmp_path, lexicon_files):
+        occ, pos, neg = lexicon_files
+        out_dir = tmp_path / "d"
+        out_dir.mkdir()
+        lexicon = out_dir / "corpus.tsv"
+        lexicon.write_bytes(occ.read_bytes())
+        result = run_cli("eec", "--occupations", lexicon, "--positive", pos, "--negative", neg,
+                         "--out-dir", out_dir)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: output {lexicon} is the same file as input {lexicon}"]
+        assert result.stdout == ""
+        assert lexicon.read_bytes() == occ.read_bytes()
+        assert list(out_dir.iterdir()) == [lexicon]
+
+    def test_tgbi_config_is_its_own_earlier_report(self, tmp_path, lexicon_files):
+        """A report parses as a config (unknown keys are ignored), so a rerun
+        may name it with ``--config``; the check covers every input option."""
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        argv = ["tgbi", "--corpus", out_dir / "corpus.tsv", "--views", out_dir / "views.json",
+                "--translations", translations, "--out-dir", tmp_path / "tgbi"]
+        assert run_cli(*argv).returncode == 0
+        report = tmp_path / "tgbi" / "tgbi_report.json"
+        before = report.read_bytes()
+        result = run_cli(*argv, "--config", report)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: output {report} is the same file as input {report}"]
+        assert result.stdout == ""
+        assert report.read_bytes() == before
+
+    def test_http_backend_rewrites_its_out_even_when_named_as_translations(
+        self, tmp_path, lexicon_files, monkeypatch, capsys
+    ):
+        """The HTTP backend reads no ``--translations``: a config shared with
+        ``tgbi`` may name ``--out`` there, and the run still resumes."""
+        from biaseval import cli
+        from biaseval.translate import TranslationRecord
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        out = tmp_path / "http.tsv"
+        out.write_text("id\ttranslation\n1\tthey are kind\n", encoding="utf-8")
+        fetched = []
+
+        def fake_fetch(cfg, utterances):
+            fetched.extend(u.id for u in utterances)
+            return [TranslationRecord(u.id, "they are a person") for u in utterances]
+
+        monkeypatch.setattr(cli, "fetch_translations_http", fake_fetch)
+        code = cli.main(["translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", "http",
+                         "--url", "http://127.0.0.1:9/translate", "--translations", str(out),
+                         "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert fetched == list(range(2, 19))
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "1\tthey are kind"
+
+
 class TestUnencodableOutput:
     """Report text with no UTF-8 form (a lone surrogate, as a Latin-1 command
     line or file name decodes to) fails with exit 2 and one line naming the
@@ -1381,4 +1462,48 @@ class TestUnencodableOutput:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {out}/{report} has no UTF-8 form"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eec", "translate", "tgbi", "metrics", "rank"])
+    def test_last_output_unencodable_writes_and_prints_nothing(
+        self, tmp_path, monkeypatch, capsys, lexicon_files, embedding_files, query_file, command
+    ):
+        """Every command hands all of its outputs to one writer: when even the
+        last one has no UTF-8 form, the command exits 2, prints nothing and
+        leaves no output file or directory."""
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        eec_dir = tmp_path / "eec"
+        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                         "--negative", str(neg), "--out-dir", str(eec_dir)]) == 0
+        translations = all_they_translations(eec_dir / "corpus.tsv", tmp_path / "t.tsv")
+        out = tmp_path / "out"
+        embedding_argv = ["--embedding", f"a={embedding_files[0]}", "--queries", query_file,
+                          "--metric", "WEAT", "--metric", "RND", "--out-dir", out]
+        argv = {
+            "eec": ["--occupations", occ, "--positive", pos, "--negative", neg, "--out-dir", out],
+            "translate": ["--corpus", eec_dir / "corpus.tsv", "--translations", translations,
+                          "--out", out / "t.tsv"],
+            "tgbi": ["--corpus", eec_dir / "corpus.tsv", "--views", eec_dir / "views.json",
+                     "--translations", translations, "--out-dir", out],
+            "metrics": embedding_argv,
+            "rank": embedding_argv,
+        }[command]
+        original = getattr(cli, f"cmd_{command}")
+        spoiled = []
+
+        def spoil_last_output(args):
+            outputs, shown = original(args)
+            last = list(outputs)[-1]
+            spoiled.append(f"{last}:{outputs[last].count(chr(10)) + 1}")
+            return {**outputs, last: outputs[last] + "\ud800"}, shown
+
+        monkeypatch.setattr(cli, f"cmd_{command}", spoil_last_output)
+        capsys.readouterr()
+        assert cli.main([command, *map(str, argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {spoiled[0]}: lone surrogate '\\ud800' has no UTF-8 form"]
         assert not out.exists()

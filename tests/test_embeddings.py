@@ -60,6 +60,19 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match=f"declares {count} rows, read {read}"):
             load_word2vec_text(path)
 
+    @pytest.mark.parametrize("count,read", [(10**15, 3), (3, 2 * embeddings.CHUNK_ROWS + 1),
+                                            (2 * embeddings.CHUNK_ROWS + 1, 3)])
+    def test_header_count_sizes_no_more_than_the_file_holds(self, tmp_path, count, read):
+        """The header's count sizes the buffer up front, capped by what the
+        file's bytes can hold, so a count far off the rows read, on either
+        side of a chunk, is the one-line count error."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{count} 2\n" + "".join(f"w{i} 1 0\n" for i in range(read)),
+                        encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}: header declares {count} rows, read {read}"
+
     def test_row_arity_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 3\na 1 0\nb 0 1 0\n", encoding="utf-8")
@@ -74,8 +87,9 @@ class TestLoader:
         ("2 0", ":1: dimension must be positive, got 0"),  # a header
         ("3 3", ": header declares 3 rows, read 1"),  # a header
         ("7 1", ":2: expected 1 components, got 3"),  # a 1-d row of integers is a header
+        ("-10000000 10000000000000", ":2: expected 10000000000000 components, got 3"),
     ], ids=["blank", "no_components", "1d_row", "2d_row", "zero_dim_header", "count_header",
-            "integer_1d_row"])
+            "integer_1d_row", "negative_count_header"])
     def test_malformed_first_line(self, tmp_path, first, message):
         """A first line of two integers is a header; any other is the first
         row, which gives the dimension (the GloVe layout)."""

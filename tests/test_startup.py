@@ -131,3 +131,25 @@ def test_export_lists_name_only_what_exists():
     for name, exported in biaseval._EXPORTS.items():
         unlisted = sorted(set(exported) - set(importlib.import_module(f"biaseval.{name}").__all__))
         assert not unlisted, f"biaseval._EXPORTS['{name}'] holds {unlisted}"
+
+
+def test_every_function_the_traced_benchmark_wraps_resolves(monkeypatch):
+    """``bench/layers.py`` wraps biaseval functions by name, so a function
+    renamed or deleted fails here with its name, not in the traced run."""
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    layers = importlib.import_module("layers")
+    wrapped = [span for spans in layers.SELF_TIME_METRICS.values() for span in spans]
+    wrapped += [*layers.OTHER_SPANS, "embeddings.nfc", "embeddings.cosine",
+                "tgbi.classify_sentence", "embeddings.EmbeddingTable.resolve_word_set"]
+    missing = []
+    for name in wrapped:
+        module, *attributes = name.split(".")
+        target = importlib.import_module(f"biaseval.{module}")
+        for attribute in attributes:
+            target = getattr(target, attribute, None)
+        if not callable(target):
+            missing.append(name)
+    assert not missing, f"bench/layers.py wraps {missing}, which do not resolve"
