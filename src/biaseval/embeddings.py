@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,10 +26,8 @@ from .names import DEFAULT_LOST_THRESHOLD, nfc
 MAX_COMPONENT = 1e100
 MIN_COMPONENT = 1e-100
 
-# Rows per call to numpy's C reader in load_word2vec_text.
-CHUNK_ROWS = 256
 # Characters numpy's C reader strips around a number as whitespace and
-# float() refuses; a chunk holding one is parsed row by row.
+# float() refuses: the line scan calls a component holding one non-numeric.
 _C_READER_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 __all__ = [
@@ -215,61 +212,25 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     integers reads as a header. Duplicate tokens keep their first row, with
     a warning.
 
-    Rows are parsed in chunks of ``CHUNK_ROWS`` by numpy's C reader; a chunk
-    it refuses is parsed row by row as ``float()`` would, which accepts a
-    superset of the reader's syntax with the same bits. Every row is
-    checked, and an error names the first bad row's ``file:line``.
+    All rows are parsed by one call to numpy's C reader. A file it cannot
+    vouch for is read again, each row parsed as ``float()`` would, which
+    accepts a superset of the reader's syntax with the same bits. Every row
+    is checked, and an error names the first bad row's ``file:line``.
     """
     path = Path(path)
     tokens: list[str] = []  # NFC token of each row read
-    values = array("d")  # the components of every parsed row, row after row
-    stored = 0  # how many of them are parsed
-    chunk: list[tuple[int, str, str]] = []  # (line number, token, components)
-    problem = None
     try:
         with path.open(encoding="utf-8-sig") as handle:
-            first = handle.readline()
-            if not first:
-                raise EmbeddingFormatError(f"{path}: empty vocabulary")
-            try:  # a "<count> <dim>" header
-                count, dim = map(int, first.split())
-                rows = enumerate(handle, start=2)
-            except ValueError:  # no header: the first row gives the dimension
-                count, dim = None, first.rstrip("\r\n").rstrip(" ").count(" ")
-                rows = enumerate(itertools.chain([first], handle), start=1)
-            if dim <= 0:
-                raise EmbeddingFormatError(f"{path}:1: dimension must be positive, got {dim}")
-            if count:  # sized once, as growing may copy it; a component takes 2 bytes or more
-                values = array("d", [0.0]) * min(max(count, 0) * dim, path.stat().st_size // 2)
-            for lineno, raw in rows:
-                line = raw.rstrip("\r\n")
-                if not line:
-                    continue
-                line = line.rstrip(" ")
-                found = line.count(" ")
-                if found != dim:
-                    problem = f"{path}:{lineno}: expected {dim} components, got {found}"
-                    break
-                token, _, components = line.partition(" ")
-                if not token:
-                    problem = f"{path}:{lineno}: empty token"
-                    break
-                chunk.append((lineno, token, components))
-                tokens.append(nfc(token))
-                if len(chunk) == CHUNK_ROWS:
-                    stored = _store(values, stored, _parse_chunk(path, chunk, dim))
-                    chunk = []
-    except UnicodeDecodeError as exc:
-        problem = f"{path}: not UTF-8 text ({exc.reason})"
-    if chunk:  # checked before the problem below, which lies further on
-        _store(values, stored, _parse_chunk(path, chunk, dim))
-    if problem:
-        raise EmbeddingFormatError(problem)
-    if not tokens:
-        raise EmbeddingFormatError(f"{path}: empty vocabulary")
-    if count is not None and len(tokens) != count:
-        raise EmbeddingFormatError(f"{path}: header declares {count} rows, read {len(tokens)}")
-    matrix = np.frombuffer(values).reshape(len(tokens), dim)
+            rows = _scan(path, handle, tokens)
+            dim = next(rows)
+            matrix = np.loadtxt((text for _lineno, text in rows), delimiter=" ", comments=None,
+                                quotechar=None, ndmin=2, max_rows=_row_bound(path, dim))
+        vouched = (matrix.shape == (len(tokens), dim)
+                   and not any(map(_range_error, _peaks(matrix).tolist())))
+    except (EmbeddingFormatError, ValueError):  # the exact read raises it in line order
+        vouched = False
+    if not vouched:
+        tokens, matrix = _read_exactly(path)
     table = EmbeddingTable(name or path.stem, tuple(tokens), matrix)
     duplicates = len(tokens) - len(table)
     if duplicates:
@@ -278,44 +239,73 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     return table
 
 
-def _store(values: array, start: int, block: np.ndarray) -> int:
-    """Copy ``block`` into ``values`` from ``start`` on; return where it ends."""
-    part = array("d")
-    part.frombytes(memoryview(block).cast("B"))
-    values[start:start + len(part)] = part
-    return start + len(part)
+def _scan(path, handle, tokens: list):
+    """Yield the dimension, then each row's line number and components,
+    appending its NFC token to ``tokens``. A malformed line raises when
+    reached; after the last row, so do no rows and a count unlike the header's."""
+    first = handle.readline()
+    if not first:
+        raise EmbeddingFormatError(f"{path}: empty vocabulary")
+    try:  # a "<count> <dim>" header
+        count, dim = map(int, first.split())
+        lines = enumerate(handle, start=2)
+    except ValueError:  # no header: the first row gives the dimension
+        count, dim = None, first.rstrip("\r\n").rstrip(" ").count(" ")
+        lines = enumerate(itertools.chain([first], handle), start=1)
+    if dim <= 0:
+        raise EmbeddingFormatError(f"{path}:1: dimension must be positive, got {dim}")
+    yield dim
+    for lineno, raw in lines:
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        line = line.rstrip(" ")
+        found = line.count(" ")
+        if found != dim:
+            raise EmbeddingFormatError(f"{path}:{lineno}: expected {dim} components, got {found}")
+        token, _, components = line.partition(" ")
+        if not token:
+            raise EmbeddingFormatError(f"{path}:{lineno}: empty token")
+        if any(sep in components for sep in _C_READER_ONLY_SPACES):
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component")
+        tokens.append(nfc(token))
+        yield lineno, components
+    if not tokens:
+        raise EmbeddingFormatError(f"{path}: empty vocabulary")
+    if count is not None and len(tokens) != count:
+        raise EmbeddingFormatError(f"{path}: header declares {count} rows, read {len(tokens)}")
 
 
-def _parse_chunk(path, chunk, dim: int) -> np.ndarray:
-    """The rows of a chunk, parsed in one call to numpy's C reader when it
-    accepts every row and every row is in range; otherwise row by row,
-    which raises at the first bad row."""
-    texts = [components for _lineno, _token, components in chunk]
-    if any(sep in text for text in texts for sep in _C_READER_ONLY_SPACES):
-        return _parse_rows_exactly(path, chunk)
+def _row_bound(path, dim: int) -> int:
+    """A bound above the rows the C reader can accept: one a line break, two
+    bytes a component. Sized by it, the reader allocates its matrix once;
+    grown, the matrix may be copied inside the heap, raising peak memory."""
+    with path.open("rb") as raw:
+        breaks = sum(block.count(b"\n") + block.count(b"\r")
+                     for block in iter(lambda: raw.read(1 << 20), b""))
+    return min(breaks, path.stat().st_size // (2 * dim)) + 1
+
+
+def _read_exactly(path) -> tuple[list[str], np.ndarray]:
+    """The tokens and matrix of the file, each row parsed with ``float()``'s
+    syntax; the first bad line raises."""
+    tokens, vectors = [], []
     try:
-        block = np.loadtxt(texts, delimiter=" ", comments=None, quotechar=None, ndmin=2)
-    except ValueError:
-        return _parse_rows_exactly(path, chunk)
-    if block.shape != (len(chunk), dim) or any(map(_range_error, _peaks(block).tolist())):
-        return _parse_rows_exactly(path, chunk)
-    return block
-
-
-def _parse_rows_exactly(path, chunk) -> np.ndarray:
-    """The rows of a chunk parsed one by one with ``float()``'s syntax; the
-    first row that does not parse or is out of range raises."""
-    vectors = []
-    for lineno, _token, components in chunk:
-        try:
-            vec = np.array(components.split(" "), dtype=np.float64)
-        except ValueError:
-            raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-        problem = _range_error(_peaks(vec))
-        if problem:
-            raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
-        vectors.append(vec)
-    return np.array(vectors)
+        with path.open(encoding="utf-8-sig") as handle:
+            rows = _scan(path, handle, tokens)
+            next(rows)
+            for lineno, components in rows:
+                try:
+                    vec = np.array(components.split(" "), dtype=np.float64)
+                except ValueError:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
+                problem = _range_error(_peaks(vec))
+                if problem:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
+                vectors.append(vec)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return tokens, np.array(vectors)
 
 
 def cosine(u, v) -> float:

@@ -131,11 +131,13 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
     Combinations are unordered and taken in input order, so a pair of target
     sets is emitted once, never as both orderings. Subqueries whose target
     and attribute sets, names and words alike, were already emitted are
-    dropped. Queries with fewer sets than the template demands are skipped
-    with a warning.
+    dropped; two different subqueries with one label raise ValueError.
+    Queries with fewer sets than the template demands are skipped with a
+    warning.
     """
     subqueries: list[Query] = []
     seen: set[tuple[frozenset, frozenset]] = set()
+    labels: dict[str, tuple[frozenset, frozenset]] = {}
     for query in queries:
         if not fits_template(query, template):
             warnings.warn(
@@ -153,6 +155,8 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
                 seen.add(key)
                 label = (query.label if exact
                          else _subquery_label(query.label, target_combo, attribute_combo))
+                if labels.setdefault(label, key) != key:
+                    raise ValueError(f"two different subqueries are labelled '{label}'")
                 subqueries.append(Query(target_combo, attribute_combo, label=label))
     return subqueries
 

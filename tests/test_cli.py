@@ -849,6 +849,36 @@ class TestEmbeddingInputOrder:
         assert capsys.readouterr().err.splitlines() == [
             "error: " + message.format(path=query_path)]
 
+    @pytest.mark.parametrize("label,shown", [("q", "q"), (None, "f,m|c")],
+                             ids=["equal_labels", "unlabelled"])
+    def test_two_subqueries_with_one_label_exit_2_before_any_table_is_parsed(
+            self, tmp_path, capsys, label, shown):
+        """Their cells would share one report column, the second's
+        diagnostics overwriting the first's."""
+        from biaseval import cli
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self.UNPARSEABLE, encoding="utf-8")
+        queries = [{"targets": [{"name": "f", "words": [f"she{i}"]},
+                                {"name": "m", "words": [f"he{i}"]}],
+                    "attributes": [{"name": "c", "words": [f"career{i}", "gone"]}]}
+                   for i in (1, 2)]
+        if label is not None:
+            for query in queries:
+                query["label"] = label
+        query_path = tmp_path / "queries.json"
+        query_path.write_text(json.dumps(queries), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = cli.main(["metrics", "--embedding", f"x={bad}", "--queries", str(query_path),
+                         "--metric", "RND", "--lost-threshold", "0.5",
+                         "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            f"error: two different subqueries are labelled '{shown}'"]
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("command", ["metrics", "rank"])
     @pytest.mark.parametrize("first_scores", [True, False], ids=["first_scores", "first_fails"])
     def test_tables_fail_in_the_order_they_are_scored(self, tmp_path, capsys, embedding_files,

@@ -3,7 +3,6 @@ import struct
 import tempfile
 import unicodedata
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,12 +59,10 @@ class TestLoader:
         with pytest.raises(EmbeddingFormatError, match=f"declares {count} rows, read {read}"):
             load_word2vec_text(path)
 
-    @pytest.mark.parametrize("count,read", [(10**15, 3), (3, 2 * embeddings.CHUNK_ROWS + 1),
-                                            (2 * embeddings.CHUNK_ROWS + 1, 3)])
+    @pytest.mark.parametrize("count,read", [(10**15, 3), (3, 513), (513, 3)])
     def test_header_count_sizes_no_more_than_the_file_holds(self, tmp_path, count, read):
-        """The header's count sizes the buffer up front, capped by what the
-        file's bytes can hold, so a count far off the rows read, on either
-        side of a chunk, is the one-line count error."""
+        """A header count far above or below the rows read, one the file's
+        bytes could never hold among them, is the one-line count error."""
         path = tmp_path / "bad.txt"
         path.write_text(f"{count} 2\n" + "".join(f"w{i} 1 0\n" for i in range(read)),
                         encoding="utf-8")
@@ -192,7 +189,7 @@ class TestLoader:
         with pytest.raises(ValueError, match="^embedding table 't' is empty$"):
             EmbeddingTable.from_mapping("t", {})
 
-    # Each bad row as (row, message); all of them share one chunk.
+    # Each bad row as (row, message).
     BAD_ROWS = [("b 1e200 0", "component magnitude 1e+200 above 1e+100"),
                 ("c x 0", "non-numeric component"),
                 ("d 1 0 0", "expected 2 components, got 3"),
@@ -201,7 +198,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("first", range(len(BAD_ROWS)))
-    def test_first_bad_row_of_a_chunk_is_reported(self, tmp_path, first, reverse):
+    def test_first_of_adjacent_bad_rows_is_reported(self, tmp_path, first, reverse):
         others = [row for i, row in enumerate(self.BAD_ROWS) if i != first]
         rows = [self.BAD_ROWS[first]] + (others[::-1] if reverse else others)
         path = tmp_path / "bad.txt"
@@ -211,32 +208,80 @@ class TestLoader:
             load_word2vec_text(path)
         assert str(excinfo.value) == f"{path}:3: {rows[0][1]}"
 
+    @pytest.mark.parametrize("later,problem", [
+        ("d 1", "expected 2 components, got 1"),
+        ("d \udcff 1", "not UTF-8 text (invalid start byte)"),
+    ], ids=["short_row", "not_utf8"])
+    def test_first_bad_row_wins_over_one_far_below(self, tmp_path, later, problem):
+        """A non-numeric row at line 3 is reported even when the other bad
+        line, thousands of lines further on, stops the line scan."""
+        rows = ["a 1 0", "b x 0"] + [f"w{i} 0 1" for i in range(5000)] + [later, "z 1 1"]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(f"{len(rows)} 2\n".encode() + "\n".join(rows).encode(
+            "utf-8", "surrogateescape") + b"\n")
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert str(excinfo.value) == f"{path}:3: non-numeric component"
+        # Alone, the far line raises its own message.
+        path.write_bytes(path.read_bytes().replace(b"b x 0", b"b 0 0"))
+        with pytest.raises(EmbeddingFormatError) as excinfo:
+            load_word2vec_text(path)
+        assert problem in str(excinfo.value)
+
     def test_plain_decimals_never_take_the_row_by_row_path(self, tmp_path, monkeypatch):
-        exact_rows = []
-        parse = embeddings._parse_rows_exactly
+        exact_reads = []
+        read = embeddings._read_exactly
 
-        def spy(path, chunk):
-            exact_rows.extend(lineno for lineno, _token, _components in chunk)
-            return parse(path, chunk)
+        def spy(path):
+            exact_reads.append(path)
+            return read(path)
 
-        monkeypatch.setattr(embeddings, "_parse_rows_exactly", spy)
+        monkeypatch.setattr(embeddings, "_read_exactly", spy)
         rng = np.random.default_rng(3)
-        rows = 2 * embeddings.CHUNK_ROWS + 5
+        rows = 517
         values = rng.normal(0.0, 0.25, size=(rows, 6)).round(6)
         values[7] = 0.0  # an all-zero row is in range
         lines = [f"w{i} " + " ".join(f"{v:.6f}" for v in row) for i, row in enumerate(values)]
         path = tmp_path / "plain.txt"
         path.write_text(f"{rows} 6\n" + "\n".join(lines) + "\n", encoding="utf-8")
         table = load_word2vec_text(path)
-        assert exact_rows == []
+        assert exact_reads == []
         for i, row in enumerate(values):
             assert table.lookup(f"w{i}").tobytes() == np.array(
                 [float(f"{v:.6f}") for v in row]).tobytes()
-        # A row only float() reads sends its chunk, and that chunk alone, row by row.
+        # A row only float() reads sends the whole file, once, row by row.
         lines[3] = "w3 1_0 " + " ".join(["0"] * 5)
         path.write_text(f"{rows} 6\n" + "\n".join(lines) + "\n", encoding="utf-8")
-        assert load_word2vec_text(path).lookup("w3")[0] == 10.0
-        assert exact_rows == list(range(2, 2 + embeddings.CHUNK_ROWS))
+        table = load_word2vec_text(path)
+        assert exact_reads == [path]
+        assert table.matrix.tobytes() == np.array(
+            [[float(c) for c in line.split(" ")[1:]] for line in lines]).tobytes()
+
+    @pytest.mark.parametrize("header", [True, False], ids=["word2vec", "glove"])
+    def test_a_plain_file_normalises_each_token_once(self, tmp_path, monkeypatch, header):
+        """The traced benchmark counts rows scanned as the loader's nfc calls."""
+        calls = []
+        monkeypatch.setattr(embeddings, "nfc", lambda text: calls.append(text) or text)
+        monkeypatch.setattr(embeddings, "_read_exactly", None)  # calling it fails the load
+        lines = [f"w{i} {i / 7:.6f} -{i:.1f}e-3" for i in range(300)]
+        path = tmp_path / "plain.txt"
+        path.write_text("300 2\n" * header + "\n".join(lines) + "\n", encoding="utf-8")
+        assert len(load_word2vec_text(path)) == 300
+        assert calls == [f"w{i}" for i in range(300)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\n\n\n"],
+                             ids=["lf", "crlf", "cr", "blank_lines"])
+    def test_every_row_loads_whatever_the_line_breaks(self, tmp_path, newline):
+        """The C reader reads no more rows than a bound taken from the file's
+        bytes; neither the line breaks nor rows as short as they can be make
+        that bound too small."""
+        tokens = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN"
+        rows = [f"{token} {i % 10} {i * 3 % 10}" for i, token in enumerate(tokens)]
+        path = tmp_path / "glove.txt"
+        path.write_bytes(newline.join(rows).encode() + newline.encode())
+        table = load_word2vec_text(path)
+        assert table.tokens == tuple(tokens)
+        assert table.matrix.tolist() == [[i % 10, i * 3 % 10] for i in range(40)]
 
     @pytest.mark.parametrize("text", ["0 3\n", "", "\ufeff"], ids=["header", "empty", "bom"])
     def test_empty_vocabulary(self, tmp_path, text):
@@ -307,10 +352,10 @@ def float_reference(lines):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(2, 4), st.integers(1, 9))
-def test_chunked_parse_matches_float_row_by_row(data, dim, chunk_rows, n_rows):
+@given(st.data(), st.integers(1, 3), st.integers(1, 9))
+def test_load_matches_float_row_by_row(data, dim, n_rows):
     """Rows of plain decimals mixed with float()-only syntax and bad
-    components, across chunk boundaries, give float()'s bytes and errors."""
+    components give float()'s bytes and errors."""
     kinds = [PLAIN, FLOAT_ONLY]
     if data.draw(st.booleans(), label="with bad components"):
         kinds = [PLAIN, PLAIN, PLAIN, FLOAT_ONLY, BAD]
@@ -318,8 +363,7 @@ def test_chunked_parse_matches_float_row_by_row(data, dim, chunk_rows, n_rows):
     lines = [f"w{data.draw(st.integers(0, n_rows))} " + " ".join(data.draw(components))
              for _ in range(n_rows)]
     expected = float_reference(lines)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(embeddings, "CHUNK_ROWS",
-                                                                 chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "emb.txt"
         path.write_text(f"{n_rows} {dim}\n" + "\n".join(lines) + "\n", encoding="utf-8")
         if isinstance(expected, str):

@@ -122,6 +122,22 @@ class TestExpandSubqueries:
         subqueries = expand_subqueries([first, second], QueryTemplate(2, 1))
         assert [sq.label for sq in subqueries] == ["q1", "q2"]
 
+    @pytest.mark.parametrize("label,shown", [("q", "q"), ("", "f,m|x")],
+                             ids=["equal_labels", "unlabelled"])
+    def test_two_subqueries_with_one_label_are_refused(self, label, shown):
+        """Each would be scored into the one report column the label names."""
+        def query(words):
+            return Query(targets=(WordSet("f", (words[0],)), WordSet("m", (words[1],))),
+                         attributes=(WordSet("x", (words[2],)),), label=label)
+
+        first = query(("she", "he", "career"))
+        with pytest.raises(ValueError) as excinfo:
+            expand_subqueries([first, query(("woman", "man", "family"))], QueryTemplate(2, 1))
+        assert str(excinfo.value) == f"two different subqueries are labelled '{shown}'"
+        # An identical query is still one subquery.
+        assert expand_subqueries([first, query(("she", "he", "career"))],
+                                 QueryTemplate(2, 1)) == [first]
+
     def test_short_query_skipped_with_warning(self):
         short = _query(1, 2, label="short")
         good = _query(2, 2, label="good")
