@@ -10,9 +10,7 @@ subquery expansion -> score matrix -> row aggregation -> rank table.
 import numpy as np
 
 from biaseval import EmbeddingTable, Query, WordSet, build_rank_table, render_rank_table
-from biaseval.ranking import build_score_matrix, render_score_matrix
-from biaseval.queries import expand_subqueries
-from biaseval.metrics import METRIC_TEMPLATES
+from biaseval.ranking import render_score_matrix, score_matrices
 
 rng = np.random.default_rng(42)
 
@@ -66,10 +64,8 @@ tables = [biased_table(), neutral_table()]
 
 # Per-metric score matrices first: each query is expanded to the metric's
 # template, e.g. the two (2,2) queries become four (2,1) subqueries for RND.
-for metric in ("WEAT", "RND"):
-    subqueries = expand_subqueries(queries, METRIC_TEMPLATES[metric])
-    matrix = build_score_matrix(metric, tables, subqueries)
-    print(f"--- {metric} scores, one column per subquery ---")
+for matrix in score_matrices(("WEAT", "RND"), tables, queries):
+    print(f"--- {matrix.metric} scores, one column per subquery ---")
     print(render_score_matrix(matrix))
 
 # The rank table aggregates |score| per row and ranks ascending. Mind the

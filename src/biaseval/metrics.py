@@ -159,8 +159,9 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
 @contextmanager
 def _classifier_scope():
     """Until exit, ``train_attribute_classifier`` calls with equal attribute
-    matrices and integer seed share one fitted model. A fit that raises is
-    not kept, so every call that needs it raises again."""
+    matrices and integer seed share one fitted model; ``build_score_matrix``
+    opens one per table and metric. A fit that raises is not kept, so every
+    call that needs it raises again."""
     token = _fitted_classifiers.set({})
     try:
         yield
@@ -179,8 +180,9 @@ def train_attribute_classifier(attributes_1, attributes_2,
     Reported ``training_loss`` is the final cross-entropy.
 
     Each call fits a new model, except within one ``build_score_matrix``
-    call: there, calls with identical attribute matrices and seed return one
-    model, fitted either by the first of them or ahead of them in a stack.
+    call, which scores one table: there, calls with identical attribute
+    matrices and seed return one model, fitted either by the first of them
+    or ahead of them in a stack.
     """
     attributes_1 = np.atleast_2d(np.asarray(attributes_1, dtype=np.float64))
     attributes_2 = np.atleast_2d(np.asarray(attributes_2, dtype=np.float64))

@@ -42,8 +42,9 @@ __all__ = [
 class WordSet:
     """A named, ordered list of unique words.
 
-    ``words`` is a list or tuple of strings, never one string; they are
-    NFC-normalized on construction and duplicates keep the first occurrence.
+    ``words`` is a list or tuple of non-empty strings, never one string;
+    they are NFC-normalized on construction and duplicates keep the first
+    occurrence.
     """
 
     name: str
@@ -59,6 +60,8 @@ class WordSet:
         words = tuple(dict.fromkeys(nfc(word) for word in self.words))
         if not words:
             raise ValueError(f"word set '{self.name}' has no words")
+        if "" in words:
+            raise ValueError(f"word set '{self.name}' has an empty word")
         object.__setattr__(self, "words", words)
 
     def __len__(self) -> int:

@@ -64,12 +64,12 @@ class RankTable:
 
 def build_score_matrix(
     metric: str,
-    tables,
+    table,
     subqueries,
     lost_threshold: float = DEFAULT_LOST_THRESHOLD,
     seed: int = DEFAULT_SEED,
 ) -> ScoreMatrix:
-    """Evaluate one metric on every embedding x subquery cell.
+    """Evaluate one metric on every subquery cell of one table, as a one-row matrix.
 
     Subqueries are expected to satisfy the metric's template already.
     Resolution failures (vocabulary loss, empty sets) leave a NaN cell and a
@@ -77,50 +77,41 @@ def build_score_matrix(
     attribute matrices share one fitted classifier for the call.
     """
     _template(metric)
-    tables = list(tables)
     subqueries = list(subqueries)
-    if not tables:
-        raise ValueError("no embeddings given")
-    names = [t.name for t in tables]
-    if len(set(names)) != len(names):
-        raise ValueError(f"embedding names must be unique: {names}")
     if not subqueries:
         raise ValueError("no subqueries given")
-    values = np.full((len(tables), len(subqueries)), np.nan)
+    values = np.full((1, len(subqueries)), np.nan)
     diagnostics: dict = {}
-    # Per attribute pair, the first RNSB cell that uses it: in each table
-    # these cells are resolved first, and their classifiers fitted in stacks.
+    # The first RNSB cell of each attribute pair, resolved first to fit the pairs in stacks.
     lead_cells: dict = {}
     if metric == RNSB:
         for j, query in enumerate(subqueries):
             lead_cells.setdefault(query.attributes, j)
     with _classifier_scope():
-        for i, table in enumerate(tables):
-            held = {j: _resolve(subqueries[j], table, lost_threshold)
-                    for j in lead_cells.values()}
-            _prefit_classifiers(
-                [tuple(a.matrix for a in rq.attributes) for rq in held.values()
-                 if isinstance(rq, ResolvedQuery) and len(rq.attributes) == 2],
-                seed,
-            )
-            for j, query in enumerate(subqueries):
-                rq = held.pop(j) if j in held else _resolve(query, table, lost_threshold)
-                if not isinstance(rq, ResolvedQuery):
-                    diagnostics[(table.name, query.label)] = {"missing": str(rq)}
-                    continue
-                if metric == RNSB:
-                    result = METRIC_FUNCTIONS[metric](rq, seed)
-                else:
-                    result = METRIC_FUNCTIONS[metric](rq)
-                values[i, j] = result.value
-                cell = dict(result.diagnostics)
-                sets = rq.targets + rq.attributes
-                dropped = {s.name: list(s.dropped) for s in sets if s.dropped}
-                if dropped:
-                    cell["dropped"] = dropped
-                if cell:
-                    diagnostics[(table.name, query.label)] = cell
-    return ScoreMatrix(metric, names, [q.label for q in subqueries], values, diagnostics)
+        held = {j: _resolve(subqueries[j], table, lost_threshold) for j in lead_cells.values()}
+        _prefit_classifiers(
+            [tuple(a.matrix for a in rq.attributes) for rq in held.values()
+             if isinstance(rq, ResolvedQuery) and len(rq.attributes) == 2],
+            seed,
+        )
+        for j, query in enumerate(subqueries):
+            rq = held.pop(j) if j in held else _resolve(query, table, lost_threshold)
+            if not isinstance(rq, ResolvedQuery):
+                diagnostics[(table.name, query.label)] = {"missing": str(rq)}
+                continue
+            if metric == RNSB:
+                result = METRIC_FUNCTIONS[metric](rq, seed)
+            else:
+                result = METRIC_FUNCTIONS[metric](rq)
+            values[0, j] = result.value
+            cell = dict(result.diagnostics)
+            sets = rq.targets + rq.attributes
+            dropped = {s.name: list(s.dropped) for s in sets if s.dropped}
+            if dropped:
+                cell["dropped"] = dropped
+            if cell:
+                diagnostics[(table.name, query.label)] = cell
+    return ScoreMatrix(metric, [table.name], [q.label for q in subqueries], values, diagnostics)
 
 
 def _template(metric: str):
@@ -143,9 +134,10 @@ def score_matrices(
     Every metric is checked and its subqueries expanded before any table is
     taken, and every matrix is built before any is returned, so a failing
     metric leaves no partial result; a metric given twice is rejected first.
-    ``tables`` is consumed once: each table is scored for every metric, by
-    one :func:`build_score_matrix` call each, and released before the next
-    is taken, so an iterator that loads its tables holds one at a time.
+    ``tables`` is consumed once and its names checked as they arrive: each
+    table is scored for every metric, by one :func:`build_score_matrix` call
+    each, and released before the next is taken, so an iterator that loads
+    its tables holds one at a time.
     """
     metrics = list(metrics)
     queries = list(queries)
@@ -169,7 +161,7 @@ def score_matrices(
         if table.name in names[:-1]:
             raise ValueError(f"embedding names must be unique: {names}")
         for parts, metric, subqueries in zip(rows, metrics, expanded):
-            parts.append(build_score_matrix(metric, [table], subqueries,
+            parts.append(build_score_matrix(metric, table, subqueries,
                                             lost_threshold=lost_threshold, seed=seed))
         del table  # else it stays alive while the next table loads
     if not names:

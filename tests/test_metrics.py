@@ -267,7 +267,7 @@ class TestClassifierScope:
         a1, a2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
         with _classifier_scope():
             first = train_attribute_classifier(a1, a2, seed=4)
-            # an equal copy in another layout, as another table would hold it
+            # an equal copy in another layout
             again = train_attribute_classifier(np.asfortranarray(a1), a2.tolist(), seed=4)
             other_seed = train_attribute_classifier(a1, a2, seed=5)
             other_values = train_attribute_classifier(a1 + 1.0, a2, seed=4)

@@ -258,13 +258,15 @@ class TestLoadQueries:
          "ValueError(\"word set 't' has no words\")"),
         ({"targets": [{"name": "", "words": ["she"]}]},
          "ValueError('word set name must be non-empty')"),
+        ({"targets": [{"name": "t", "words": ["she", ""]}]},
+         "ValueError(\"word set 't' has an empty word\")"),
         ({"label": "q", "attributes": [{"name": "a", "words": ["good"]}]},
          "ValueError('a query needs at least one target set')"),
         ({"label": "q",
           "targets": [{"name": "t", "words": ["she"]}, {"name": "t", "words": ["he"]}]},
          "ValueError(\"duplicate set names in query 'q': ['t', 't']\")"),
     ], ids=["no-words", "words-string", "name-number", "label-number", "empty-words",
-            "empty-name", "no-targets", "repeated-name"])
+            "empty-name", "empty-word", "no-targets", "repeated-name"])
     def test_malformed(self, tmp_path, entry, cause):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([entry]), encoding="utf-8")

@@ -57,18 +57,17 @@ def weat_subquery(i=0):
 
 class TestBuildScoreMatrix:
     def test_shape(self):
-        tables = [make_table("e1", 1, TOKENS), make_table("e2", 2, TOKENS)]
         subqueries = [weat_subquery(0), weat_subquery(1), weat_subquery(2)]
-        matrix = build_score_matrix("WEAT", tables, subqueries)
-        assert matrix.values.shape == (2, 3)
-        assert matrix.rows == ["e1", "e2"]
+        matrix = build_score_matrix("WEAT", make_table("e1", 1, TOKENS), subqueries)
+        assert matrix.values.shape == (1, 3)
+        assert matrix.rows == ["e1"]
         assert matrix.cols == ["sq0", "sq1", "sq2"]
         assert np.isfinite(matrix.values).all()
 
     def test_repeated_table_names_rejected(self):
         tables = [make_table("x", 1, TOKENS), make_table("x", 2, TOKENS)]
         with pytest.raises(ValueError, match=r"^embedding names must be unique: \['x', 'x'\]$"):
-            build_score_matrix("WEAT", tables, [weat_subquery(0)])
+            score_matrices(["WEAT"], tables, [weat_subquery(0)])
 
     def test_unresolvable_cell_is_missing(self):
         okay = make_table("okay", 1, TOKENS + ["extra0", "extra1"])
@@ -78,26 +77,28 @@ class TestBuildScoreMatrix:
             attributes=(WordSet("a1", (TOKENS[2],)), WordSet("a2", (TOKENS[3],))),
             label="needs-extra",
         )
-        matrix = build_score_matrix("WEAT", [okay, sparse], [weat_subquery(0), bad_query])
+        subqueries = [weat_subquery(0), bad_query]
+        assert np.isfinite(build_score_matrix("WEAT", okay, subqueries).values).all()
+        matrix = build_score_matrix("WEAT", sparse, subqueries)
         assert np.isnan(matrix.values).sum() == 1
-        assert np.isnan(matrix.values[1, 1])
+        assert np.isnan(matrix.values[0, 1])
         assert "missing" in matrix.diagnostics[("sparse", "needs-extra")]
 
     def test_single_cell_equals_direct_call(self):
         table = make_table("e1", 3, TOKENS)
         query = weat_subquery(0)
-        matrix = build_score_matrix("WEAT", [table], [query])
+        matrix = build_score_matrix("WEAT", table, [query])
         direct = weat(resolve_query(query, table)).value
         assert matrix.values[0, 0] == direct
 
     def test_validates_inputs(self):
         table = make_table("e1", 1, TOKENS)
-        with pytest.raises(ValueError):
-            build_score_matrix("WEAT", [], [weat_subquery()])
-        with pytest.raises(ValueError):
-            build_score_matrix("WEAT", [table], [])
-        with pytest.raises(ValueError):
-            build_score_matrix("NOPE", [table], [weat_subquery()])
+        with pytest.raises(ValueError, match="^no embeddings given$"):
+            score_matrices(["WEAT"], [], [weat_subquery()])
+        with pytest.raises(ValueError, match="^no subqueries given$"):
+            build_score_matrix("WEAT", table, [])
+        with pytest.raises(ValueError, match="^unknown metric 'NOPE'$"):
+            build_score_matrix("NOPE", table, [weat_subquery()])
 
     def test_dropped_words_recorded(self):
         table = make_table("e1", 1, TOKENS)
@@ -109,7 +110,7 @@ class TestBuildScoreMatrix:
             attributes=(WordSet("a1", (TOKENS[6],)), WordSet("a2", (TOKENS[7],))),
             label="lossy",
         )
-        matrix = build_score_matrix("WEAT", [table], [query])
+        matrix = build_score_matrix("WEAT", table, [query])
         assert matrix.diagnostics[("e1", "lossy")]["dropped"] == {"t2": ["gone"]}
 
 
@@ -124,8 +125,8 @@ def rnsb_subquery(label, target_start, attribute_start):
 
 
 class TestRnsbClassifierReuse:
-    """Within one build_score_matrix call, RNSB cells whose attribute
-    matrices and seed are equal share one fitted classifier."""
+    """Within one build_score_matrix call, which scores one table, RNSB cells
+    whose attribute matrices and seed are equal share one fitted classifier."""
 
     # sq0 and sq1 share their attribute pair; sq2 has its own.
     SUBQUERIES = [rnsb_subquery("sq0", 0, 8), rnsb_subquery("sq1", 2, 8),
@@ -141,7 +142,7 @@ class TestRnsbClassifierReuse:
 
         monkeypatch.setattr(metrics, "train_attribute_classifier", spy)
         table = make_table("e1", 1, TOKENS)
-        matrix = build_score_matrix("RNSB", [table], self.SUBQUERIES, seed=3)
+        matrix = build_score_matrix("RNSB", table, self.SUBQUERIES, seed=3)
         assert classifier_fits == [3, 3]
         assert models[0] is models[1]
         assert models[2] is not models[0]
@@ -149,16 +150,18 @@ class TestRnsbClassifierReuse:
             assert matrix.values[0, j] == rnsb(resolve_query(query, table), seed=3).value
 
     def test_tables_fit_apart_unless_their_vectors_are_equal(self, classifier_fits):
+        """The score pass fits each table's pairs on its own, even for a copy
+        of an earlier table, which gets the same bits."""
         tables = [make_table("e1", 1, TOKENS), make_table("e2", 2, TOKENS),
                   make_table("e1-copy", 1, TOKENS)]
-        matrix = build_score_matrix("RNSB", tables, self.SUBQUERIES)
-        assert len(classifier_fits) == 4
+        [matrix] = score_matrices(["RNSB"], tables, self.SUBQUERIES)
+        assert len(classifier_fits) == 6
         assert matrix.values[2].tobytes() == matrix.values[0].tobytes()
 
     def test_each_call_fits_again(self, classifier_fits):
-        tables = [make_table("e1", 1, TOKENS)]
-        first = build_score_matrix("RNSB", tables, self.SUBQUERIES)
-        second = build_score_matrix("RNSB", tables, self.SUBQUERIES)
+        table = make_table("e1", 1, TOKENS)
+        first = build_score_matrix("RNSB", table, self.SUBQUERIES)
+        second = build_score_matrix("RNSB", table, self.SUBQUERIES)
         assert len(classifier_fits) == 4
         assert first.values.tobytes() == second.values.tobytes()
 
@@ -184,7 +187,7 @@ class TestRnsbClassifierReuse:
                 rnsb(resolve_query(query, table), seed=3)
 
         with np.errstate(under="warn"):
-            stacked = record(lambda: build_score_matrix("RNSB", [table], self.SUBQUERIES, seed=3))
+            stacked = record(lambda: build_score_matrix("RNSB", table, self.SUBQUERIES, seed=3))
             expected = record(cell_by_cell)
         assert expected[1]
         assert stacked == expected
@@ -328,15 +331,26 @@ class TestScoreMatrices:
         tables = [make_table("e0", 0, TOKENS), make_table("e1", 1, TOKENS)]
         matrices = score_matrices(["RND", "WEAT"], iter(tables), iter(full_queries()))
         assert [m.metric for m in matrices] == ["RND", "WEAT"]
-        direct = build_score_matrix("WEAT", tables, full_queries())
-        np.testing.assert_array_equal(matrices[1].values, direct.values)
+        direct = [build_score_matrix("WEAT", table, full_queries()) for table in tables]
+        np.testing.assert_array_equal(matrices[1].values, np.vstack([m.values for m in direct]))
         assert (matrices[1].rows, matrices[1].cols) == (["e0", "e1"], ["full"])
         assert len(matrices[0].cols) == 2  # RND: one subquery per attribute set
 
-    def test_holds_one_table_at_a_time(self):
+    def test_holds_one_table_at_a_time(self, monkeypatch):
         """Each table, and its matrix, is released before the next is taken;
-        streamed or listed, the matrices are those of one call over all tables."""
-        refs, alive_when_taken = [], []
+        streamed or listed, the matrices stack one build_score_matrix call per
+        table and metric, each given one table."""
+        import biaseval.ranking
+
+        build = biaseval.ranking.build_score_matrix
+        refs, alive_when_taken, calls = [], [], []
+
+        def one_table_build(metric, table, *args, **kwargs):
+            matrix = build(metric, table, *args, **kwargs)
+            calls.append((isinstance(table, EmbeddingTable), matrix.values.shape[0]))
+            return matrix
+
+        monkeypatch.setattr(biaseval.ranking, "build_score_matrix", one_table_build)
 
         def stream():
             for seed in range(3):
@@ -350,13 +364,15 @@ class TestScoreMatrices:
         assert alive_when_taken == [[], [False] * 2, [False] * 4]
         tables = [make_table(f"e{seed}", seed, TOKENS) for seed in range(3)]
         listed = score_matrices(METRIC_NAMES, tables, full_queries())
+        assert calls == [(True, 1)] * (2 * len(tables) * len(METRIC_NAMES))
         for metric, one, other in zip(METRIC_NAMES, streamed, listed):
-            whole = build_score_matrix(metric, tables,
-                                       expand_subqueries(full_queries(), METRIC_TEMPLATES[metric]))
+            subqueries = expand_subqueries(full_queries(), METRIC_TEMPLATES[metric])
+            parts = [build(metric, table, subqueries) for table in tables]
+            diagnostics = {cell: info for part in parts for cell, info in part.diagnostics.items()}
             for matrix in (one, other):
                 assert (matrix.metric, matrix.rows, matrix.cols, matrix.diagnostics) == (
-                    whole.metric, whole.rows, whole.cols, whole.diagnostics)
-                assert matrix.values.tobytes() == whole.values.tobytes()
+                    metric, ["e0", "e1", "e2"], parts[0].cols, diagnostics)
+                assert matrix.values.tobytes() == np.vstack([p.values for p in parts]).tobytes()
 
     def test_checks_table_names_as_they_arrive(self):
         tables = (make_table(name, seed, TOKENS) for seed, name in enumerate("xyx"))

@@ -49,12 +49,23 @@ class TestLoadTranslationsTsv:
         with pytest.raises(ValueError, match="duplicate id 1"):
             load_translations_tsv(path)
 
-    def test_non_integer_id(self, tmp_path):
+    @pytest.mark.parametrize("row_id", ["x7", "1_0", "+2", " 3", "3 ", "\u0663", "\uff13", "-"],
+                             ids=["letter", "underscore", "plus", "leading_space",
+                                  "trailing_space", "arabic_indic_digit", "fullwidth_digit",
+                                  "minus_only"])
+    def test_non_integer_id(self, tmp_path, row_id):
+        """Only ASCII digits with an optional minus make an id, not the rest
+        of int()'s syntax."""
         path = tmp_path / "t.tsv"
-        path.write_text("id\ttranslation\n1\ta\nx7\tb\n", encoding="utf-8")
+        path.write_text(f"id\ttranslation\n1\ta\n{row_id}\tb\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             load_translations_tsv(path)
         assert str(info.value) == f"{path}:3: id must be an integer"
+
+    def test_leading_zeros_and_a_minus_still_read(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("id\ttranslation\n01\ta\n-3\tb\n", encoding="utf-8")
+        assert [r.id for r in load_translations_tsv(path)] == [1, -3]
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.tsv"
