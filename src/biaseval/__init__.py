@@ -25,7 +25,6 @@ _EXPORTS = {
     "queries": (
         "Query", "QueryTemplate", "ResolvedQuery", "ResolvedSet", "WordSet",
         "default_queries_path", "expand_subqueries", "load_queries", "resolve_query",
-        "validate_query",
     ),
     "ranking": (
         "RankTable", "ScoreMatrix", "aggregate_rows", "build_rank_table",

@@ -53,7 +53,7 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, json_text, read_json, write_utf8_files)
+                    RENDER_MODES, integer, json_text, read_json, write_utf8_files)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -143,7 +143,7 @@ def _apply_config(command: argparse.ArgumentParser, path) -> None:
 
 def _config_value(action: argparse.Action, value):
     """A config value converted by the option's type, from its JSON text if
-    not a string (so ``3.7`` is no int), and checked against its choices, as
+    not a string (so ``3.7`` is no integer), and checked against its choices, as
     argparse does with the flag's; an option without a type takes a string."""
     key = action.dest
     if action.type is None and not isinstance(value, str):
@@ -197,6 +197,8 @@ def cmd_eec(args) -> tuple[dict, str]:
                      for category, dest in zip(CATEGORIES, _LEXICON_OPTIONS)}
     pronouns = _load_pronouns(args.pronouns)
     templates = _load_templates(args.templates)
+    inputs = {**lexicon_files, **{dest: path for dest in ("pronouns", "templates")
+                                  if (path := getattr(args, dest))}}
 
     lexicons = list(map(load_lexicon, lexicon_files.values(), CATEGORIES))
     utterances = generate_utterances(lexicons, pronouns, templates)
@@ -209,7 +211,7 @@ def cmd_eec(args) -> tuple[dict, str]:
         out_dir / "views.json": views_json_text(views),
         out_dir / "run_meta.json": _report_json(
             {"n_utterances": len(utterances), "view_sizes": sizes},
-            lexicon_files, {"pronoun_registers": [p.register for p in pronouns]}),
+            inputs, {"pronoun_registers": [p.register for p in pronouns]}),
     }, "".join(f"{name}\t{size}\n" for name, size in sizes.items())
 
 
@@ -432,8 +434,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     translate.add_argument("--translations", help="pre-translated TSV (file backend)")
     translate.add_argument("--url", help="endpoint URL (http backend)")
     translate.add_argument("--timeout", type=float, default=BackendConfig.timeout)
-    translate.add_argument("--retries", type=int, default=BackendConfig.retry_count)
-    translate.add_argument("--max-in-flight", dest="max_in_flight", type=int,
+    translate.add_argument("--retries", type=integer, default=BackendConfig.retry_count)
+    translate.add_argument("--max-in-flight", dest="max_in_flight", type=integer,
                            default=BackendConfig.max_in_flight)
     translate.add_argument("--min-coverage", dest="min_coverage", type=float,
                            default=DEFAULT_MIN_COVERAGE)
@@ -465,7 +467,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                          default=METRIC_NAMES)
         sub.add_argument("--lost-threshold", dest="lost_threshold", type=float,
                          default=DEFAULT_LOST_THRESHOLD)
-        sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sub.add_argument("--seed", type=integer, default=DEFAULT_SEED)
         sub.add_argument("--out-dir", dest="out_dir", default=out_dir)
         sub.add_argument("--skip-invalid", action="store_true", help="skip queries that do "
                          "not satisfy a metric's template instead of failing")

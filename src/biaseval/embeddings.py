@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmbeddingFormatError, EmptyResolutionError, VocabularyLossError
-from .names import DEFAULT_LOST_THRESHOLD, nfc
+from .names import DEFAULT_LOST_THRESHOLD, integer, nfc
 
 # Rows whose largest component magnitude lies outside
 # [MIN_COMPONENT, MAX_COMPONENT] are rejected at load (all-zero rows aside):
@@ -186,16 +186,11 @@ class EmbeddingTable:
         loss = len(dropped) / len(words)
         label = f" '{set_name}'" if set_name else ""
         if not found:
-            raise EmptyResolutionError(
-                f"word set{label}: no word found in '{self.name}'", set_name=set_name
-            )
+            raise EmptyResolutionError(f"word set{label}: no word found in '{self.name}'")
         if loss > lost_threshold:
             raise VocabularyLossError(
                 f"word set{label}: dropped {len(dropped)}/{len(words)} words in "
-                f"'{self.name}' (loss {loss:.2f} > threshold {lost_threshold:.2f}): {dropped}",
-                set_name=set_name,
-                loss_fraction=loss,
-                dropped=dropped,
+                f"'{self.name}' (loss {loss:.2f} > threshold {lost_threshold:.2f}): {dropped}"
             )
         return WordResolution(tuple(found), tuple(dropped), loss)
 
@@ -206,11 +201,11 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     Expected format: an optional "<count> <dim>" header line, then
     "<token> <component> ... <component>" lines, single-space separated,
     UTF-8 with or without a byte-order mark; trailing spaces, as the word2vec
-    C tool writes, are ignored. A first line of exactly two integer fields is
-    the header (word2vec, fastText); otherwise (GloVe) the first row gives
-    <dim>, so a header-less 1-d file whose first token and component are
-    integers reads as a header. Duplicate tokens keep their first row, with
-    a warning.
+    C tool writes, are ignored. A first line of exactly two ASCII integers
+    (``names.integer``) is the header (word2vec, fastText); otherwise (GloVe)
+    the first row gives <dim>, so a header-less 1-d file whose first token
+    and component are such integers reads as a header. Duplicate tokens keep
+    their first row, with a warning.
 
     All rows are parsed by one call to numpy's C reader. A file it cannot
     vouch for is read again, each row parsed as ``float()`` would, which
@@ -218,6 +213,7 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     is checked, and an error names the first bad row's ``file:line``.
     """
     path = Path(path)
+    name = name or path.stem
     tokens: list[str] = []  # NFC token of each row read
     try:
         with path.open(encoding="utf-8-sig") as handle:
@@ -225,13 +221,10 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
             dim = next(rows)
             matrix = np.loadtxt((text for _lineno, text in rows), delimiter=" ", comments=None,
                                 quotechar=None, ndmin=2, max_rows=_row_bound(path, dim))
-        vouched = (matrix.shape == (len(tokens), dim)
-                   and not any(map(_range_error, _peaks(matrix).tolist())))
+        table = EmbeddingTable(name, tuple(tokens), matrix)
     except (EmbeddingFormatError, ValueError):  # the exact read raises it in line order
-        vouched = False
-    if not vouched:
         tokens, matrix = _read_exactly(path)
-    table = EmbeddingTable(name or path.stem, tuple(tokens), matrix)
+        table = EmbeddingTable(name, tuple(tokens), matrix)
     duplicates = len(tokens) - len(table)
     if duplicates:
         warnings.warn(f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
@@ -247,7 +240,7 @@ def _scan(path, handle, tokens: list):
     if not first:
         raise EmbeddingFormatError(f"{path}: empty vocabulary")
     try:  # a "<count> <dim>" header
-        count, dim = map(int, first.split())
+        count, dim = map(integer, first.split())
         lines = enumerate(handle, start=2)
     except ValueError:  # no header: the first row gives the dimension
         count, dim = None, first.rstrip("\r\n").rstrip(" ").count(" ")

@@ -12,19 +12,9 @@ class EmbeddingFormatError(BiasEvalError):
 class VocabularyLossError(BiasEvalError):
     """A word set lost more words to the vocabulary than the allowed fraction."""
 
-    def __init__(self, message, set_name=None, loss_fraction=None, dropped=()):
-        super().__init__(message)
-        self.set_name = set_name
-        self.loss_fraction = loss_fraction
-        self.dropped = list(dropped)
-
 
 class EmptyResolutionError(BiasEvalError):
     """No word of a set was found in the vocabulary."""
-
-    def __init__(self, message, set_name=None):
-        super().__init__(message)
-        self.set_name = set_name
 
 
 class TemplateMismatchError(BiasEvalError):
@@ -53,10 +43,6 @@ class TranslationRunError(BiasEvalError):
     def __init__(self, message, completed=()):
         super().__init__(message)
         self.completed = list(completed)
-
-    @property
-    def completed_ids(self):
-        return [record.id for record in self.completed]
 
 
 class JoinCoverageError(BiasEvalError):

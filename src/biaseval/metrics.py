@@ -67,10 +67,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricResult:
-    metric: str
+    """A metric's value on one resolved query, with what explains it."""
+
     value: float
-    query_label: str
-    embedding_name: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -126,7 +125,7 @@ def weat(rq: ResolvedQuery) -> MetricResult:
 
     total = sum(association(w) for w in t1.matrix) - sum(association(w) for w in t2.matrix)
     diagnostics = {"set_sizes": {s.name: len(s.matrix) for s in rq.targets + rq.attributes}}
-    return MetricResult(WEAT, float(total), rq.query_label, rq.embedding_name, diagnostics)
+    return MetricResult(float(total), diagnostics)
 
 
 def rnd(rq: ResolvedQuery) -> MetricResult:
@@ -153,7 +152,7 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
         },
         "n_attributes": len(attributes),
     }
-    return MetricResult(RND, float(value), rq.query_label, rq.embedding_name, diagnostics)
+    return MetricResult(float(value), diagnostics)
 
 
 @contextmanager
@@ -328,7 +327,7 @@ def rnsb(rq: ResolvedQuery, seed: int = DEFAULT_SEED) -> MetricResult:
         "n_target_words": sum(len(target.tokens) for target in rq.targets),
         "n_support": len(support),
     }
-    return MetricResult(RNSB, value, rq.query_label, rq.embedding_name, diagnostics)
+    return MetricResult(value, diagnostics)
 
 
 def fractional_ranks(values) -> np.ndarray:
@@ -379,7 +378,7 @@ def ect(rq: ResolvedQuery) -> MetricResult:
     s2 = [cosine(centroid_2, row) for row in attributes]
     value = spearman(s1, s2)
     diagnostics = {"n_attributes": len(attributes), "attribute_set": attribute_set.name}
-    return MetricResult(ECT, value, rq.query_label, rq.embedding_name, diagnostics)
+    return MetricResult(value, diagnostics)
 
 
 METRIC_FUNCTIONS = {WEAT: weat, RND: rnd, RNSB: rnsb, ECT: ect}

@@ -1,7 +1,8 @@
 """Names, defaults and file formats that the command-line parser and several
 modules share: the parser's choices, the default seed and lost-word
 threshold, the plain-text grid of every report table, the token
-normalization the corpus builder shares with the embedding loader, and one
+normalization the corpus builder shares with the embedding loader, the
+integer syntax of every integer read from outside (:func:`integer`), and one
 reader or writer per file format: UTF-8 text, a byte-order mark dropped on
 reading (:func:`read_utf8`, :func:`write_utf8_files`), JSON inputs and
 reports (:func:`read_json`, :func:`json_text`), lexicon-style line lists
@@ -47,6 +48,7 @@ __all__ = [
     "RNSB",
     "WEAT",
     "content_lines",
+    "integer",
     "json_text",
     "nfc",
     "read_json",
@@ -61,6 +63,15 @@ __all__ = [
 def nfc(text: str) -> str:
     """NFC-normalize a string so composed and decomposed forms compare equal."""
     return unicodedata.normalize("NFC", text)
+
+
+def integer(text: str) -> int:
+    """The int of ASCII digits after an optional minus; any other text, such
+    as the rest of ``int()``'s syntax (``1_0``, ``+2``, `` 3``), raises a
+    ValueError."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def read_utf8(path) -> str:
@@ -130,10 +141,10 @@ def read_tsv(path, header: str, build) -> list:
         fields = line.split("\t")
         if len(fields) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} tab-separated fields")
-        # ASCII digits after an optional minus: none of the rest of int()'s syntax.
-        if not (fields[0].isascii() and fields[0].removeprefix("-").isdigit()):
-            raise ValueError(f"{path}:{lineno}: id must be an integer")
-        row_id = int(fields[0])
+        try:
+            row_id = integer(fields[0])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: id must be an integer") from None
         if row_id in seen:
             raise ValueError(f"{path}:{lineno}: duplicate id {row_id}")
         seen.add(row_id)

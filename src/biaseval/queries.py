@@ -34,7 +34,6 @@ __all__ = [
     "fits_template",
     "load_queries",
     "resolve_query",
-    "validate_query",
 ]
 
 
@@ -111,11 +110,6 @@ class Query:
             object.__setattr__(self, "label", label)
 
 
-def validate_query(query: Query, template: QueryTemplate) -> bool:
-    """True iff the query has exactly the template's set counts."""
-    return len(query.targets) == template.t and len(query.attributes) == template.a
-
-
 def fits_template(query: Query, template: QueryTemplate) -> bool:
     """True iff the query has at least the template's set counts, so that it
     yields at least one subquery."""
@@ -149,7 +143,7 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
                 stacklevel=2,
             )
             continue
-        exact = validate_query(query, template)
+        exact = len(query.targets) == template.t and len(query.attributes) == template.a
         for target_combo in itertools.combinations(query.targets, template.t):
             for attribute_combo in itertools.combinations(query.attributes, template.a):
                 key = (frozenset(target_combo), frozenset(attribute_combo))
@@ -183,7 +177,6 @@ class ResolvedQuery:
     targets: tuple[ResolvedSet, ...]
     attributes: tuple[ResolvedSet, ...]
     query_label: str = ""
-    embedding_name: str = ""
 
 
 def resolve_query(
@@ -206,7 +199,6 @@ def resolve_query(
         tuple(resolve(ws) for ws in query.targets),
         tuple(resolve(ws) for ws in query.attributes),
         query_label=query.label,
-        embedding_name=table.name,
     )
 
 

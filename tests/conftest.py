@@ -20,7 +20,7 @@ def write_w2v(path, entries):
     return path
 
 
-def make_resolved_query(targets, attributes, label="q", embedding="toy"):
+def make_resolved_query(targets, attributes, label="q"):
     """Build a ResolvedQuery from {set name: {token: vector}} mappings."""
 
     def build(sets):
@@ -29,8 +29,7 @@ def make_resolved_query(targets, attributes, label="q", embedding="toy"):
             for name, words in sets.items()
         )
 
-    return ResolvedQuery(build(targets), build(attributes), query_label=label,
-                         embedding_name=embedding)
+    return ResolvedQuery(build(targets), build(attributes), query_label=label)
 
 
 @pytest.fixture

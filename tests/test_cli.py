@@ -101,6 +101,34 @@ class TestEecCommand:
         first_row = (out_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines()[1]
         assert "\tवह एक डॉक्टर है\t" in first_row
 
+    @pytest.mark.parametrize("given", [(), ("templates",), ("pronouns",),
+                                       ("pronouns", "templates")],
+                             ids=["neither", "templates", "pronouns", "both"])
+    def test_provenance_hashes_the_pronoun_and_template_files_given(self, tmp_path, lexicon_files,
+                                                                    given):
+        import hashlib
+
+        from biaseval import cli
+
+        files = {"pronouns": tmp_path / "pronouns.json", "templates": tmp_path / "templates.json"}
+        files["pronouns"].write_text(json.dumps(
+            [{"surface": "वह", "register": "formal_impolite", "copula": "है"},
+             {"surface": "वो", "register": "informal", "copula": "है"}]), encoding="utf-8")
+        files["templates"].write_text(json.dumps({"positive": "{pronoun} {lexeme} {copula}"}),
+                                      encoding="utf-8")
+        occ, pos, neg = lexicon_files
+        argv = ["eec", "--occupations", str(occ), "--positive", str(pos), "--negative", str(neg),
+                "--out-dir", str(tmp_path / "out")]
+        for dest in given:
+            argv += [f"--{dest}", str(files[dest])]
+        assert cli.main(argv) == 0
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+        inputs = {**dict(zip(("occupations", "positive", "negative"), lexicon_files)),
+                  **{dest: files[dest] for dest in given}}
+        assert meta["provenance"]["inputs"] == {
+            dest: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for dest, path in inputs.items()}
+
     def test_config_file_supplies_paths(self, tmp_path, lexicon_files):
         occ, pos, neg = lexicon_files
         config = tmp_path / "config.json"
@@ -1173,9 +1201,9 @@ class TestOptionPrecedence:
         assert [type(value) for value in values] == [type(value) for value in expected]
 
     @pytest.mark.parametrize("key,value,message", [
-        ("seed", "x", "config seed: invalid int value 'x'"),
-        ("seed", 3.7, "config seed: invalid int value 3.7"),
-        ("seed", True, "config seed: invalid int value True"),
+        ("seed", "x", "config seed: invalid integer value 'x'"),
+        ("seed", 3.7, "config seed: invalid integer value 3.7"),
+        ("seed", True, "config seed: invalid integer value True"),
         ("lost_threshold", True, "config lost_threshold: invalid float value True"),
         ("queries", "q.json", "config queries: expected a list, got 'q.json'"),
         ("out_dir", 5, "config out_dir: expected a string, got 5"),
@@ -1188,6 +1216,30 @@ class TestOptionPrecedence:
         config.write_text(json.dumps({key: value}), encoding="utf-8")
         assert cli.main(["rank", "--config", str(config)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("rank", "--seed", "1_0"),
+        ("metrics", "--seed", "+1"),
+        ("rank", "--seed", "\uff11\uff10"),
+        ("translate", "--retries", "+2"),
+        ("translate", "--max-in-flight", " 3"),
+    ], ids=["seed_underscore", "seed_plus", "seed_fullwidth_digits", "retries_plus",
+            "max_in_flight_space"])
+    def test_integer_option_takes_only_ascii_digits(self, tmp_path, capsys, command, flag, value):
+        """An integer option, as a flag or a config value, reads the syntax a
+        TSV id and an embedding header do, not the rest of int()'s."""
+        from biaseval import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config {key}: invalid integer value {value!r}"]
 
     @pytest.mark.parametrize("command", ["eec", "tgbi"])
     def test_seed_is_not_an_option_of_the_translation_path(self, capsys, command):
@@ -1258,6 +1310,31 @@ def bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv, 
     assert code == 2
     assert not (tmp_path / "out").exists()
     return bad, capsys.readouterr().err.splitlines()
+
+
+class TestCommandInputErrors:
+    """An input a command cannot run without, or one of the wrong shape,
+    fails with exit 2, one ``error:`` line and no output."""
+
+    @pytest.mark.parametrize("argv,content,message", [
+        (["eec", "--positive", "{positive}", "--negative", "{negative}"], b"",
+         "missing required input: occupation lexicon"),
+        (["eec", "--occupations", "{bad}.gone", "--positive", "{positive}", "--negative",
+          "{negative}"], b"", "occupation lexicon not found: {bad}.gone"),
+        (["rank", "--config", "{bad}"], b"[]", "{bad}: config must be a JSON object"),
+        (["eec", "--occupations", "{occupations}", "--positive", "{positive}", "--negative",
+          "{negative}", "--templates", "{bad}"], b"[]",
+         "{bad}: templates must map lexicon category to a format string"),
+        (["rank", "--queries", "{queries}"], b"", "at least one --embedding is required"),
+        (["metrics", "--embedding", "a={embedding}"], b"",
+         "at least one --queries file is required"),
+    ], ids=["no_lexicon", "lexicon_not_found", "config_not_object", "templates_not_object",
+            "no_embedding", "no_queries"])
+    def test_exits_2_with_one_line(self, tmp_path, lexicon_files, embedding_files, query_file,
+                                   argv, content, message, capsys):
+        bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
+                                   content, capsys)
+        assert err == [f"error: {message.format(bad=bad)}"]
 
 
 class TestNonUtf8Input:

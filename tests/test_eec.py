@@ -17,11 +17,12 @@ from biaseval.eec import (
     VIEW_NAMES,
     VIEWS,
     Utterance,
+    corpus_tsv_text,
     read_corpus_tsv,
     read_views_json,
-    write_corpus_tsv,
-    write_views_json,
+    views_json_text,
 )
+from biaseval.names import write_utf8_files
 
 OCC = Lexicon("occupation", ("डॉक्टर", "शिक्षक"))
 POS = Lexicon("positive", ("अच्छा",))
@@ -176,20 +177,20 @@ class TestCorpusIo:
     def test_round_trip(self, tmp_path):
         utterances = generate_utterances([OCC, POS, NEG])
         path = tmp_path / "corpus.tsv"
-        write_corpus_tsv(utterances, path)
+        write_utf8_files({path: corpus_tsv_text(utterances, path)})
         assert read_corpus_tsv(path) == utterances
 
     def test_byte_identical_reruns(self, tmp_path):
         first = tmp_path / "a.tsv"
         second = tmp_path / "b.tsv"
-        write_corpus_tsv(generate_utterances([OCC, POS, NEG]), first)
-        write_corpus_tsv(generate_utterances([OCC, POS, NEG]), second)
+        for path in (first, second):
+            write_utf8_files({path: corpus_tsv_text(generate_utterances([OCC, POS, NEG]), path)})
         assert first.read_bytes() == second.read_bytes()
 
     def test_byte_order_mark_accepted(self, tmp_path):
         utterances = generate_utterances([OCC, POS, NEG])
         path = tmp_path / "corpus.tsv"
-        write_corpus_tsv(utterances, path)
+        write_utf8_files({path: corpus_tsv_text(utterances, path)})
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert read_corpus_tsv(path) == utterances
 
@@ -197,7 +198,8 @@ class TestCorpusIo:
     def test_field_break_rejected(self, tmp_path, text):
         path = tmp_path / "corpus.tsv"
         with pytest.raises(ValueError) as exc:
-            write_corpus_tsv([Utterance(3, text, "informal", "positive", "x")], path)
+            write_utf8_files({path: corpus_tsv_text(
+                [Utterance(3, text, "informal", "positive", "x")], path)})
         assert str(exc.value) == f"{path}: id 3: field contains a tab or line break"
         assert not path.exists()
 
@@ -206,7 +208,7 @@ class TestCorpusIo:
         utterances = [Utterance(1, "a", "informal", "positive", "a"),
                       Utterance(3, "b \ud800", "informal", "positive", "b")]
         with pytest.raises(ValueError) as exc:
-            write_corpus_tsv(utterances, path)
+            write_utf8_files({path: corpus_tsv_text(utterances, path)})
         assert str(exc.value) == f"{path}:3: lone surrogate '\\ud800' has no UTF-8 form"
         assert not path.exists()
 
@@ -257,7 +259,7 @@ class TestCorpusIo:
                     Lexicon("positive", tuple(words[1100:1920])),
                     Lexicon("negative", tuple(words[1920:]))]
         path = tmp_path / "corpus.tsv"
-        write_corpus_tsv(generate_utterances(lexicons), path)
+        write_utf8_files({path: corpus_tsv_text(generate_utterances(lexicons), path)})
         tracemalloc.start()
         try:
             rows = read_corpus_tsv(path)
@@ -275,7 +277,7 @@ class TestCorpusIo:
         utterances = generate_utterances([OCC, POS, NEG])
         views = build_views(utterances)
         path = tmp_path / "views.json"
-        write_views_json(views, path)
+        write_utf8_files({path: views_json_text(views)})
         assert read_views_json(path) == views
 
     @pytest.mark.parametrize("ids", [5, "1", None, ["x"], [[1]], [2.7, True, "3"], [1.0],

@@ -96,6 +96,18 @@ class TestLoader:
             load_word2vec_text(path)
         assert str(excinfo.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize("first", ["1_0 2", "+3 2", "\uff11\uff10 2", "2 \u0663"],
+                             ids=["underscore", "plus", "fullwidth_digits", "arabic_indic_digit"])
+    def test_a_first_line_of_other_integer_syntax_is_a_row(self, tmp_path, first):
+        """A header field is ASCII digits after an optional minus, as a TSV id
+        is; a first line of any other integer syntax is the first row."""
+        path = tmp_path / "e.txt"
+        path.write_text(f"{first}\nb 3\n", encoding="utf-8")
+        table = load_word2vec_text(path)
+        token, component = first.split(" ")
+        assert table.tokens == (token, "b")
+        assert table.matrix.tolist() == [[float(component)], [3.0]]
+
     def test_glove_layout_loads_as_with_a_header(self, tmp_path):
         rows = "the 0.1 -0.2 0.3 \nof 1e-3 2 -4\nthe 9 9 9\nand 0 0 1\n"
         with_header = tmp_path / "w2v.txt"
@@ -488,8 +500,8 @@ class TestResolveWordSet:
     def test_excessive_loss(self, toy_table):
         with pytest.raises(VocabularyLossError) as excinfo:
             toy_table.resolve_word_set(["east", "north", "diag", "gone", "lost"])
-        assert excinfo.value.loss_fraction == pytest.approx(0.4)
-        assert excinfo.value.dropped == ["gone", "lost"]
+        assert str(excinfo.value) == ("word set: dropped 2/5 words in 'toy' (loss 0.40 > "
+                                      "threshold 0.20): ['gone', 'lost']")
 
     def test_empty_intersection(self, toy_table):
         with pytest.raises(EmptyResolutionError):

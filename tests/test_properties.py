@@ -17,14 +17,15 @@ from biaseval.eec import (
     VIEW_NAMES,
     EvaluationSet,
     Utterance,
+    corpus_tsv_text,
     read_corpus_tsv,
     read_views_json,
-    write_corpus_tsv,
-    write_views_json,
+    views_json_text,
 )
 from biaseval.embeddings import load_word2vec_text
 from biaseval.errors import EmbeddingFormatError
-from biaseval.translate import TranslationRecord, load_translations_tsv, write_translations_tsv
+from biaseval.names import write_utf8_files
+from biaseval.translate import TranslationRecord, load_translations_tsv, translations_tsv_text
 
 ids = st.integers(min_value=-(2**63), max_value=2**63)
 # Mostly plain text, often with a character the readers split lines on.
@@ -36,11 +37,13 @@ def _unwritable(text: str) -> bool:
     return "\t" in text or len((text + "x").splitlines()) > 1 or lone_surrogate
 
 
-def _round_trip(write, read, value, fields):
+def _round_trip(text, read, value, fields):
+    """``value`` written as ``text(value, path)`` and read back, or ``value``
+    itself when writing refuses a field."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file"
         try:
-            write(value, path)
+            write_utf8_files({path: text(value, path)})
         except ValueError:
             assert any(_unwritable(text) for text in fields)
             return value
@@ -65,7 +68,7 @@ def corpora(draw):
 @given(corpora())
 def test_corpus_tsv_round_trip(utterances):
     fields = [text for u in utterances for text in (u.text, u.lexeme)]
-    assert _round_trip(write_corpus_tsv, read_corpus_tsv, utterances, fields) == utterances
+    assert _round_trip(corpus_tsv_text, read_corpus_tsv, utterances, fields) == utterances
 
 
 @given(st.lists(st.lists(ids, max_size=20, unique=True), min_size=len(VIEW_NAMES),
@@ -73,14 +76,15 @@ def test_corpus_tsv_round_trip(utterances):
 def test_views_json_round_trip(id_lists):
     # A view lists each id once; read_views_json rejects a repeat.
     views = [EvaluationSet(name, tuple(uids)) for name, uids in zip(VIEW_NAMES, id_lists)]
-    assert _round_trip(write_views_json, read_views_json, views, []) == views
+    assert _round_trip(lambda views, _path: views_json_text(views), read_views_json,
+                       views, []) == views
 
 
 @given(st.lists(st.tuples(ids, field), max_size=20, unique_by=lambda pair: pair[0]))
 def test_translations_tsv_round_trip(rows):
     records = [TranslationRecord(uid, output) for uid, output in rows]
     fields = [output for _uid, output in rows]
-    assert _round_trip(write_translations_tsv, load_translations_tsv, records, fields) == records
+    assert _round_trip(translations_tsv_text, load_translations_tsv, records, fields) == records
 
 
 # Lines of a few space-separated words drawn from numbers, tokens and junk,

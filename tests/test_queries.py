@@ -13,7 +13,6 @@ from biaseval import (
     expand_subqueries,
     load_queries,
     resolve_query,
-    validate_query,
 )
 from biaseval.errors import EmptyResolutionError, VocabularyLossError
 from biaseval.queries import fits_template
@@ -57,26 +56,6 @@ class TestQuery:
         assert query.label == "t1,t2|a1"
 
 
-class TestValidateQuery:
-    def test_matching_shape(self):
-        query = Query(
-            targets=(WordSet("t1", ("x",)), WordSet("t2", ("y",))),
-            attributes=(WordSet("a1", ("z",)), WordSet("a2", ("w",))),
-        )
-        assert validate_query(query, QueryTemplate(2, 2)) is True
-
-    def test_violation(self):
-        query = Query(
-            targets=(WordSet("t1", ("x",)), WordSet("t2", ("y",))),
-            attributes=(WordSet("a1", ("z",)),),
-        )
-        assert validate_query(query, QueryTemplate(2, 2)) is False
-
-    def test_target_only_template(self):
-        query = Query(targets=(WordSet("t1", ("x",)),))
-        assert validate_query(query, QueryTemplate(1, 0)) is True
-
-
 def _query(n_targets, n_attributes, label="q", prefix=""):
     return Query(
         targets=tuple(WordSet(f"{prefix}T{i}", (f"{prefix}t{i}",)) for i in range(1, n_targets + 1)),
@@ -102,6 +81,15 @@ class TestExpandSubqueries:
         subqueries = expand_subqueries([query], QueryTemplate(2, 2))
         assert subqueries == [query]
         assert subqueries[0].label == query.label
+
+    @pytest.mark.parametrize("shape,template,labels", [
+        ((1, 0), (1, 0), ["q"]),
+        ((2, 2), (2, 1), ["q[T1,T2|A1]", "q[T1,T2|A2]"]),
+        ((3, 1), (2, 1), ["q[T1,T2|A1]", "q[T1,T3|A1]", "q[T2,T3|A1]"]),
+    ], ids=["target_only_exact", "extra_attribute", "extra_target"])
+    def test_label_kept_only_for_an_exact_shape(self, shape, template, labels):
+        subqueries = expand_subqueries([_query(*shape)], QueryTemplate(*template))
+        assert [sq.label for sq in subqueries] == labels
 
     def test_identical_queries_dedup(self):
         query = _query(2, 2)
@@ -158,7 +146,7 @@ class TestExpandSubqueries:
     def test_outputs_satisfy_template(self):
         template = QueryTemplate(2, 1)
         for sq in expand_subqueries([_query(3, 3)], template):
-            assert validate_query(sq, template)
+            assert (len(sq.targets), len(sq.attributes)) == (template.t, template.a)
 
     @pytest.mark.parametrize("n_targets", [1, 2, 3])
     @pytest.mark.parametrize("n_attributes", [0, 1, 2, 3])
@@ -185,7 +173,6 @@ class TestResolveQuery:
     def test_shapes(self, toy_table, weat_query):
         rq = resolve_query(weat_query, toy_table)
         assert rq.query_label == "toy-weat"
-        assert rq.embedding_name == "toy"
         assert [s.name for s in rq.targets] == ["t1", "t2"]
         assert [s.name for s in rq.attributes] == ["a1", "a2"]
         for resolved in rq.targets + rq.attributes:
@@ -197,9 +184,10 @@ class TestResolveQuery:
             targets=(WordSet("t1", ("east",)), WordSet("t2", ("north",))),
             attributes=(WordSet("lossy", ("east", "gone", "lost")),),
         )
-        with pytest.raises(VocabularyLossError, match="lossy") as excinfo:
+        with pytest.raises(VocabularyLossError) as excinfo:
             resolve_query(query, toy_table)
-        assert excinfo.value.set_name == "lossy"
+        assert str(excinfo.value) == ("word set 'lossy': dropped 2/3 words in 'toy' (loss 0.67 "
+                                      "> threshold 0.20): ['gone', 'lost']")
 
     def test_empty_set_error(self, toy_table):
         query = Query(
@@ -279,4 +267,4 @@ class TestLoadQueries:
         assert len(queries) == 3
         assert {q.label for q in queries} == {"career-family", "math-arts", "science-arts"}
         for query in queries:
-            assert validate_query(query, QueryTemplate(2, 2))
+            assert (len(query.targets), len(query.attributes)) == (2, 2)

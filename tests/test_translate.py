@@ -9,7 +9,8 @@ from biaseval import BackendConfig, fetch_translations_http, join, load_translat
 from biaseval import translate
 from biaseval.eec import Utterance
 from biaseval.errors import JoinCoverageError, TranslationRunError
-from biaseval.translate import TranslationRecord, write_translations_tsv
+from biaseval.names import write_utf8_files
+from biaseval.translate import TranslationRecord, translations_tsv_text
 from conftest import echo
 
 CLOSED_PORT_URL = "http://127.0.0.1:9/translate"
@@ -67,6 +68,11 @@ class TestLoadTranslationsTsv:
         path.write_text("id\ttranslation\n01\ta\n-3\tb\n", encoding="utf-8")
         assert [r.id for r in load_translations_tsv(path)] == [1, -3]
 
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("id\ttranslation\n1\ta\n\n2\tb\n", encoding="utf-8")
+        assert load_translations_tsv(path) == [TranslationRecord(1, "a"), TranslationRecord(2, "b")]
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "t.tsv"
         path.write_text("id\ttranslation\n", encoding="utf-8")
@@ -83,7 +89,7 @@ class TestLoadTranslationsTsv:
         path.write_text("id\ttranslation\n1\tshe is a doctor\n2\tthey are kind\n", encoding="utf-8")
         records = load_translations_tsv(path)
         out = tmp_path / "out.tsv"
-        write_translations_tsv(records, out)
+        write_utf8_files({out: translations_tsv_text(records, out)})
         assert out.read_bytes() == path.read_bytes()
 
     def test_records_are_slotted_and_frozen(self, tmp_path):
@@ -100,9 +106,11 @@ class TestLoadTranslationsTsv:
 
     def test_write_rejects_field_break(self, tmp_path):
         path = tmp_path / "t.tsv"
+        records = [TranslationRecord(1, "ok"), TranslationRecord(2, "a\tb")]
         with pytest.raises(ValueError) as exc:
-            write_translations_tsv([TranslationRecord(1, "ok"), TranslationRecord(2, "a\tb")], path)
+            write_utf8_files({path: translations_tsv_text(records, path)})
         assert str(exc.value) == f"{path}: id 2: field contains a tab or line break"
+        assert not path.exists()
 
 
 class TestJoin:
@@ -114,6 +122,12 @@ class TestJoin:
         pairs = join(corpus, records)
         assert len(pairs) == 3
         assert [u.id for u, _r in pairs] == [1, 2, 3]
+
+    def test_duplicate_record_id_rejected(self):
+        records = [TranslationRecord(1, "a"), TranslationRecord(2, "b"), TranslationRecord(1, "c")]
+        with pytest.raises(ValueError) as exc:
+            join(utterances(2), records)
+        assert str(exc.value) == "duplicate translation id 1"
 
     def test_low_coverage_rejected(self, tmp_path):
         corpus = utterances(10)
@@ -232,7 +246,7 @@ class TestFetchTranslationsHttp:
                 BackendConfig(translation_server.url, retry_count=0, max_in_flight=1),
                 utterances(70),
             )
-        assert excinfo.value.completed_ids == list(range(1, 65))
+        assert [record.id for record in excinfo.value.completed] == list(range(1, 65))
 
     def test_server_error_retried(self, translation_server):
         translation_server.reply = lambda texts, call: (503, {}) if call == 1 else echo(texts)
@@ -281,7 +295,8 @@ class TestFetchTranslationsHttp:
             "translation backend failed (1 of 3 batch(es), first batch 1: unreachable "
             "after 3 attempt(s): HTTP 503); 66 record(s) completed"
         )
-        assert excinfo.value.completed_ids == list(range(1, 65)) + [129, 130]
+        assert [record.id for record in excinfo.value.completed] == (
+            list(range(1, 65)) + [129, 130])
 
     def test_too_many_requests_retried(self, translation_server, sleeps):
         translation_server.reply = lambda texts, call: (429, {}) if call == 1 else echo(texts)
