@@ -53,7 +53,7 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, integer, json_text, read_json, write_utf8_files)
+                    RENDER_MODES, integer, json_text, read_json, real, write_utf8_files)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -433,11 +433,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     translate.add_argument("--backend", choices=BACKENDS, default="file")
     translate.add_argument("--translations", help="pre-translated TSV (file backend)")
     translate.add_argument("--url", help="endpoint URL (http backend)")
-    translate.add_argument("--timeout", type=float, default=BackendConfig.timeout)
+    translate.add_argument("--timeout", type=real, default=BackendConfig.timeout)
     translate.add_argument("--retries", type=integer, default=BackendConfig.retry_count)
     translate.add_argument("--max-in-flight", dest="max_in_flight", type=integer,
                            default=BackendConfig.max_in_flight)
-    translate.add_argument("--min-coverage", dest="min_coverage", type=float,
+    translate.add_argument("--min-coverage", dest="min_coverage", type=real,
                            default=DEFAULT_MIN_COVERAGE)
     translate.add_argument("--out", default="translations_out.tsv")
     translate.set_defaults(func=cmd_translate)
@@ -450,7 +450,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tgbi.add_argument("--variant", choices=VARIANTS, default=VARIANT_LINEAR)
     tgbi.add_argument("--ambiguous-policy", dest="ambiguous_policy", choices=AMBIGUOUS_POLICIES,
                       default="unresolved")
-    tgbi.add_argument("--min-coverage", dest="min_coverage", type=float,
+    tgbi.add_argument("--min-coverage", dest="min_coverage", type=real,
                       default=DEFAULT_MIN_COVERAGE)
     tgbi.add_argument("--out-dir", dest="out_dir", default="tgbi_out")
     tgbi.set_defaults(func=cmd_tgbi)
@@ -465,7 +465,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                          help="query JSON file (repeatable)")
         sub.add_argument("--metric", dest="metrics", action=_Repeatable, choices=METRIC_NAMES,
                          default=METRIC_NAMES)
-        sub.add_argument("--lost-threshold", dest="lost_threshold", type=float,
+        sub.add_argument("--lost-threshold", dest="lost_threshold", type=real,
                          default=DEFAULT_LOST_THRESHOLD)
         sub.add_argument("--seed", type=integer, default=DEFAULT_SEED)
         sub.add_argument("--out-dir", dest="out_dir", default=out_dir)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmbeddingFormatError, EmptyResolutionError, VocabularyLossError
+from .errors import EmbeddingFormatError, EmptyResolutionError, VocabularyLossError, ZeroNormError
 from .names import DEFAULT_LOST_THRESHOLD, integer, nfc
 
 # Rows whose largest component magnitude lies outside
@@ -27,7 +27,8 @@ MAX_COMPONENT = 1e100
 MIN_COMPONENT = 1e-100
 
 # Characters numpy's C reader strips around a number as whitespace and
-# float() refuses: the line scan calls a component holding one non-numeric.
+# float() refuses. The line scan calls a component holding one of them, an
+# underscore or a non-ASCII character non-numeric, so both reads take one syntax.
 _C_READER_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 __all__ = [
@@ -207,10 +208,11 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     and component are such integers reads as a header. Duplicate tokens keep
     their first row, with a warning.
 
-    All rows are parsed by one call to numpy's C reader. A file it cannot
-    vouch for is read again, each row parsed as ``float()`` would, which
-    accepts a superset of the reader's syntax with the same bits. Every row
-    is checked, and an error names the first bad row's ``file:line``.
+    All rows are parsed by one call to numpy's C reader. A file it refuses
+    is read again, each row parsed by ``float()``; the line scan calls a
+    component holding ``_`` or a non-ASCII character non-numeric, so both
+    reads take one syntax with the same bits. Every row is checked, and an
+    error names the first bad row's ``file:line``.
     """
     path = Path(path)
     name = name or path.stem
@@ -259,7 +261,8 @@ def _scan(path, handle, tokens: list):
         token, _, components = line.partition(" ")
         if not token:
             raise EmbeddingFormatError(f"{path}:{lineno}: empty token")
-        if any(sep in components for sep in _C_READER_ONLY_SPACES):
+        if (not components.isascii() or "_" in components
+                or any(sep in components for sep in _C_READER_ONLY_SPACES)):
             raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component")
         tokens.append(nfc(token))
         yield lineno, components
@@ -280,8 +283,8 @@ def _row_bound(path, dim: int) -> int:
 
 
 def _read_exactly(path) -> tuple[list[str], np.ndarray]:
-    """The tokens and matrix of the file, each row parsed with ``float()``'s
-    syntax; the first bad line raises."""
+    """The tokens and matrix of the file, each row parsed by ``float()``;
+    the first bad line raises."""
     tokens, vectors = [], []
     try:
         with path.open(encoding="utf-8-sig") as handle:
@@ -302,7 +305,8 @@ def _read_exactly(path) -> tuple[list[str], np.ndarray]:
 
 
 def cosine(u, v) -> float:
-    """Cosine similarity of two nonzero vectors, clamped to [-1, 1]."""
+    """Cosine similarity of two nonzero vectors, clamped to [-1, 1]; a zero
+    vector raises a ZeroNormError."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
@@ -311,6 +315,6 @@ def cosine(u, v) -> float:
     norm_u = math.sqrt(u.dot(u))
     norm_v = math.sqrt(v.dot(v))
     if norm_u == 0.0 or norm_v == 0.0:
-        raise ValueError("cosine undefined for zero-norm vectors")
+        raise ZeroNormError("cosine undefined for zero-norm vectors")
     value = float(u.dot(v) / (norm_u * norm_v))
     return 1.0 if value > 1.0 else -1.0 if value < -1.0 else value

@@ -21,6 +21,10 @@ class TemplateMismatchError(BiasEvalError):
     """A query does not have the set counts a metric requires."""
 
 
+class ZeroNormError(BiasEvalError, ValueError):
+    """A cosine similarity was asked of a zero vector."""
+
+
 class DivergenceError(BiasEvalError):
     """Classifier training produced a non-finite loss."""
 

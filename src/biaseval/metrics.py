@@ -371,7 +371,7 @@ def ect(rq: ResolvedQuery) -> MetricResult:
     attribute_set = rq.attributes[0]
     attributes = attribute_set.matrix
     if len(attributes) < 2:
-        raise ValueError("ECT needs at least two attribute words")
+        raise UndefinedCorrelationError("ECT needs at least two attribute words")
     centroid_1 = t1.matrix.mean(axis=0)
     centroid_2 = t2.matrix.mean(axis=0)
     s1 = [cosine(centroid_1, row) for row in attributes]

@@ -2,9 +2,10 @@
 modules share: the parser's choices, the default seed and lost-word
 threshold, the plain-text grid of every report table, the token
 normalization the corpus builder shares with the embedding loader, the
-integer syntax of every integer read from outside (:func:`integer`), and one
-reader or writer per file format: UTF-8 text, a byte-order mark dropped on
-reading (:func:`read_utf8`, :func:`write_utf8_files`), JSON inputs and
+syntax of every integer and real number read from outside (:func:`integer`,
+:func:`real`), and one reader or writer per file format: UTF-8 text, a
+byte-order mark dropped on reading, each file replaced whole on writing
+(:func:`read_utf8`, :func:`write_utf8_files`), JSON inputs and
 reports (:func:`read_json`, :func:`json_text`), lexicon-style line lists
 (:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
 :func:`tsv_text`).
@@ -17,6 +18,7 @@ loading numpy.
 from __future__ import annotations
 
 import json
+import os
 import re
 import unicodedata
 from pathlib import Path
@@ -54,6 +56,7 @@ __all__ = [
     "read_json",
     "read_tsv",
     "read_utf8",
+    "real",
     "render_grid",
     "tsv_text",
     "write_utf8_files",
@@ -74,6 +77,15 @@ def integer(text: str) -> int:
     return int(text)
 
 
+def real(text: str) -> float:
+    """The float of ASCII text without ``_`` or surrounding whitespace, read
+    by ``float()``; any other text, such as ``1_0``, `` 2`` or a fullwidth
+    digit, raises a ValueError."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a real number: {text!r}")
+    return float(text)
+
+
 def read_utf8(path) -> str:
     """Text of a UTF-8 file without its byte-order mark, if any; other bytes
     raise a ValueError naming the file."""
@@ -87,7 +99,11 @@ def write_utf8_files(texts: dict) -> None:
     """Write each ``{path: text}`` item as UTF-8, making any missing parent
     directory. Every text is encoded before any file or directory is made: a
     lone surrogate, which has no UTF-8 form, raises a ValueError naming
-    ``file:line`` and makes nothing."""
+    ``file:line`` and makes nothing. Each file is replaced whole: its text is
+    written to ``.<name>.<pid>.tmp`` beside the file a symlink resolves to,
+    then each temporary is renamed onto its target, in order. An error
+    removes every temporary not yet renamed, so one before the first rename
+    leaves every target as it was."""
     encoded = []
     for path, text in texts.items():
         try:
@@ -95,9 +111,21 @@ def write_utf8_files(texts: dict) -> None:
         except UnicodeEncodeError as exc:
             line, char = text.count("\n", 0, exc.start) + 1, text[exc.start]
             raise ValueError(f"{path}:{line}: lone surrogate {char!r} has no UTF-8 form") from None
-    for path, data in encoded:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+    staged = []  # (temporary, target) of each temporary made
+    try:
+        for path, data in encoded:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            target = path.resolve()
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            with open(temporary, "xb") as handle:  # a new file, so the umask sets its mode
+                staged.append((temporary, target))
+                handle.write(data)
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary, _target in staged:
+            temporary.unlink(missing_ok=True)
+        raise
 
 
 def read_json(path):

@@ -2,25 +2,26 @@
 
 Each metric is evaluated on every (embedding, subquery) cell; rows are then
 aggregated to a single number per embedding and embeddings are ranked
-ascending, smaller aggregate meaning less measured bias. Cells whose word
-sets cannot be resolved against an embedding become missing markers instead
-of aborting the whole matrix, and missing cells are excluded from
-aggregation rather than imputed.
+ascending, smaller aggregate meaning less measured bias. A cell that cannot
+be resolved against an embedding, or on which its metric is undefined,
+becomes a missing marker instead of aborting the whole matrix, and missing
+cells are excluded from aggregation rather than imputed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyResolutionError, VocabularyLossError
+from .errors import BiasEvalError
 from .metrics import (METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope,
                       _prefit_classifiers)
 from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
-from .queries import ResolvedQuery, expand_subqueries, resolve_query
+from .queries import expand_subqueries, resolve_query
 
 __all__ = [
     "AGGREGATIONS",
@@ -72,9 +73,11 @@ def build_score_matrix(
     """Evaluate one metric on every subquery cell of one table, as a one-row matrix.
 
     Subqueries are expected to satisfy the metric's template already.
-    Resolution failures (vocabulary loss, empty sets) leave a NaN cell and a
-    diagnostics entry; other errors propagate. RNSB cells with identical
-    attribute matrices share one fitted classifier for the call.
+    A ``BiasEvalError`` from resolving or scoring a cell (vocabulary loss, a
+    zero-norm vector, an undefined correlation, a diverging classifier)
+    leaves a NaN cell and a diagnostics entry; other errors propagate. RNSB
+    cells with identical attribute matrices share one fitted classifier for
+    the call.
     """
     _template(metric)
     subqueries = list(subqueries)
@@ -88,21 +91,22 @@ def build_score_matrix(
         for j, query in enumerate(subqueries):
             lead_cells.setdefault(query.attributes, j)
     with _classifier_scope():
-        held = {j: _resolve(subqueries[j], table, lost_threshold) for j in lead_cells.values()}
-        _prefit_classifiers(
-            [tuple(a.matrix for a in rq.attributes) for rq in held.values()
-             if isinstance(rq, ResolvedQuery) and len(rq.attributes) == 2],
-            seed,
-        )
+        held = {}  # a lead cell that fails is resolved again below, failing alike
+        for j in lead_cells.values():
+            with contextlib.suppress(BiasEvalError):
+                held[j] = resolve_query(subqueries[j], table, lost_threshold=lost_threshold)
+        _prefit_classifiers([tuple(a.matrix for a in rq.attributes) for rq in held.values()
+                             if len(rq.attributes) == 2], seed)
         for j, query in enumerate(subqueries):
-            rq = held.pop(j) if j in held else _resolve(query, table, lost_threshold)
-            if not isinstance(rq, ResolvedQuery):
-                diagnostics[(table.name, query.label)] = {"missing": str(rq)}
+            try:
+                rq = held.pop(j, None) or resolve_query(query, table, lost_threshold=lost_threshold)
+                if metric == RNSB:
+                    result = METRIC_FUNCTIONS[metric](rq, seed)
+                else:
+                    result = METRIC_FUNCTIONS[metric](rq)
+            except BiasEvalError as exc:
+                diagnostics[(table.name, query.label)] = {"missing": str(exc)}
                 continue
-            if metric == RNSB:
-                result = METRIC_FUNCTIONS[metric](rq, seed)
-            else:
-                result = METRIC_FUNCTIONS[metric](rq)
             values[0, j] = result.value
             cell = dict(result.diagnostics)
             sets = rq.targets + rq.attributes
@@ -169,15 +173,6 @@ def score_matrices(
     return [ScoreMatrix(metric, list(names), parts[0].cols, np.vstack([p.values for p in parts]),
                         {cell: info for p in parts for cell, info in p.diagnostics.items()})
             for metric, parts in zip(metrics, rows)]
-
-
-def _resolve(query, table, lost_threshold):
-    """The query resolved against the table, or the resolution error that
-    makes its cell missing."""
-    try:
-        return resolve_query(query, table, lost_threshold=lost_threshold)
-    except (VocabularyLossError, EmptyResolutionError) as exc:
-        return exc
 
 
 def aggregate_rows(matrix: ScoreMatrix, agg: str = "abs_mean"):

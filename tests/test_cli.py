@@ -722,24 +722,23 @@ class TestMetricsCommand:
         assert (out_dir / "scores_WEAT.csv").is_file()
 
     def test_a_failing_metric_leaves_no_report_and_prints_nothing(self, tmp_path, capsys,
-                                                                  embedding_files):
-        """Every metric is scored before any report is written or printed."""
-        from biaseval import cli
+                                                                  monkeypatch, embedding_files,
+                                                                  query_file):
+        """Every metric is scored before any report is written or printed. A
+        kernel's plain ValueError is no missing cell: it stops the run."""
+        from biaseval import cli, metrics
 
-        queries = tmp_path / "one_word.json"
-        queries.write_text(json.dumps({
-            "label": "q",
-            "targets": [{"name": "f", "words": ["she", "her"]},
-                        {"name": "m", "words": ["he", "him"]}],
-            "attributes": [{"name": "c", "words": ["career"]}, {"name": "h", "words": ["home"]}],
-        }), encoding="utf-8")
+        def broken(rq):
+            raise ValueError("kernel bug")
+
+        monkeypatch.setitem(metrics.METRIC_FUNCTIONS, "ECT", broken)
         out_dir = tmp_path / "out"
         code = cli.main(["metrics", "--embedding", f"a={embedding_files[0]}",
-                         "--queries", str(queries), "--metric", "WEAT", "--metric", "ECT",
+                         "--queries", str(query_file), "--metric", "WEAT", "--metric", "ECT",
                          "--out-dir", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.splitlines() == ["error: ECT needs at least two attribute words"]
+        assert captured.err.splitlines() == ["error: kernel bug"]
         assert captured.out == ""
         assert not out_dir.exists()
 
@@ -912,7 +911,7 @@ class TestEmbeddingInputOrder:
     def test_tables_fail_in_the_order_they_are_scored(self, tmp_path, capsys, embedding_files,
                                                       query_file, command, first_scores):
         """The second table is parsed after the first is scored: a malformed
-        second file exits 2, unless the first table already failed a metric."""
+        second file exits 2, also when every cell of the first is missing."""
         from biaseval import cli
         from biaseval.embeddings import load_word2vec_text
 
@@ -930,8 +929,7 @@ class TestEmbeddingInputOrder:
                          "--out-dir", str(out_dir)])
         captured = capsys.readouterr()
         assert (code, captured.err.splitlines()) == (
-            (2, [f"error: {bad}:2: expected 4 components, got 3"]) if first_scores
-            else (1, ["error: constant input has no rank order"]))
+            2, [f"error: {bad}:2: expected 4 components, got 3"])
         assert captured.out == ""
         assert not out_dir.exists()
 
@@ -1006,11 +1004,13 @@ class TestSeedAndLostThreshold:
 
 
 class TestDivergingClassifier:
-    """A classifier that diverges fails the run as it always has, with one
-    error line and nothing else on stderr, however its fit was batched."""
+    """A classifier that diverges makes its cells missing, however its fit was
+    batched; the run goes on, and a ``rank`` row left with no cell exits 2
+    naming the divergence as its first cause."""
 
-    @pytest.mark.parametrize("command", ["metrics", "rank"])
-    def test_exits_1_with_one_line(self, tmp_path, capsys, command):
+    DIVERGED = "training diverged (non-finite loss after 500 epochs)"
+
+    def run(self, tmp_path, command, attribute_sets):
         import numpy as np
 
         from biaseval import cli
@@ -1020,19 +1020,130 @@ class TestDivergingClassifier:
         vectors = {w: rng.normal(size=4) for w in words}
         vectors["a1"], vectors["a2"] = vectors["a1"] * 1e90, vectors["a2"] * 1e90
         emb = write_w2v(tmp_path / "emb.txt", vectors)
-        sets = {name: {"name": name, "words": [f"{name[0]}1", f"{name[0]}2"]}
-                for name in ("career", "family", "science", "art")}
         queries = [{"label": "q", "targets": [{"name": "fem", "words": ["she", "her"]},
                                               {"name": "mas", "words": ["he", "him"]}],
-                    "attributes": list(sets.values())}]
+                    "attributes": [{"name": name, "words": [f"{name[0]}1", f"{name[0]}2"]}
+                                   for name in attribute_sets]}]
         query_path = tmp_path / "q.json"
         query_path.write_text(json.dumps(queries), encoding="utf-8")
-        code = cli.main([command, "--embedding", f"e={emb}", "--queries", str(query_path),
+        return cli.main([command, "--embedding", f"e={emb}", "--queries", str(query_path),
                          "--metric", "RNSB", "--out-dir", str(tmp_path / "out")])
-        assert code == 1
+
+    @pytest.mark.parametrize("command,report", [("metrics", "scores_RNSB.json"),
+                                                ("rank", "rank_table.json")])
+    def test_the_cells_of_the_diverging_pair_go_missing(self, tmp_path, capsys, command,
+                                                        report):
+        code = self.run(tmp_path, command, ("career", "family", "science", "art"))
+        assert (code, capsys.readouterr().err) == (0, "")
+        diagnostics = json.loads((tmp_path / "out" / report).read_text(encoding="utf-8"))[
+            "diagnostics"]
+        if command == "rank":
+            diagnostics = diagnostics["RNSB"]
+        assert {cell: info for cell, info in diagnostics.items() if "missing" in info} == {
+            f"e::q[fem,mas|{pair}]": {"missing": self.DIVERGED}
+            for pair in ("career,art", "family,art", "science,art")}
+
+    def test_a_rank_row_of_diverged_cells_exits_2_naming_the_cause(self, tmp_path, capsys):
+        assert self.run(tmp_path, "rank", ("career", "art")) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: training diverged (non-finite loss after 500 epochs)"
-        ]
+            "error: embedding 'e' has no present RNSB scores "
+            f"(all cells missing; first cause: {self.DIVERGED})"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestMissingCell:
+    """A cell on which its metric is undefined in one table is missing, with
+    the kernel's message under diagnostics; the run goes on and writes its
+    reports. On 6-row 2-d tables, one query's cell fails and the other's is
+    scored."""
+
+    VECTORS = {"she": [1.0, 0.1], "he": [0.1, 1.0], "c1": [1.0, 0.5], "c2": [0.5, 1.0],
+               "h1": [1.0, -0.5], "h2": [-0.3, 1.0]}
+
+    def write_inputs(self, tmp_path, tables, queries):
+        """``--embedding`` and ``--queries`` arguments for ``{name: {word:
+        vector}}`` tables (each over VECTORS) and ``{label: {set: words}}``
+        queries, each with targets ``f`` = she and ``m`` = he."""
+        argv = []
+        for name, changes in tables.items():
+            path = write_w2v(tmp_path / f"{name}.txt", {**self.VECTORS, **changes})
+            argv += ["--embedding", f"{name}={path}"]
+        payload = [{"label": label,
+                    "targets": [{"name": "f", "words": ["she"]}, {"name": "m", "words": ["he"]}],
+                    "attributes": [{"name": name, "words": words} for name, words in sets.items()]}
+                   for label, sets in queries.items()]
+        query_path = tmp_path / "queries.json"
+        query_path.write_text(json.dumps(payload), encoding="utf-8")
+        return argv + ["--queries", str(query_path)]
+
+    @pytest.mark.parametrize("tables,queries,argv,cell,message", [
+        ({"good": {}, "bad": {"h2": [0.0, 0.0]}},
+         {"q1": {"c": ["c1", "c2"], "h": ["h1", "h2"]}, "q2": {"c": ["c1"], "h": ["h1"]}},
+         ["--metric", "WEAT"], ("WEAT", "bad::q1"), "cosine undefined for zero-norm vectors"),
+        ({"e": {}}, {"q": {"c": ["c1", "gone"], "h": ["h1", "h2"]}},
+         ["--metric", "ECT", "--lost-threshold", "0.5"], ("ECT", "e::q[f,m|c]"),
+         "ECT needs at least two attribute words"),
+        ({"a": {}, "b": {"c2": [1.0, 0.5]}}, {"q": {"c": ["c1", "c2"], "h": ["h1", "h2"]}},
+         ["--metric", "ECT", "--metric", "RND"], ("ECT", "b::q[f,m|c]"),
+         "constant input has no rank order"),
+    ], ids=["zero_vector", "one_attribute_word_left", "constant_profile"])
+    def test_rank_exits_0_with_the_cell_missing(self, tmp_path, capsys, tables, queries, argv,
+                                                cell, message):
+        from biaseval import cli
+
+        out = tmp_path / "out"
+        code = cli.main(["rank", *self.write_inputs(tmp_path, tables, queries), *argv,
+                         "--out-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        report = json.loads((out / "rank_table.json").read_text(encoding="utf-8"))
+        metric, key = cell
+        assert report["diagnostics"][metric][key] == {"missing": message}
+        assert report["rows"] == list(tables)
+
+    def test_a_rank_row_with_no_cell_left_exits_2_naming_the_first_cause(self, tmp_path,
+                                                                        capsys):
+        from biaseval import cli
+
+        argv = self.write_inputs(tmp_path, {"e": {}}, {"q": {"c": ["c1", "gone"]}})
+        out = tmp_path / "out"
+        assert cli.main(["rank", *argv, "--metric", "ECT", "--lost-threshold", "0.5",
+                         "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: embedding 'e' has no present ECT scores "
+            "(all cells missing; first cause: ECT needs at least two attribute words)"]
+        assert not out.exists()
+
+    def test_metrics_reports_the_missing_cell_and_rank_aggregates_the_rest(self, tmp_path,
+                                                                         capsys):
+        """``metrics`` writes null in the JSON report, an empty CSV cell and
+        '-' in the printed table; ``rank --mode raw`` shows the mean absolute
+        value of the cells that are present."""
+        from biaseval import cli
+
+        argv = self.write_inputs(tmp_path, {"e": {}},
+                                 {"q": {"c": ["c1", "gone"], "h": ["h1", "h2"]}})
+        argv += ["--metric", "ECT", "--lost-threshold", "0.5"]
+        missing = {"e::q[f,m|c]": {"missing": "ECT needs at least two attribute words"}}
+        out = tmp_path / "metrics"
+        assert cli.main(["metrics", *argv, "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads((out / "scores_ECT.json").read_text(encoding="utf-8"))
+        assert report["cols"] == ["q[f,m|c]", "q[f,m|h]"]
+        [[absent, present]] = report["values"]
+        assert absent is None and isinstance(present, float)
+        assert {k: v for k, v in report["diagnostics"].items() if "missing" in v} == missing
+        assert (out / "scores_ECT.csv").read_text(encoding="utf-8").splitlines()[1] == (
+            f"e,,{present!r}")
+        assert captured.out.splitlines()[2].split() == ["e", "-", f"{present:.6f}"]
+
+        out = tmp_path / "rank"
+        assert cli.main(["rank", *argv, "--mode", "raw", "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        report = json.loads((out / "rank_table.json").read_text(encoding="utf-8"))
+        assert report["aggregate_values"] == [[abs(present)]]
+        assert {k: v for k, v in report["diagnostics"]["ECT"].items() if "missing" in v} == missing
+        assert captured.out.splitlines()[1].split() == ["e", f"{abs(present):.6f}"]
 
 
 class TestDeterminism:
@@ -1204,7 +1315,7 @@ class TestOptionPrecedence:
         ("seed", "x", "config seed: invalid integer value 'x'"),
         ("seed", 3.7, "config seed: invalid integer value 3.7"),
         ("seed", True, "config seed: invalid integer value True"),
-        ("lost_threshold", True, "config lost_threshold: invalid float value True"),
+        ("lost_threshold", True, "config lost_threshold: invalid real value True"),
         ("queries", "q.json", "config queries: expected a list, got 'q.json'"),
         ("out_dir", 5, "config out_dir: expected a string, got 5"),
         ("embeddings", [5], "config embeddings: expected a string, got 5"),
@@ -1240,6 +1351,28 @@ class TestOptionPrecedence:
         assert cli.main([command, "--config", str(config)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: config {key}: invalid integer value {value!r}"]
+
+    @pytest.mark.parametrize("value", [" 1_0 ", "\uff10.5", "0_9"],
+                             ids=["spaced_underscore", "fullwidth_zero", "underscore"])
+    @pytest.mark.parametrize("command,flag", [("translate", "--timeout"),
+                                              ("rank", "--lost-threshold"),
+                                              ("translate", "--min-coverage")])
+    def test_real_option_takes_only_ascii_without_underscores(self, tmp_path, capsys, command,
+                                                              flag, value):
+        """A real option, as a flag or a config value, is ASCII text without
+        ``_`` or surrounding whitespace that float() reads."""
+        from biaseval import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid real value: {value!r}" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config {key}: invalid real value {value!r}"]
 
     @pytest.mark.parametrize("command", ["eec", "tgbi"])
     def test_seed_is_not_an_option_of_the_translation_path(self, capsys, command):
@@ -1614,3 +1747,120 @@ class TestUnencodableOutput:
         assert captured.err.splitlines() == [
             f"error: {spoiled[0]}: lone surrogate '\\ud800' has no UTF-8 form"]
         assert not out.exists()
+
+
+class TestOutputReplacement:
+    """Each output replaces its file whole, through a temporary beside it: a
+    write that fails leaves every old output as it was, and no temporary."""
+
+    @staticmethod
+    def fill_disk(monkeypatch, directory, nth):
+        """Make the ``nth`` file opened for writing under ``directory``,
+        counted from 1, fail its write with ENOSPC once it exists (and, opened
+        to be overwritten, is empty), as on a full disk."""
+        import builtins
+        import errno
+        import io
+
+        real_open = io.open
+        opened = []
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if set(mode) & set("wxa") and str(file).startswith(str(directory)):
+                opened.append(file)
+                if len(opened) == nth:
+                    return FullDisk(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", open_)
+        monkeypatch.setattr(io, "open", open_)
+
+    def test_a_failed_second_write_keeps_every_old_output(self, tmp_path, capsys, monkeypatch,
+                                                          embedding_files, query_file):
+        from biaseval import cli
+
+        out = tmp_path / "out"
+        out.mkdir()
+        names = ["rank_table.csv", "rank_table.json", "rank_table.txt"]
+        for name in names:
+            (out / name).write_text(f"old {name}\n", encoding="utf-8")
+        self.fill_disk(monkeypatch, out, 2)
+        code = cli.main(["rank", "--embedding", f"a={embedding_files[0]}", "--queries",
+                         str(query_file), "--metric", "WEAT", "--out-dir", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == ["error: [Errno 28] No space left on device"]
+        assert captured.out == ""
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_text(encoding="utf-8") == f"old {name}\n"
+
+    def test_an_aborted_http_translation_whose_write_fails_keeps_its_out(
+            self, tmp_path, capsys, monkeypatch, lexicon_files, translation_server):
+        from biaseval import cli
+
+        corpus_dir, _ = build_corpus(tmp_path, lexicon_files)
+        out_dir = tmp_path / "tr"
+        out_dir.mkdir()
+        out = out_dir / "http.tsv"
+        old = "id\ttranslation\n1\tthey are kind\n2\tthey are kind\n".encode("utf-8")
+        out.write_bytes(old)
+        translation_server.reply = lambda texts, call: (400, {})
+        self.fill_disk(monkeypatch, out_dir, 1)
+        code = cli.main(["translate", "--corpus", str(corpus_dir / "corpus.tsv"),
+                         "--backend", "http", "--url", translation_server.url, "--retries", "0",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 28] No space left on device"]
+        assert out.read_bytes() == old
+        assert [path.name for path in out_dir.iterdir()] == ["http.tsv"]
+
+    def test_a_symlinked_output_is_written_through_its_link(self, tmp_path, capsys,
+                                                            lexicon_files):
+        from biaseval import cli
+
+        corpus_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(corpus_dir / "corpus.tsv", tmp_path / "in.tsv")
+        store = tmp_path / "store"
+        store.mkdir()
+        target = store / "kept.tsv"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        assert cli.main(["translate", "--corpus", str(corpus_dir / "corpus.tsv"),
+                         "--translations", str(translations), "--out", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == translations.read_bytes()
+        assert [path.name for path in store.iterdir()] == ["kept.tsv"]
+
+    def test_a_fresh_output_gets_the_umask_mode(self, tmp_path, capsys, lexicon_files):
+        import os
+        import stat
+
+        from biaseval import cli
+
+        corpus_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(corpus_dir / "corpus.tsv", tmp_path / "in.tsv")
+        out = tmp_path / "fresh.tsv"
+        umask = os.umask(0o027)
+        try:
+            assert cli.main(["translate", "--corpus", str(corpus_dir / "corpus.tsv"),
+                             "--translations", str(translations), "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640

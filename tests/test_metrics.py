@@ -551,7 +551,7 @@ class TestEct:
 
     def test_needs_two_attribute_words(self):
         rq = make_resolved_query({"t1": {"x": E1}, "t2": {"y": E2}}, {"a": {"p": E1}})
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedCorrelationError, match="^ECT needs at least two attribute"):
             ect(rq)
 
     def test_scale_invariance(self):

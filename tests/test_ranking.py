@@ -19,7 +19,7 @@ from biaseval import (
     weat,
 )
 from biaseval import metrics
-from biaseval.errors import DivergenceError
+from biaseval.errors import DivergenceError, VocabularyLossError
 from biaseval.metrics import METRIC_NAMES, METRIC_TEMPLATES
 from biaseval.queries import expand_subqueries
 from biaseval.ranking import (
@@ -83,6 +83,37 @@ class TestBuildScoreMatrix:
         assert np.isnan(matrix.values).sum() == 1
         assert np.isnan(matrix.values[0, 1])
         assert "missing" in matrix.diagnostics[("sparse", "needs-extra")]
+
+    @pytest.mark.parametrize("metric,vectors,attributes,message", [
+        ("WEAT", {"w5": [0.0, 0.0]}, (("w4", "w5"), ("w6", "w7")),
+         "cosine undefined for zero-norm vectors"),
+        ("ECT", {}, (("w4", "gone"),), "ECT needs at least two attribute words"),
+        ("ECT", {"w5": [1.0, 2.0]}, (("w4", "w5"),), "constant input has no rank order"),
+    ], ids=["zero_norm", "one_attribute_word", "constant_profile"])
+    def test_a_cell_its_metric_leaves_undefined_is_missing(self, metric, vectors, attributes,
+                                                           message):
+        """A kernel's BiasEvalError makes its cell missing and names its
+        cause; the table's other cells are still scored."""
+        entries = {t: [np.cos(i), np.sin(i)] for i, t in enumerate(TOKENS)}
+        entries["w4"] = [1.0, 2.0]
+        table = EmbeddingTable.from_mapping("e1", {**entries, **vectors})
+        targets = (WordSet("t1", ("w0", "w1")), WordSet("t2", ("w2", "w3")))
+        undefined = Query(targets, tuple(WordSet(f"a{i}", words)
+                                         for i, words in enumerate(attributes)), label="undefined")
+        defined = Query(targets, tuple(WordSet(f"a{i}", ("w8", "w9", "w10")[i:i + 2])
+                                       for i in range(len(attributes))), label="defined")
+        matrix = build_score_matrix(metric, table, [undefined, defined], lost_threshold=0.5)
+        assert np.isnan(matrix.values[0, 0]) and np.isfinite(matrix.values[0, 1])
+        assert matrix.diagnostics[("e1", "undefined")] == {"missing": message}
+
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_any_other_kernel_error_propagates(self, monkeypatch, error):
+        def broken(rq):
+            raise error("kernel bug")
+
+        monkeypatch.setitem(metrics.METRIC_FUNCTIONS, "WEAT", broken)
+        with pytest.raises(error, match="^kernel bug$"):
+            build_score_matrix("WEAT", make_table("e1", 1, TOKENS), [weat_subquery(0)])
 
     def test_single_cell_equals_direct_call(self):
         table = make_table("e1", 3, TOKENS)
@@ -178,19 +209,44 @@ class TestRnsbClassifierReuse:
         def record(run):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                with pytest.raises(DivergenceError) as excinfo:
-                    run()
-            return str(excinfo.value), [(w.category, str(w.message)) for w in caught]
+                missing = run()
+            return missing, [(w.category, str(w.message)) for w in caught]
+
+        def stacked():
+            matrix = build_score_matrix("RNSB", table, self.SUBQUERIES, seed=3)
+            assert np.isnan(matrix.values).tolist() == [[False, False, True]]
+            return {cell: info for cell, info in matrix.diagnostics.items() if "missing" in info}
 
         def cell_by_cell():
+            missing = {}
             for query in self.SUBQUERIES:
-                rnsb(resolve_query(query, table), seed=3)
+                try:
+                    rnsb(resolve_query(query, table), seed=3)
+                except DivergenceError as exc:
+                    missing[("e1", query.label)] = {"missing": str(exc)}
+            return missing
 
         with np.errstate(under="warn"):
-            stacked = record(lambda: build_score_matrix("RNSB", table, self.SUBQUERIES, seed=3))
+            got = record(stacked)
             expected = record(cell_by_cell)
+        assert expected[0] == {("e1", "sq2"): {
+            "missing": "training diverged (non-finite loss after 500 epochs)"}}
         assert expected[1]
-        assert stacked == expected
+        assert got == expected
+
+    def test_a_failing_lead_cell_fails_alike_when_resolved_again(self, classifier_fits):
+        """The lead cell of an attribute pair is resolved before the pairs are
+        fitted; if that fails, its cell is missing with the resolution's own
+        message, and the pair is fitted for the next cell that uses it."""
+        table = make_table("e1", 1, TOKENS)
+        lost = Query(targets=(WordSet("t1", ("gone", TOKENS[0])), WordSet("t2", TOKENS[2:4])),
+                     attributes=self.SUBQUERIES[0].attributes, label="lost")
+        matrix = build_score_matrix("RNSB", table, [lost, self.SUBQUERIES[0]], seed=3)
+        with pytest.raises(VocabularyLossError) as excinfo:
+            resolve_query(lost, table)
+        assert matrix.diagnostics[("e1", "lost")] == {"missing": str(excinfo.value)}
+        assert np.isnan(matrix.values[0, 0]) and np.isfinite(matrix.values[0, 1])
+        assert classifier_fits == [3]
 
 
 class TestAggregateRows:
