@@ -14,7 +14,8 @@ Every command reads its inputs and builds every output before it writes the
 first, and prints only after the last write: a failing command writes nothing
 and prints nothing, and an output naming one of its input files exits 2. The
 one exception is an aborted HTTP translation, which writes the rows it fetched
-so that a rerun resumes.
+so that a rerun resumes. An HTTP ``--out`` resumes, and ``tgbi`` scores it,
+only with the corpus whose hash its ``<out>.provenance.json`` sidecar holds.
 
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
@@ -108,6 +109,14 @@ def _report_json(body: dict, inputs: dict, flags: dict, **extra) -> str:
     provenance = {"version": __version__, "flags": flags,
                   "inputs": _describe_inputs(inputs), **extra}
     return json_text({"provenance": provenance, **body})
+
+
+def _http_provenance(out, corpus_path) -> tuple[Path, str]:
+    """The sidecar beside an HTTP translation ``out`` and the text it holds if
+    ``out`` translates ``corpus_path``: the corpus hash only, so another path
+    to the corpus matches, and no URL, which may carry a key."""
+    return Path(f"{out}.provenance.json"), _report_json(
+        {}, {"corpus": {"sha256": _sha256(corpus_path)}}, {"backend": "http"})
 
 
 def _require_file(path, what: str) -> Path:
@@ -222,10 +231,17 @@ def cmd_translate(args) -> tuple[dict, str]:
 
     if args.backend == "file":
         records = load_translations_tsv(_require_file(args.translations, "translations TSV"))
+        state = {}
     else:
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
         join((), (), min_coverage=args.min_coverage)  # a bad --min-coverage fails before any request
+        # --out is renamed before its sidecar, so a run cut between them is refused.
+        sidecar, provenance = _http_provenance(out, corpus_path)
+        if out.is_file() and not (sidecar.is_file()
+                                  and sidecar.read_bytes() == provenance.encode()):
+            raise ValueError(f"{out} was not written for this corpus ({sidecar} is missing or "
+                             f"differs); remove {out} to start over")
         existing = load_translations_tsv(out) if out.is_file() else []
         # Failed rows are stored with an empty translation; fetch them again.
         have = {record.id for record in existing if record.output}
@@ -234,24 +250,19 @@ def cmd_translate(args) -> tuple[dict, str]:
             fetched = fetch_translations_http(cfg, todo)
         except TranslationRunError as exc:
             merged = _merge_records(corpus, existing, exc.completed)
-            write_utf8_files({out: translations_tsv_text(merged, out)})
+            write_utf8_files({out: translations_tsv_text(merged, out), sidecar: provenance})
             raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
                                       "rerun to resume", completed=merged) from None
-        records = _merge_records(corpus, existing, fetched)
+        records, state = _merge_records(corpus, existing, fetched), {sidecar: provenance}
     join(corpus, records, min_coverage=args.min_coverage)
-    return {out: translations_tsv_text(records, out)}, f"wrote {out}\n"
+    return {out: translations_tsv_text(records, out), **state}, f"wrote {out}\n"
 
 
 def _merge_records(corpus, existing, fetched):
-    """Existing records overlaid by fetched ones, in corpus order, followed by
-    the records whose ids are not in the corpus, sorted by id."""
+    """Existing records overlaid by fetched ones, in corpus order."""
     by_id = {record.id: record for record in existing}
     by_id.update({record.id: record for record in fetched})
-    corpus_ids = {utterance.id for utterance in corpus}
-    ordered = [by_id[utterance.id] for utterance in corpus if utterance.id in by_id]
-    extras = [record for record_id, record in sorted(by_id.items())
-              if record_id not in corpus_ids]
-    return ordered + extras
+    return [by_id[utterance.id] for utterance in corpus if utterance.id in by_id]
 
 
 def cmd_tgbi(args) -> tuple[dict, str]:
@@ -259,6 +270,10 @@ def cmd_tgbi(args) -> tuple[dict, str]:
     views_path = _require_file(args.views, "views manifest")
     translations_path = _require_file(args.translations, "translations TSV")
     out_dir = Path(args.out_dir)
+    sidecar, provenance = _http_provenance(translations_path, corpus_path)
+    if sidecar.exists() and sidecar.read_bytes() != provenance.encode():
+        raise ValueError(f"{translations_path} was not translated from {corpus_path}: "
+                         f"{sidecar} names another corpus")
 
     if args.gender_lexicon:
         lexicon_file = _require_file(args.gender_lexicon, "gender lexicon")

@@ -93,15 +93,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
-def _require_shape(rq: ResolvedQuery, metric: str) -> None:
+def _require_shape(metric: str, targets, attributes, label: str) -> None:
+    """Raise TemplateMismatchError unless the target and attribute sets of
+    query ``label``, resolved or not, number exactly the metric's template
+    ``(t, a)``; RNSB also takes extra target sets."""
     template = METRIC_TEMPLATES[metric]
-    n_targets, n_attributes = len(rq.targets), len(rq.attributes)
+    n_targets, n_attributes = len(targets), len(attributes)
     extra_targets = metric == RNSB and n_targets > template.t
     if (n_targets != template.t and not extra_targets) or n_attributes != template.a:
         at_least = "at least " if metric == RNSB else ""
         raise TemplateMismatchError(
             f"{metric} needs {at_least}{template.t} target and {template.a} attribute sets; "
-            f"query '{rq.query_label}' has {n_targets} and {n_attributes}"
+            f"query '{label}' has {n_targets} and {n_attributes}"
         )
 
 
@@ -113,7 +116,7 @@ def weat(rq: ResolvedQuery) -> MetricResult:
     the per-set word counts are reported in diagnostics so callers can
     normalize externally.
     """
-    _require_shape(rq, WEAT)
+    _require_shape(WEAT, rq.targets, rq.attributes, rq.query_label)
     t1, t2 = rq.targets
     a1, a2 = (np.atleast_2d(np.asarray(s.matrix, dtype=np.float64)) for s in rq.attributes)
     if a1.size == 0 or a2.size == 0:
@@ -136,7 +139,7 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
     centroid (they are more associated with the second target group when
     the value is negative, under distance-to-centroid semantics).
     """
-    _require_shape(rq, RND)
+    _require_shape(RND, rq.targets, rq.attributes, rq.query_label)
     t1, t2 = rq.targets
     attributes = rq.attributes[0].matrix
     centroid_1 = t1.matrix.mean(axis=0)
@@ -307,7 +310,7 @@ def rnsb(rq: ResolvedQuery, seed: int = DEFAULT_SEED) -> MetricResult:
     deduplicated word counts so the effect of the union can be inspected.
     ``seed`` seeds the classifier's initial weights.
     """
-    _require_shape(rq, RNSB)
+    _require_shape(RNSB, rq.targets, rq.attributes, rq.query_label)
     a1, a2 = rq.attributes
     model = train_attribute_classifier(a1.matrix, a2.matrix, seed)
     support: dict[str, np.ndarray] = {}  # first occurrence of each token
@@ -366,7 +369,7 @@ def ect(rq: ResolvedQuery) -> MetricResult:
     """Coherence test: Spearman correlation between the two target centroids'
     cosine-similarity profiles over a shared attribute set. Higher correlation
     means lower bias."""
-    _require_shape(rq, ECT)
+    _require_shape(ECT, rq.targets, rq.attributes, rq.query_label)
     t1, t2 = rq.targets
     attribute_set = rq.attributes[0]
     attributes = attribute_set.matrix

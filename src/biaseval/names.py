@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import unicodedata
 from pathlib import Path
 
@@ -100,8 +101,9 @@ def write_utf8_files(texts: dict) -> None:
     directory. Every text is encoded before any file or directory is made: a
     lone surrogate, which has no UTF-8 form, raises a ValueError naming
     ``file:line`` and makes nothing. Each file is replaced whole: its text is
-    written to ``.<name>.<pid>.tmp`` beside the file a symlink resolves to,
-    then each temporary is renamed onto its target, in order. An error
+    written to ``.<name>.<pid>.tmp`` beside the file a symlink resolves to
+    and given that file's mode, if it exists, then each temporary is renamed
+    onto its target, in order, so a hard link keeps the old text. An error
     removes every temporary not yet renamed, so one before the first rename
     leaves every target as it was."""
     encoded = []
@@ -120,6 +122,8 @@ def write_utf8_files(texts: dict) -> None:
             with open(temporary, "xb") as handle:  # a new file, so the umask sets its mode
                 staged.append((temporary, target))
                 handle.write(data)
+            if target.exists():
+                os.chmod(temporary, stat.S_IMODE(target.stat().st_mode))
         for temporary, target in staged:
             os.replace(temporary, target)
     except BaseException:

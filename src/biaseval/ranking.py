@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BiasEvalError
 from .metrics import (METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope,
-                      _prefit_classifiers)
+                      _prefit_classifiers, _require_shape)
 from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
 
@@ -72,8 +72,9 @@ def build_score_matrix(
 ) -> ScoreMatrix:
     """Evaluate one metric on every subquery cell of one table, as a one-row matrix.
 
-    Subqueries are expected to satisfy the metric's template already.
-    A ``BiasEvalError`` from resolving or scoring a cell (vocabulary loss, a
+    A subquery of another shape than the metric's template raises
+    ``TemplateMismatchError`` before any cell is scored. Otherwise a
+    ``BiasEvalError`` from resolving or scoring a cell (vocabulary loss, a
     zero-norm vector, an undefined correlation, a diverging classifier)
     leaves a NaN cell and a diagnostics entry; other errors propagate. RNSB
     cells with identical attribute matrices share one fitted classifier for
@@ -83,6 +84,8 @@ def build_score_matrix(
     subqueries = list(subqueries)
     if not subqueries:
         raise ValueError("no subqueries given")
+    for query in subqueries:
+        _require_shape(metric, query.targets, query.attributes, query.label)
     values = np.full((1, len(subqueries)), np.nan)
     diagnostics: dict = {}
     # The first RNSB cell of each attribute pair, resolved first to fit the pairs in stacks.
@@ -95,8 +98,7 @@ def build_score_matrix(
         for j in lead_cells.values():
             with contextlib.suppress(BiasEvalError):
                 held[j] = resolve_query(subqueries[j], table, lost_threshold=lost_threshold)
-        _prefit_classifiers([tuple(a.matrix for a in rq.attributes) for rq in held.values()
-                             if len(rq.attributes) == 2], seed)
+        _prefit_classifiers([tuple(a.matrix for a in rq.attributes) for rq in held.values()], seed)
         for j, query in enumerate(subqueries):
             try:
                 rq = held.pop(j, None) or resolve_query(query, table, lost_threshold=lost_threshold)

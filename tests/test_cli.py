@@ -41,6 +41,23 @@ def build_corpus(tmp_path, lexicon_files):
     return out_dir, result
 
 
+def abort_http_translation(corpus_tsv, out, completed, monkeypatch):
+    """Write ``out`` and its provenance sidecar as an HTTP translation of
+    ``corpus_tsv`` that aborted after fetching the ``{id: text}`` rows
+    ``completed``."""
+    from biaseval import cli
+    from biaseval.translate import TranslationRecord
+
+    def aborted(cfg, utterances):
+        raise cli.TranslationRunError(
+            "backend gone", completed=[TranslationRecord(i, t) for i, t in completed.items()])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "fetch_translations_http", aborted)
+        assert cli.main(["translate", "--corpus", str(corpus_tsv), "--backend", "http",
+                         "--url", "http://127.0.0.1:9/translate", "--out", str(out)]) == 1
+
+
 def all_they_translations(corpus_tsv, path):
     lines = ["id\ttranslation"]
     for line in corpus_tsv.read_text(encoding="utf-8").splitlines()[1:]:
@@ -189,11 +206,13 @@ class TestTranslateCommand:
         assert len(lines) == 19  # header + 18 corpus rows
         assert all(line.endswith("they are a person") for line in lines[1:])
 
-    def test_http_unreachable_exits_1_and_keeps_partial_output(self, tmp_path, lexicon_files):
+    def test_http_unreachable_exits_1_and_keeps_partial_output(self, tmp_path, lexicon_files,
+                                                               monkeypatch):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         out = tmp_path / "partial_http.tsv"
-        # pre-seeded rows from an earlier run must survive a failed retry
-        out.write_text("id\ttranslation\n1\tthey are kind\n2\tthey are kind\n", encoding="utf-8")
+        # rows from an earlier aborted run must survive a failed retry
+        abort_http_translation(out_dir / "corpus.tsv", out,
+                               {1: "they are kind", 2: "they are kind"}, monkeypatch)
         result = run_cli(
             "translate", "--corpus", out_dir / "corpus.tsv",
             "--backend", "http", "--url", "http://127.0.0.1:9/translate",
@@ -1206,8 +1225,121 @@ class TestTranslateResume:
         assert all(text == f"they {uid}" for uid, text in rows.items())
 
 
+class TestTranslationProvenance:
+    """An HTTP ``--out`` resumes, and ``tgbi`` scores it, only with the corpus
+    whose hash its ``<out>.provenance.json`` sidecar holds."""
+
+    @staticmethod
+    def corpora(tmp_path, lexicon_files):
+        """Corpora A and B from equal-size lexicons whose occupations come in
+        reverse order, so row 1 is ``वह डॉक्टर है`` in A and ``वह किसान है`` in B."""
+        occ, pos, neg = lexicon_files
+        reversed_occ = tmp_path / "reversed.txt"
+        reversed_occ.write_text("किसान\nशिक्षक\nडॉक्टर\n", encoding="utf-8")
+        corpora = []
+        for name, occupations in (("A", occ), ("B", reversed_occ)):
+            result = run_cli("eec", "--occupations", occupations, "--positive", pos,
+                             "--negative", neg, "--out-dir", tmp_path / name)
+            assert result.returncode == 0, result.stderr
+            corpora.append(tmp_path / name / "corpus.tsv")
+        return corpora
+
+    @staticmethod
+    def translate(corpus, out, server):
+        return run_cli("translate", "--corpus", corpus, "--backend", "http", "--url", server.url,
+                       "--out", out)
+
+    def test_an_out_of_another_corpus_is_refused_before_any_request(self, tmp_path,
+                                                                     lexicon_files,
+                                                                     translation_server):
+        corpus_a, corpus_b = self.corpora(tmp_path, lexicon_files)
+        out = tmp_path / "tr.tsv"
+        assert self.translate(corpus_a, out, translation_server).returncode == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "1\tवह डॉक्टर है"
+        before = {path: path.read_bytes() for path in (out, Path(f"{out}.provenance.json"))}
+        translation_server.posts.clear()
+        result = self.translate(corpus_b, out, translation_server)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: {out} was not written for this corpus ({out}.provenance.json is missing "
+            f"or differs); remove {out} to start over"]
+        assert result.stdout == ""
+        assert translation_server.posts == []
+        assert {path: path.read_bytes() for path in before} == before
+
+    def test_an_out_without_a_sidecar_is_refused_before_any_request(self, tmp_path,
+                                                                     lexicon_files,
+                                                                     translation_server):
+        """As an older version or the file backend wrote it."""
+        corpus, _ = self.corpora(tmp_path, lexicon_files)
+        out = tmp_path / "tr.tsv"
+        old = "id\ttranslation\n1\tthey are kind\n".encode("utf-8")
+        out.write_bytes(old)
+        result = self.translate(corpus, out, translation_server)
+        assert result.returncode == 2
+        assert "was not written for this corpus" in result.stderr
+        assert translation_server.posts == []
+        assert out.read_bytes() == old
+        assert sorted(path.name for path in tmp_path.glob("tr.tsv*")) == ["tr.tsv"]
+
+    def test_a_sidecar_without_an_out_is_rewritten(self, tmp_path, lexicon_files,
+                                                   translation_server):
+        corpus_a, corpus_b = self.corpora(tmp_path, lexicon_files)
+        out, fresh = tmp_path / "tr.tsv", tmp_path / "fresh" / "tr.tsv"
+        assert self.translate(corpus_a, out, translation_server).returncode == 0
+        out.unlink()
+        assert self.translate(corpus_b, out, translation_server).returncode == 0
+        assert self.translate(corpus_b, fresh, translation_server).returncode == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert (Path(f"{out}.provenance.json").read_bytes()
+                == Path(f"{fresh}.provenance.json").read_bytes())
+
+    def test_the_sidecar_holds_the_corpus_hash_only(self, tmp_path, lexicon_files,
+                                                    translation_server):
+        """No corpus path, so a copy of the corpus elsewhere still resumes, and
+        no URL, which may carry a key."""
+        import hashlib
+
+        from biaseval import __version__
+
+        corpus, _ = self.corpora(tmp_path, lexicon_files)
+        out = tmp_path / "tr.tsv"
+        omit = True
+        translation_server.reply = lambda texts, call: [
+            {"id": t["id"], "text": t["text"]} for t in texts if not omit or t["id"] != 4]
+        assert self.translate(corpus, out, translation_server).returncode == 0
+        assert json.loads(Path(f"{out}.provenance.json").read_text(encoding="utf-8")) == {
+            "provenance": {"flags": {"backend": "http"}, "version": __version__, "inputs": {
+                "corpus": {"sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}}}}
+        omit = False
+        translation_server.posts.clear()
+        copy = tmp_path / "elsewhere" / "copy.tsv"
+        copy.parent.mkdir()
+        copy.write_bytes(corpus.read_bytes())
+        result = self.translate(copy, out, translation_server)
+        assert result.returncode == 0, result.stderr
+        assert [[t["id"] for t in post.texts] for post in translation_server.posts] == [[4]]
+
+    def test_tgbi_refuses_translations_of_another_corpus(self, tmp_path, lexicon_files,
+                                                         translation_server):
+        corpus_a, corpus_b = self.corpora(tmp_path, lexicon_files)
+        out = tmp_path / "tr.tsv"
+        translation_server.reply = lambda texts, call: [
+            {"id": t["id"], "text": "they are a person"} for t in texts]
+        assert self.translate(corpus_a, out, translation_server).returncode == 0
+        argv = ["tgbi", "--views", corpus_b.parent / "views.json", "--translations", out]
+        result = run_cli(*argv, "--corpus", corpus_b, "--out-dir", tmp_path / "tgbi_b")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: {out} was not translated from {corpus_b}: {out}.provenance.json names "
+            "another corpus"]
+        assert not (tmp_path / "tgbi_b").exists()
+        result = run_cli(*argv, "--corpus", corpus_a, "--out-dir", tmp_path / "tgbi_a")
+        assert result.returncode == 0, result.stderr
+
+
 class TestMergeRecords:
-    def test_fetched_wins_corpus_order_then_sorted_extras(self):
+    def test_fetched_wins_in_corpus_order_and_other_ids_are_dropped(self):
         from biaseval.cli import _merge_records
         from biaseval.eec import Utterance
         from biaseval.translate import TranslationRecord
@@ -1216,9 +1348,7 @@ class TestMergeRecords:
         existing = [TranslationRecord(i, f"old {i}") for i in (1, 2, 9, 7)]
         fetched = [TranslationRecord(i, f"new {i}") for i in (2, 3, 8)]
         merged = _merge_records(corpus, existing, fetched)
-        assert [(r.id, r.output) for r in merged] == [
-            (3, "new 3"), (1, "old 1"), (2, "new 2"), (7, "old 7"), (8, "new 8"), (9, "old 9"),
-        ]
+        assert [(r.id, r.output) for r in merged] == [(3, "new 3"), (1, "old 1"), (2, "new 2")]
 
 
 class TestConfigChoices:
@@ -1617,7 +1747,7 @@ class TestOutputNamingAnInput:
 
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         out = tmp_path / "http.tsv"
-        out.write_text("id\ttranslation\n1\tthey are kind\n", encoding="utf-8")
+        abort_http_translation(out_dir / "corpus.tsv", out, {1: "they are kind"}, monkeypatch)
         fetched = []
 
         def fake_fetch(cfg, utterances):
@@ -1817,8 +1947,12 @@ class TestOutputReplacement:
         out_dir = tmp_path / "tr"
         out_dir.mkdir()
         out = out_dir / "http.tsv"
-        old = "id\ttranslation\n1\tthey are kind\n2\tthey are kind\n".encode("utf-8")
-        out.write_bytes(old)
+        abort_http_translation(corpus_dir / "corpus.tsv", out,
+                               {1: "they are kind", 2: "they are kind"}, monkeypatch)
+        capsys.readouterr()
+        old = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert sorted(old) == ["http.tsv", "http.tsv.provenance.json"]
+        assert old["http.tsv"] == "id\ttranslation\n1\tthey are kind\n2\tthey are kind\n".encode()
         translation_server.reply = lambda texts, call: (400, {})
         self.fill_disk(monkeypatch, out_dir, 1)
         code = cli.main(["translate", "--corpus", str(corpus_dir / "corpus.tsv"),
@@ -1827,8 +1961,20 @@ class TestOutputReplacement:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: [Errno 28] No space left on device"]
-        assert out.read_bytes() == old
-        assert [path.name for path in out_dir.iterdir()] == ["http.tsv"]
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == old
+
+    def test_a_rewritten_output_keeps_its_mode(self, tmp_path, capsys, lexicon_files):
+        from biaseval import cli
+
+        corpus_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(corpus_dir / "corpus.tsv", tmp_path / "in.tsv")
+        out = tmp_path / "out.tsv"
+        argv = ["translate", "--corpus", str(corpus_dir / "corpus.tsv"),
+                "--translations", str(translations), "--out", str(out)]
+        assert cli.main(argv) == 0
+        out.chmod(0o600)
+        assert cli.main(argv) == 0
+        assert out.stat().st_mode & 0o7777 == 0o600
 
     def test_a_symlinked_output_is_written_through_its_link(self, tmp_path, capsys,
                                                             lexicon_files):

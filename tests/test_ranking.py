@@ -18,8 +18,8 @@ from biaseval import (
     rnsb,
     weat,
 )
-from biaseval import metrics
-from biaseval.errors import DivergenceError, VocabularyLossError
+from biaseval import metrics, ranking
+from biaseval.errors import DivergenceError, TemplateMismatchError, VocabularyLossError
 from biaseval.metrics import METRIC_NAMES, METRIC_TEMPLATES
 from biaseval.queries import expand_subqueries
 from biaseval.ranking import (
@@ -114,6 +114,35 @@ class TestBuildScoreMatrix:
         monkeypatch.setitem(metrics.METRIC_FUNCTIONS, "WEAT", broken)
         with pytest.raises(error, match="^kernel bug$"):
             build_score_matrix("WEAT", make_table("e1", 1, TOKENS), [weat_subquery(0)])
+
+    @pytest.mark.parametrize("metric,targets,attributes,needs", [
+        ("WEAT", 2, 1, "2 target and 2"), ("WEAT", 3, 2, "2 target and 2"),
+        ("RND", 2, 2, "2 target and 1"), ("RNSB", 2, 1, "at least 2 target and 2"),
+        ("RNSB", 1, 2, "at least 2 target and 2"), ("ECT", 3, 1, "2 target and 1"),
+    ])
+    def test_a_subquery_of_another_shape_raises_before_any_cell(self, monkeypatch, metric,
+                                                                targets, attributes, needs):
+        def shaped(t, a, label):
+            return Query(tuple(WordSet(f"t{i}", (TOKENS[i],)) for i in range(t)),
+                         tuple(WordSet(f"a{i}", TOKENS[6 + 2 * i:8 + 2 * i]) for i in range(a)),
+                         label=label)
+
+        template = METRIC_TEMPLATES[metric]
+        resolved = []
+        monkeypatch.setattr(ranking, "resolve_query", lambda *args, **kw: resolved.append(args))
+        with pytest.raises(TemplateMismatchError, match=(
+                rf"^{metric} needs {needs} attribute sets; "
+                rf"query 'odd' has {targets} and {attributes}$")):
+            build_score_matrix(metric, make_table("e1", 1, TOKENS),
+                               [shaped(template.t, template.a, "fits"),
+                                shaped(targets, attributes, "odd")])
+        assert resolved == []
+
+    def test_rnsb_takes_extra_target_sets(self):
+        query = Query(tuple(WordSet(f"t{i}", (TOKENS[i],)) for i in range(3)),
+                      (WordSet("a1", TOKENS[6:8]), WordSet("a2", TOKENS[8:10])))
+        matrix = build_score_matrix("RNSB", make_table("e1", 1, TOKENS), [query])
+        assert np.isfinite(matrix.values).all()
 
     def test_single_cell_equals_direct_call(self):
         table = make_table("e1", 3, TOKENS)

@@ -87,7 +87,7 @@ def test_http_backend_loads_http_client_only(tmp_path, corpus_dir, translation_s
     assert heavy_modules_after_cli(
         "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http",
         "--url", translation_server.url, "--out", tmp_path / "http.tsv", modules=HEAVY + ON_USE,
-    ) == ["http.client", "concurrent.futures"]
+    ) == ["http.client", "hashlib", "concurrent.futures"]
 
 
 def test_every_public_name_and_submodule_resolves():
