@@ -12,20 +12,19 @@ and ``tgbi``, is ignored.
 
 Every command reads its inputs and builds every output before it writes the
 first, and prints only after the last write: a failing command writes nothing
-and prints nothing, and an output naming one of its input files exits 2. The
-one exception is an aborted HTTP translation, which writes the rows it fetched
-so that a rerun resumes. An HTTP ``--out`` resumes, and ``tgbi`` scores it,
-only with the corpus whose hash its ``<out>.provenance.json`` sidecar holds.
+and prints nothing, and an output that is a file it opened as input exits 2.
+The one exception, an aborted HTTP translation, writes (under that check) the
+rows it fetched so that a rerun resumes. ``translate`` writes ``--out`` with a
+``<out>.provenance.json`` sidecar holding the corpus hash; an HTTP ``--out``
+resumes, and ``tgbi`` scores any ``--out``, only with the corpus so hashed.
 
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
 re-running a command on the same inputs produces byte-identical output.
 
 The embedding stack (numpy) is imported only by the ``metrics`` and ``rank``
-commands, ``http.client`` (with ``ssl``) only by the HTTP translation
-backend, and ``hashlib`` only by the commands that write provenance, so
-``translate --backend file`` starts without any of them. Beyond the
-standard library, numpy is the only runtime dependency.
+commands and ``http.client`` (with ``ssl``) only by the HTTP translation
+backend. Beyond the standard library, numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -78,9 +77,8 @@ from .translate import (
 _HASH_CHUNK = 1 << 20
 # The dest of each lexicon option of ``eec``, in CATEGORIES order.
 _LEXICON_OPTIONS = ("occupations", "positive", "negative")
-# The dests of the options that name input files, beside ``--embedding``'s.
-_INPUT_OPTIONS = (*_LEXICON_OPTIONS, "pronouns", "templates", "corpus", "translations", "views",
-                  "gender_lexicon", "queries", "config")
+# The input files the running command opened, which none of its outputs may be.
+_OPENED: list[Path] = []
 
 
 def _sha256(path) -> str:
@@ -111,12 +109,11 @@ def _report_json(body: dict, inputs: dict, flags: dict, **extra) -> str:
     return json_text({"provenance": provenance, **body})
 
 
-def _http_provenance(out, corpus_path) -> tuple[Path, str]:
-    """The sidecar beside an HTTP translation ``out`` and the text it holds if
-    ``out`` translates ``corpus_path``: the corpus hash only, so another path
-    to the corpus matches, and no URL, which may carry a key."""
-    return Path(f"{out}.provenance.json"), _report_json(
-        {}, {"corpus": {"sha256": _sha256(corpus_path)}}, {"backend": "http"})
+def _translation_provenance(corpus_hash: str, backend: str) -> str:
+    """The ``<out>.provenance.json`` text of a translation ``backend`` made of
+    the corpus of ``corpus_hash``: no corpus path, so a copy of the corpus
+    matches, and no URL, which may carry a key."""
+    return _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": backend})
 
 
 def _require_file(path, what: str) -> Path:
@@ -125,6 +122,7 @@ def _require_file(path, what: str) -> Path:
     resolved = Path(path)
     if not resolved.is_file():
         raise FileNotFoundError(f"{what} not found: {resolved}")
+    _OPENED.append(resolved)
     return resolved
 
 
@@ -228,16 +226,16 @@ def cmd_translate(args) -> tuple[dict, str]:
     corpus_path = _require_file(args.corpus, "corpus TSV")
     out = Path(args.out)
     corpus = read_corpus_tsv(corpus_path)
+    # --out is renamed before its sidecar, so an HTTP run cut between them is refused.
+    sidecar = Path(f"{out}.provenance.json")
+    provenance = _translation_provenance(_sha256(corpus_path), args.backend)
 
     if args.backend == "file":
         records = load_translations_tsv(_require_file(args.translations, "translations TSV"))
-        state = {}
     else:
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
         join((), (), min_coverage=args.min_coverage)  # a bad --min-coverage fails before any request
-        # --out is renamed before its sidecar, so a run cut between them is refused.
-        sidecar, provenance = _http_provenance(out, corpus_path)
         if out.is_file() and not (sidecar.is_file()
                                   and sidecar.read_bytes() == provenance.encode()):
             raise ValueError(f"{out} was not written for this corpus ({sidecar} is missing or "
@@ -250,12 +248,14 @@ def cmd_translate(args) -> tuple[dict, str]:
             fetched = fetch_translations_http(cfg, todo)
         except TranslationRunError as exc:
             merged = _merge_records(corpus, existing, exc.completed)
-            write_utf8_files({out: translations_tsv_text(merged, out), sidecar: provenance})
+            outputs = {out: translations_tsv_text(merged, out), sidecar: provenance}
+            _refuse_input_outputs(outputs)
+            write_utf8_files(outputs)
             raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
-                                      "rerun to resume", completed=merged) from None
-        records, state = _merge_records(corpus, existing, fetched), {sidecar: provenance}
+                                      "rerun to resume") from None
+        records = _merge_records(corpus, existing, fetched)
     join(corpus, records, min_coverage=args.min_coverage)
-    return {out: translations_tsv_text(records, out), **state}, f"wrote {out}\n"
+    return {out: translations_tsv_text(records, out), sidecar: provenance}, f"wrote {out}\n"
 
 
 def _merge_records(corpus, existing, fetched):
@@ -270,8 +270,9 @@ def cmd_tgbi(args) -> tuple[dict, str]:
     views_path = _require_file(args.views, "views manifest")
     translations_path = _require_file(args.translations, "translations TSV")
     out_dir = Path(args.out_dir)
-    sidecar, provenance = _http_provenance(translations_path, corpus_path)
-    if sidecar.exists() and sidecar.read_bytes() != provenance.encode():
+    corpus_hash, sidecar = _sha256(corpus_path), Path(f"{translations_path}.provenance.json")
+    if sidecar.exists() and sidecar.read_bytes() not in {
+            _translation_provenance(corpus_hash, backend).encode() for backend in BACKENDS}:
         raise ValueError(f"{translations_path} was not translated from {corpus_path}: "
                          f"{sidecar} names another corpus")
 
@@ -301,8 +302,8 @@ def cmd_tgbi(args) -> tuple[dict, str]:
 
     report_json = _report_json(
         report_to_dict(report),
-        {"corpus": corpus_path, "views": views_path, "translations": translations_path,
-         "gender_lexicon": {"sha256": lexicon_hash}},
+        {"corpus": {"path": str(corpus_path), "sha256": corpus_hash}, "views": views_path,
+         "translations": translations_path, "gender_lexicon": {"sha256": lexicon_hash}},
         {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy})
     table = render_tgbi_table(report)
     return {out_dir / "tgbi_report.json": report_json, out_dir / "tgbi_table.txt": table}, table
@@ -397,17 +398,12 @@ def cmd_rank(args) -> tuple[dict, str]:
         run.out_dir / "rank_table.txt": rendered}, rendered
 
 
-def _refuse_input_outputs(outputs: dict, args) -> None:
-    """Raise a ValueError naming an output that is the same file as one of
-    the command's inputs. The HTTP backend reads no ``--translations``; its
-    ``--out`` is its resume state, read and then rewritten."""
-    inputs = [spec.split("=", 1)[-1] for spec in getattr(args, "embeddings", ())]
-    for dest in _INPUT_OPTIONS:
-        if dest != "translations" or getattr(args, "backend", None) != "http":
-            value = getattr(args, dest, None)
-            inputs += [value] if isinstance(value, str) else value or ()
+def _refuse_input_outputs(outputs) -> None:
+    """Raise a ValueError naming an output that is the same file as an input
+    the command opened through :func:`_require_file`. An HTTP translation's
+    ``--out`` and sidecar are its resume state, not opened there."""
     for out in filter(os.path.exists, outputs):
-        for path in filter(None, inputs):
+        for path in _OPENED:
             if os.path.samefile(out, path):
                 raise ValueError(f"output {out} is the same file as input {path}")
 
@@ -503,11 +499,12 @@ def main(argv=None) -> int:
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            _OPENED.clear()
             if args.config:
                 _apply_config(commands[args.command], args.config)
                 args = parser.parse_args(argv)
             outputs, shown = args.func(args)
-            _refuse_input_outputs(outputs, args)
+            _refuse_input_outputs(outputs)
             write_utf8_files(outputs)
             print(shown, end="")
             return 0

@@ -40,8 +40,8 @@ class UndefinedCorrelationError(BiasEvalError):
 class TranslationRunError(BiasEvalError):
     """The translation backend failed mid-run.
 
-    ``completed`` holds the records fetched before the failure so the run
-    can be resumed without repeating them.
+    ``completed`` holds the records fetched before the failure; the CLI
+    writes them to ``--out`` for a rerun to resume, and its re-raise has none.
     """
 
     def __init__(self, message, completed=()):

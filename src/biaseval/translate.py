@@ -57,9 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class TranslationRecord:
-    """One translated corpus row; ``output`` may be empty only when failed.
-    ``failed`` and ``retries`` are keyword-only, so a stray third positional
-    argument cannot mark a row failed."""
+    """One translated corpus row; ``output`` is empty when a fetch failed or
+    a TSV row has no text (read back with ``failed`` False). ``failed`` and
+    ``retries`` are keyword-only, so a stray positional cannot mark a row failed."""
 
     id: int
     output: str

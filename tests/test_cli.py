@@ -1226,8 +1226,9 @@ class TestTranslateResume:
 
 
 class TestTranslationProvenance:
-    """An HTTP ``--out`` resumes, and ``tgbi`` scores it, only with the corpus
-    whose hash its ``<out>.provenance.json`` sidecar holds."""
+    """Every ``translate`` writes ``--out`` with a ``<out>.provenance.json``
+    sidecar; an HTTP ``--out`` resumes, and ``tgbi`` scores any ``--out``,
+    only with the corpus whose hash that sidecar holds."""
 
     @staticmethod
     def corpora(tmp_path, lexicon_files):
@@ -1297,20 +1298,31 @@ class TestTranslationProvenance:
     def test_the_sidecar_holds_the_corpus_hash_only(self, tmp_path, lexicon_files,
                                                     translation_server):
         """No corpus path, so a copy of the corpus elsewhere still resumes, and
-        no URL, which may carry a key."""
+        no URL, which may carry a key; the file backend's names its backend."""
         import hashlib
 
         from biaseval import __version__
 
         corpus, _ = self.corpora(tmp_path, lexicon_files)
+
+        def sidecar_of(backend):
+            return {"provenance": {"flags": {"backend": backend}, "version": __version__,
+                                   "inputs": {"corpus": {
+                                       "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}}}}
+
+        by_file = tmp_path / "file.tsv"
+        result = run_cli("translate", "--corpus", corpus, "--translations",
+                         all_they_translations(corpus, tmp_path / "in.tsv"), "--out", by_file)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(Path(f"{by_file}.provenance.json").read_text(encoding="utf-8")) == (
+            sidecar_of("file"))
         out = tmp_path / "tr.tsv"
         omit = True
         translation_server.reply = lambda texts, call: [
             {"id": t["id"], "text": t["text"]} for t in texts if not omit or t["id"] != 4]
         assert self.translate(corpus, out, translation_server).returncode == 0
-        assert json.loads(Path(f"{out}.provenance.json").read_text(encoding="utf-8")) == {
-            "provenance": {"flags": {"backend": "http"}, "version": __version__, "inputs": {
-                "corpus": {"sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}}}}
+        assert json.loads(Path(f"{out}.provenance.json").read_text(encoding="utf-8")) == (
+            sidecar_of("http"))
         omit = False
         translation_server.posts.clear()
         copy = tmp_path / "elsewhere" / "copy.tsv"
@@ -1336,6 +1348,47 @@ class TestTranslationProvenance:
         assert not (tmp_path / "tgbi_b").exists()
         result = run_cli(*argv, "--corpus", corpus_a, "--out-dir", tmp_path / "tgbi_a")
         assert result.returncode == 0, result.stderr
+
+    def test_a_file_translation_rewrites_the_sidecar_of_its_out(self, tmp_path, lexicon_files,
+                                                                translation_server):
+        """An HTTP run on A, then a file run on B into the same ``--out``: the
+        sidecar names B, so an HTTP rerun on A is refused before any request
+        and ``tgbi`` scores the ``--out`` with B."""
+        corpus_a, corpus_b = self.corpora(tmp_path, lexicon_files)
+        out = tmp_path / "tr.tsv"
+        assert self.translate(corpus_a, out, translation_server).returncode == 0
+        rows_b = all_they_translations(corpus_b, tmp_path / "b.tsv")
+        result = run_cli("translate", "--corpus", corpus_b, "--backend", "file",
+                         "--translations", rows_b, "--out", out)
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == rows_b.read_bytes()
+        before = {path: path.read_bytes() for path in (out, Path(f"{out}.provenance.json"))}
+        translation_server.posts.clear()
+        result = self.translate(corpus_a, out, translation_server)
+        assert result.returncode == 2
+        assert "was not written for this corpus" in result.stderr
+        assert translation_server.posts == []
+        assert {path: path.read_bytes() for path in before} == before
+        result = run_cli("tgbi", "--corpus", corpus_b, "--views", corpus_b.parent / "views.json",
+                         "--translations", out, "--out-dir", tmp_path / "tgbi_b")
+        assert result.returncode == 0, result.stderr
+
+    def test_an_aborted_run_does_not_write_over_its_config(self, tmp_path, lexicon_files):
+        """The aborted run's write is checked as every other: here its sidecar
+        would be the ``--config`` it read."""
+        corpus, _ = self.corpora(tmp_path, lexicon_files)
+        out = tmp_path / "tr.tsv"
+        config = Path(f"{out}.provenance.json")
+        config.write_text(json.dumps({"backend": "http", "url": "http://127.0.0.1:9/translate",
+                                      "retries": 0}), encoding="utf-8")
+        before = config.read_bytes()
+        result = run_cli("translate", "--corpus", corpus, "--config", config, "--out", out)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: output {config} is the same file as input {config}"]
+        assert result.stdout == ""
+        assert config.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.glob("tr.tsv*")) == [config.name]
 
 
 class TestMergeRecords:
@@ -1686,6 +1739,76 @@ class TestMalformedStructure:
 class TestOutputNamingAnInput:
     """An output that is the same file as one of the command's inputs exits 2
     with one line naming both, before anything is written."""
+
+    eec = ["eec", "--occupations", "{occupations}", "--positive", "{positive}",
+           "--negative", "{negative}"]
+    translate = ["translate", "--corpus", "{corpus}", "--translations", "{translations}"]
+    tgbi = ["tgbi", "--corpus", "{corpus}", "--views", "{views}",
+            "--translations", "{translations}"]
+    embedding = ["--embedding", "a={embedding}", "--queries", "{queries}", "--metric", "WEAT"]
+
+    @pytest.mark.parametrize("argv, option, output", [
+        (eec, "occupations", "corpus.tsv"),
+        (eec, "positive", "views.json"),
+        (eec, "negative", "run_meta.json"),
+        (eec + ["--pronouns", "{pronouns}"], "pronouns", "corpus.tsv"),
+        (eec + ["--templates", "{templates}"], "templates", "views.json"),
+        (eec + ["--config", "{config}"], "config", "run_meta.json"),
+        (translate, "corpus", "out.tsv"),
+        (translate, "translations", "out.tsv"),
+        (translate + ["--config", "{config}"], "config", "out.tsv.provenance.json"),
+        (tgbi, "corpus", "tgbi_report.json"),
+        (tgbi, "views", "tgbi_table.txt"),
+        (tgbi, "translations", "tgbi_report.json"),
+        (tgbi + ["--gender-lexicon", "{gender_lexicon}"], "gender_lexicon", "tgbi_table.txt"),
+        (tgbi + ["--config", "{config}"], "config", "tgbi_report.json"),
+        (["metrics", *embedding], "embedding", "scores_WEAT.json"),
+        (["metrics", *embedding], "queries", "scores_WEAT.csv"),
+        (["metrics", *embedding, "--config", "{config}"], "config", "scores_WEAT.json"),
+        (["rank", *embedding], "embedding", "rank_table.txt"),
+        (["rank", *embedding], "queries", "rank_table.json"),
+        (["rank", *embedding, "--config", "{config}"], "config", "rank_table.csv"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else value)
+    def test_every_input_option_is_checked(self, tmp_path, lexicon_files, embedding_files,
+                                           query_file, capsys, argv, option, output):
+        """Each input option of each command, its file made one of the
+        command's outputs, exits 2 and leaves the file as it was."""
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        eec_dir = tmp_path / "eec"
+        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                         "--negative", str(neg), "--out-dir", str(eec_dir)]) == 0
+        files = {
+            "occupations": occ, "positive": pos, "negative": neg,
+            "pronouns": tmp_path / "pronouns.json", "templates": tmp_path / "templates.json",
+            "config": tmp_path / "config.json", "corpus": eec_dir / "corpus.tsv",
+            "views": eec_dir / "views.json",
+            "translations": all_they_translations(eec_dir / "corpus.tsv", tmp_path / "t.tsv"),
+            "gender_lexicon": tmp_path / "lexicon.txt", "embedding": embedding_files[0],
+            "queries": query_file,
+        }
+        files["pronouns"].write_text(json.dumps(
+            [{"surface": "वह", "register": "informal", "copula": "है"}]), encoding="utf-8")
+        files["templates"].write_text(json.dumps({"positive": "{pronoun} {lexeme} {copula}"}),
+                                      encoding="utf-8")
+        files["config"].write_text("{}", encoding="utf-8")
+        files["gender_lexicon"].write_text("[she]\nshe\n[he]\nhe\n[they]\nthey\n",
+                                           encoding="utf-8")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        same = out_dir / output
+        same.write_bytes(files[option].read_bytes())
+        before = same.read_bytes()
+        files[option] = same
+        out = ["--out", str(out_dir / "out.tsv")] if argv[0] == "translate" else [
+            "--out-dir", str(out_dir)]
+        capsys.readouterr()
+        assert cli.main([arg.format(**files) for arg in argv] + out) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output {same} is the same file as input {same}"]
+        assert list(out_dir.iterdir()) == [same]
+        assert same.read_bytes() == before
 
     @pytest.mark.parametrize("spelling", ["same_path", "symlink"])
     def test_translate_out_is_the_corpus(self, tmp_path, lexicon_files, spelling):
