@@ -15,8 +15,11 @@ first, and prints only after the last write: a failing command writes nothing
 and prints nothing, and an output that is a file it opened as input exits 2.
 The one exception, an aborted HTTP translation, writes (under that check) the
 rows it fetched so that a rerun resumes. ``translate`` writes ``--out`` with a
-``<out>.provenance.json`` sidecar holding the corpus hash; an HTTP ``--out``
-resumes, and ``tgbi`` scores any ``--out``, only with the corpus so hashed.
+``<out>.provenance.json`` sidecar holding the corpus hash, which alone says
+what corpus a translations TSV translates: an HTTP ``--out`` resumes only
+with the corpus so hashed, and ``translate --backend file`` and ``tgbi``
+refuse ``--translations`` whose sidecar names another. ``tgbi`` builds the
+seven views from ``--corpus``; a ``--views`` file given must equal them.
 
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
@@ -92,12 +95,12 @@ def _sha256(path) -> str:
 
 
 def _describe_inputs(inputs: dict) -> dict:
-    """Provenance entry per input: a file path with its sha256, any other
-    value as given. Idempotent, so a described block can be reused."""
+    """Provenance entry per input: a file path with its sha256, None left
+    out, any other value as given. Idempotent, so a described block can be reused."""
     return {
         label: {"path": str(value), "sha256": _sha256(value)}
         if isinstance(value, (str, Path)) else value
-        for label, value in inputs.items()
+        for label, value in inputs.items() if value is not None
     }
 
 
@@ -109,11 +112,23 @@ def _report_json(body: dict, inputs: dict, flags: dict, **extra) -> str:
     return json_text({"provenance": provenance, **body})
 
 
-def _translation_provenance(corpus_hash: str, backend: str) -> str:
-    """The ``<out>.provenance.json`` text of a translation ``backend`` made of
-    the corpus of ``corpus_hash``: no corpus path, so a copy of the corpus
-    matches, and no URL, which may carry a key."""
-    return _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": backend})
+def _sidecar_corpus(tsv) -> str | None:
+    """The corpus sha256 that ``<tsv>.provenance.json`` names, which alone says
+    what ``tsv`` translates: None without a sidecar, "" if it names none."""
+    sidecar = Path(f"{tsv}.provenance.json")
+    if not sidecar.exists():
+        return None
+    named = read_json(sidecar)
+    for key in ("provenance", "inputs", "corpus", "sha256"):
+        named = named.get(key) if isinstance(named, dict) else None
+    return named if isinstance(named, str) else ""
+
+
+def _refuse_other_corpus(translations, corpus_path, corpus_hash: str) -> None:
+    """Refuse ``translations`` whose sidecar names another corpus; without one they pass."""
+    if _sidecar_corpus(translations) not in (None, corpus_hash):
+        raise ValueError(f"{translations} was not translated from {corpus_path}: "
+                         f"{translations}.provenance.json names another corpus")
 
 
 def _require_file(path, what: str) -> Path:
@@ -228,18 +243,22 @@ def cmd_translate(args) -> tuple[dict, str]:
     corpus = read_corpus_tsv(corpus_path)
     # --out is renamed before its sidecar, so an HTTP run cut between them is refused.
     sidecar = Path(f"{out}.provenance.json")
-    provenance = _translation_provenance(_sha256(corpus_path), args.backend)
+    corpus_hash = _sha256(corpus_path)
+    # No corpus path, so a copy of the corpus matches, and no URL, which may carry a key.
+    provenance = _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": args.backend})
 
     if args.backend == "file":
-        records = load_translations_tsv(_require_file(args.translations, "translations TSV"))
+        translations = _require_file(args.translations, "translations TSV")
+        _refuse_other_corpus(translations, corpus_path, corpus_hash)
+        records = load_translations_tsv(translations)
     else:
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
         join((), (), min_coverage=args.min_coverage)  # a bad --min-coverage fails before any request
-        if out.is_file() and not (sidecar.is_file()
-                                  and sidecar.read_bytes() == provenance.encode()):
-            raise ValueError(f"{out} was not written for this corpus ({sidecar} is missing or "
-                             f"differs); remove {out} to start over")
+        if out.is_file() and (named := _sidecar_corpus(out)) != corpus_hash:
+            cause = "is missing" if named is None else "names another corpus"
+            raise ValueError(f"{out} was not written for this corpus ({sidecar} {cause}); "
+                             f"remove {out} to start over")
         existing = load_translations_tsv(out) if out.is_file() else []
         # Failed rows are stored with an empty translation; fetch them again.
         have = {record.id for record in existing if record.output}
@@ -267,14 +286,11 @@ def _merge_records(corpus, existing, fetched):
 
 def cmd_tgbi(args) -> tuple[dict, str]:
     corpus_path = _require_file(args.corpus, "corpus TSV")
-    views_path = _require_file(args.views, "views manifest")
+    views_path = None if args.views is None else _require_file(args.views, "views manifest")
     translations_path = _require_file(args.translations, "translations TSV")
     out_dir = Path(args.out_dir)
-    corpus_hash, sidecar = _sha256(corpus_path), Path(f"{translations_path}.provenance.json")
-    if sidecar.exists() and sidecar.read_bytes() not in {
-            _translation_provenance(corpus_hash, backend).encode() for backend in BACKENDS}:
-        raise ValueError(f"{translations_path} was not translated from {corpus_path}: "
-                         f"{sidecar} names another corpus")
+    corpus_hash = _sha256(corpus_path)
+    _refuse_other_corpus(translations_path, corpus_path, corpus_hash)
 
     if args.gender_lexicon:
         lexicon_file = _require_file(args.gender_lexicon, "gender lexicon")
@@ -288,13 +304,10 @@ def cmd_tgbi(args) -> tuple[dict, str]:
         lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
 
     corpus = read_corpus_tsv(corpus_path)
-    views = read_views_json(views_path)
-    corpus_ids = {utterance.id for utterance in corpus}
-    for view in views:
-        unknown = [i for i in view.utterance_ids if i not in corpus_ids]
-        if unknown:
-            raise ValueError(f"{views_path}: view '{view.name}' lists {len(unknown)} id(s) "
-                             f"not in the corpus (first: {unknown[0]})")
+    views = build_views(corpus)
+    for view, given in zip(views, read_views_json(views_path) if views_path else views):
+        if view != given:
+            raise ValueError(f"{views_path}: view '{view.name}' does not match {corpus_path}")
     records = load_translations_tsv(translations_path)
     pairs = join(corpus, records, min_coverage=args.min_coverage)
     report = score_views(views, pairs, lexicon, variant=args.variant,

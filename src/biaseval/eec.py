@@ -241,6 +241,9 @@ def read_views_json(path) -> list[EvaluationSet]:
     missing = [name for name in VIEW_NAMES if name not in data]
     if missing:
         raise ValueError(f"{path}: missing views {missing}")
+    unknown = next((name for name in data if name not in VIEW_NAMES), None)
+    if unknown is not None:
+        raise ValueError(f"{path}: unknown view '{unknown}' (expected {', '.join(VIEW_NAMES)})")
     views = []
     for name in VIEW_NAMES:
         ids = data[name]

@@ -69,12 +69,14 @@ class WordResolution:
 
     ``found`` keeps input order and holds the vocabulary key actually matched:
     the word's NFC form if the table has it, else, when folding, its
-    lowercase form.
+    lowercase form. Each key is found once, by its first word; ``merged``
+    pairs each later word with the key it matched, and is no loss.
     """
 
     found: tuple[tuple[str, np.ndarray], ...]
     dropped: tuple[str, ...]
     loss_fraction: float
+    merged: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +178,16 @@ class EmbeddingTable:
             raise ValueError("words must be non-empty")
         if not 0.0 <= lost_threshold <= 1.0:
             raise ValueError("lost_threshold must lie in [0, 1]")
-        found = []
-        dropped = []
+        found = {}  # vocabulary key -> vector, in first-match order
+        dropped, merged = [], []
         for word in words:
             key, vec = self._match(word)
             if vec is None:
                 dropped.append(word)
+            elif key in found:
+                merged.append((word, key))
             else:
-                found.append((key, vec))
+                found[key] = vec
         loss = len(dropped) / len(words)
         label = f" '{set_name}'" if set_name else ""
         if not found:
@@ -193,7 +197,7 @@ class EmbeddingTable:
                 f"word set{label}: dropped {len(dropped)}/{len(words)} words in "
                 f"'{self.name}' (loss {loss:.2f} > threshold {lost_threshold:.2f}): {dropped}"
             )
-        return WordResolution(tuple(found), tuple(dropped), loss)
+        return WordResolution(tuple(found.items()), tuple(dropped), loss, tuple(merged))
 
 
 def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:

@@ -162,12 +162,14 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
 class ResolvedSet:
     """One word set resolved against one embedding table: row ``i`` of
     ``matrix`` is the vector of the vocabulary key ``tokens[i]``, in the set's
-    word order; ``dropped`` lists the set's words the table lacks."""
+    word order; ``dropped`` lists the set's words the table lacks, and
+    ``merged`` pairs each word that matched an earlier word's key with it."""
 
     name: str
     tokens: tuple[str, ...]
     matrix: np.ndarray
     dropped: tuple[str, ...]
+    merged: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,8 @@ def resolve_query(
             word_set.words, lost_threshold=lost_threshold, set_name=word_set.name
         )
         tokens, vectors = zip(*resolution.found)
-        return ResolvedSet(word_set.name, tokens, np.vstack(vectors), resolution.dropped)
+        return ResolvedSet(word_set.name, tokens, np.vstack(vectors), resolution.dropped,
+                           resolution.merged)
 
     return ResolvedQuery(
         tuple(resolve(ws) for ws in query.targets),

@@ -115,6 +115,9 @@ def build_score_matrix(
             dropped = {s.name: list(s.dropped) for s in sets if s.dropped}
             if dropped:
                 cell["dropped"] = dropped
+            merged = {s.name: dict(s.merged) for s in sets if s.merged}
+            if merged:
+                cell["merged"] = merged
             if cell:
                 diagnostics[(table.name, query.label)] = cell
     return ScoreMatrix(metric, [table.name], [q.label for q in subqueries], values, diagnostics)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -429,7 +430,7 @@ class TestTgbiCommand:
                          "--out-dir", str(tmp_path / "r")])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {views_path}: view 'informal' lists 2 id(s) not in the corpus (first: 9999)"
+            f"error: {views_path}: view 'informal' does not match {out_dir / 'corpus.tsv'}"
         ]
         assert not (tmp_path / "r").exists()
 
@@ -453,6 +454,60 @@ class TestTgbiCommand:
             f"error: {views_path}: view 'informal' lists id {repeated} more than once"
         ]
         assert not (tmp_path / "r").exists()
+
+    def test_views_of_another_corpus_exit_2_naming_the_first_view_that_differs(self, tmp_path,
+                                                                                 capsys):
+        """Corpora A (3 occupations, 1 positive, 1 negative) and B (1, 3, 1)
+        both hold ids 1-15, so B's views list only ids A has; scored on A's
+        translations they gave another TGBI, with exit 0."""
+        from biaseval import cli
+
+        corpora = {"A": (["डॉक्टर", "शिक्षक", "किसान"], ["अच्छा"], ["बुरा"]),
+                   "B": (["डॉक्टर"], ["अच्छा", "दयालु", "सुंदर"], ["बुरा"])}
+        for name, lexicons in corpora.items():
+            argv = ["eec", "--out-dir", str(tmp_path / name)]
+            for dest, words in zip(("occupations", "positive", "negative"), lexicons):
+                path = tmp_path / f"{name}_{dest}.txt"
+                path.write_text("\n".join(words) + "\n", encoding="utf-8")
+                argv += [f"--{dest}", str(path)]
+            assert cli.main(argv) == 0
+        corpus = tmp_path / "A" / "corpus.tsv"
+        translations = tmp_path / "t.tsv"
+        translations.write_text("id\ttranslation\n" + "".join(
+            f"{line.split(chr(9))[0]}\t{'he is' if 'occupation' in line else 'they are'}\n"
+            for line in corpus.read_text(encoding="utf-8").splitlines()[1:]), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["tgbi", "--corpus", str(corpus), "--translations", str(translations)]
+        code = cli.main([*argv, "--views", str(tmp_path / "B" / "views.json"),
+                         "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path / 'B' / 'views.json'}: view "
+                                           f"'positive' does not match {corpus}\n")
+        assert not (tmp_path / "r").exists()
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "r")]) == 0
+        assert "0.5143" in capsys.readouterr().out
+
+    def test_without_views_writes_the_table_of_the_corpus_views(self, tmp_path, lexicon_files):
+        """The views come from the corpus; ``--views`` only adds its entry to
+        the report's inputs."""
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = tmp_path / "t.tsv"
+        translations.write_text("id\ttranslation\n" + "".join(
+            f"{i}\t{text}\n" for i, text in
+            enumerate(["she is", "he is", "they are", "he is", "", "x"] * 3, 1)), encoding="utf-8")
+        argv = ["tgbi", "--corpus", out_dir / "corpus.tsv", "--translations", translations]
+        given = run_cli(*argv, "--views", out_dir / "views.json", "--out-dir", tmp_path / "given")
+        built = run_cli(*argv, "--out-dir", tmp_path / "built")
+        assert given.returncode == built.returncode == 0, (given.stderr, built.stderr)
+        assert given.stdout == built.stdout
+        table = "tgbi_table.txt"
+        assert (tmp_path / "given" / table).read_bytes() == (tmp_path / "built" / table).read_bytes()
+        reports = [json.loads((tmp_path / run / "tgbi_report.json").read_text(encoding="utf-8"))
+                   for run in ("given", "built")]
+        assert reports[0]["provenance"]["inputs"].pop("views") == {
+            "path": str(out_dir / "views.json"),
+            "sha256": hashlib.sha256((out_dir / "views.json").read_bytes()).hexdigest()}
+        assert reports[0] == reports[1]
 
     def test_variant_flag(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
@@ -1262,8 +1317,8 @@ class TestTranslationProvenance:
         result = self.translate(corpus_b, out, translation_server)
         assert result.returncode == 2
         assert result.stderr.splitlines() == [
-            f"error: {out} was not written for this corpus ({out}.provenance.json is missing "
-            f"or differs); remove {out} to start over"]
+            f"error: {out} was not written for this corpus ({out}.provenance.json names "
+            f"another corpus); remove {out} to start over"]
         assert result.stdout == ""
         assert translation_server.posts == []
         assert {path: path.read_bytes() for path in before} == before
@@ -1271,14 +1326,16 @@ class TestTranslationProvenance:
     def test_an_out_without_a_sidecar_is_refused_before_any_request(self, tmp_path,
                                                                      lexicon_files,
                                                                      translation_server):
-        """As an older version or the file backend wrote it."""
+        """As a version before the sidecar, or by hand."""
         corpus, _ = self.corpora(tmp_path, lexicon_files)
         out = tmp_path / "tr.tsv"
         old = "id\ttranslation\n1\tthey are kind\n".encode("utf-8")
         out.write_bytes(old)
         result = self.translate(corpus, out, translation_server)
         assert result.returncode == 2
-        assert "was not written for this corpus" in result.stderr
+        assert result.stderr.splitlines() == [
+            f"error: {out} was not written for this corpus ({out}.provenance.json is missing); "
+            f"remove {out} to start over"]
         assert translation_server.posts == []
         assert out.read_bytes() == old
         assert sorted(path.name for path in tmp_path.glob("tr.tsv*")) == ["tr.tsv"]
@@ -1372,6 +1429,74 @@ class TestTranslationProvenance:
         result = run_cli("tgbi", "--corpus", corpus_b, "--views", corpus_b.parent / "views.json",
                          "--translations", out, "--out-dir", tmp_path / "tgbi_b")
         assert result.returncode == 0, result.stderr
+
+    def test_a_version_bumped_sidecar_is_scored_and_resumed(self, tmp_path, lexicon_files,
+                                                            translation_server):
+        """The corpus sha256 alone decides; the version beside it is not compared."""
+        corpus, _ = self.corpora(tmp_path, lexicon_files)
+        out, sidecar = tmp_path / "tr.tsv", Path(f"{tmp_path / 'tr.tsv'}.provenance.json")
+        omit = True
+        translation_server.reply = lambda texts, call: [
+            {"id": t["id"], "text": "they are kind"} for t in texts if not omit or t["id"] != 4]
+        assert self.translate(corpus, out, translation_server).returncode == 0
+        provenance = json.loads(sidecar.read_text(encoding="utf-8"))
+        provenance["provenance"]["version"] = "0.0.1"
+        sidecar.write_text(json.dumps(provenance), encoding="utf-8")
+        result = run_cli("tgbi", "--corpus", corpus, "--translations", out,
+                         "--out-dir", tmp_path / "tgbi")
+        assert result.returncode == 0, result.stderr
+        omit = False
+        translation_server.posts.clear()
+        result = self.translate(corpus, out, translation_server)
+        assert result.returncode == 0, result.stderr
+        assert [[t["id"] for t in post.texts] for post in translation_server.posts] == [[4]]
+
+    def test_an_http_run_resumes_onto_a_file_out_of_its_corpus(self, tmp_path, lexicon_files,
+                                                               translation_server):
+        """Rows carry no backend mark: the HTTP run fetches only the empty ones."""
+        corpus, _ = self.corpora(tmp_path, lexicon_files)
+        rows = tmp_path / "in.tsv"
+        rows.write_text("id\ttranslation\n" + "".join(
+            f"{i}\t{'' if i in (2, 5) else 'they are kind'}\n" for i in range(1, 19)),
+            encoding="utf-8")
+        out = tmp_path / "tr.tsv"
+        result = run_cli("translate", "--corpus", corpus, "--translations", rows, "--out", out)
+        assert result.returncode == 0, result.stderr
+        result = self.translate(corpus, out, translation_server)
+        assert result.returncode == 0, result.stderr
+        assert [[t["id"] for t in post.texts] for post in translation_server.posts] == [[2, 5]]
+        assert "\t\n" not in out.read_text(encoding="utf-8")
+
+    def test_a_file_translation_of_another_corpus_is_refused(self, tmp_path, lexicon_files):
+        """Else its ``--out`` would carry a sidecar vouching for the wrong corpus."""
+        corpus_a, corpus_b = self.corpora(tmp_path, lexicon_files)
+        rows_a = tmp_path / "a.tsv"
+        result = run_cli("translate", "--corpus", corpus_a, "--translations",
+                         all_they_translations(corpus_a, tmp_path / "in.tsv"), "--out", rows_a)
+        assert result.returncode == 0, result.stderr
+        out = tmp_path / "tr.tsv"
+        result = run_cli("translate", "--corpus", corpus_b, "--translations", rows_a,
+                         "--out", out)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: {rows_a} was not translated from {corpus_b}: {rows_a}.provenance.json "
+            "names another corpus"]
+        assert result.stdout == ""
+        assert list(tmp_path.glob("tr.tsv*")) == []
+
+    @pytest.mark.parametrize("text", ["{}", "[]", '{"provenance": {"inputs": {"corpus": '
+                                                    '{"sha256": null}}}}'])
+    def test_a_sidecar_naming_no_corpus_names_another(self, tmp_path, lexicon_files, text):
+        corpus, _ = self.corpora(tmp_path, lexicon_files)
+        rows = all_they_translations(corpus, tmp_path / "t.tsv")
+        Path(f"{rows}.provenance.json").write_text(text, encoding="utf-8")
+        result = run_cli("tgbi", "--corpus", corpus, "--translations", rows,
+                         "--out-dir", tmp_path / "tgbi")
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error: {rows} was not translated from {corpus}: {rows}.provenance.json "
+            "names another corpus"]
+        assert not (tmp_path / "tgbi").exists()
 
     def test_an_aborted_run_does_not_write_over_its_config(self, tmp_path, lexicon_files):
         """The aborted run's write is checked as every other: here its sidecar

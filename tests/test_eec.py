@@ -300,6 +300,30 @@ class TestCorpusIo:
             read_views_json(path)
         assert str(exc.value) == f"{path}: view 'informal' lists id 3 more than once"
 
+    @pytest.mark.parametrize("key", ["Positive", "occupations", ""])
+    def test_views_unknown_view_rejected(self, tmp_path, capsys, key):
+        """An extra or misspelt view would otherwise pass unread."""
+        from biaseval import cli
+
+        corpus = tmp_path / "corpus.tsv"
+        utterances = generate_utterances([OCC, POS, NEG])
+        write_utf8_files({corpus: corpus_tsv_text(utterances, corpus)})
+        data = json.loads(views_json_text(build_views(utterances)))
+        data[key] = data["positive"]
+        path = tmp_path / "views.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        translations = tmp_path / "t.tsv"
+        translations.write_text("id\ttranslation\n" + "".join(
+            f"{u.id}\tthey are\n" for u in utterances), encoding="utf-8")
+        message = f"{path}: unknown view '{key}' (expected {', '.join(VIEW_NAMES)})"
+        with pytest.raises(ValueError) as exc:
+            read_views_json(path)
+        assert str(exc.value) == message
+        assert cli.main(["tgbi", "--corpus", str(corpus), "--views", str(path),
+                         "--translations", str(translations), "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "r").exists()
+
     def test_views_missing_view(self, tmp_path):
         path = tmp_path / "views.json"
         path.write_text('{"informal": []}', encoding="utf-8")

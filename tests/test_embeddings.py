@@ -528,6 +528,15 @@ class TestResolveWordSet:
         with pytest.raises(ValueError):
             toy_table.resolve_word_set([])
 
+    def test_a_word_folding_onto_an_earlier_key_is_merged_not_lost(self):
+        table = EmbeddingTable.from_mapping("t", {"doctor": [1.0, 0.0], "nurse": [0.0, 1.0]})
+        resolution = table.resolve_word_set(["doctor", "Doctor", "nurse", "DOCTOR"],
+                                            lost_threshold=0.0)
+        assert [key for key, _vec in resolution.found] == ["doctor", "nurse"]
+        assert resolution.merged == (("Doctor", "doctor"), ("DOCTOR", "doctor"))
+        assert resolution.dropped == ()
+        assert resolution.loss_fraction == 0.0
+
 
 class TestCosine:
     def test_self_similarity(self):

@@ -173,6 +173,22 @@ class TestBuildScoreMatrix:
         matrix = build_score_matrix("WEAT", table, [query])
         assert matrix.diagnostics[("e1", "lossy")]["dropped"] == {"t2": ["gone"]}
 
+    def test_words_of_one_vocabulary_row_count_once(self):
+        """The table folds case, so ``W0`` resolves to the row of ``w0``: the
+        set scores as ``(w0, w1)`` and the cell names the merged word."""
+        table = make_table("e1", 1, TOKENS)
+        cells = []
+        for t1 in ((TOKENS[0], "W0", TOKENS[1]), (TOKENS[0], TOKENS[1])):
+            query = weat_subquery()
+            query = Query((WordSet("t1", t1), query.targets[1]), query.attributes, label="q")
+            cells.append(build_score_matrix("WEAT", table, [query]))
+        merged, plain = cells
+        assert merged.values[0, 0] == plain.values[0, 0]
+        diagnostics = merged.diagnostics[("e1", "q")]
+        assert diagnostics["merged"] == {"t1": {"W0": "w0"}}
+        assert diagnostics["set_sizes"]["t1"] == 2
+        assert "merged" not in plain.diagnostics[("e1", "q")]
+
 
 def rnsb_subquery(label, target_start, attribute_start):
     t = TOKENS[target_start : target_start + 4]
