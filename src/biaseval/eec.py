@@ -99,6 +99,10 @@ class Utterance:
     def __post_init__(self):
         if not self.text:
             raise ValueError(f"utterance {self.id} has empty text")
+        if self.register not in REGISTERS:
+            raise ValueError(f"utterance {self.id} has unknown register '{self.register}'")
+        if self.lexicon_category not in CATEGORIES:
+            raise ValueError(f"utterance {self.id} has unknown category '{self.lexicon_category}'")
 
 
 @dataclass(frozen=True)
@@ -201,13 +205,6 @@ def build_views(utterances) -> list[EvaluationSet]:
     keeps corpus order.
     """
     utterances = list(utterances)
-    for utterance in utterances:
-        if utterance.register not in REGISTERS:
-            raise ValueError(f"utterance {utterance.id} has unknown register '{utterance.register}'")
-        if utterance.lexicon_category not in CATEGORIES:
-            raise ValueError(
-                f"utterance {utterance.id} has unknown category '{utterance.lexicon_category}'"
-            )
     return [EvaluationSet(name, tuple(u.id for u in utterances if getattr(u, field) in values))
             for name, field, values in VIEWS]
 

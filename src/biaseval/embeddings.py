@@ -75,7 +75,6 @@ class WordResolution:
 
     found: tuple[tuple[str, np.ndarray], ...]
     dropped: tuple[str, ...]
-    loss_fraction: float
     merged: tuple[tuple[str, str], ...] = ()
 
 
@@ -129,10 +128,6 @@ class EmbeddingTable:
             tokens.append(nfc(token))
             vectors.append(vec)
         return cls(name, tuple(tokens), np.array(vectors, dtype=np.float64))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -197,7 +192,7 @@ class EmbeddingTable:
                 f"word set{label}: dropped {len(dropped)}/{len(words)} words in "
                 f"'{self.name}' (loss {loss:.2f} > threshold {lost_threshold:.2f}): {dropped}"
             )
-        return WordResolution(tuple(found.items()), tuple(dropped), loss, tuple(merged))
+        return WordResolution(tuple(found.items()), tuple(dropped), tuple(merged))
 
 
 def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:

@@ -158,7 +158,8 @@ def read_tsv(path, header: str, build) -> list:
     """``build(id, *other fields)`` of each non-blank row of a TSV file headed
     ``header``, built as it is read, equal field values sharing one string. The
     first bad row (wrong field count, bad or repeated id, or a ``build``
-    ValueError, as ``<file>: <message>``) or a wrong header raises a ValueError."""
+    ValueError), as ``<file>:<line>: <message>``, or a wrong header raises a
+    ValueError."""
     path = Path(path)
     lines = iter(read_utf8(path).splitlines())
     if next(lines, None) != header:
@@ -183,7 +184,7 @@ def read_tsv(path, header: str, build) -> list:
         try:
             rows.append(build(row_id, *(shared.setdefault(f, f) for f in fields[1:])))
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BiasEvalError
-from .metrics import (METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope,
+from .metrics import (ECT, METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope,
                       _prefit_classifiers, _require_shape)
 from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
@@ -184,13 +184,15 @@ def aggregate_rows(matrix: ScoreMatrix, agg: str = "abs_mean"):
     """Collapse each row to one number over its present cells.
 
     ``abs_mean`` (default) averages absolute values: the sign of a bias score
-    depends on query orientation, so magnitude is what is compared.
+    depends on query orientation, so magnitude is what is compared. An ECT
+    cell is a correlation ρ, 1 meaning no bias, so it counts as 1 − ρ: for
+    every metric, 0 then means no bias.
     """
     if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation '{agg}' (expected one of {AGGREGATIONS})")
     aggregates = []
     for i, name in enumerate(matrix.rows):
-        row = matrix.values[i]
+        row = 1.0 - matrix.values[i] if matrix.metric == ECT else matrix.values[i]
         present = row[~np.isnan(row)]
         if present.size == 0:
             reasons = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .eec import VIEW_NAMES
@@ -68,6 +68,7 @@ class GenderLexicon:
     she_words: frozenset
     he_words: frozenset
     they_words: frozenset
+    _bucket_of: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bucket_of: dict[str, str] = {}
@@ -81,6 +82,7 @@ class GenderLexicon:
                                      f"is in [{bucket_of[word]}] and [{bucket}]")
                 bucket_of[word] = bucket
             object.__setattr__(self, f"{bucket}_words", words)
+        object.__setattr__(self, "_bucket_of", bucket_of)
 
     def sections(self) -> dict[str, frozenset]:
         """The token set of each bucket of :data:`GENDER_BUCKETS`, in order."""
@@ -138,24 +140,15 @@ def classify_sentence(text, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
     """
     if ambiguous_policy not in AMBIGUOUS_POLICIES:
         raise ValueError(f"unknown ambiguous_policy '{ambiguous_policy}'")
-    tokens = _TOKEN_RE.findall(str(text).lower())
-    she_hit = any(t in lexicon.she_words for t in tokens)
-    he_hit = any(t in lexicon.he_words for t in tokens)
-    if she_hit and he_hit:
-        if ambiguous_policy == "first_token":
-            for token in tokens:
-                if token in lexicon.she_words:
-                    return BUCKET_SHE
-                if token in lexicon.he_words:
-                    return BUCKET_HE
+    # The buckets the tokens hit, in the order of their first hit.
+    hits = dict.fromkeys(map(lexicon._bucket_of.get, _TOKEN_RE.findall(str(text).lower())))
+    hits.pop(None, None)
+    gendered = [bucket for bucket in hits if bucket != BUCKET_THEY]
+    if len(gendered) == 2 and ambiguous_policy == "unresolved":
         return BUCKET_UNRESOLVED
-    if she_hit:
-        return BUCKET_SHE
-    if he_hit:
-        return BUCKET_HE
-    if any(t in lexicon.they_words for t in tokens):
-        return BUCKET_THEY
-    return BUCKET_UNRESOLVED
+    if gendered:
+        return gendered[0]
+    return BUCKET_THEY if hits else BUCKET_UNRESOLVED
 
 
 def p_index(p_he: float, p_she: float, p_they: float, variant: str = VARIANT_LINEAR) -> float:

@@ -7,6 +7,7 @@ lets the comparison demand exact equality under a shared seed.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -110,3 +111,25 @@ def rnsb_oracle(target_resolutions, a1, a2, lr=0.1, epochs=500, seed=42):
     nonzero = distribution > 0
     kl = float(np.sum(distribution[nonzero] * np.log(distribution[nonzero] * distribution.size)))
     return max(0.0, kl)
+
+
+def classify_oracle(text, she_words, he_words, they_words, first_token=False):
+    """The bucket of a sentence by the written rules: lowercase word-character
+    tokens; a she- or he-hit alone wins; both are unresolved, or with
+    ``first_token`` the earlier of the two first hits wins; otherwise a
+    they-hit gives they, and no hit unresolved."""
+    tokens = re.findall(r"\w+", text.lower())
+    she = [i for i, token in enumerate(tokens) if token in she_words]
+    he = [i for i, token in enumerate(tokens) if token in he_words]
+    if she and he:
+        if not first_token:
+            return "unresolved"
+        return "she" if she[0] < he[0] else "he"
+    if she:
+        return "she"
+    if he:
+        return "he"
+    for token in tokens:
+        if token in they_words:
+            return "they"
+    return "unresolved"

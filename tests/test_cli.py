@@ -586,6 +586,44 @@ class TestTgbiCommand:
         assert Path("out/tgbi_report.json").read_bytes() == golden_report
 
 
+class TestBadCorpusRow:
+    """A corpus row whose register or lexicon category is unknown is refused
+    when the corpus is read, naming its file and line, by every command that
+    reads a corpus."""
+
+    @pytest.mark.parametrize("column,known,value", [
+        ("register", "informal", "casual"),
+        ("category", "positive", "glad"),
+    ])
+    @pytest.mark.parametrize("command", ["tgbi", "translate"])
+    def test_exits_2_naming_the_file_and_line_and_writes_nothing(
+        self, tmp_path, capsys, lexicon_files, command, column, known, value
+    ):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        corpus = out_dir / "corpus.tsv"
+        translations = all_they_translations(corpus, tmp_path / "t.tsv")
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        lineno = next(n for n, line in enumerate(lines, 1) if f"\t{known}\t" in line)
+        row_id = lines[lineno - 1].split("\t")[0]
+        lines[lineno - 1] = lines[lineno - 1].replace(f"\t{known}\t", f"\t{value}\t")
+        corpus.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "tgbi": ["tgbi", "--corpus", str(corpus), "--translations", str(translations),
+                     "--out-dir", str(out)],
+            "translate": ["translate", "--corpus", str(corpus), "--backend", "file",
+                          "--translations", str(translations), "--out", str(out / "tr.tsv")],
+        }[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {corpus}:{lineno}: utterance {row_id} has unknown {column} '{value}'"]
+        assert captured.out == ""
+        assert not out.exists()
+
+
 @pytest.fixture
 def embedding_files(tmp_path):
     import numpy as np
@@ -657,7 +695,7 @@ class TestRankCommand:
         code = cli.main(["rank", "--embedding", "a=a.txt", "--embedding", "b=b.txt",
                          "--queries", "queries.json", "--out-dir", "out"])
         assert code == 0
-        for name in ("json", "csv"):
+        for name in ("json", "csv", "txt"):
             golden = (DATA_DIR / f"rank_report.{name}").read_bytes()
             assert Path(f"out/rank_table.{name}").read_bytes() == golden
 
@@ -1190,8 +1228,8 @@ class TestMissingCell:
     def test_metrics_reports_the_missing_cell_and_rank_aggregates_the_rest(self, tmp_path,
                                                                          capsys):
         """``metrics`` writes null in the JSON report, an empty CSV cell and
-        '-' in the printed table; ``rank --mode raw`` shows the mean absolute
-        value of the cells that are present."""
+        '-' in the printed table; ``rank --mode raw`` shows the mean of 1 − ρ
+        over the ECT cells that are present."""
         from biaseval import cli
 
         argv = self.write_inputs(tmp_path, {"e": {}},
@@ -1215,9 +1253,9 @@ class TestMissingCell:
         assert cli.main(["rank", *argv, "--mode", "raw", "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
         report = json.loads((out / "rank_table.json").read_text(encoding="utf-8"))
-        assert report["aggregate_values"] == [[abs(present)]]
+        assert report["aggregate_values"] == [[1.0 - present]]
         assert {k: v for k, v in report["diagnostics"]["ECT"].items() if "missing" in v} == missing
-        assert captured.out.splitlines()[1].split() == ["e", f"{abs(present):.6f}"]
+        assert captured.out.splitlines()[1].split() == ["e", f"{1.0 - present:.6f}"]
 
 
 class TestDeterminism:

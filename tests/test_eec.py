@@ -161,15 +161,15 @@ class TestBuildViews:
             assert view.utterance_ids == tuple(
                 u.id for u in utterances if getattr(u, field) in values)
 
+
+class TestUtterance:
     @pytest.mark.parametrize("register,category,message", [
         ("royal", "positive", "utterance 7 has unknown register 'royal'"),
         ("informal", "neutral", "utterance 7 has unknown category 'neutral'"),
     ])
     def test_unknown_value_rejected(self, register, category, message):
-        utterances = [Utterance(1, "a", "informal", "positive", "a"),
-                      Utterance(7, "b", register, category, "b")]
         with pytest.raises(ValueError) as exc:
-            build_views(utterances)
+            Utterance(7, "b", register, category, "b")
         assert str(exc.value) == message
 
 
@@ -218,7 +218,7 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match="header"):
             read_corpus_tsv(path)
 
-    def test_empty_text_names_the_file(self, tmp_path):
+    def test_empty_text_names_the_file_and_line(self, tmp_path):
         """Rows are built as they are read, so the empty text is reported
         before the next row's duplicate id."""
         path = tmp_path / "corpus.tsv"
@@ -230,7 +230,26 @@ class TestCorpusIo:
         )
         with pytest.raises(ValueError) as exc:
             read_corpus_tsv(path)
-        assert str(exc.value) == f"{path}: utterance 1 has empty text"
+        assert str(exc.value) == f"{path}:2: utterance 1 has empty text"
+
+    @pytest.mark.parametrize("register,category,message", [
+        ("casual", "positive", "utterance 3 has unknown register 'casual'"),
+        ("informal", "glad", "utterance 3 has unknown category 'glad'"),
+    ])
+    def test_unknown_register_or_category_names_the_file_and_line(
+        self, tmp_path, register, category, message
+    ):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(
+            "id\ttext\tregister\tlexicon_category\tlexeme\n"
+            "1\ta\tinformal\tpositive\ta\n"
+            "\n"
+            f"3\tb\t{register}\t{category}\tb\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError) as exc:
+            read_corpus_tsv(path)
+        assert str(exc.value) == f"{path}:4: {message}"
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "dup.tsv"

@@ -25,7 +25,7 @@ class TestLoader:
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         table = load_word2vec_text(path, name="tiny")
         assert table.name == "tiny"
-        assert table.dim == 3
+        assert table.matrix.shape == (2, 3)
         assert len(table) == 2
         np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0, 0.0])
 
@@ -421,7 +421,7 @@ class TestTableContract:
         matrix = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
         table = EmbeddingTable("t", ("a", "b", "a"), matrix)
         assert table.matrix is matrix and not matrix.flags.writeable
-        assert (len(table), table.dim) == (2, 2)
+        assert len(table) == 2
         np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
         found = table.resolve_word_set(["b", "a"]).found
         assert [key for key, _vec in found] == ["b", "a"]
@@ -502,13 +502,11 @@ class TestResolveWordSet:
         resolution = toy_table.resolve_word_set(["east", "north", "diag", "steep", "west"])
         assert len(resolution.found) == 5
         assert resolution.dropped == ()
-        assert resolution.loss_fraction == 0.0
 
     def test_boundary_loss_succeeds(self, toy_table):
         resolution = toy_table.resolve_word_set(["east", "north", "diag", "steep", "gone"])
         assert len(resolution.found) == 4
         assert resolution.dropped == ("gone",)
-        assert resolution.loss_fraction == pytest.approx(0.2)
 
     def test_excessive_loss(self, toy_table):
         with pytest.raises(VocabularyLossError) as excinfo:
@@ -535,7 +533,6 @@ class TestResolveWordSet:
         assert [key for key, _vec in resolution.found] == ["doctor", "nurse"]
         assert resolution.merged == (("Doctor", "doctor"), ("DOCTOR", "doctor"))
         assert resolution.dropped == ()
-        assert resolution.loss_fraction == 0.0
 
 
 class TestCosine:

@@ -372,6 +372,26 @@ def full_queries():
     ]
 
 
+class TestEctDirection:
+    """An ECT cell is a correlation ρ, 1 meaning no bias: ``rank`` aggregates
+    it as 1 − ρ, so no bias ranks first, and score matrices keep ρ."""
+
+    def test_no_bias_ranks_first_and_reversed_profiles_last(self):
+        attributes = {"x1": [1.0, 0.0], "x2": [0.8, 0.6], "x3": [0.6, 0.8], "x4": [0.0, 1.0]}
+        reversed_ = EmbeddingTable.from_mapping(
+            "reversed", {"a": [1.0, 0.2], "b": [0.2, 1.0], **attributes})
+        fair = EmbeddingTable.from_mapping(
+            "fair", {"a": [1.0, 0.2], "b": [1.0, 0.2], **attributes})
+        query = Query(targets=(WordSet("t1", ("a",)), WordSet("t2", ("b",))),
+                      attributes=(WordSet("x", tuple(attributes)),), label="q")
+        (matrix,) = score_matrices(["ECT"], [reversed_, fair], [query])
+        np.testing.assert_allclose(matrix.values, [[-1.0], [1.0]])
+        for agg in ("abs_mean", "mean"):
+            table = build_rank_table(["ECT"], [reversed_, fair], [query], agg=agg)
+            np.testing.assert_allclose(table.aggregate_values, [[2.0], [0.0]])
+            assert table.ranks.tolist() == [[2], [1]]
+
+
 class TestBuildRankTable:
     def test_four_by_four(self):
         tables = [make_table(f"e{i}", i, TOKENS) for i in range(4)]

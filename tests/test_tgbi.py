@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaseval import (
     GenderLexicon,
@@ -13,6 +15,7 @@ from biaseval import (
 from biaseval.eec import VIEW_NAMES, EvaluationSet, Utterance
 from biaseval.errors import DegenerateDistributionError
 from biaseval.tgbi import (
+    AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
     GENDER_BUCKETS,
     VARIANT_LINEAR,
@@ -20,6 +23,7 @@ from biaseval.tgbi import (
     report_to_dict,
 )
 from biaseval.translate import TranslationRecord
+from oracles import classify_oracle
 
 
 class TestClassifySentence:
@@ -55,6 +59,37 @@ class TestClassifySentence:
 
     def test_punctuation_tokenization(self):
         assert classify_sentence("Really?She,is...a doctor!") == "she"
+
+
+@st.composite
+def lexicons_and_sentences(draw):
+    """The default lexicon or a small drawn one, and a sentence of its words,
+    some upper-cased, mixed with other words and separators (``_`` joins two
+    words into one token)."""
+    if draw(st.booleans()):
+        lexicon = DEFAULT_GENDER_LEXICON
+    else:
+        words = draw(st.lists(st.text("abcéक", min_size=1, max_size=3),
+                              min_size=3, max_size=9, unique=True))
+        cut = sorted(draw(st.lists(st.integers(1, len(words) - 1), min_size=2, max_size=2,
+                                   unique=True)))
+        lexicon = GenderLexicon(frozenset(words[:cut[0]]), frozenset(words[cut[0]:cut[1]]),
+                                frozenset(words[cut[1]:]))
+    known = st.sampled_from(sorted(w for words in lexicon.sections().values() for w in words))
+    token = st.one_of(known, known.map(str.upper), st.text("abcéकx", min_size=1, max_size=4))
+    tokens = draw(st.lists(token, max_size=8))
+    gaps = draw(st.lists(st.sampled_from([" ", ", ", "-", "'", "?!", "_", "\n"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return lexicon, "".join(t + gap for t, gap in zip(tokens, gaps))
+
+
+@settings(max_examples=400)
+@given(lexicons_and_sentences(), st.sampled_from(AMBIGUOUS_POLICIES))
+def test_classify_sentence_matches_the_reference_classifier(case, policy):
+    lexicon, text = case
+    expected = classify_oracle(text, *lexicon.sections().values(),
+                               first_token=policy == "first_token")
+    assert classify_sentence(text, lexicon, policy) == expected
 
 
 class TestGenderLexicon:
