@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 # Public names by defining submodule. They are imported on first access
 # (PEP 562), so ``import biaseval.cli`` for the translation-path commands
-# loads neither numpy nor http.client.
+# loads no numpy, and the HTTP backend loads ``ssl`` only for an ``https``
+# URL.
 _EXPORTS = {
     "eec": (
         "DEFAULT_PRONOUNS", "EvaluationSet", "Lexicon", "PronounSpec", "Utterance",

@@ -26,8 +26,10 @@ Every JSON report embeds a provenance block (input hashes and flags; for
 re-running a command on the same inputs produces byte-identical output.
 
 The embedding stack (numpy) is imported only by the ``metrics`` and ``rank``
-commands and ``http.client`` (with ``ssl``) only by the HTTP translation
-backend. Beyond the standard library, numpy is the only runtime dependency.
+commands. The HTTP translation backend speaks HTTP/1.1 over ``socket`` and
+imports ``ssl`` only for an ``https`` URL, so a plain ``http://`` URL loads
+no TLS stack. Beyond the standard library, numpy is the only runtime
+dependency.
 """
 
 from __future__ import annotations

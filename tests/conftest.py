@@ -1,4 +1,5 @@
 import json
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -170,3 +171,90 @@ def translation_server():
     yield server
     server.shutdown()
     server.server_close()
+
+
+CLOSE = object()  # a RawServer script entry: close the connection
+
+
+def _read_request(reader) -> bytes:
+    """One request's head, its ``Content-Length`` body read past; b"" once
+    the client has closed the connection."""
+    lines = []
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        lines.append(line)
+    if not line:
+        return b""
+    head = b"".join(lines)
+    for header in lines[1:]:
+        name, _, value = header.partition(b":")
+        if name.strip().lower() == b"content-length":
+            reader.read(int(value))
+    return head
+
+
+class RawServer:
+    """A TCP server on 127.0.0.1 that answers with scripted bytes, for the
+    replies ``http.server`` cannot send; served from a background thread,
+    one connection at a time.
+
+    On each connection it sends ``greeting`` first. Then, while the next
+    entry of ``replies`` is bytes, it reads one request and sends that
+    entry; an entry CLOSE closes the connection at once, and the entries
+    after it wait for the next connection. The connection also ends when
+    the client closes it, and after a request that has no entry left.
+    ``requests`` holds ``(connection, head)`` for each request read, the
+    connections counted from 1.
+    """
+
+    def __init__(self, replies, greeting: bytes = b""):
+        self.replies = list(replies)
+        self.greeting = greeting
+        self.requests: list[tuple[int, bytes]] = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}/translate"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        connection = 0
+        while True:
+            try:
+                sock, _ = self.listener.accept()
+            except OSError:
+                return  # closed by close()
+            connection += 1
+            sock.settimeout(10)
+            with sock, sock.makefile("rb") as reader:
+                try:
+                    sock.sendall(self.greeting)
+                    while True:
+                        if self.replies and self.replies[0] is CLOSE:
+                            self.replies.pop(0)
+                            break
+                        head = _read_request(reader)
+                        if not head:
+                            break
+                        self.requests.append((connection, head))
+                        if not self.replies:
+                            break  # nothing scripted: hang up
+                        sock.sendall(self.replies.pop(0))
+                except OSError:
+                    pass  # the client hung up first, as after a malformed reply
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes the thread blocked in accept()
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    """Start a RawServer: ``raw_server(replies, greeting=b"")``."""
+    servers = []
+
+    def start(replies, greeting: bytes = b""):
+        servers.append(RawServer(replies, greeting))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()

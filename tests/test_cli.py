@@ -285,7 +285,8 @@ class TestTranslateCommand:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--retries", "9", "retry_count (--retries) must lie in [0, 5]"),
-        ("--max-in-flight", "0", "max_in_flight (--max-in-flight) must be at least 1"),
+        ("--max-in-flight", "0", "max_in_flight (--max-in-flight) must lie in [1, 64]"),
+        ("--max-in-flight", "65", "max_in_flight (--max-in-flight) must lie in [1, 64]"),
         ("--timeout", "0", "timeout (--timeout) must lie in (0, 3600]"),
         ("--timeout", "nan", "timeout (--timeout) must lie in (0, 3600]"),
         ("--timeout", "inf", "timeout (--timeout) must lie in (0, 3600]"),
@@ -307,7 +308,8 @@ class TestTranslateCommand:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("url", [None, "notaurl", "ftp://127.0.0.1/x", "http://"])
+    @pytest.mark.parametrize("url", [None, "notaurl", "ftp://127.0.0.1/x", "http://",
+                                     "http://127.0.0.1:0/translate"])
     def test_malformed_url_exits_2_before_any_request(self, tmp_path, lexicon_files, url):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         out = tmp_path / "out.tsv"

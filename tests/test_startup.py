@@ -1,8 +1,10 @@
 """Start-up cost of each command path: which heavy libraries it imports.
 
 Every probe runs in a fresh interpreter, because this test process has
-already imported numpy and http.client. ``requests`` is listed so that a
-probe shows any command that still loads it.
+already imported numpy, http.client and ssl. ``requests`` and
+``http.client`` are listed so that a probe shows any command that still
+loads them; the HTTP backend speaks HTTP/1.1 over ``socket`` and loads
+``ssl`` only for an ``https`` URL.
 """
 
 import json
@@ -11,9 +13,10 @@ import sys
 
 import pytest
 
-HEAVY = ("numpy", "requests", "http.client")
-# Loaded only by the commands that use them: hashlib (with OpenSSL) to hash
-# provenance inputs, the thread pool to fetch over HTTP.
+HEAVY = ("numpy", "requests", "http.client", "ssl")
+# hashlib (with OpenSSL) is loaded only by the commands that hash provenance
+# inputs. The HTTP backend's workers are plain threads, so no command loads
+# the executor.
 ON_USE = ("hashlib", "concurrent.futures")
 
 
@@ -29,14 +32,16 @@ def heavy_modules_after(code: str, modules=HEAVY) -> list:
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def heavy_modules_after_cli(*argv, modules=HEAVY) -> list:
-    """Run one command through ``biaseval.cli.main`` in a fresh interpreter."""
+def heavy_modules_after_cli(*argv, modules=HEAVY, status=0) -> list:
+    """Run one command through ``biaseval.cli.main`` in a fresh interpreter,
+    asserting its exit ``status``."""
     args = [str(arg) for arg in argv]
     return heavy_modules_after(
         "import contextlib, io\n"
         "import biaseval.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert biaseval.cli.main({args!r}) == 0\n",
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert biaseval.cli.main({args!r}) == {status}\n",
         modules,
     )
 
@@ -57,8 +62,8 @@ def test_import_cli_loads_neither():
 
 
 def test_translation_path_commands_load_neither(tmp_path, corpus_dir):
-    """No translation-path command loads numpy or http.client and none loads
-    the thread pool; each loads hashlib to hash its inputs for provenance
+    """No translation-path command loads numpy, http.client or ssl and none
+    loads the thread pool; each loads hashlib to hash its inputs for provenance
     (``translate --backend file`` for its ``<out>.provenance.json``)."""
     eec_dir, eec_argv = corpus_dir
     assert heavy_modules_after_cli(*eec_argv, modules=HEAVY + ON_USE) == ["hashlib"]
@@ -81,13 +86,27 @@ def test_translation_path_commands_load_neither(tmp_path, corpus_dir):
     ) == ["hashlib"]
 
 
-def test_http_backend_loads_http_client_only(tmp_path, corpus_dir, translation_server):
+def test_http_backend_loads_no_tls_stack_for_an_http_url(tmp_path, corpus_dir,
+                                                          translation_server):
     eec_dir, eec_argv = corpus_dir
     heavy_modules_after_cli(*eec_argv)
     assert heavy_modules_after_cli(
         "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http",
         "--url", translation_server.url, "--out", tmp_path / "http.tsv", modules=HEAVY + ON_USE,
-    ) == ["http.client", "hashlib", "concurrent.futures"]
+    ) == ["hashlib"]
+
+
+def test_http_backend_loads_ssl_for_an_https_url(tmp_path, corpus_dir, raw_server):
+    """An ``https`` URL at a plain server loads ``ssl``, and its TLS error
+    aborts the run (exit 1) once the retries are spent."""
+    eec_dir, eec_argv = corpus_dir
+    heavy_modules_after_cli(*eec_argv)
+    server = raw_server([], greeting=b"HTTP/1.1 400 Bad Request\r\n\r\n")
+    assert heavy_modules_after_cli(
+        "translate", "--corpus", eec_dir / "corpus.tsv", "--backend", "http", "--retries", "0",
+        "--url", server.url.replace("http://", "https://"), "--out", tmp_path / "https.tsv",
+        modules=HEAVY + ON_USE, status=1,
+    ) == ["ssl", "hashlib"]
 
 
 def test_every_public_name_and_submodule_resolves():
@@ -112,7 +131,7 @@ def test_every_public_name_and_submodule_resolves():
         "    pass\n"
         "else:\n"
         "    raise AssertionError('unknown name resolved')\n"
-    ) == ["numpy"]  # http.client waits for the first HTTP fetch
+    ) == ["numpy"]
 
 
 def test_export_lists_name_only_what_exists():

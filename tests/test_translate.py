@@ -1,4 +1,5 @@
-import http.client
+import json
+import sys
 import threading
 from collections import defaultdict
 from dataclasses import FrozenInstanceError
@@ -11,7 +12,7 @@ from biaseval.eec import Utterance
 from biaseval.errors import JoinCoverageError, TranslationRunError
 from biaseval.names import write_utf8_files
 from biaseval.translate import TranslationRecord, translations_tsv_text
-from conftest import echo
+from conftest import CLOSE, echo
 
 CLOSED_PORT_URL = "http://127.0.0.1:9/translate"
 
@@ -172,9 +173,16 @@ class TestBackendConfig:
         with pytest.raises(ValueError):
             BackendConfig(CLOSED_PORT_URL, retry_count=6)
 
+    def test_validates_max_in_flight(self):
+        for max_in_flight in (0, translate.MAX_IN_FLIGHT + 1):
+            with pytest.raises(ValueError, match=r"^max_in_flight \(--max-in-flight\) must lie "
+                                                 r"in \[1, 64\]$"):
+                BackendConfig(CLOSED_PORT_URL, max_in_flight=max_in_flight)
+        assert BackendConfig(CLOSED_PORT_URL, max_in_flight=64).max_in_flight == 64
+
     @pytest.mark.parametrize("location", [
         "notaurl", "ftp://127.0.0.1/x", "http://", "http://:80/x", "http://127.0.0.1:99999/x",
-        "http://ho st/x", "http://127.0.0.1/a\nb", None,
+        "http://ho st/x", "http://127.0.0.1/a\nb", "http://127.0.0.1:0/translate", None,
     ])
     def test_validates_location(self, location):
         with pytest.raises(ValueError, match=r"^location \(--url\) must be an http or https URL"):
@@ -396,23 +404,57 @@ class TestFetchTranslationsHttp:
             return echo(texts)
 
         translation_server.reply = reply
-        send = http.client.HTTPConnection.request
+        post = translate._Connection.post
+        sent = []  # (the client's (host, port), the posting thread), one per request
 
-        def tagged(self, method, url, body=None, headers={}, **kwargs):
-            thread = {"X-Client-Thread": str(threading.get_ident())}
-            return send(self, method, url, body, {**headers, **thread}, **kwargs)
+        def tagged(self, body):
+            reply = post(self, body)
+            sent.append((self.sock.getsockname(), threading.get_ident()))
+            return reply
 
-        monkeypatch.setattr(http.client.HTTPConnection, "request", tagged)
+        monkeypatch.setattr(translate._Connection, "post", tagged)
         corpus = utterances(4 * 64)
         records = fetch_translations_http(
             BackendConfig(translation_server.url, max_in_flight=2), corpus
         )
         assert [r.id for r in records] == [u.id for u in corpus]
         threads = defaultdict(set)
-        for post in translation_server.posts:
-            threads[post.connection].add(post.headers["X-Client-Thread"])
+        for connection, thread in sent:
+            threads[connection].add(thread)
+        assert set(threads) == {post.connection for post in translation_server.posts}
         assert len(threads) == 2
         assert all(len(seen) == 1 for seen in threads.values())
+        assert translation_server.all_closed()
+
+    def test_every_batch_is_posted_once_by_more_workers_than_cores(self, translation_server):
+        corpus = utterances(40 * 64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
+        try:
+            records = fetch_translations_http(
+                BackendConfig(translation_server.url, max_in_flight=8), corpus
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.id, r.output, r.retries) for r in records] == [
+            (u.id, u.text, 0) for u in corpus]
+        assert sorted(post.texts[0]["id"] for post in translation_server.posts) == list(
+            range(1, 40 * 64, 64))
+        assert translation_server.all_closed()
+
+    def test_unexpected_worker_exception_reaches_the_caller(self, translation_server,
+                                                           monkeypatch):
+        fetch = translate._fetch_batch
+
+        def broken(connection, batch, attempt):
+            if batch[0].id == 65:
+                raise RuntimeError("boom")
+            return fetch(connection, batch, attempt)
+
+        monkeypatch.setattr(translate, "_fetch_batch", broken)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            fetch_translations_http(BackendConfig(translation_server.url, max_in_flight=2),
+                                    utterances(3 * 64))
         assert translation_server.all_closed()
 
     def test_connection_is_not_reused_after_a_timeout(self, translation_server):
@@ -438,6 +480,113 @@ class TestFetchTranslationsHttp:
         first, second, retried = translation_server.posts
         assert first.connection == second.connection != retried.connection
         assert translation_server.all_closed()
+
+
+def raw_reply(ids, head=b"HTTP/1.1 200 OK\r\n", framing=None):
+    """The raw bytes of a reply that translates ``ids`` to ``t<id>``, framed
+    by ``Content-Length`` unless ``framing`` holds other header lines."""
+    body = json.dumps({"translations": [{"id": i, "text": f"t{i}"} for i in ids]}).encode()
+    if framing is None:
+        framing = b"Content-Length: %d\r\n" % len(body)
+    return head + framing + b"\r\n" + body
+
+
+def chunked(ids):
+    body = raw_reply(ids).partition(b"\r\n\r\n")[2]
+    half = len(body) // 2
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;ext=1\r\n%s\r\n" % (half, body[:half])
+            + b"%X\r\n%s\r\n" % (len(body) - half, body[half:])
+            + b"0\r\nX-Trailer: 1\r\n\r\n")
+
+
+FIRST, SECOND = range(1, 65), [65]  # the two batches of utterances(65)
+
+
+@pytest.mark.usefixtures("sleeps")
+class TestHttpWire:
+    """The HTTP/1.1 client against replies written byte by byte."""
+
+    def fetch(self, server, **config):
+        return fetch_translations_http(BackendConfig(server.url, max_in_flight=1, **config),
+                                       utterances(65))
+
+    def connections(self, server):
+        return [connection for connection, _head in server.requests]
+
+    def test_chunked_body_keeps_the_connection(self, raw_server):
+        server = raw_server([chunked(FIRST), chunked(SECOND)])
+        records = self.fetch(server)
+        assert [(r.output, r.retries) for r in records] == [(f"t{i}", 0) for i in range(1, 66)]
+        assert self.connections(server) == [1, 1]
+
+    def test_close_delimited_body_then_reconnect(self, raw_server):
+        server = raw_server([raw_reply(FIRST, framing=b""), CLOSE, raw_reply(SECOND)])
+        records = self.fetch(server)
+        assert [r.output for r in records] == [f"t{i}" for i in range(1, 66)]
+        assert self.connections(server) == [1, 2]
+
+    @pytest.mark.parametrize("first", [
+        raw_reply(FIRST, head=b"HTTP/1.1 200 OK\r\nConnection: close\r\n"),
+        raw_reply(FIRST, head=b"HTTP/1.0 200 OK\r\n"),
+    ], ids=["connection-close", "http-1.0"])
+    def test_reply_that_ends_the_connection_then_reconnect(self, raw_server, first):
+        server = raw_server([first, raw_reply(SECOND)])
+        records = self.fetch(server)
+        assert [(r.output, r.retries) for r in records] == [(f"t{i}", 0) for i in range(1, 66)]
+        assert self.connections(server) == [1, 2]
+
+    def test_interim_reply_is_skipped(self, raw_server):
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        server = raw_server([interim + raw_reply(FIRST), raw_reply(SECOND)])
+        records = self.fetch(server)
+        assert [(r.output, r.retries) for r in records] == [(f"t{i}", 0) for i in range(1, 66)]
+        assert self.connections(server) == [1, 1]
+
+    @pytest.mark.parametrize("malformed", [
+        raw_reply(FIRST, head=b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n"),
+        raw_reply(FIRST, head=b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 100),
+        raw_reply(FIRST, framing=b"Content-Length: 99999\r\n"),
+        chunked(FIRST).replace(b";ext=1", b"zz"),
+        raw_reply(FIRST, head=b"ICY 200 OK\r\n"),
+        raw_reply(FIRST, framing=b"Content-Length: -1\r\n"),
+    ], ids=["oversized-header-line", "101-headers", "short-body", "bad-chunk-size",
+            "bad-status-line", "bad-content-length"])
+    def test_malformed_reply_is_retried_on_a_new_connection(self, raw_server, sleeps,
+                                                            malformed):
+        # The round goes on to the second batch; the retry round reconnects.
+        server = raw_server([malformed, CLOSE, raw_reply(SECOND), raw_reply(FIRST)])
+        records = self.fetch(server)
+        assert [(r.output, r.retries) for r in records] == (
+            [(f"t{i}", 1) for i in FIRST] + [("t65", 0)])
+        assert self.connections(server) == [1, 2, 3]
+        assert sleeps == [translate.RETRY_BACKOFF_S]
+
+    def test_short_body_message(self, raw_server):
+        server = raw_server([raw_reply(FIRST, framing=b"Content-Length: 99999\r\n"), CLOSE])
+        with pytest.raises(TranslationRunError, match=r"first batch 0: unreachable after 1 "
+                                                      r"attempt\(s\): ProtocolError: short body"):
+            self.fetch(server, retry_count=0)
+
+    def test_request_head_names_a_non_default_port(self, raw_server, monkeypatch):
+        monkeypatch.setenv(translate.AUTH_ENV_VAR, "Bearer k")
+        server = raw_server([raw_reply(FIRST), raw_reply(SECOND)])
+        self.fetch(server)
+        head = server.requests[0][1]
+        assert head.split(b"\r\n") == [
+            b"POST /translate HTTP/1.1", b"Host: 127.0.0.1:%d" % server.port,
+            b"Accept-Encoding: identity", b"Content-Type: application/json",
+            b"Authorization: Bearer k", head.split(b"\r\n")[5], b"",
+        ]
+        assert head.split(b"\r\n")[5].startswith(b"Content-Length: ")
+
+    def test_https_url_at_a_plain_server_is_a_retryable_tls_error(self, raw_server, sleeps):
+        server = raw_server([], greeting=b"HTTP/1.1 400 Bad Request\r\n\r\n")
+        url = server.url.replace("http://", "https://")
+        with pytest.raises(TranslationRunError, match=r"unreachable after 2 attempt\(s\): "
+                                                      r"SSL\w*Error: "):
+            fetch_translations_http(BackendConfig(url, retry_count=1), utterances(1))
+        assert sleeps == [translate.RETRY_BACKOFF_S]
 
 
 def test_record_flags_are_keyword_only():
