@@ -18,13 +18,13 @@ _EXPORTS = {
         "DEFAULT_PRONOUNS", "EvaluationSet", "Lexicon", "PronounSpec", "Utterance",
         "build_views", "generate_utterances", "load_lexicon",
     ),
-    "embeddings": ("EmbeddingTable", "WordResolution", "cosine", "load_word2vec_text"),
+    "embeddings": ("EmbeddingTable", "ResolvedSet", "cosine", "load_word2vec_text"),
     "metrics": (
         "ClassifierModel", "MetricResult", "ect", "kl_from_uniform", "rnd", "rnsb",
         "spearman", "train_attribute_classifier", "weat",
     ),
     "queries": (
-        "Query", "QueryTemplate", "ResolvedQuery", "ResolvedSet", "WordSet",
+        "Query", "QueryTemplate", "ResolvedQuery", "WordSet",
         "default_queries_path", "expand_subqueries", "load_queries", "resolve_query",
     ),
     "ranking": (

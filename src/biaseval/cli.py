@@ -275,7 +275,9 @@ def cmd_translate(args) -> tuple[dict, str]:
             raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
                                       "rerun to resume") from None
         records = _merge_records(corpus, existing, fetched)
-    join(corpus, records, min_coverage=args.min_coverage)
+    # Both backends write exactly the corpus's rows, in corpus order.
+    records = [record for _utterance, record in join(corpus, records,
+                                                     min_coverage=args.min_coverage)]
     return {out: translations_tsv_text(records, out), sidecar: provenance}, f"wrote {out}\n"
 
 
@@ -432,10 +434,18 @@ class _Repeatable(argparse.Action):
         setattr(namespace, self.dest, [*([] if given is self.default else given), values])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: <message>`` line and exits 2;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name. Each option's default,
     choices and type are declared here once; its dest is its config key."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biaseval",
         description="Quantify gender bias in word embeddings and machine-translation output.",
     )

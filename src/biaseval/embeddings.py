@@ -33,7 +33,7 @@ _C_READER_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 __all__ = [
     "EmbeddingTable",
-    "WordResolution",
+    "ResolvedSet",
     "cosine",
     "load_word2vec_text",
     "nfc",
@@ -64,18 +64,24 @@ def _range_error(peak: float) -> str | None:
 
 
 @dataclass(frozen=True)
-class WordResolution:
-    """Outcome of resolving a word list against one vocabulary.
+class ResolvedSet:
+    """One word set resolved against one embedding table: row ``i`` of
+    ``matrix`` is the vector of the vocabulary key ``tokens[i]``, in the set's
+    word order; ``dropped`` lists the set's words the table lacks, and
+    ``merged`` pairs each word that matched an earlier word's key with it."""
 
-    ``found`` keeps input order and holds the vocabulary key actually matched:
-    the word's NFC form if the table has it, else, when folding, its
-    lowercase form. Each key is found once, by its first word; ``merged``
-    pairs each later word with the key it matched, and is no loss.
-    """
-
-    found: tuple[tuple[str, np.ndarray], ...]
+    name: str
+    tokens: tuple[str, ...]
+    matrix: np.ndarray
     dropped: tuple[str, ...]
     merged: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def found(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """``(token, row)`` pairs of ``tokens`` and ``matrix``. Kept for the
+        traced benchmark's resolve hook and the README; new code reads
+        ``tokens`` and ``matrix``."""
+        return tuple(zip(self.tokens, self.matrix))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,16 +141,16 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return self.lookup(token) is not None
 
-    def _match(self, token: str) -> tuple[str, np.ndarray | None]:
-        """Vocabulary key and vector of a token: its NFC form as given if
-        stored, else its lowercase form when folding; the vector is None
-        when neither is stored."""
+    def _match(self, token: str) -> tuple[str, int | None]:
+        """Vocabulary key and matrix row of a token: its NFC form as given if
+        stored, else its lowercase form when folding; the row is None when
+        neither is stored."""
         key = nfc(token)
         row = self._rows.get(key)
         if row is None and self.fold_case_default:
             key = key.lower()
             row = self._rows.get(key)
-        return key, None if row is None else self.matrix[row]
+        return key, row
 
     def lookup(self, token: str) -> np.ndarray | None:
         """Return the stored vector for ``token``, or None when absent.
@@ -154,35 +160,38 @@ class EmbeddingTable:
         """
         if not token:
             raise ValueError("token must be non-empty")
-        return self._match(token)[1]
+        row = self._match(token)[1]
+        return None if row is None else self.matrix[row]
 
     def resolve_word_set(
         self,
         words,
         lost_threshold: float = DEFAULT_LOST_THRESHOLD,
-        set_name: str | None = None,
-    ) -> WordResolution:
+        set_name: str = "",
+    ) -> ResolvedSet:
         """Look up every word, dropping misses, and fail on excessive loss.
 
         Misses are dropped with accounting rather than silently: the fraction
         of dropped words above ``lost_threshold`` signals that the word list
-        and this vocabulary are incompatible.
+        and this vocabulary are incompatible. Each key is found once, by its
+        first word, in input order; its row is copied into the set's own
+        read-only matrix.
         """
         words = list(words)
         if not words:
             raise ValueError("words must be non-empty")
         if not 0.0 <= lost_threshold <= 1.0:
             raise ValueError("lost_threshold must lie in [0, 1]")
-        found = {}  # vocabulary key -> vector, in first-match order
+        found = {}  # vocabulary key -> matrix row, in first-match order
         dropped, merged = [], []
         for word in words:
-            key, vec = self._match(word)
-            if vec is None:
+            key, row = self._match(word)
+            if row is None:
                 dropped.append(word)
             elif key in found:
                 merged.append((word, key))
             else:
-                found[key] = vec
+                found[key] = row
         loss = len(dropped) / len(words)
         label = f" '{set_name}'" if set_name else ""
         if not found:
@@ -192,7 +201,9 @@ class EmbeddingTable:
                 f"word set{label}: dropped {len(dropped)}/{len(words)} words in "
                 f"'{self.name}' (loss {loss:.2f} > threshold {lost_threshold:.2f}): {dropped}"
             )
-        return WordResolution(tuple(found.items()), tuple(dropped), tuple(merged))
+        matrix = self.matrix[list(found.values())]
+        matrix.flags.writeable = False
+        return ResolvedSet(set_name, tuple(found), matrix, tuple(dropped), tuple(merged))
 
 
 def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:

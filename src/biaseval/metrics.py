@@ -118,7 +118,7 @@ def weat(rq: ResolvedQuery) -> MetricResult:
     """
     _require_shape(WEAT, rq.targets, rq.attributes, rq.query_label)
     t1, t2 = rq.targets
-    a1, a2 = (np.atleast_2d(np.asarray(s.matrix, dtype=np.float64)) for s in rq.attributes)
+    a1, a2 = (s.matrix for s in rq.attributes)
     if a1.size == 0 or a2.size == 0:
         raise ValueError("attribute matrices must be non-empty")
 

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
-from .embeddings import EmbeddingTable, nfc
+from .embeddings import EmbeddingTable, ResolvedSet, nfc
 from .names import DEFAULT_LOST_THRESHOLD, read_json
 
 __all__ = [
@@ -159,20 +157,6 @@ def expand_subqueries(queries, template: QueryTemplate) -> list[Query]:
 
 
 @dataclass(frozen=True)
-class ResolvedSet:
-    """One word set resolved against one embedding table: row ``i`` of
-    ``matrix`` is the vector of the vocabulary key ``tokens[i]``, in the set's
-    word order; ``dropped`` lists the set's words the table lacks, and
-    ``merged`` pairs each word that matched an earlier word's key with it."""
-
-    name: str
-    tokens: tuple[str, ...]
-    matrix: np.ndarray
-    dropped: tuple[str, ...]
-    merged: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class ResolvedQuery:
     """A query resolved against one embedding table, set by set."""
 
@@ -191,12 +175,7 @@ def resolve_query(
     """
 
     def resolve(word_set: WordSet) -> ResolvedSet:
-        resolution = table.resolve_word_set(
-            word_set.words, lost_threshold=lost_threshold, set_name=word_set.name
-        )
-        tokens, vectors = zip(*resolution.found)
-        return ResolvedSet(word_set.name, tokens, np.vstack(vectors), resolution.dropped,
-                           resolution.merged)
+        return table.resolve_word_set(word_set.words, lost_threshold, word_set.name)
 
     return ResolvedQuery(
         tuple(resolve(ws) for ws in query.targets),

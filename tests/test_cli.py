@@ -181,6 +181,23 @@ class TestTranslateCommand:
         assert result.returncode == 0, result.stderr
         assert out.read_bytes() == source.read_bytes()
 
+    def test_file_backend_writes_the_corpus_rows_in_corpus_order(self, tmp_path,
+                                                                 lexicon_files):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        ordered = all_they_translations(out_dir / "corpus.tsv", tmp_path / "ordered.tsv")
+        header, first, second, *rest = ordered.read_text(encoding="utf-8").splitlines()
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("\n".join([header, "99\tthey are lost", second, first, *rest]) + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        result = run_cli(
+            "translate", "--corpus", out_dir / "corpus.tsv",
+            "--backend", "file", "--translations", shuffled, "--out", out,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "1 orphan record(s): [99]" in result.stderr
+        assert out.read_bytes() == ordered.read_bytes()
+
     def test_low_coverage_exits_1(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         partial = tmp_path / "partial.tsv"
@@ -1567,6 +1584,29 @@ class TestMergeRecords:
         fetched = [TranslationRecord(i, f"new {i}") for i in (2, 3, 8)]
         merged = _merge_records(corpus, existing, fetched)
         assert [(r.id, r.output) for r in merged] == [(3, "new 3"), (1, "old 1"), (2, "new 2")]
+
+
+class TestUsageErrors:
+    """argparse's own usage errors reach stderr as one ``error:`` line and
+    exit 2, as every other error does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--agg", "foo"],
+        ["translate", "--retries", "x"],
+        ["tgbi", "--bogus"],
+        [],
+    ])
+    def test_one_error_line_and_exit_2(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stdout == ""
+
+    def test_the_line_is_argparse_message(self):
+        result = run_cli("rank", "--agg", "foo")
+        assert result.stderr.startswith("error: argument --agg: invalid choice: 'foo' "
+                                        "(choose from ")
 
 
 class TestConfigChoices:

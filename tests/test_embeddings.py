@@ -423,9 +423,12 @@ class TestTableContract:
         assert table.matrix is matrix and not matrix.flags.writeable
         assert len(table) == 2
         np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
-        found = table.resolve_word_set(["b", "a"]).found
-        assert [key for key, _vec in found] == ["b", "a"]
-        assert all(np.shares_memory(vec, matrix) for _key, vec in found)
+        assert all(np.shares_memory(table.lookup(key), matrix) for key in ("a", "b"))
+        resolved = table.resolve_word_set(["b", "a"])
+        assert [key for key, _vec in resolved.found] == ["b", "a"]
+        np.testing.assert_array_equal(resolved.matrix, [[0.0, 1.0], [1.0, 0.0]])
+        assert not np.shares_memory(resolved.matrix, matrix)
+        assert all(np.shares_memory(vec, resolved.matrix) for _key, vec in resolved.found)
 
     def test_tables_compare_and_hash_by_identity(self):
         a = EmbeddingTable.from_mapping("t", {"x": [1.0, 0.0]})
@@ -525,6 +528,17 @@ class TestResolveWordSet:
     def test_empty_words_rejected(self, toy_table):
         with pytest.raises(ValueError):
             toy_table.resolve_word_set([])
+
+    def test_the_set_matrix_is_read_only_and_holds_the_looked_up_rows(self, toy_table):
+        resolved = toy_table.resolve_word_set(["steep", "gone", "East", "north", "diag"],
+                                              set_name="s")
+        assert (resolved.name, resolved.tokens) == ("s", ("steep", "east", "north", "diag"))
+        assert not resolved.matrix.flags.writeable
+        assert resolved.matrix.flags.c_contiguous and resolved.matrix.dtype == np.float64
+        assert resolved.matrix.tobytes() == b"".join(
+            toy_table.lookup(token).tobytes() for token in resolved.tokens)
+        with pytest.raises(ValueError):
+            resolved.matrix[0, 0] = 0.0
 
     def test_a_word_folding_onto_an_earlier_key_is_merged_not_lost(self):
         table = EmbeddingTable.from_mapping("t", {"doctor": [1.0, 0.0], "nurse": [0.0, 1.0]})

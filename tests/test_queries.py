@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biaseval import (
+    EmbeddingTable,
     Query,
     QueryTemplate,
     WordSet,
@@ -178,6 +179,20 @@ class TestResolveQuery:
         for resolved in rq.targets + rq.attributes:
             assert resolved.matrix.shape == (len(resolved.tokens), 2) == (1, 2)
             assert resolved.dropped == ()
+
+    def test_the_sets_are_the_records_the_table_builds(self, toy_table, weat_query,
+                                                        monkeypatch):
+        built = []
+        resolve_word_set = EmbeddingTable.resolve_word_set
+
+        def recorded(*args, **kwargs):
+            built.append(resolve_word_set(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(EmbeddingTable, "resolve_word_set", recorded)
+        rq = resolve_query(weat_query, toy_table)
+        assert len(built) == 4
+        assert all(got is made for got, made in zip(rq.targets + rq.attributes, built))
 
     def test_loss_error_names_set(self, toy_table):
         query = Query(
