@@ -11,7 +11,6 @@ would keep them neutral and score 1.0.
 from biaseval import (
     Lexicon,
     TranslationRecord,
-    build_views,
     generate_utterances,
     join,
     render_tgbi_table,
@@ -27,7 +26,6 @@ lexicons = [
 ]
 
 utterances = generate_utterances(lexicons)
-views = build_views(utterances)
 print(f"{len(utterances)} gender-neutral source sentences, e.g.:")
 for utterance in utterances[:3]:
     print(f"  [{utterance.register}] {utterance.text}")
@@ -55,6 +53,6 @@ def gendering_translator(utterance):
 for label, translator in (("neutral", neutral_translator), ("gendering", gendering_translator)):
     records = [TranslationRecord(utterance.id, translator(utterance)) for utterance in utterances]
     pairs = join(utterances, records)
-    report = score_views(views, pairs)
+    report = score_views(pairs)
     print(f"=== {label} translator ===")
     print(render_tgbi_table(report))

@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # URL.
 _EXPORTS = {
     "eec": (
-        "DEFAULT_PRONOUNS", "EvaluationSet", "Lexicon", "PronounSpec", "Utterance",
-        "build_views", "generate_utterances", "load_lexicon",
+        "DEFAULT_PRONOUNS", "Lexicon", "PronounSpec", "Utterance", "build_views",
+        "generate_utterances", "load_lexicon",
     ),
     "embeddings": ("EmbeddingTable", "ResolvedSet", "cosine", "load_word2vec_text"),
     "metrics": (

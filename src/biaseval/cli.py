@@ -18,8 +18,8 @@ rows it fetched so that a rerun resumes. ``translate`` writes ``--out`` with a
 ``<out>.provenance.json`` sidecar holding the corpus hash, which alone says
 what corpus a translations TSV translates: an HTTP ``--out`` resumes only
 with the corpus so hashed, and ``translate --backend file`` and ``tgbi``
-refuse ``--translations`` whose sidecar names another. ``tgbi`` builds the
-seven views from ``--corpus``; a ``--views`` file given must equal them.
+refuse ``--translations`` whose sidecar names another. ``tgbi`` takes the
+seven views from its ``--corpus`` rows; a ``--views`` file must match them.
 
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
@@ -229,7 +229,7 @@ def cmd_eec(args) -> tuple[dict, str]:
     views = build_views(utterances)
 
     out_dir = Path(args.out_dir)
-    sizes = {view.name: len(view) for view in views}
+    sizes = {name: len(ids) for name, ids in views.items()}
     return {
         out_dir / "corpus.tsv": corpus_tsv_text(utterances, out_dir / "corpus.tsv"),
         out_dir / "views.json": views_json_text(views),
@@ -308,13 +308,14 @@ def cmd_tgbi(args) -> tuple[dict, str]:
         lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
 
     corpus = read_corpus_tsv(corpus_path)
-    views = build_views(corpus)
-    for view, given in zip(views, read_views_json(views_path) if views_path else views):
-        if view != given:
-            raise ValueError(f"{views_path}: view '{view.name}' does not match {corpus_path}")
+    if views_path:
+        given = read_views_json(views_path)
+        for name, ids in build_views(corpus).items():
+            if ids != given[name]:
+                raise ValueError(f"{views_path}: view '{name}' does not match {corpus_path}")
     records = load_translations_tsv(translations_path)
     pairs = join(corpus, records, min_coverage=args.min_coverage)
-    report = score_views(views, pairs, lexicon, variant=args.variant,
+    report = score_views(pairs, lexicon, variant=args.variant,
                          ambiguous_policy=args.ambiguous_policy)
 
     report_json = _report_json(

@@ -35,7 +35,6 @@ __all__ = [
     "CATEGORIES",
     "DEFAULT_PRONOUNS",
     "DEFAULT_TEMPLATES",
-    "EvaluationSet",
     "Lexicon",
     "PronounSpec",
     "REGISTERS",
@@ -103,15 +102,6 @@ class Utterance:
             raise ValueError(f"utterance {self.id} has unknown register '{self.register}'")
         if self.lexicon_category not in CATEGORIES:
             raise ValueError(f"utterance {self.id} has unknown category '{self.lexicon_category}'")
-
-
-@dataclass(frozen=True)
-class EvaluationSet:
-    name: str
-    utterance_ids: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.utterance_ids)
 
 
 # vah / ve / vo; the honorific (formal polite) pronoun agrees with the
@@ -197,16 +187,17 @@ def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> 
     return utterances
 
 
-def build_views(utterances) -> list[EvaluationSet]:
-    """Slice the corpus into the overlapping views of :data:`VIEWS`.
+def build_views(utterances) -> dict[str, tuple[int, ...]]:
+    """The ids of each view of :data:`VIEWS`, by view name in
+    :data:`VIEW_NAMES` order.
 
     The three register views partition the corpus, as do the three lexicon
     views; formal is the disjoint union of polite and impolite. Each view
     keeps corpus order.
     """
     utterances = list(utterances)
-    return [EvaluationSet(name, tuple(u.id for u in utterances if getattr(u, field) in values))
-            for name, field, values in VIEWS]
+    return {name: tuple(u.id for u in utterances if getattr(u, field) in values)
+            for name, field, values in VIEWS}
 
 
 def corpus_tsv_text(utterances, path) -> str:
@@ -223,14 +214,15 @@ def read_corpus_tsv(path) -> list[Utterance]:
 
 
 def views_json_text(views) -> str:
-    return json_text({view.name: list(view.utterance_ids) for view in views})
+    return json_text(views)
 
 
 def write_views_json(views, path) -> None:
     write_utf8_files({path: views_json_text(views)})
 
 
-def read_views_json(path) -> list[EvaluationSet]:
+def read_views_json(path) -> dict[str, tuple[int, ...]]:
+    """The views a views file lists, as :func:`build_views` returns them."""
     path = Path(path)
     data = read_json(path)
     if not isinstance(data, dict):
@@ -241,15 +233,12 @@ def read_views_json(path) -> list[EvaluationSet]:
     unknown = next((name for name in data if name not in VIEW_NAMES), None)
     if unknown is not None:
         raise ValueError(f"{path}: unknown view '{unknown}' (expected {', '.join(VIEW_NAMES)})")
-    views = []
     for name in VIEW_NAMES:
         ids = data[name]
         if not isinstance(ids, list) or not all(type(i) is int for i in ids):
             raise ValueError(f"{path}: view '{name}' must be a list of integer ids")
-        ids = tuple(ids)
         if len(set(ids)) != len(ids):
             seen: set[int] = set()
             repeated = next(i for i in ids if i in seen or seen.add(i))
             raise ValueError(f"{path}: view '{name}' lists id {repeated} more than once")
-        views.append(EvaluationSet(name, ids))
-    return views
+    return {name: tuple(data[name]) for name in VIEW_NAMES}

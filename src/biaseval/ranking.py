@@ -143,7 +143,8 @@ def score_matrices(
     Every metric is checked and its subqueries expanded before any table is
     taken, and every matrix is built before any is returned, so a failing
     metric leaves no partial result; a metric given twice is rejected first.
-    ``tables`` is consumed once and its names checked as they arrive: each
+    ``tables`` is consumed once and its names checked as they arrive (unique,
+    and free of the ``::`` that ends a table name in a diagnostics key): each
     table is scored for every metric, by one :func:`build_score_matrix` call
     each, and released before the next is taken, so an iterator that loads
     its tables holds one at a time.
@@ -169,6 +170,9 @@ def score_matrices(
         names.append(table.name)
         if table.name in names[:-1]:
             raise ValueError(f"embedding names must be unique: {names}")
+        if "::" in table.name:
+            raise ValueError(f"embedding name '{table.name}' contains '::', which ends the "
+                             "embedding name in a diagnostics key")
         for parts, metric, subqueries in zip(rows, metrics, expanded):
             parts.append(build_score_matrix(metric, table, subqueries,
                                             lost_threshold=lost_threshold, seed=seed))
@@ -246,6 +250,7 @@ def build_rank_table(
 
 
 def _flatten_diagnostics(diagnostics: dict) -> dict:
+    """Key each cell ``<table>::<label>``; a table name holds no ``::``."""
     return {f"{row}::{col}": info for (row, col), info in sorted(diagnostics.items())}
 
 

@@ -3,11 +3,11 @@ translation gender bias index.
 
 Each translated sentence lands in one of four buckets (she, he, they,
 unresolved) from a token lexicon match; a failed or empty translation is
-unresolved. :func:`score_views` counts the buckets of each view and takes
-the he/she/they proportions over its resolved sentences only; they feed an
-index in [0, 1] where 1 means every gender-neutral source sentence stayed
-neutral and 0 means maximally gendered output. The corpus-level index is the
-mean over the seven views.
+unresolved. :func:`score_views` takes the seven views from the rows it
+scores, counts the buckets of each and takes the he/she/they proportions
+over its resolved sentences only; they feed an index in [0, 1] where 1 means
+every gender-neutral source sentence stayed neutral and 0 means maximally
+gendered output. The corpus-level index is the mean over the seven views.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .eec import VIEW_NAMES
+from .eec import VIEWS
 from .errors import DegenerateDistributionError
 from .names import content_lines, render_grid
 
@@ -188,24 +188,22 @@ class TgbiReport:
     variant: str
 
 
-def score_views(views, pairs, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
+def score_views(pairs, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
                 variant: str = VARIANT_LINEAR, ambiguous_policy: str = "unresolved") -> TgbiReport:
-    """Score the seven views and average their indices.
+    """Score the seven views of ``pairs`` and average their indices.
 
-    Each view's translations are bucketed with :func:`classify_sentence`; a
-    failed or empty translation counts as unresolved. Proportions are taken
-    over the resolved sentences only, so unresolved ones are left out rather
-    than forced into a bucket, and reported as ``n_unresolved``. Every view
-    must be present, non-empty, and not fully unresolved.
+    ``pairs`` is what :func:`biaseval.translate.join` returns; each view holds
+    the records whose utterance it selects by :data:`biaseval.eec.VIEWS`. A
+    record is bucketed with :func:`classify_sentence`; a failed or empty
+    translation counts as unresolved. Proportions are taken over the resolved
+    sentences only, so unresolved ones are left out rather than forced into a
+    bucket, and reported as ``n_unresolved``. Every view must be non-empty
+    and not fully unresolved.
     """
-    by_name = {view.name: view for view in views}
-    missing = [name for name in VIEW_NAMES if name not in by_name]
-    if missing:
-        raise ValueError(f"missing views: {missing}")
-    record_by_id = {utterance.id: record for utterance, record in pairs}
+    pairs = list(pairs)
     scores = []
-    for name in VIEW_NAMES:
-        records = [record_by_id[i] for i in by_name[name].utterance_ids if i in record_by_id]
+    for name, field, values in VIEWS:
+        records = [record for utterance, record in pairs if getattr(utterance, field) in values]
         if not records:
             raise DegenerateDistributionError(f"view '{name}' has no translated sentences")
         counts = Counter(

@@ -103,16 +103,14 @@ def test_criterion_3_corpus_structure():
         ]
         utterances = generate_utterances(lexicons)
         assert len(utterances) == 2658 * 3 == 7974
-        views = {v.name: v for v in build_views(utterances)}
+        views = build_views(utterances)
         assert len(views["occupation"]) == 3300
         assert len(views["positive"]) == 2460
         assert len(views["negative"]) == 2214
         for register_view in ("informal", "impolite", "polite"):
             assert len(views[register_view]) == 2658
         assert len(views["formal"]) == len(views["polite"]) + len(views["impolite"])
-        assert set(views["formal"].utterance_ids) == (
-            set(views["polite"].utterance_ids) | set(views["impolite"].utterance_ids)
-        )
+        assert set(views["formal"]) == set(views["polite"]) | set(views["impolite"])
         register_total = sum(len(views[n]) for n in ("informal", "impolite", "polite"))
         lexicon_total = sum(len(views[n]) for n in ("positive", "negative", "occupation"))
         assert register_total == lexicon_total == len(utterances)

@@ -971,6 +971,20 @@ class TestEmbeddingInputOrder:
             ]
         assert not (tmp_path / "out" / "scores_WEAT.json").exists()
 
+    @pytest.mark.parametrize("command", ["metrics", "rank"])
+    def test_name_holding_the_key_separator_exits_2(self, tmp_path, embedding_files,
+                                                    query_file, command):
+        out_dir = tmp_path / "out"
+        result = run_cli(command, "--embedding", f"a::b={embedding_files[0]}",
+                         "--embedding", f"a={embedding_files[1]}", "--queries", query_file,
+                         "--metric", "WEAT", "--out-dir", out_dir)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.splitlines() == [
+            "error: embedding name 'a::b' contains '::', which ends the embedding name "
+            "in a diagnostics key"
+        ]
+        assert not out_dir.exists()
+
     def test_names_taken_from_file_stems_collide(self, tmp_path, embedding_files, query_file):
         copies = []
         for directory in ("d1", "d2"):

@@ -121,45 +121,34 @@ class TestGenerateUtterances:
 class TestBuildViews:
     def test_seven_views_structure(self):
         utterances = generate_utterances([OCC, POS, NEG])
-        views = {v.name: v for v in build_views(utterances)}
-        assert set(views) == set(VIEW_NAMES)
+        views = build_views(utterances)
+        assert list(views) == list(VIEW_NAMES)
         assert len(views["formal"]) == len(views["polite"]) + len(views["impolite"])
-        assert set(views["formal"].utterance_ids) == set(
-            views["polite"].utterance_ids
-        ) | set(views["impolite"].utterance_ids)
+        assert set(views["formal"]) == set(views["polite"]) | set(views["impolite"])
         register_total = sum(len(views[n]) for n in ("informal", "impolite", "polite"))
         lexicon_total = sum(len(views[n]) for n in ("positive", "negative", "occupation"))
         assert register_total == lexicon_total == len(utterances)
 
     def test_partitions_cover_exactly_once(self):
         utterances = generate_utterances([OCC, POS, NEG])
-        views = {v.name: v for v in build_views(utterances)}
+        views = build_views(utterances)
         all_ids = {u.id for u in utterances}
-        register_ids = [
-            i for n in ("informal", "impolite", "polite") for i in views[n].utterance_ids
-        ]
-        lexicon_ids = [
-            i
-            for n in ("positive", "negative", "occupation")
-            for i in views[n].utterance_ids
-        ]
+        register_ids = [i for n in ("informal", "impolite", "polite") for i in views[n]]
+        lexicon_ids = [i for n in ("positive", "negative", "occupation") for i in views[n]]
         assert sorted(register_ids) == sorted(all_ids)
         assert sorted(lexicon_ids) == sorted(all_ids)
 
     def test_empty_input(self):
-        views = build_views([])
-        assert [v.name for v in views] == list(VIEW_NAMES)
-        assert all(len(v) == 0 for v in views)
+        assert build_views([]) == {name: () for name in VIEW_NAMES}
 
     def test_each_view_holds_its_table_values_in_corpus_order(self):
         utterances = generate_utterances([OCC, POS, NEG])[::-1]
         utterances = utterances[1::2] + utterances[::2]  # ids in no sorted order
         views = build_views(utterances)
         assert VIEW_NAMES == tuple(name for name, _field, _values in VIEWS)
-        assert [v.name for v in views] == list(VIEW_NAMES)
-        for view, (_name, field, values) in zip(views, VIEWS):
-            assert view.utterance_ids == tuple(
-                u.id for u in utterances if getattr(u, field) in values)
+        assert list(views) == list(VIEW_NAMES)
+        for ids, (_name, field, values) in zip(views.values(), VIEWS):
+            assert ids == tuple(u.id for u in utterances if getattr(u, field) in values)
 
 
 class TestUtterance:
@@ -298,6 +287,7 @@ class TestCorpusIo:
         path = tmp_path / "views.json"
         write_utf8_files({path: views_json_text(views)})
         assert read_views_json(path) == views
+        assert list(read_views_json(path)) == list(VIEW_NAMES)
 
     @pytest.mark.parametrize("ids", [5, "1", None, ["x"], [[1]], [2.7, True, "3"], [1.0],
                                      [True], ["3"]])

@@ -15,7 +15,6 @@ from biaseval.eec import (
     CATEGORIES,
     REGISTERS,
     VIEW_NAMES,
-    EvaluationSet,
     Utterance,
     corpus_tsv_text,
     read_corpus_tsv,
@@ -75,9 +74,10 @@ def test_corpus_tsv_round_trip(utterances):
                 max_size=len(VIEW_NAMES)))
 def test_views_json_round_trip(id_lists):
     # A view lists each id once; read_views_json rejects a repeat.
-    views = [EvaluationSet(name, tuple(uids)) for name, uids in zip(VIEW_NAMES, id_lists)]
-    assert _round_trip(lambda views, _path: views_json_text(views), read_views_json,
-                       views, []) == views
+    views = {name: tuple(uids) for name, uids in zip(VIEW_NAMES, id_lists)}
+    read = _round_trip(lambda views, _path: views_json_text(views), read_views_json, views, [])
+    assert read == views
+    assert list(read) == list(VIEW_NAMES)
 
 
 @given(st.lists(st.tuples(ids, field), max_size=20, unique_by=lambda pair: pair[0]))

@@ -503,6 +503,33 @@ class TestScoreMatrices:
         with pytest.raises(ValueError, match="^no embeddings given$"):
             score_matrices(["WEAT"], iter(()), full_queries())
 
+    @staticmethod
+    def _dropping_query(label, i):
+        """A WEAT query whose first target set drops its one word of six that no
+        table of ``TOKENS`` holds; ``i`` makes that word, so the set, distinct."""
+        return Query(
+            targets=(WordSet("t1", (*TOKENS[:5], f"absent{i}")),
+                     WordSet("t2", (TOKENS[5], TOKENS[6]))),
+            attributes=(WordSet("a1", (TOKENS[7], TOKENS[8])),
+                        WordSet("a2", (TOKENS[9], TOKENS[10]))),
+            label=label,
+        )
+
+    def test_rejects_a_table_name_holding_the_key_separator(self):
+        """Table 'a::b' with query 'c' and table 'a' with query 'b::c' would
+        both key their diagnostics 'a::b::c', and one cell's would vanish."""
+        queries = [self._dropping_query("c", 0), self._dropping_query("b::c", 1)]
+        tables = [make_table("a::b", 1, TOKENS), make_table("a", 2, TOKENS)]
+        with pytest.raises(ValueError, match="^embedding name 'a::b' contains '::', which "
+                                             "ends the embedding name in a diagnostics key$"):
+            score_matrices(["WEAT"], tables, queries)
+        # A query label may hold '::': each key splits at its first '::'.
+        tables = [make_table("a", 1, TOKENS), make_table("b", 2, TOKENS)]
+        [matrix] = score_matrices(["WEAT"], tables, queries)
+        assert len(matrix.diagnostics) == 4
+        assert sorted(score_matrix_to_dict(matrix)["diagnostics"]) == [
+            "a::b::c", "a::c", "b::b::c", "b::c"]
+
     def test_rejects_a_repeated_metric_before_expanding_any(self, monkeypatch):
         """The metric named is the one whose second occurrence comes first."""
         import biaseval.ranking

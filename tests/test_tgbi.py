@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from biaseval import (
     render_tgbi_table,
     score_views,
 )
-from biaseval.eec import VIEW_NAMES, EvaluationSet, Utterance
+from biaseval.eec import Utterance
 from biaseval.errors import DegenerateDistributionError
 from biaseval.tgbi import (
     AMBIGUOUS_POLICIES,
@@ -166,10 +167,15 @@ def pair(uid, text, failed=False):
 
 
 def score_one_view(pairs):
-    """The first view's score when each of the seven views holds every pair."""
-    ids = tuple(utterance.id for utterance, _record in pairs)
-    views = [EvaluationSet(name, ids) for name in VIEW_NAMES]
-    return score_views(views, pairs).scores[0]
+    """The informal view's score when it holds exactly ``pairs``; one neutral
+    formal row of each other category fills the views ``pairs`` leave empty."""
+    fillers = [
+        (Utterance(-n, f"स्रोत {-n}", register, category, f"w{-n}"),
+         TranslationRecord(-n, "they are kind"))
+        for n, (register, category) in enumerate(
+            [("formal_impolite", "occupation"), ("formal_polite", "negative")], start=1)
+    ]
+    return score_views(pairs + fillers).scores[0]
 
 
 class TestCountBuckets:
@@ -202,9 +208,9 @@ class TestCountBuckets:
             score_one_view([pair(1, "nothing gendered here")])
 
     def test_empty_input(self):
-        views = [EvaluationSet(name, (1,)) for name in VIEW_NAMES]
-        with pytest.raises(DegenerateDistributionError, match="has no translated sentences"):
-            score_views(views, [])
+        with pytest.raises(DegenerateDistributionError,
+                           match="^view 'informal' has no translated sentences$"):
+            score_views([])
 
 
 class TestProportions:
@@ -280,21 +286,19 @@ def seven_view_fixture():
             for _ in range(2):
                 uid += 1
                 utterances.append(Utterance(uid, f"स्रोत {uid}", register, category, f"w{uid}"))
-    from biaseval import build_views
-
-    return utterances, build_views(utterances)
+    return utterances
 
 
 class TestScoreViews:
     def test_all_neutral_gives_one(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [(u, TranslationRecord(u.id, "they are kind")) for u in utterances]
-        report = score_views(views, pairs)
+        report = score_views(pairs)
         assert report.tgbi == 1.0
         assert all(score.p_index == 1.0 for score in report.scores)
 
     def test_tgbi_is_mean_of_views(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [
             (
                 u,
@@ -304,28 +308,22 @@ class TestScoreViews:
             )
             for u in utterances
         ]
-        report = score_views(views, pairs)
+        report = score_views(pairs)
         assert report.tgbi == pytest.approx(
             sum(s.p_index for s in report.scores) / 7, abs=1e-12
         )
 
     def test_view_order_and_sizes(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [(u, TranslationRecord(u.id, "they are kind")) for u in utterances]
-        report = score_views(views, pairs)
+        report = score_views(pairs)
         assert [s.view for s in report.scores] == [
             "informal", "formal", "impolite", "polite", "positive", "negative", "occupation",
         ]
         assert [s.size for s in report.scores] == [6, 12, 6, 6, 6, 6, 6]
 
-    def test_missing_view_rejected(self):
-        utterances, views = seven_view_fixture()
-        pairs = [(u, TranslationRecord(u.id, "they")) for u in utterances]
-        with pytest.raises(ValueError, match="missing views"):
-            score_views(views[:-1], pairs)
-
     def test_fully_unresolved_view_rejected(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [
             (
                 u,
@@ -337,20 +335,20 @@ class TestScoreViews:
             for u in utterances
         ]
         with pytest.raises(DegenerateDistributionError, match="fully unresolved"):
-            score_views(views, pairs)
+            score_views(pairs)
 
     def test_empty_view_rejected(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [
             (u, TranslationRecord(u.id, "they are kind"))
             for u in utterances
             if u.register != "informal"
         ]
         with pytest.raises(DegenerateDistributionError, match="no translated"):
-            score_views(views, pairs)
+            score_views(pairs)
 
     def test_sqrt_variant_reported(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [
             (
                 u,
@@ -360,11 +358,64 @@ class TestScoreViews:
             )
             for u in utterances
         ]
-        report = score_views(views, pairs, variant=VARIANT_SQRT)
+        report = score_views(pairs, variant=VARIANT_SQRT)
         assert report.variant == VARIANT_SQRT
         for score in report.scores:
             linear = score.p_he * score.p_she + score.p_they
             assert score.p_index == pytest.approx(math.sqrt(linear), abs=1e-12)
+
+
+# Each view's rows, named by register and category literally rather than
+# through eec.VIEWS.
+LITERAL_VIEWS = {
+    "informal": lambda register, category: register == "informal",
+    "formal": lambda register, category: register in ("formal_impolite", "formal_polite"),
+    "impolite": lambda register, category: register == "formal_impolite",
+    "polite": lambda register, category: register == "formal_polite",
+    "positive": lambda register, category: category == "positive",
+    "negative": lambda register, category: category == "negative",
+    "occupation": lambda register, category: category == "occupation",
+}
+# A translation of each label, and the bucket it lands in; a "failed" record
+# carries text but is unresolved all the same.
+LABELED_TRANSLATIONS = {
+    "she": ("she is kind", "she"),
+    "he": ("he is kind", "he"),
+    "they": ("they are kind", "they"),
+    "both": ("he said she left", "unresolved"),
+    "neutral": ("the doctor is kind", "unresolved"),
+    "empty": ("", "unresolved"),
+    "failed": ("he is kind", "unresolved"),
+}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(["formal_impolite", "formal_polite", "informal"]),
+                          st.sampled_from(["occupation", "positive", "negative"]),
+                          st.sampled_from(list(LABELED_TRANSLATIONS))), min_size=20, max_size=60))
+def test_score_views_matches_a_literal_count(rows):
+    pairs = [
+        (Utterance(uid, f"स्रोत {uid}", register, category, f"w{uid}"),
+         TranslationRecord(uid, LABELED_TRANSLATIONS[label][0], failed=label == "failed"))
+        for uid, (register, category, label) in enumerate(rows, start=1)
+    ]
+    counts = {view: Counter(LABELED_TRANSLATIONS[label][1] for register, category, label in rows
+                            if member(register, category))
+              for view, member in LITERAL_VIEWS.items()}
+    degenerate = next(((view, "has no translated sentences" if not c else "is fully unresolved")
+                       for view, c in counts.items() if sum(c.values()) == c["unresolved"]), None)
+    if degenerate is not None:
+        with pytest.raises(DegenerateDistributionError,
+                           match=f"^view '{degenerate[0]}' {degenerate[1]}$"):
+            score_views(pairs)
+        return
+    report = score_views(pairs)
+    assert [score.view for score in report.scores] == list(LITERAL_VIEWS)
+    for score, c in zip(report.scores, counts.values()):
+        resolved = c["he"] + c["she"] + c["they"]
+        assert (score.size, score.n_unresolved) == (sum(c.values()), c["unresolved"])
+        assert score.p_index == pytest.approx(
+            c["he"] / resolved * c["she"] / resolved + c["they"] / resolved, abs=1e-12)
 
 
 class TestReferenceReproduction:
@@ -436,8 +487,6 @@ class TestReferenceReproduction:
         }
 
     def test_pipeline_reproduces_reference_indices(self):
-        from biaseval import build_views
-
         cells = self._bucket_margins()
         outputs = {"she": "she is kind", "he": "he is kind", "they": "they are kind"}
         registers = list(self.REGISTER_ROWS)
@@ -456,8 +505,7 @@ class TestReferenceReproduction:
                         records.append(TranslationRecord(uid, outputs[bucket]))
         assert len(utterances) == 7914
 
-        views = build_views(utterances)
-        report = score_views(views, list(zip(utterances, records)))
+        report = score_views(list(zip(utterances, records)))
         for score in report.scores:
             assert score.p_index == pytest.approx(
                 self.EXPECTED_INDICES[score.view], abs=0.0005
@@ -467,7 +515,7 @@ class TestReferenceReproduction:
 
 class TestReportOutput:
     def _report(self):
-        utterances, views = seven_view_fixture()
+        utterances = seven_view_fixture()
         pairs = [
             (
                 u,
@@ -477,7 +525,7 @@ class TestReportOutput:
             )
             for u in utterances
         ]
-        return score_views(views, pairs)
+        return score_views(pairs)
 
     def test_report_dict_shape(self):
         payload = report_to_dict(self._report())
