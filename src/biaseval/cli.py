@@ -49,11 +49,13 @@ from .eec import (
     build_views,
     check_pronouns,
     corpus_tsv_text,
+    empty_view,
     generate_utterances,
     load_lexicon,
     merge_templates,
     read_corpus_tsv,
     read_views_json,
+    require_views,
     views_json_text,
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
@@ -226,6 +228,10 @@ def cmd_eec(args) -> tuple[dict, str]:
 
     lexicons = list(map(load_lexicon, lexicon_files.values(), CATEGORIES))
     utterances = generate_utterances(lexicons, pronouns, templates)
+    require_views(utterances, lexicons, pronouns, templates)
+    repeats = len(pronouns) * sum(map(len, lexicons)) - len(utterances)
+    if repeats:
+        warnings.warn(f"dropped {repeats} text(s) repeating an earlier one, first occurrence kept")
     views = build_views(utterances)
 
     out_dir = Path(args.out_dir)
@@ -308,6 +314,8 @@ def cmd_tgbi(args) -> tuple[dict, str]:
         lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
 
     corpus = read_corpus_tsv(corpus_path)
+    if (empty := empty_view(corpus)) is not None:
+        raise ValueError(f"{corpus_path}: view '{empty}' selects no corpus row")
     if views_path:
         given = read_views_json(views_path)
         for name, ids in build_views(corpus).items():

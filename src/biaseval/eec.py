@@ -44,11 +44,13 @@ __all__ = [
     "build_views",
     "check_pronouns",
     "corpus_tsv_text",
+    "empty_view",
     "generate_utterances",
     "load_lexicon",
     "merge_templates",
     "read_corpus_tsv",
     "read_views_json",
+    "require_views",
     "views_json_text",
     "write_corpus_tsv",
     "write_views_json",
@@ -149,14 +151,28 @@ def merge_templates(templates=None) -> dict:
 
 
 def check_pronouns(pronouns) -> tuple[PronounSpec, ...]:
-    """The pronoun specs as a tuple, checked to hold one or more registers, each once."""
+    """The pronoun specs as a tuple, checked to give every register once."""
     pronouns = tuple(pronouns)
-    if not pronouns:
-        raise ValueError("at least one pronoun spec is required")
     registers = [spec.register for spec in pronouns]
     if len(set(registers)) != len(registers):
         raise ValueError(f"duplicate registers in pronoun specs: {registers}")
+    missing = [register for register in REGISTERS if register not in registers]
+    if missing:
+        raise ValueError(f"pronoun specs must give every register; missing {', '.join(missing)}")
     return pronouns
+
+
+def _texts(lexicons, pronouns, templates):
+    """Each text the lexicon entries and pronoun specs make, repeats
+    included, with its register, category and lexeme, in generation order."""
+    pronouns = check_pronouns(pronouns)
+    merged_templates = merge_templates(templates)
+    for lexicon in lexicons:
+        template = merged_templates[lexicon.category]
+        for lexeme in lexicon.entries:
+            for spec in pronouns:
+                text = template.format(pronoun=spec.surface, lexeme=lexeme, copula=spec.copula)
+                yield text, spec.register, lexicon.category, lexeme
 
 
 def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> list[Utterance]:
@@ -167,24 +183,42 @@ def generate_utterances(lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> 
     assigned sequentially in that order. Exact-duplicate texts are removed,
     first occurrence kept.
     """
-    pronouns = check_pronouns(pronouns)
-    merged_templates = merge_templates(templates)
     utterances: list[Utterance] = []
     seen_texts: set[str] = set()
-    next_id = 1
-    for lexicon in lexicons:
-        template = merged_templates[lexicon.category]
-        for lexeme in lexicon.entries:
-            for spec in pronouns:
-                text = template.format(pronoun=spec.surface, lexeme=lexeme, copula=spec.copula)
-                if text in seen_texts:
-                    continue
-                seen_texts.add(text)
-                utterances.append(
-                    Utterance(next_id, text, spec.register, lexicon.category, lexeme)
-                )
-                next_id += 1
+    for text, register, category, lexeme in _texts(lexicons, pronouns, templates):
+        if text not in seen_texts:
+            seen_texts.add(text)
+            utterances.append(Utterance(len(utterances) + 1, text, register, category, lexeme))
     return utterances
+
+
+def empty_view(utterances) -> str | None:
+    """The name of the first view of :data:`VIEWS` that selects none of
+    ``utterances``, or None."""
+    return next((name for name, field, values in VIEWS
+                 if not any(getattr(u, field) in values for u in utterances)), None)
+
+
+def require_views(utterances, lexicons, pronouns=DEFAULT_PRONOUNS, templates=None) -> None:
+    """Raise a ValueError if a view of ``utterances``, which
+    :func:`generate_utterances` made from the other arguments, is empty,
+    naming the view and why: the first text it would select repeats an
+    earlier one, of which the message names both origins."""
+    name = empty_view(utterances)
+    if name is None:
+        return
+    _name, field, values = VIEWS[VIEW_NAMES.index(name)]
+    cause = "no lexicon or pronoun spec gives it"
+    earlier: dict[str, tuple] = {}
+    for text, *origin in _texts(lexicons, pronouns, templates):
+        register, category, lexeme = origin
+        if (register if field == "register" else category) in values and text in earlier:
+            cause = (f"each of its texts repeats an earlier one, as the {register} pronoun "
+                     f"spec's {category} text of {lexeme!r} ({text!r}) repeats the "
+                     "{} spec's {} text of {!r}".format(*earlier[text]))
+            break
+        earlier.setdefault(text, origin)
+    raise ValueError(f"view '{name}' would be empty: {cause}")
 
 
 def build_views(utterances) -> dict[str, tuple[int, ...]]:

@@ -219,10 +219,10 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
     their first row, with a warning.
 
     All rows are parsed by one call to numpy's C reader. A file it refuses
-    is read again, each row parsed by ``float()``; the line scan calls a
-    component holding ``_`` or a non-ASCII character non-numeric, so both
-    reads take one syntax with the same bits. Every row is checked, and an
-    error names the first bad row's ``file:line``.
+    is read again, each row parsed by ``float()``, only to name the first
+    bad row's ``file:line``: the line scan calls a component holding ``_``
+    or a non-ASCII character non-numeric, so both reads take one syntax, and
+    the second finds a bad row wherever the first refused the file.
     """
     path = Path(path)
     name = name or path.stem
@@ -234,9 +234,9 @@ def load_word2vec_text(path, name: str | None = None) -> EmbeddingTable:
             matrix = np.loadtxt((text for _lineno, text in rows), delimiter=" ", comments=None,
                                 quotechar=None, ndmin=2, max_rows=_row_bound(path, dim))
         table = EmbeddingTable(name, tuple(tokens), matrix)
-    except (EmbeddingFormatError, ValueError):  # the exact read raises it in line order
-        tokens, matrix = _read_exactly(path)
-        table = EmbeddingTable(name, tuple(tokens), matrix)
+    except (EmbeddingFormatError, ValueError):
+        _raise_first_bad_row(path)
+        raise
     duplicates = len(tokens) - len(table)
     if duplicates:
         warnings.warn(f"{path}: ignored {duplicates} duplicate token(s), first occurrence kept",
@@ -292,26 +292,22 @@ def _row_bound(path, dim: int) -> int:
     return min(breaks, path.stat().st_size // (2 * dim)) + 1
 
 
-def _read_exactly(path) -> tuple[list[str], np.ndarray]:
-    """The tokens and matrix of the file, each row parsed by ``float()``;
-    the first bad line raises."""
-    tokens, vectors = [], []
+def _raise_first_bad_row(path) -> None:
+    """Raise for the file's first bad line, in line order, each row parsed
+    by ``float()``; return if every row is good."""
     try:
         with path.open(encoding="utf-8-sig") as handle:
-            rows = _scan(path, handle, tokens)
+            rows = _scan(path, handle, [])
             next(rows)
             for lineno, components in rows:
                 try:
-                    vec = np.array(components.split(" "), dtype=np.float64)
+                    problem = _range_error(_peaks(np.array(components.split(" "), float)))
                 except ValueError:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric component") from None
-                problem = _range_error(_peaks(vec))
+                    problem = "non-numeric component"
                 if problem:
                     raise EmbeddingFormatError(f"{path}:{lineno}: {problem}")
-                vectors.append(vec)
     except UnicodeDecodeError as exc:
         raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return tokens, np.array(vectors)
 
 
 def cosine(u, v) -> float:

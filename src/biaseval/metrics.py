@@ -30,8 +30,8 @@ from .queries import QueryTemplate, ResolvedQuery
 CLASSIFIER_LR = 0.1
 CLASSIFIER_EPOCHS = 500
 
-# Classifiers fitted inside the innermost open _classifier_scope, keyed by
-# both attribute matrices and the seed; None outside every scope.
+# Classifiers fitted inside the innermost open _shared_classifiers block,
+# keyed by both attribute matrices and the seed; None outside every block.
 _fitted_classifiers: ContextVar[dict | None] = ContextVar("_fitted_classifiers", default=None)
 
 # Shape each metric demands; RNSB additionally accepts extra target sets.
@@ -158,19 +158,6 @@ def rnd(rq: ResolvedQuery) -> MetricResult:
     return MetricResult(float(value), diagnostics)
 
 
-@contextmanager
-def _classifier_scope():
-    """Until exit, ``train_attribute_classifier`` calls with equal attribute
-    matrices and integer seed share one fitted model; ``build_score_matrix``
-    opens one per table and metric. A fit that raises is not kept, so every
-    call that needs it raises again."""
-    token = _fitted_classifiers.set({})
-    try:
-        yield
-    finally:
-        _fitted_classifiers.reset(token)
-
-
 def train_attribute_classifier(attributes_1, attributes_2,
                                seed: int = DEFAULT_SEED) -> ClassifierModel:
     """Full-batch logistic regression labelling the first attribute set 1
@@ -211,22 +198,21 @@ def _classifier_key(attributes_1, attributes_2, seed) -> tuple:
     return (attributes_1.shape, attributes_2.shape, seed, digest.digest())
 
 
-def _prefit_classifiers(attribute_pairs, seed) -> None:
-    """Fit into the open ``_classifier_scope`` the classifiers it lacks for
-    these pairs of validated float64 attribute matrices, one stacked descent
-    per pair of shapes.
-
-    A model that diverges is not kept, nor is any model of a stack in which
-    numpy meets a floating-point event it would report: the call that needs
-    such a model fits it alone, with the warnings and error it always had.
-    """
-    fitted = _fitted_classifiers.get()
-    if fitted is None or not isinstance(seed, (int, np.integer)):
-        return
+@contextmanager
+def _shared_classifiers(attribute_pairs, seed):
+    """For the block, ``train_attribute_classifier`` calls with equal attribute
+    matrices and integer seed share one model; ``build_score_matrix`` opens
+    one block per table and metric. On entry, the models of these pairs of
+    validated float64 matrices are fitted for an integer ``seed``, one
+    stacked descent per pair of shapes. A fit that raises is not kept, nor
+    is any model of a stack in which numpy meets a floating-point event it
+    would report: each call that needs it fits it alone, with the warnings
+    and error it always had."""
+    fitted: dict = {}
     stacks: dict[tuple, dict] = {}
-    for attributes_1, attributes_2 in attribute_pairs:
-        key = _classifier_key(attributes_1, attributes_2, seed)
-        if key not in fitted:
+    if isinstance(seed, (int, np.integer)):
+        for attributes_1, attributes_2 in attribute_pairs:
+            key = _classifier_key(attributes_1, attributes_2, seed)
             stacks.setdefault(key[:2], {})[key] = (attributes_1, attributes_2, seed)
     reported = {event: "ignore" if how == "ignore" else "raise"
                 for event, how in np.geterr().items()}
@@ -236,9 +222,12 @@ def _prefit_classifiers(attribute_pairs, seed) -> None:
                 models = _fit_classifiers(list(problems.values()))
         except FloatingPointError:
             continue
-        for key, model in zip(problems, models):
-            if model is not None:
-                fitted[key] = model
+        fitted.update((key, model) for key, model in zip(problems, models) if model is not None)
+    token = _fitted_classifiers.set(fitted)
+    try:
+        yield
+    finally:
+        _fitted_classifiers.reset(token)
 
 
 def _fit_classifier(attributes_1, attributes_2, seed) -> ClassifierModel:
@@ -334,19 +323,14 @@ def rnsb(rq: ResolvedQuery, seed: int = DEFAULT_SEED) -> MetricResult:
 
 
 def fractional_ranks(values) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_values = values[order]
-    start = 0
-    while start < len(values):
-        stop = start
-        while stop + 1 < len(values) and sorted_values[stop + 1] == sorted_values[start]:
-            stop += 1
-        ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
-    return ranks
+    """1-based ranks; tied values share the average of their positions, and
+    each NaN ranks alone, after every number, in input order."""
+    # return_index makes np.unique sort stably, which keeps the NaNs in input order.
+    _unique, _first, inverse, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_index=True, return_inverse=True,
+        return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inverse]
 
 
 def spearman(s1, s2) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BiasEvalError
-from .metrics import (ECT, METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _classifier_scope,
-                      _prefit_classifiers, _require_shape)
+from .metrics import (ECT, METRIC_FUNCTIONS, METRIC_TEMPLATES, RNSB, _require_shape,
+                      _shared_classifiers)
 from .names import AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, RENDER_MODES, render_grid
 from .queries import expand_subqueries, resolve_query
 
@@ -93,12 +93,12 @@ def build_score_matrix(
     if metric == RNSB:
         for j, query in enumerate(subqueries):
             lead_cells.setdefault(query.attributes, j)
-    with _classifier_scope():
-        held = {}  # a lead cell that fails is resolved again below, failing alike
-        for j in lead_cells.values():
-            with contextlib.suppress(BiasEvalError):
-                held[j] = resolve_query(subqueries[j], table, lost_threshold=lost_threshold)
-        _prefit_classifiers([tuple(a.matrix for a in rq.attributes) for rq in held.values()], seed)
+    held = {}  # a lead cell that fails is resolved again below, failing alike
+    for j in lead_cells.values():
+        with contextlib.suppress(BiasEvalError):
+            held[j] = resolve_query(subqueries[j], table, lost_threshold=lost_threshold)
+    with _shared_classifiers([tuple(a.matrix for a in rq.attributes) for rq in held.values()],
+                             seed):
         for j, query in enumerate(subqueries):
             try:
                 rq = held.pop(j, None) or resolve_query(query, table, lost_threshold=lost_threshold)

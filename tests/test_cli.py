@@ -131,6 +131,7 @@ class TestEecCommand:
         files = {"pronouns": tmp_path / "pronouns.json", "templates": tmp_path / "templates.json"}
         files["pronouns"].write_text(json.dumps(
             [{"surface": "वह", "register": "formal_impolite", "copula": "है"},
+             {"surface": "वे", "register": "formal_polite", "copula": "हैं"},
              {"surface": "वो", "register": "informal", "copula": "है"}]), encoding="utf-8")
         files["templates"].write_text(json.dumps({"positive": "{pronoun} {lexeme} {copula}"}),
                                       encoding="utf-8")
@@ -167,6 +168,48 @@ class TestEecCommand:
         assert (tmp_path / "from_config" / "corpus.tsv").is_file()
         meta = json.loads((tmp_path / "from_config" / "run_meta.json").read_text(encoding="utf-8"))
         assert "seed" not in meta["provenance"]
+
+
+    @pytest.mark.parametrize("specs,message", [
+        ([("वह", "informal", "है")],
+         "{pronouns}: pronoun specs must give every register; missing formal_impolite, "
+         "formal_polite"),
+        ([("वह", "informal", "है"), ("वह", "formal_impolite", "है"),
+          ("वे", "formal_polite", "हैं")],
+         "view 'impolite' would be empty: each of its texts repeats an earlier one, as the "
+         "formal_impolite pronoun spec's occupation text of 'डॉक्टर' ('वह डॉक्टर है') repeats the "
+         "informal spec's occupation text of 'डॉक्टर'"),
+    ], ids=["informal_only", "impolite_repeats_informal"])
+    def test_a_corpus_with_an_empty_view_is_refused(self, tmp_path, capsys, lexicon_files,
+                                                     specs, message):
+        """TGBI averages all seven views, so ``eec`` refuses to build a
+        corpus in which one is empty and writes nothing."""
+        from biaseval import cli
+
+        pronouns = tmp_path / "pronouns.json"
+        pronouns.write_text(json.dumps([dict(zip(("surface", "register", "copula"), spec))
+                                        for spec in specs]), encoding="utf-8")
+        occ, pos, neg = lexicon_files
+        out = tmp_path / "out"
+        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                         "--negative", str(neg), "--pronouns", str(pronouns),
+                         "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message.format(pronouns=pronouns)}"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_repeated_texts_are_counted_in_one_warning(self, tmp_path, capsys, lexicon_files):
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        pos.write_text("अच्छा\nडॉक्टर\nशिक्षक\n", encoding="utf-8")  # two occupations again
+        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                         "--negative", str(neg), "--out-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: dropped 6 text(s) repeating an earlier one, first occurrence kept"]
+        assert "positive\t3\n" in captured.out
 
 
 class TestTranslateCommand:
@@ -405,6 +448,22 @@ class TestTgbiCommand:
         }
         assert (report_dir / "tgbi_table.txt").is_file()
         assert "Average:" in result.stdout
+
+    def test_corpus_with_an_empty_view_exits_2_naming_it(self, tmp_path, capsys,
+                                                         lexicon_files):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        rows = (out_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus = tmp_path / "formal.tsv"
+        corpus.write_text("".join(row for row in rows if "\tinformal\t" not in row),
+                          encoding="utf-8")
+        translations = all_they_translations(corpus, tmp_path / "t.tsv")
+        assert cli.main(["tgbi", "--corpus", str(corpus), "--translations", str(translations),
+                         "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}: view 'informal' selects no corpus row"]
+        assert not (tmp_path / "r").exists()
 
     def test_missing_translations_exits_2(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
@@ -1928,7 +1987,9 @@ class TestMalformedStructure:
         (eec + ["--pronouns", "{bad}"],
          b'[{"surface": "x", "register": "bogus", "copula": "y"}]',
          "unknown register 'bogus'"),
-        (eec + ["--pronouns", "{bad}"], b'[]', "at least one pronoun spec is required"),
+        (eec + ["--pronouns", "{bad}"], b'[]',
+         "pronoun specs must give every register; missing formal_impolite, formal_polite, "
+         "informal"),
         (eec + ["--pronouns", "{bad}"],
          b'[{"surface": "x", "register": "informal", "copula": "y"},'
          b' {"surface": "z", "register": "informal", "copula": "y"}]',
@@ -2008,7 +2069,9 @@ class TestOutputNamingAnInput:
             "queries": query_file,
         }
         files["pronouns"].write_text(json.dumps(
-            [{"surface": "वह", "register": "informal", "copula": "है"}]), encoding="utf-8")
+            [{"surface": "वह", "register": "formal_impolite", "copula": "है"},
+             {"surface": "वे", "register": "formal_polite", "copula": "हैं"},
+             {"surface": "वो", "register": "informal", "copula": "है"}]), encoding="utf-8")
         files["templates"].write_text(json.dumps({"positive": "{pronoun} {lexeme} {copula}"}),
                                       encoding="utf-8")
         files["config"].write_text("{}", encoding="utf-8")
@@ -2149,7 +2212,7 @@ class TestUnencodableOutput:
         assert not out.exists()
 
     @pytest.mark.parametrize("lexicon_name,pronoun,report", [
-        (b"occ\xff.txt", "वह", "run_meta.json:15: lone surrogate '\\udcff'"),
+        (b"occ\xff.txt", "वह", "run_meta.json:17: lone surrogate '\\udcff'"),
         (b"occ.txt", "\ud800", "corpus.tsv:2: lone surrogate '\\ud800'"),
     ], ids=["lexicon_file_name", "pronoun_surface"])
     def test_eec_writes_no_output(self, tmp_path, capsys, lexicon_files, lexicon_name, pronoun,
@@ -2165,7 +2228,9 @@ class TestUnencodableOutput:
         lexicon.write_bytes(occ.read_bytes())
         pronouns = tmp_path / "pronouns.json"
         pronouns.write_text(json.dumps(
-            [{"surface": pronoun, "register": "formal_impolite", "copula": "है"}]
+            [{"surface": pronoun, "register": "formal_impolite", "copula": "है"},
+             {"surface": "वे", "register": "formal_polite", "copula": "हैं"},
+             {"surface": "वो", "register": "informal", "copula": "है"}]
         ), encoding="utf-8")
         out = tmp_path / "out"
         code = cli.main(["eec", "--occupations", str(lexicon), "--positive", str(pos),

@@ -17,9 +17,12 @@ from biaseval.eec import (
     VIEW_NAMES,
     VIEWS,
     Utterance,
+    check_pronouns,
     corpus_tsv_text,
+    empty_view,
     read_corpus_tsv,
     read_views_json,
+    require_views,
     views_json_text,
 )
 from biaseval.names import write_utf8_files
@@ -52,6 +55,10 @@ class TestLoadLexicon:
         path.write_text("word\n", encoding="utf-8")
         with pytest.raises(ValueError, match="category"):
             load_lexicon(path, "verbs")
+
+    def test_no_entries_rejected(self):
+        with pytest.raises(ValueError, match="lexicon 'occupation' is empty"):
+            Lexicon("occupation", ())
 
 
 class TestGenerateUtterances:
@@ -149,6 +156,43 @@ class TestBuildViews:
         assert list(views) == list(VIEW_NAMES)
         for ids, (_name, field, values) in zip(views.values(), VIEWS):
             assert ids == tuple(u.id for u in utterances if getattr(u, field) in values)
+
+
+class TestRequireViews:
+    """A corpus with an empty view has no TGBI; the error names the view and
+    the two origins of the first text it would have selected."""
+
+    def test_every_view_filled(self):
+        utterances = generate_utterances([OCC, POS, NEG])
+        assert empty_view(utterances) is None
+        require_views(utterances, [OCC, POS, NEG])
+
+    def test_a_register_repeating_another(self):
+        pronouns = (PronounSpec("वह", "informal", "है"),
+                    PronounSpec("वह", "formal_impolite", "है"),
+                    PronounSpec("वे", "formal_polite", "हैं"))
+        utterances = generate_utterances([OCC, POS, NEG], pronouns)
+        assert empty_view(utterances) == "impolite"
+        with pytest.raises(ValueError) as excinfo:
+            require_views(utterances, [OCC, POS, NEG], pronouns)
+        assert str(excinfo.value) == (
+            "view 'impolite' would be empty: each of its texts repeats an earlier one, as the "
+            "formal_impolite pronoun spec's occupation text of 'डॉक्टर' ('वह डॉक्टर है') repeats "
+            "the informal spec's occupation text of 'डॉक्टर'")
+
+    def test_a_lexicon_repeating_another(self):
+        lexicons = [OCC, POS, Lexicon("negative", POS.entries)]
+        utterances = generate_utterances(lexicons)
+        assert empty_view(utterances) == "negative"
+        with pytest.raises(ValueError, match="^view 'negative' would be empty: .* the "
+                                             "formal_impolite spec's positive text of 'अच्छा'$"):
+            require_views(utterances, lexicons)
+
+    def test_a_lexicon_left_out(self):
+        utterances = generate_utterances([OCC, POS])
+        with pytest.raises(ValueError, match="^view 'negative' would be empty: no lexicon or "
+                                             "pronoun spec gives it$"):
+            require_views(utterances, [OCC, POS])
 
 
 class TestUtterance:
@@ -333,6 +377,12 @@ class TestCorpusIo:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "r").exists()
 
+    def test_views_not_an_object(self, tmp_path):
+        path = tmp_path / "views.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected an object mapping view name to id list"):
+            read_views_json(path)
+
     def test_views_missing_view(self, tmp_path):
         path = tmp_path / "views.json"
         path.write_text('{"informal": []}', encoding="utf-8")
@@ -344,6 +394,19 @@ class TestPronounSpec:
     def test_validates_register(self):
         with pytest.raises(ValueError):
             PronounSpec("वे", "royal", "हैं")
+
+    @pytest.mark.parametrize("surface,copula,message", [
+        ("", "है", "pronoun surface must be non-empty"),
+        ("वह", "", "copula must be non-empty"),
+    ])
+    def test_empty_surface_or_copula_rejected(self, surface, copula, message):
+        with pytest.raises(ValueError, match=message):
+            PronounSpec(surface, "informal", copula)
+
+    def test_every_register_is_required(self):
+        with pytest.raises(ValueError, match="^pronoun specs must give every register; "
+                                             "missing formal_polite, informal$"):
+            check_pronouns(DEFAULT_PRONOUNS[:1])
 
     def test_default_set_covers_each_register_once(self):
         assert sorted(p.register for p in DEFAULT_PRONOUNS) == [

@@ -250,13 +250,13 @@ class TestLoader:
 
     def test_plain_decimals_never_take_the_row_by_row_path(self, tmp_path, monkeypatch):
         exact_reads = []
-        read = embeddings._read_exactly
+        read = embeddings._raise_first_bad_row
 
         def spy(path):
             exact_reads.append(path)
             return read(path)
 
-        monkeypatch.setattr(embeddings, "_read_exactly", spy)
+        monkeypatch.setattr(embeddings, "_raise_first_bad_row", spy)
         rng = np.random.default_rng(3)
         rows = 517
         values = rng.normal(0.0, 0.25, size=(rows, 6)).round(6)
@@ -283,7 +283,7 @@ class TestLoader:
         """The traced benchmark counts rows scanned as the loader's nfc calls."""
         calls = []
         monkeypatch.setattr(embeddings, "nfc", lambda text: calls.append(text) or text)
-        monkeypatch.setattr(embeddings, "_read_exactly", None)  # calling it fails the load
+        monkeypatch.setattr(embeddings, "_raise_first_bad_row", None)  # calling it fails
         lines = [f"w{i} {i / 7:.6f} -{i:.1f}e-3" for i in range(300)]
         path = tmp_path / "plain.txt"
         path.write_text("300 2\n" * header + "\n".join(lines) + "\n", encoding="utf-8")
@@ -430,6 +430,14 @@ class TestTableContract:
         assert not np.shares_memory(resolved.matrix, matrix)
         assert all(np.shares_memory(vec, resolved.matrix) for _key, vec in resolved.found)
 
+    @pytest.mark.parametrize("mapping,message", [
+        ({"a": [[1.0, 0.0]]}, "vector for 'a' is not one-dimensional"),
+        ({"a": [1.0, 0.0], "b": [1.0]}, "vector for 'b' has 1 components, expected 2"),
+    ], ids=["2-d", "unequal_lengths"])
+    def test_from_mapping_rejects_a_vector_of_another_shape(self, mapping, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingTable.from_mapping("t", mapping)
+
     def test_tables_compare_and_hash_by_identity(self):
         a = EmbeddingTable.from_mapping("t", {"x": [1.0, 0.0]})
         b = EmbeddingTable.from_mapping("t", {"x": [1.0, 0.0]})
@@ -528,6 +536,10 @@ class TestResolveWordSet:
     def test_empty_words_rejected(self, toy_table):
         with pytest.raises(ValueError):
             toy_table.resolve_word_set([])
+
+    def test_threshold_outside_the_unit_interval_rejected(self, toy_table):
+        with pytest.raises(ValueError, match=r"lost_threshold must lie in \[0, 1\]"):
+            toy_table.resolve_word_set(["east"], lost_threshold=1.5)
 
     def test_the_set_matrix_is_read_only_and_holds_the_looked_up_rows(self, toy_table):
         resolved = toy_table.resolve_word_set(["steep", "gone", "East", "north", "diag"],

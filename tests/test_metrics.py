@@ -18,6 +18,7 @@ from biaseval import (
     weat,
 )
 from biaseval.errors import (
+    DegenerateDistributionError,
     DivergenceError,
     TemplateMismatchError,
     UndefinedCorrelationError,
@@ -27,11 +28,12 @@ from biaseval.metrics import (
     CLASSIFIER_LR,
     METRIC_FUNCTIONS,
     METRIC_TEMPLATES,
-    _classifier_scope,
     _fit_classifiers,
+    _shared_classifiers,
     _sigmoid,
     fractional_ranks,
 )
+from biaseval.names import DEFAULT_SEED
 from biaseval.queries import ResolvedSet
 
 from conftest import make_resolved_query
@@ -247,10 +249,14 @@ class TestClassifier:
         with pytest.raises(ValueError):
             train_attribute_classifier([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
 
+    def test_empty_attribute_matrix(self):
+        with pytest.raises(ValueError, match="attribute matrices must be non-empty"):
+            train_attribute_classifier([[]], [[1.0, 0.0]])
+
 
 class TestClassifierScope:
-    """Inside ``_classifier_scope`` equal attribute matrices and seed share one
-    fit; outside it every call fits."""
+    """Inside a ``_shared_classifiers`` block equal attribute matrices and
+    seed share one fit; outside it every call fits."""
 
     def test_direct_calls_fit_every_time(self, classifier_fits):
         rng = np.random.default_rng(9)
@@ -265,7 +271,7 @@ class TestClassifierScope:
     def test_equal_matrices_and_seed_share_one_model(self, classifier_fits):
         rng = np.random.default_rng(9)
         a1, a2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
-        with _classifier_scope():
+        with _shared_classifiers((), 4):
             first = train_attribute_classifier(a1, a2, seed=4)
             # an equal copy in another layout
             again = train_attribute_classifier(np.asfortranarray(a1), a2.tolist(), seed=4)
@@ -279,7 +285,7 @@ class TestClassifierScope:
     @pytest.mark.parametrize("seed", [None, [1, 2]])
     def test_non_integer_seed_fits_every_time(self, classifier_fits, seed):
         # default_rng(None) draws fresh entropy, and a list is unhashable.
-        with _classifier_scope():
+        with _shared_classifiers((), seed):
             train_attribute_classifier([[1.0, 0.0]], [[0.0, 1.0]], seed=seed)
             train_attribute_classifier([[1.0, 0.0]], [[0.0, 1.0]], seed=seed)
         assert classifier_fits == [seed, seed]
@@ -287,7 +293,7 @@ class TestClassifierScope:
     def test_scope_ends_on_exit(self, classifier_fits):
         a1, a2 = [[1.0, 0.0]], [[0.0, 1.0]]
         for _ in range(2):
-            with _classifier_scope():
+            with _shared_classifiers((), DEFAULT_SEED):
                 train_attribute_classifier(a1, a2)
                 train_attribute_classifier(a1, a2)
         train_attribute_classifier(a1, a2)
@@ -295,7 +301,7 @@ class TestClassifierScope:
 
     def test_failed_fit_is_not_kept(self, classifier_fits):
         a1, a2 = [[1e200, 0.0]], [[1e200, 0.0], [1e200, 0.0]]
-        with _classifier_scope():
+        with _shared_classifiers((), DEFAULT_SEED):
             for _ in range(2):
                 with pytest.raises(DivergenceError, match="training diverged"), \
                         pytest.warns(RuntimeWarning, match="overflow"):
@@ -308,7 +314,7 @@ class TestClassifierScope:
         rng = np.random.default_rng(29)
         a1, a2 = rng.normal(size=(12, 300)), rng.normal(size=(12, 300))
         fresh = train_attribute_classifier(a1, a2, seed=5)
-        with _classifier_scope():
+        with _shared_classifiers((), 5):
             train_attribute_classifier(a1, a2, seed=5)
             shared = train_attribute_classifier(a1.copy(), a2.copy(), seed=5)
         assert shared.weights.tobytes() == fresh.weights.tobytes()
@@ -438,6 +444,11 @@ class TestKlFromUniform:
         with pytest.raises(ValueError):
             kl_from_uniform([1.5, -0.5])
 
+    @pytest.mark.parametrize("p", [[[0.5, 0.5]], []], ids=["2-d", "empty"])
+    def test_rejects_a_non_vector(self, p):
+        with pytest.raises(ValueError, match="expected a non-empty probability vector"):
+            kl_from_uniform(p)
+
 
 class TestRnsb:
     def test_equal_outputs_give_zero(self):
@@ -469,6 +480,15 @@ class TestRnsb:
         with pytest.raises(TemplateMismatchError):
             rnsb(rq)
 
+    def test_zero_probability_on_every_target_is_degenerate(self):
+        attributes = {"a1": {"p": E1}, "a2": {"q": E2}}
+        weights = train_attribute_classifier([E1], [E2]).weights
+        far = list(-1e90 * weights / np.linalg.norm(weights))
+        rq = make_resolved_query({"t1": {"x": far}, "t2": {"y": far}}, attributes)
+        with pytest.raises(DegenerateDistributionError,
+                           match="zero probability to every target word"):
+            rnsb(rq)
+
     def test_union_dedup_counts_shared_word_once(self):
         rq = make_resolved_query(
             {"t1": {"shared": E1, "own": E2}, "t2": {"shared": E1}},
@@ -491,6 +511,30 @@ class TestSpearman:
 
     def test_fractional_ranks_average_ties(self):
         np.testing.assert_array_equal(fractional_ranks([2.0, 1.0, 2.0]), [2.5, 1.0, 2.5])
+
+    def test_fractional_ranks_match_the_positions_of_a_stable_sort(self):
+        """Each run of equal values in a stable sort shares the mean of its
+        1-based positions; a NaN equals nothing, so each ranks alone, last."""
+        rng = np.random.default_rng(31)
+        for size in list(range(15)) * 20 + [100, 1000]:
+            values = rng.integers(-3, 4, size=size).astype(float)
+            values[rng.random(len(values)) < 0.2] = np.nan
+            order = np.argsort(values, kind="stable")
+            expected = np.empty(len(values))
+            start = 0
+            while start < len(values):
+                stop = start
+                while stop + 1 < len(values) and values[order[stop + 1]] == values[order[start]]:
+                    stop += 1
+                expected[order[start:stop + 1]] = (start + stop) / 2 + 1
+                start = stop + 1
+            assert fractional_ranks(values).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(fractional_ranks([np.nan, 1.0, np.nan, 1.0]),
+                                      [3.0, 1.5, 4.0, 1.5])
+
+    def test_unequal_shapes(self):
+        with pytest.raises(ValueError, match="of equal length"):
+            spearman([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_matches_scipy_with_ties(self):
         rng = np.random.default_rng(13)

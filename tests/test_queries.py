@@ -33,6 +33,16 @@ class TestWordSet:
             WordSet("s", ())
 
 
+class TestQueryTemplate:
+    @pytest.mark.parametrize("t,a,message", [
+        (0, 0, "a template needs at least one target set"),
+        (1, -1, "attribute set count cannot be negative"),
+    ])
+    def test_rejects_impossible_counts(self, t, a, message):
+        with pytest.raises(ValueError, match=message):
+            QueryTemplate(t, a)
+
+
 class TestQuery:
     def test_requires_target(self):
         with pytest.raises(ValueError):
@@ -232,6 +242,12 @@ class TestLoadQueries:
         assert len(queries) == 1
         assert queries[0].label == "demo"
         assert queries[0].attributes[0].words == ("z", "w")
+
+    def test_json_number_rejected(self, tmp_path):
+        path = tmp_path / "number.json"
+        path.write_text("3", encoding="utf-8")
+        with pytest.raises(ValueError, match="expected a query object or a list of them"):
+            load_queries(path)
 
     def test_single_object(self, tmp_path):
         path = tmp_path / "one.json"

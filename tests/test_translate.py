@@ -550,8 +550,9 @@ class TestHttpWire:
         chunked(FIRST).replace(b";ext=1", b"zz"),
         raw_reply(FIRST, head=b"ICY 200 OK\r\n"),
         raw_reply(FIRST, framing=b"Content-Length: -1\r\n"),
+        raw_reply(FIRST, head=b"HTTP/1.1 200 OK\r\nNo-Colon\r\n"),
     ], ids=["oversized-header-line", "101-headers", "short-body", "bad-chunk-size",
-            "bad-status-line", "bad-content-length"])
+            "bad-status-line", "bad-content-length", "header-without-colon"])
     def test_malformed_reply_is_retried_on_a_new_connection(self, raw_server, sleeps,
                                                             malformed):
         # The round goes on to the second batch; the retry round reconnects.
@@ -561,6 +562,13 @@ class TestHttpWire:
             [(f"t{i}", 1) for i in FIRST] + [("t65", 0)])
         assert self.connections(server) == [1, 2, 3]
         assert sleeps == [translate.RETRY_BACKOFF_S]
+
+    def test_no_content_reply_has_no_body_and_keeps_the_connection(self, raw_server):
+        server = raw_server([b"HTTP/1.1 204 No Content\r\n\r\n", raw_reply(SECOND)])
+        with pytest.raises(TranslationRunError, match=r"first batch 0: HTTP 204\)") as excinfo:
+            self.fetch(server)
+        assert [(r.id, r.output) for r in excinfo.value.completed] == [(65, "t65")]
+        assert self.connections(server) == [1, 1]
 
     def test_short_body_message(self, raw_server):
         server = raw_server([raw_reply(FIRST, framing=b"Content-Length: 99999\r\n"), CLOSE])
