@@ -17,9 +17,11 @@ The one exception, an aborted HTTP translation, writes (under that check) the
 rows it fetched so that a rerun resumes. ``translate`` writes ``--out`` with a
 ``<out>.provenance.json`` sidecar holding the corpus hash, which alone says
 what corpus a translations TSV translates: an HTTP ``--out`` resumes only
-with the corpus so hashed, and ``translate --backend file`` and ``tgbi``
-refuse ``--translations`` whose sidecar names another. ``tgbi`` takes the
-seven views from its ``--corpus`` rows; a ``--views`` file must match them.
+with the corpus so hashed. ``translate`` and ``tgbi`` read ``--corpus`` and
+``--translations`` alike, refusing a corpus in which a view selects no row
+and translations whose sidecar names another corpus; ``translate``, with
+either backend, refuses that corpus and a directory as ``--out`` before any
+request. ``tgbi`` takes the views from the corpus; ``--views`` must match.
 
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
@@ -128,11 +130,22 @@ def _sidecar_corpus(tsv) -> str | None:
     return named if isinstance(named, str) else ""
 
 
-def _refuse_other_corpus(translations, corpus_path, corpus_hash: str) -> None:
-    """Refuse ``translations`` whose sidecar names another corpus; without one they pass."""
-    if _sidecar_corpus(translations) not in (None, corpus_hash):
-        raise ValueError(f"{translations} was not translated from {corpus_path}: "
-                         f"{translations}.provenance.json names another corpus")
+def _read_corpus(location) -> tuple[Path, str, list]:
+    """The corpus TSV's path, sha256 and rows, refused if a view selects no row."""
+    path = _require_file(location, "corpus TSV")
+    corpus = read_corpus_tsv(path)
+    if (empty := empty_view(corpus)) is not None:
+        raise ValueError(f"{path}: view '{empty}' selects no corpus row")
+    return path, _sha256(path), corpus
+
+
+def _read_translations(location, corpus_path, corpus_hash: str) -> tuple[Path, list]:
+    """The translations TSV's path and records, refused if its sidecar names another corpus."""
+    path = _require_file(location, "translations TSV")
+    if _sidecar_corpus(path) not in (None, corpus_hash):
+        raise ValueError(f"{path} was not translated from {corpus_path}: "
+                         f"{path}.provenance.json names another corpus")
+    return path, load_translations_tsv(path)
 
 
 def _require_file(path, what: str) -> Path:
@@ -246,19 +259,16 @@ def cmd_eec(args) -> tuple[dict, str]:
 
 
 def cmd_translate(args) -> tuple[dict, str]:
-    corpus_path = _require_file(args.corpus, "corpus TSV")
-    out = Path(args.out)
-    corpus = read_corpus_tsv(corpus_path)
+    corpus_path, corpus_hash, corpus = _read_corpus(args.corpus)
+    if (out := Path(args.out)).is_dir():
+        raise ValueError(f"--out {out} is a directory")
     # --out is renamed before its sidecar, so an HTTP run cut between them is refused.
     sidecar = Path(f"{out}.provenance.json")
-    corpus_hash = _sha256(corpus_path)
     # No corpus path, so a copy of the corpus matches, and no URL, which may carry a key.
     provenance = _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": args.backend})
 
     if args.backend == "file":
-        translations = _require_file(args.translations, "translations TSV")
-        _refuse_other_corpus(translations, corpus_path, corpus_hash)
-        records = load_translations_tsv(translations)
+        _path, records = _read_translations(args.translations, corpus_path, corpus_hash)
     else:
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
@@ -295,13 +305,14 @@ def _merge_records(corpus, existing, fetched):
 
 
 def cmd_tgbi(args) -> tuple[dict, str]:
-    corpus_path = _require_file(args.corpus, "corpus TSV")
+    corpus_path, corpus_hash, corpus = _read_corpus(args.corpus)
     views_path = None if args.views is None else _require_file(args.views, "views manifest")
-    translations_path = _require_file(args.translations, "translations TSV")
-    out_dir = Path(args.out_dir)
-    corpus_hash = _sha256(corpus_path)
-    _refuse_other_corpus(translations_path, corpus_path, corpus_hash)
-
+    if views_path:
+        given = read_views_json(views_path)
+        for name, ids in build_views(corpus).items():
+            if ids != given[name]:
+                raise ValueError(f"{views_path}: view '{name}' does not match {corpus_path}")
+    translations_path, records = _read_translations(args.translations, corpus_path, corpus_hash)
     if args.gender_lexicon:
         lexicon_file = _require_file(args.gender_lexicon, "gender lexicon")
         lexicon = load_gender_lexicon(lexicon_file)
@@ -313,25 +324,15 @@ def cmd_tgbi(args) -> tuple[dict, str]:
         words = {bucket: sorted(tokens) for bucket, tokens in lexicon.sections().items()}
         lexicon_hash = hashlib.sha256(json.dumps(words, sort_keys=True).encode()).hexdigest()
 
-    corpus = read_corpus_tsv(corpus_path)
-    if (empty := empty_view(corpus)) is not None:
-        raise ValueError(f"{corpus_path}: view '{empty}' selects no corpus row")
-    if views_path:
-        given = read_views_json(views_path)
-        for name, ids in build_views(corpus).items():
-            if ids != given[name]:
-                raise ValueError(f"{views_path}: view '{name}' does not match {corpus_path}")
-    records = load_translations_tsv(translations_path)
-    pairs = join(corpus, records, min_coverage=args.min_coverage)
-    report = score_views(pairs, lexicon, variant=args.variant,
-                         ambiguous_policy=args.ambiguous_policy)
-
+    report = score_views(join(corpus, records, min_coverage=args.min_coverage), lexicon,
+                         variant=args.variant, ambiguous_policy=args.ambiguous_policy)
     report_json = _report_json(
         report_to_dict(report),
         {"corpus": {"path": str(corpus_path), "sha256": corpus_hash}, "views": views_path,
          "translations": translations_path, "gender_lexicon": {"sha256": lexicon_hash}},
         {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy})
     table = render_tgbi_table(report)
+    out_dir = Path(args.out_dir)
     return {out_dir / "tgbi_report.json": report_json, out_dir / "tgbi_table.txt": table}, table
 
 
@@ -378,9 +379,8 @@ def _embedding_inputs(args) -> argparse.Namespace:
         raise ValueError("at least one --embedding is required")
     if not args.queries:
         raise ValueError("at least one --queries file is required")
-    queries = []
-    for path in args.queries:
-        queries.extend(load_queries(_require_file(path, "query file")))
+    queries = [query for path in args.queries
+               for query in load_queries(_require_file(path, "query file"))]
     if not args.skip_invalid:
         _check_templates(queries, args.metrics)
     files = [_require_file(location, "embedding file") for location in locations.values()]

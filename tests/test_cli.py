@@ -59,6 +59,17 @@ def abort_http_translation(corpus_tsv, out, completed, monkeypatch):
                          "--url", "http://127.0.0.1:9/translate", "--out", str(out)]) == 1
 
 
+def corpus_without_informal_rows(tmp_path, lexicon_files):
+    """An ``eec`` corpus with its informal rows removed, so the informal view
+    selects no row."""
+    out_dir, _ = build_corpus(tmp_path, lexicon_files)
+    rows = (out_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus = tmp_path / "formal.tsv"
+    corpus.write_text("".join(row for row in rows if "\tinformal\t" not in row),
+                      encoding="utf-8")
+    return corpus
+
+
 def all_they_translations(corpus_tsv, path):
     lines = ["id\ttranslation"]
     for line in corpus_tsv.read_text(encoding="utf-8").splitlines()[1:]:
@@ -428,6 +439,42 @@ class TestTranslateCommand:
         assert translation_server.posts == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("backend", ["file", "http"])
+    def test_corpus_with_an_empty_view_exits_2_before_any_request(
+        self, tmp_path, capsys, lexicon_files, translation_server, backend
+    ):
+        """``translate`` refuses, with ``tgbi``'s line, a corpus ``tgbi`` would refuse."""
+        from biaseval import cli
+
+        corpus = corpus_without_informal_rows(tmp_path, lexicon_files)
+        translations = all_they_translations(corpus, tmp_path / "t.tsv")
+        out = tmp_path / "out.tsv"
+        assert cli.main(["translate", "--corpus", str(corpus), "--backend", backend,
+                         "--translations", str(translations), "--url", translation_server.url,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}: view 'informal' selects no corpus row"]
+        assert translation_server.posts == []
+        assert list(tmp_path.glob("out.tsv*")) == []
+
+    @pytest.mark.parametrize("backend", ["file", "http"])
+    def test_out_that_is_a_directory_exits_2_before_any_request(
+        self, tmp_path, capsys, lexicon_files, translation_server, backend
+    ):
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert cli.main(["translate", "--corpus", str(out_dir / "corpus.tsv"),
+                         "--backend", backend, "--translations", str(translations),
+                         "--url", translation_server.url, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --out {out} is a directory"]
+        assert translation_server.posts == []
+        assert list(out.iterdir()) == []
+        assert list(tmp_path.glob("outdir.*")) == []
+
 
 class TestTgbiCommand:
     def test_all_neutral_reports_one(self, tmp_path, lexicon_files):
@@ -453,17 +500,24 @@ class TestTgbiCommand:
                                                          lexicon_files):
         from biaseval import cli
 
-        out_dir, _ = build_corpus(tmp_path, lexicon_files)
-        rows = (out_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
-        corpus = tmp_path / "formal.tsv"
-        corpus.write_text("".join(row for row in rows if "\tinformal\t" not in row),
-                          encoding="utf-8")
+        corpus = corpus_without_informal_rows(tmp_path, lexicon_files)
         translations = all_they_translations(corpus, tmp_path / "t.tsv")
         assert cli.main(["tgbi", "--corpus", str(corpus), "--translations", str(translations),
                          "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {corpus}: view 'informal' selects no corpus row"]
         assert not (tmp_path / "r").exists()
+
+    def test_a_bad_corpus_is_reported_before_a_missing_translations_file(self, tmp_path,
+                                                                          capsys, lexicon_files):
+        """The corpus is read and checked before ``--translations`` is looked for."""
+        from biaseval import cli
+
+        corpus = corpus_without_informal_rows(tmp_path, lexicon_files)
+        assert cli.main(["tgbi", "--corpus", str(corpus), "--translations",
+                         str(tmp_path / "gone.tsv"), "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}: view 'informal' selects no corpus row"]
 
     def test_missing_translations_exits_2(self, tmp_path, lexicon_files):
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
