@@ -263,7 +263,8 @@ def cmd_translate(args) -> tuple[dict, str]:
     if (out := Path(args.out)).is_dir():
         raise ValueError(f"--out {out} is a directory")
     # --out is renamed before its sidecar, so an HTTP run cut between them is refused.
-    sidecar = Path(f"{out}.provenance.json")
+    if (sidecar := Path(f"{out}.provenance.json")).is_dir():
+        raise ValueError(f"{sidecar} is a directory")
     # No corpus path, so a copy of the corpus matches, and no URL, which may carry a key.
     provenance = _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": args.backend})
 

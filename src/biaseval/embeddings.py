@@ -1,9 +1,9 @@
 """Word-embedding tables and the vector kernels the bias metrics consume.
 
 Vectors are stored raw, never pre-normalized: the norm-distance metric needs
-the original magnitudes, so normalization happens inside :func:`cosine` only.
-Tokens are NFC-normalized at load and lookup so composed and decomposed
-Devanagari spellings match.
+the original magnitudes, so normalization happens inside :func:`cosine` only,
+by the norms :func:`norm` computes. Tokens are NFC-normalized at load and
+lookup so composed and decomposed Devanagari spellings match.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "cosine",
     "load_word2vec_text",
     "nfc",
+    "norm",
 ]
 
 
@@ -310,16 +311,24 @@ def _raise_first_bad_row(path) -> None:
         raise EmbeddingFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def cosine(u, v) -> float:
+def norm(x) -> float:
+    """Euclidean norm of ``x`` as float64, ``sqrt(x·x)``: np.linalg.norm's own
+    rule for a vector, and the one :func:`cosine` divides by."""
+    x = np.asarray(x, dtype=np.float64)
+    return math.sqrt(x.dot(x))
+
+
+def cosine(u, v, *, norms=None) -> float:
     """Cosine similarity of two nonzero vectors, clamped to [-1, 1]; a zero
-    vector raises a ZeroNormError."""
+    vector raises a ZeroNormError. ``norms``, if given, is ``(norm(u),
+    norm(v))``, so a caller pairing one vector with many computes its norm
+    once; the result has the same bits as without it."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    # np.linalg.norm's own sqrt(x.dot(x)); the clamp passes NaN, as np.clip does
-    norm_u = math.sqrt(u.dot(u))
-    norm_v = math.sqrt(v.dot(v))
+    # the clamp passes NaN, as np.clip does
+    norm_u, norm_v = (norm(u), norm(v)) if norms is None else norms
     if norm_u == 0.0 or norm_v == 0.0:
         raise ZeroNormError("cosine undefined for zero-norm vectors")
     value = float(u.dot(v) / (norm_u * norm_v))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import cosine
+from .embeddings import cosine, norm
 from .errors import (
     DegenerateDistributionError,
     DivergenceError,
@@ -115,16 +115,23 @@ def weat(rq: ResolvedQuery) -> MetricResult:
     The score is the plain sum over target words, not divided by set sizes;
     the per-set word counts are reported in diagnostics so callers can
     normalize externally.
+
+    Each attribute row's norm and each target word's norm is computed once
+    per call and passed to :func:`cosine`, which is still called once per
+    (target word, attribute row) pair in the plain formula's order, so the
+    value has the bits of a loop calling ``cosine(w, row)`` alone.
     """
     _require_shape(WEAT, rq.targets, rq.attributes, rq.query_label)
     t1, t2 = rq.targets
     a1, a2 = (s.matrix for s in rq.attributes)
     if a1.size == 0 or a2.size == 0:
         raise ValueError("attribute matrices must be non-empty")
+    rows_1, rows_2 = ([(row, norm(row)) for row in a] for a in (a1, a2))
 
     def association(w) -> float:  # mean cosine with a1 minus mean cosine with a2
-        return (float(np.mean([cosine(w, row) for row in a1]))
-                - float(np.mean([cosine(w, row) for row in a2])))
+        w_norm = norm(w)
+        return (float(np.mean([cosine(w, row, norms=(w_norm, n)) for row, n in rows_1]))
+                - float(np.mean([cosine(w, row, norms=(w_norm, n)) for row, n in rows_2])))
 
     total = sum(association(w) for w in t1.matrix) - sum(association(w) for w in t2.matrix)
     diagnostics = {"set_sizes": {s.name: len(s.matrix) for s in rq.targets + rq.attributes}}
@@ -352,7 +359,11 @@ def spearman(s1, s2) -> float:
 def ect(rq: ResolvedQuery) -> MetricResult:
     """Coherence test: Spearman correlation between the two target centroids'
     cosine-similarity profiles over a shared attribute set. Higher correlation
-    means lower bias."""
+    means lower bias.
+
+    Each attribute row's norm and both centroid norms are computed once per
+    call and passed to :func:`cosine`, so each profile has the bits of a loop
+    calling ``cosine(centroid, row)`` alone."""
     _require_shape(ECT, rq.targets, rq.attributes, rq.query_label)
     t1, t2 = rq.targets
     attribute_set = rq.attributes[0]
@@ -361,8 +372,10 @@ def ect(rq: ResolvedQuery) -> MetricResult:
         raise UndefinedCorrelationError("ECT needs at least two attribute words")
     centroid_1 = t1.matrix.mean(axis=0)
     centroid_2 = t2.matrix.mean(axis=0)
-    s1 = [cosine(centroid_1, row) for row in attributes]
-    s2 = [cosine(centroid_2, row) for row in attributes]
+    rows = [(row, norm(row)) for row in attributes]
+    norm_1, norm_2 = norm(centroid_1), norm(centroid_2)
+    s1 = [cosine(centroid_1, row, norms=(norm_1, n)) for row, n in rows]
+    s2 = [cosine(centroid_2, row, norms=(norm_2, n)) for row, n in rows]
     value = spearman(s1, s2)
     diagnostics = {"n_attributes": len(attributes), "attribute_set": attribute_set.name}
     return MetricResult(value, diagnostics)

@@ -98,16 +98,19 @@ def read_utf8(path) -> str:
 
 def write_utf8_files(texts: dict) -> None:
     """Write each ``{path: text}`` item as UTF-8, making any missing parent
-    directory. Every text is encoded before any file or directory is made: a
-    lone surrogate, which has no UTF-8 form, raises a ValueError naming
-    ``file:line`` and makes nothing. Each file is replaced whole: its text is
-    written to ``.<name>.<pid>.tmp`` beside the file a symlink resolves to
-    and given that file's mode, if it exists, then each temporary is renamed
-    onto its target, in order, so a hard link keeps the old text. An error
-    removes every temporary not yet renamed, so one before the first rename
-    leaves every target as it was."""
+    directory. Every target is checked and every text encoded before any file
+    or directory is made: a target that is a directory raises a ValueError
+    naming it, and a lone surrogate, which has no UTF-8 form, one naming
+    ``file:line``; either makes nothing. Each file is replaced whole: its
+    text is written to ``.<name>.<pid>.tmp`` beside the file a symlink
+    resolves to and given that file's mode, if it exists, then each temporary
+    is renamed onto its target, in order, so a hard link keeps the old text.
+    An error removes every temporary not yet renamed, so one before the first
+    rename leaves every target as it was."""
     encoded = []
     for path, text in texts.items():
+        if Path(path).is_dir():
+            raise ValueError(f"{path} is a directory")
         try:
             encoded.append((Path(path), text.encode("utf-8")))
         except UnicodeEncodeError as exc:

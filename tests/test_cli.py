@@ -458,22 +458,26 @@ class TestTranslateCommand:
         assert list(tmp_path.glob("out.tsv*")) == []
 
     @pytest.mark.parametrize("backend", ["file", "http"])
+    @pytest.mark.parametrize("directory", ["out", "sidecar"])
     def test_out_that_is_a_directory_exits_2_before_any_request(
-        self, tmp_path, capsys, lexicon_files, translation_server, backend
+        self, tmp_path, capsys, lexicon_files, translation_server, backend, directory
     ):
         from biaseval import cli
 
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
         translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
         out = tmp_path / "outdir"
-        out.mkdir()
+        sidecar = tmp_path / "outdir.provenance.json"
+        made = out if directory == "out" else sidecar
+        made.mkdir()
         assert cli.main(["translate", "--corpus", str(out_dir / "corpus.tsv"),
                          "--backend", backend, "--translations", str(translations),
                          "--url", translation_server.url, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: --out {out} is a directory"]
+        message = f"--out {out}" if made == out else str(sidecar)
+        assert capsys.readouterr().err.splitlines() == [f"error: {message} is a directory"]
         assert translation_server.posts == []
-        assert list(out.iterdir()) == []
-        assert list(tmp_path.glob("outdir.*")) == []
+        assert list(made.iterdir()) == []
+        assert [path.name for path in tmp_path.glob("outdir*")] == [made.name]
 
 
 class TestTgbiCommand:
@@ -2471,3 +2475,36 @@ class TestOutputReplacement:
         finally:
             os.umask(umask)
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+class TestOutputThatIsADirectory:
+    """An output path that is an existing directory fails before any output
+    is written, with one line naming it; ``translate`` checks its two outputs
+    before any request, in TestTranslateCommand."""
+
+    def test_eec_views_json_directory(self, tmp_path, capsys, lexicon_files):
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        out_dir = tmp_path / "eec"
+        (out_dir / "views.json").mkdir(parents=True)
+        assert cli.main(["eec", "--occupations", str(occ), "--positive", str(pos),
+                         "--negative", str(neg), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {out_dir / 'views.json'} is a directory"]
+        assert captured.out == ""
+        assert [path.name for path in out_dir.iterdir()] == ["views.json"]
+        assert list((out_dir / "views.json").iterdir()) == []
+
+    def test_rank_csv_directory(self, tmp_path, capsys, embedding_files, query_file):
+        from biaseval import cli
+
+        out_dir = tmp_path / "rank"
+        (out_dir / "rank_table.csv").mkdir(parents=True)
+        assert cli.main(["rank", "--embedding", f"a={embedding_files[0]}", "--queries",
+                         str(query_file), "--metric", "WEAT", "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {out_dir / 'rank_table.csv'} is a directory"]
+        assert captured.out == ""
+        assert [path.name for path in out_dir.iterdir()] == ["rank_table.csv"]

@@ -17,11 +17,13 @@ from biaseval import (
     train_attribute_classifier,
     weat,
 )
+from biaseval.embeddings import MAX_COMPONENT, MIN_COMPONENT, cosine, norm
 from biaseval.errors import (
     DegenerateDistributionError,
     DivergenceError,
     TemplateMismatchError,
     UndefinedCorrelationError,
+    ZeroNormError,
 )
 from biaseval.metrics import (
     CLASSIFIER_EPOCHS,
@@ -385,6 +387,80 @@ class TestKernelBits:
         )
         assert model.bias.hex() == "-0x1.0a30f87d15e45p-7"
         assert model.training_loss.hex() == "0x1.b66be4ed56615p-10"
+
+    @staticmethod
+    def wide_sets(rng, names, dim=300):
+        """``{set name: {token: vector}}`` of ``dim``-d vectors whose largest
+        component magnitude lies near MIN_COMPONENT, near 1 or near
+        MAX_COMPONENT, with some vectors repeated within and across sets."""
+        pool = []
+        sets = {}
+        for name in names:
+            words = {}
+            for i in range(int(rng.integers(2, 9))):
+                if pool and rng.random() < 0.3:
+                    vector = pool[int(rng.integers(len(pool)))]
+                else:
+                    vector = rng.normal(size=dim)
+                    peak = rng.choice([MIN_COMPONENT, 1.0, MAX_COMPONENT])
+                    vector *= peak * rng.uniform(0.5, 1.0) / np.abs(vector).max()
+                    pool.append(vector)
+                words[f"{name}{i}"] = vector
+            sets[name] = words
+        return sets
+
+    def test_weat_matches_reference_loop(self):
+        rng = np.random.default_rng(38)
+        for _ in range(40):
+            sets = self.wide_sets(rng, ["T1", "T2", "A1", "A2"])
+            rq = make_resolved_query({k: sets[k] for k in ("T1", "T2")},
+                                     {k: sets[k] for k in ("A1", "A2")})
+            t1, t2 = (s.matrix for s in rq.targets)
+            a1, a2 = (s.matrix for s in rq.attributes)
+
+            def association(w):
+                return (float(np.mean([cosine(w, row) for row in a1]))
+                        - float(np.mean([cosine(w, row) for row in a2])))
+
+            expected = float(sum(association(w) for w in t1) - sum(association(w) for w in t2))
+            assert weat(rq).value.hex() == expected.hex()
+
+    def test_ect_profiles_match_reference_loop(self, monkeypatch):
+        from biaseval import metrics
+
+        profiles = []
+
+        def recorded(s1, s2):
+            profiles.append((s1, s2))
+            return spearman(s1, s2)
+
+        monkeypatch.setattr(metrics, "spearman", recorded)
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            sets = self.wide_sets(rng, ["T1", "T2", "A"])
+            rq = make_resolved_query({k: sets[k] for k in ("T1", "T2")}, {"A": sets["A"]})
+            centroids = [s.matrix.mean(axis=0) for s in rq.targets]
+            expected = [[cosine(c, row) for row in rq.attributes[0].matrix] for c in centroids]
+            try:
+                value = ect(rq).value
+            except UndefinedCorrelationError:
+                value = None
+            got = profiles.pop()
+            assert [[x.hex() for x in s] for s in got] == [[x.hex() for x in s] for s in expected]
+            if value is not None:
+                assert value.hex() == spearman(*expected).hex()
+
+    def test_zero_vector_raises_with_given_norms(self):
+        zero, u = np.zeros(3), np.array([1.0, 2.0, 3.0])
+        for a, b in ((zero, u), (u, zero), (zero, zero)):
+            with pytest.raises(ZeroNormError, match="zero-norm"):
+                cosine(a, b, norms=(norm(a), norm(b)))
+
+    def test_ect_cell_with_zero_centroid_raises(self):
+        rq = make_resolved_query({"T1": {"x": [1.0, 0.0], "y": [-1.0, 0.0]}, "T2": {"z": E1}},
+                                 {"A": {"a": E1, "b": E2}})
+        with pytest.raises(ZeroNormError, match="zero-norm"):
+            ect(rq)
 
 
 def cross_entropy_reference(attributes_1, attributes_2, weights, bias):

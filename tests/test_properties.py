@@ -2,12 +2,15 @@
 a field holding a tab, a line break or a lone surrogate (which has no UTF-8
 form) or writes a file that reads back unchanged, and malformed embedding
 files fail only with ``EmbeddingFormatError``; one that loads warns only of
-repeated tokens."""
+repeated tokens. ``cosine`` given its vectors' norms returns the bits it
+computes without them."""
 
+import struct
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +24,8 @@ from biaseval.eec import (
     read_views_json,
     views_json_text,
 )
-from biaseval.embeddings import load_word2vec_text
-from biaseval.errors import EmbeddingFormatError
+from biaseval.embeddings import MAX_COMPONENT, cosine, load_word2vec_text, norm
+from biaseval.errors import EmbeddingFormatError, ZeroNormError
 from biaseval.names import write_utf8_files
 from biaseval.translate import TranslationRecord, load_translations_tsv, translations_tsv_text
 
@@ -114,3 +117,29 @@ def test_malformed_embedding_file_raises_only_format_error(header, body):
             pass
         else:  # a file that loads warns of nothing but its repeated tokens
             assert all("duplicate token(s)" in str(w.message) for w in caught)
+
+
+def _cosine_outcome(u, v, **kwargs):
+    """The bits of ``cosine(u, v, **kwargs)``, or the name of what it raised."""
+    try:
+        return struct.pack("<d", cosine(u, v, **kwargs))
+    except (ZeroNormError, RuntimeWarning) as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def vector_pairs(draw):
+    size = draw(st.integers(min_value=1, max_value=40))
+    component = st.floats(-MAX_COMPONENT, MAX_COMPONENT, allow_nan=False)
+    u, v = (np.array(draw(st.lists(component, min_size=size, max_size=size)))
+            for _ in range(2))
+    return u, v
+
+
+@given(vector_pairs())
+def test_cosine_with_given_norms_has_the_same_bits(pair):
+    u, v = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_cosine_outcome(u, v, norms=(norm(u), norm(v)))
+                == _cosine_outcome(u, v))
