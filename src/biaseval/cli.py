@@ -12,16 +12,17 @@ and ``tgbi``, is ignored.
 
 Every command reads its inputs and builds every output before it writes the
 first, and prints only after the last write: a failing command writes nothing
-and prints nothing, and an output that is a file it opened as input exits 2.
-The one exception, an aborted HTTP translation, writes (under that check) the
-rows it fetched so that a rerun resumes. ``translate`` writes ``--out`` with a
-``<out>.provenance.json`` sidecar holding the corpus hash, which alone says
-what corpus a translations TSV translates: an HTTP ``--out`` resumes only
-with the corpus so hashed. ``translate`` and ``tgbi`` read ``--corpus`` and
-``--translations`` alike, refusing a corpus in which a view selects no row
-and translations whose sidecar names another corpus; ``translate``, with
-either backend, refuses that corpus and a directory as ``--out`` before any
-request. ``tgbi`` takes the views from the corpus; ``--views`` must match.
+and prints nothing, and :func:`_check_outputs` refuses an output that cannot
+be written or is a file it opened as input. The one exception, an aborted
+HTTP translation, writes the rows it fetched so that a rerun resumes.
+``translate`` writes ``--out`` with a ``<out>.provenance.json`` sidecar
+holding the corpus hash, which alone says what corpus a translations TSV
+translates: an HTTP ``--out`` resumes only with the corpus so hashed.
+``translate`` and ``tgbi`` read ``--corpus`` and ``--translations`` alike,
+refusing a corpus in which a view selects no row and translations whose
+sidecar names another corpus. ``translate`` checks its outputs after reading
+that corpus, before any request. ``tgbi`` takes the views from the corpus;
+``--views`` must match.
 
 Every JSON report embeds a provenance block (input hashes and flags; for
 ``metrics`` and ``rank`` also the classifier seed) and no timestamps, so
@@ -62,7 +63,8 @@ from .eec import (
 )
 from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
-                    RENDER_MODES, integer, json_text, read_json, real, write_utf8_files)
+                    RENDER_MODES, check_writable, integer, json_text, read_json, real,
+                    write_utf8_files)
 from .tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -151,7 +153,8 @@ def _read_translations(location, corpus_path, corpus_hash: str) -> tuple[Path, l
 def _require_file(path, what: str) -> Path:
     if path is None:
         raise ValueError(f"missing required input: {what}")
-    resolved = Path(path)
+    if (resolved := Path(path)).is_dir():
+        raise IsADirectoryError(f"{what} is a directory: {resolved}")
     if not resolved.is_file():
         raise FileNotFoundError(f"{what} not found: {resolved}")
     _OPENED.append(resolved)
@@ -260,11 +263,8 @@ def cmd_eec(args) -> tuple[dict, str]:
 
 def cmd_translate(args) -> tuple[dict, str]:
     corpus_path, corpus_hash, corpus = _read_corpus(args.corpus)
-    if (out := Path(args.out)).is_dir():
-        raise ValueError(f"--out {out} is a directory")
     # --out is renamed before its sidecar, so an HTTP run cut between them is refused.
-    if (sidecar := Path(f"{out}.provenance.json")).is_dir():
-        raise ValueError(f"{sidecar} is a directory")
+    _check_outputs((out := Path(args.out), sidecar := Path(f"{out}.provenance.json")))
     # No corpus path, so a copy of the corpus matches, and no URL, which may carry a key.
     provenance = _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": args.backend})
 
@@ -286,9 +286,7 @@ def cmd_translate(args) -> tuple[dict, str]:
             fetched = fetch_translations_http(cfg, todo)
         except TranslationRunError as exc:
             merged = _merge_records(corpus, existing, exc.completed)
-            outputs = {out: translations_tsv_text(merged, out), sidecar: provenance}
-            _refuse_input_outputs(outputs)
-            write_utf8_files(outputs)
+            write_utf8_files({out: translations_tsv_text(merged, out), sidecar: provenance})
             raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
                                       "rerun to resume") from None
         records = _merge_records(corpus, existing, fetched)
@@ -425,10 +423,11 @@ def cmd_rank(args) -> tuple[dict, str]:
         run.out_dir / "rank_table.txt": rendered}, rendered
 
 
-def _refuse_input_outputs(outputs) -> None:
-    """Raise a ValueError naming an output that is the same file as an input
-    the command opened through :func:`_require_file`. An HTTP translation's
-    ``--out`` and sidecar are its resume state, not opened there."""
+def _check_outputs(outputs) -> None:
+    """Raise a ValueError naming an output that :func:`check_writable` refuses or
+    that is the same file as an input opened through :func:`_require_file`. An
+    HTTP translation's ``--out`` and sidecar are its resume state, not opened there."""
+    check_writable(outputs)
     for out in filter(os.path.exists, outputs):
         for path in _OPENED:
             if os.path.samefile(out, path):
@@ -539,7 +538,7 @@ def main(argv=None) -> int:
                 _apply_config(commands[args.command], args.config)
                 args = parser.parse_args(argv)
             outputs, shown = args.func(args)
-            _refuse_input_outputs(outputs)
+            _check_outputs(outputs)
             write_utf8_files(outputs)
             print(shown, end="")
             return 0

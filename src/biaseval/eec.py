@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from string import Formatter
 
-from .names import content_lines, json_text, nfc, read_json, read_tsv, tsv_text, write_utf8_files
+from .names import (FIELD_BREAK_RE, content_lines, json_text, nfc, read_json, read_tsv, tsv_text,
+                    write_utf8_files)
 
 CATEGORIES = ("occupation", "positive", "negative")
 REGISTERS = ("formal_impolite", "formal_polite", "informal")
@@ -87,6 +88,9 @@ class PronounSpec:
             raise ValueError(f"unknown register '{self.register}'")
         if not self.copula:
             raise ValueError("copula must be non-empty")
+        for name, value in (("pronoun surface", self.surface), ("copula", self.copula)):
+            if FIELD_BREAK_RE.search(value):
+                raise ValueError(f"{name} holds a tab or line break")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +123,13 @@ DEFAULT_TEMPLATES = {category: "{pronoun} {lexeme} {copula}" for category in CAT
 
 def load_lexicon(path, category: str) -> Lexicon:
     """One entry per line; blank lines and '#' comments ignored; duplicates
-    keep the first occurrence."""
-    entries = tuple(dict.fromkeys(nfc(line) for _lineno, line in content_lines(path)))
+    keep the first occurrence. An entry holding a tab, which would split its
+    corpus rows, raises a ValueError naming ``file:line``."""
+    lines = content_lines(path)
+    for lineno, line in lines:
+        if FIELD_BREAK_RE.search(line):
+            raise ValueError(f"{path}:{lineno}: lexicon entry holds a tab or line break")
+    entries = tuple(dict.fromkeys(nfc(line) for _lineno, line in lines))
     if not entries:
         raise ValueError(f"{path}: lexicon is empty after filtering")
     return Lexicon(category, entries)
@@ -130,7 +139,7 @@ def merge_templates(templates=None) -> dict:
     """:data:`DEFAULT_TEMPLATES` overlaid by ``templates``. Each names a
     lexicon category and is a format string using ``{pronoun}`` and
     ``{lexeme}``, without which texts would collide, and no other field but
-    ``{copula}``."""
+    ``{copula}``, and holds no tab or line break, which would split its corpus rows."""
     merged = dict(DEFAULT_TEMPLATES)
     for category, template in (templates or {}).items():
         if category not in CATEGORIES:
@@ -146,6 +155,8 @@ def merge_templates(templates=None) -> dict:
                              "{pronoun}, {lexeme} and {copula}")
         if not {"pronoun", "lexeme"} <= fields:
             raise ValueError(f"template '{category}' must use both {{pronoun}} and {{lexeme}}")
+        if FIELD_BREAK_RE.search(template):
+            raise ValueError(f"template '{category}' holds a tab or line break")
         merged[category] = template
     return merged
 

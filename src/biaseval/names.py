@@ -5,7 +5,8 @@ normalization the corpus builder shares with the embedding loader, the
 syntax of every integer and real number read from outside (:func:`integer`,
 :func:`real`), and one reader or writer per file format: UTF-8 text, a
 byte-order mark dropped on reading, each file replaced whole on writing
-(:func:`read_utf8`, :func:`write_utf8_files`), JSON inputs and
+once every target is checked (:func:`read_utf8`, :func:`write_utf8_files`,
+:func:`check_writable`), JSON inputs and
 reports (:func:`read_json`, :func:`json_text`), lexicon-style line lists
 (:func:`content_lines`) and id-keyed TSV tables (:func:`read_tsv`,
 :func:`tsv_text`).
@@ -50,6 +51,7 @@ __all__ = [
     "RND",
     "RNSB",
     "WEAT",
+    "check_writable",
     "content_lines",
     "integer",
     "json_text",
@@ -96,21 +98,33 @@ def read_utf8(path) -> str:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def check_writable(paths) -> None:
+    """Raise a ValueError naming the first of ``paths`` that no file can be
+    written to: a directory (``<path> is a directory``) or a path whose nearest
+    existing ancestor is not a directory (``<path>: <ancestor> is not a
+    directory``)."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ValueError(f"{path} is a directory")
+        ancestor = next(parent for parent in path.parents if os.path.lexists(parent))
+        if not ancestor.is_dir():
+            raise ValueError(f"{path}: {ancestor} is not a directory")
+
+
 def write_utf8_files(texts: dict) -> None:
     """Write each ``{path: text}`` item as UTF-8, making any missing parent
-    directory. Every target is checked and every text encoded before any file
-    or directory is made: a target that is a directory raises a ValueError
-    naming it, and a lone surrogate, which has no UTF-8 form, one naming
-    ``file:line``; either makes nothing. Each file is replaced whole: its
+    directory. Every target is checked by :func:`check_writable` and every
+    text encoded before any file or directory is made: a lone surrogate,
+    which has no UTF-8 form, raises a ValueError naming ``file:line``; either
+    error makes nothing. Each file is replaced whole: its
     text is written to ``.<name>.<pid>.tmp`` beside the file a symlink
     resolves to and given that file's mode, if it exists, then each temporary
     is renamed onto its target, in order, so a hard link keeps the old text.
     An error removes every temporary not yet renamed, so one before the first
     rename leaves every target as it was."""
+    check_writable(texts)
     encoded = []
     for path, text in texts.items():
-        if Path(path).is_dir():
-            raise ValueError(f"{path} is a directory")
         try:
             encoded.append((Path(path), text.encode("utf-8")))
         except UnicodeEncodeError as exc:

@@ -61,9 +61,6 @@ class WordSet:
             raise ValueError(f"word set '{self.name}' has an empty word")
         object.__setattr__(self, "words", words)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
 
 @dataclass(frozen=True)
 class QueryTemplate:

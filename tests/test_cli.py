@@ -458,26 +458,42 @@ class TestTranslateCommand:
         assert list(tmp_path.glob("out.tsv*")) == []
 
     @pytest.mark.parametrize("backend", ["file", "http"])
-    @pytest.mark.parametrize("directory", ["out", "sidecar"])
-    def test_out_that_is_a_directory_exits_2_before_any_request(
-        self, tmp_path, capsys, lexicon_files, translation_server, backend, directory
+    @pytest.mark.parametrize("case", ["out_directory", "sidecar_directory", "under_a_file",
+                                      "corpus", "config"])
+    def test_out_that_cannot_be_written_exits_2_before_any_request(
+        self, tmp_path, capsys, lexicon_files, translation_server, backend, case
     ):
+        """``--out`` and its sidecar pass every command's output rule before
+        any request: neither is a directory, under a file or an input."""
         from biaseval import cli
 
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
-        translations = all_they_translations(out_dir / "corpus.tsv", tmp_path / "t.tsv")
-        out = tmp_path / "outdir"
-        sidecar = tmp_path / "outdir.provenance.json"
-        made = out if directory == "out" else sidecar
-        made.mkdir()
-        assert cli.main(["translate", "--corpus", str(out_dir / "corpus.tsv"),
-                         "--backend", backend, "--translations", str(translations),
-                         "--url", translation_server.url, "--out", str(out)]) == 2
-        message = f"--out {out}" if made == out else str(sidecar)
-        assert capsys.readouterr().err.splitlines() == [f"error: {message} is a directory"]
+        corpus = out_dir / "corpus.tsv"
+        translations = all_they_translations(corpus, tmp_path / "t.tsv")
+        config = tmp_path / "cfg.json"
+        config.write_text("{}", encoding="utf-8")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        sidecar = tmp_path / "out.tsv.provenance.json"
+        out, message = {
+            "out_directory": (out, f"{out} is a directory"),
+            "sidecar_directory": (out, f"{sidecar} is a directory"),
+            "under_a_file": (afile / "out.tsv", f"{afile / 'out.tsv'}: {afile} is not a directory"),
+            "corpus": (corpus, f"output {corpus} is the same file as input {corpus}"),
+            "config": (config, f"output {config} is the same file as input {config}"),
+        }[case]
+        if case.endswith("directory"):
+            (out if case == "out_directory" else sidecar).mkdir()
+        before = {path: path.read_bytes() if path.is_file() else None
+                  for path in tmp_path.rglob("*")}
+        assert cli.main(["translate", "--corpus", str(corpus), "--backend", backend,
+                         "--translations", str(translations), "--url", translation_server.url,
+                         "--out", str(out), "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert translation_server.posts == []
-        assert list(made.iterdir()) == []
-        assert [path.name for path in tmp_path.glob("outdir*")] == [made.name]
+        assert {path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")} == before
 
 
 class TestTgbiCommand:
@@ -1980,13 +1996,48 @@ class TestCommandInputErrors:
         (["rank", "--queries", "{queries}"], b"", "at least one --embedding is required"),
         (["metrics", "--embedding", "a={embedding}"], b"",
          "at least one --queries file is required"),
+        (["eec", "--occupations", "{bad}", "--positive", "{positive}", "--negative",
+          "{negative}"], "डॉक्टर\tx\n".encode(),
+         "{bad}:1: lexicon entry holds a tab or line break"),
+        (["eec", "--occupations", "{occupations}", "--positive", "{positive}", "--negative",
+          "{negative}", "--pronouns", "{bad}"], json.dumps(
+              [{"surface": "वह\tx", "register": "formal_impolite", "copula": "है"},
+               {"surface": "वे", "register": "formal_polite", "copula": "हैं"},
+               {"surface": "वो", "register": "informal", "copula": "है"}]).encode(),
+         "{bad}: pronoun surface holds a tab or line break"),
+        (["eec", "--occupations", "{occupations}", "--positive", "{positive}", "--negative",
+          "{negative}", "--templates", "{bad}"],
+         json.dumps({"positive": "{pronoun}\t{lexeme}"}).encode(),
+         "{bad}: template 'positive' holds a tab or line break"),
     ], ids=["no_lexicon", "lexicon_not_found", "config_not_object", "templates_not_object",
-            "no_embedding", "no_queries"])
+            "no_embedding", "no_queries", "lexicon_tab", "pronoun_tab", "template_tab"])
     def test_exits_2_with_one_line(self, tmp_path, lexicon_files, embedding_files, query_file,
                                    argv, content, message, capsys):
         bad, err = bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv,
                                    content, capsys)
         assert err == [f"error: {message.format(bad=bad)}"]
+
+    @pytest.mark.parametrize("argv, what", [
+        (["tgbi", "--corpus", "{directory}", "--translations", "{translations}"], "corpus TSV"),
+        (["eec", "--occupations", "{directory}", "--positive", "{positive}", "--negative",
+          "{negative}"], "occupation lexicon"),
+    ], ids=["tgbi_corpus", "eec_lexicon"])
+    def test_a_directory_input_is_named_a_directory(self, tmp_path, lexicon_files, argv, what,
+                                                    capsys):
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        directory = tmp_path / "somedir"
+        directory.mkdir()
+        files = {"directory": directory, "positive": pos, "negative": neg,
+                 "translations": all_they_translations(build_corpus(tmp_path, lexicon_files)[0]
+                                                       / "corpus.tsv", tmp_path / "t.tsv")}
+        capsys.readouterr()
+        assert cli.main([arg.format(**files) for arg in argv]
+                        + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {what} is a directory: {directory}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestNonUtf8Input:
@@ -2478,9 +2529,10 @@ class TestOutputReplacement:
 
 
 class TestOutputThatIsADirectory:
-    """An output path that is an existing directory fails before any output
-    is written, with one line naming it; ``translate`` checks its two outputs
-    before any request, in TestTranslateCommand."""
+    """An output path that is an existing directory, or under a path that is
+    not one, fails before any output is written, with one line naming it;
+    ``translate`` checks its two outputs before any request, in
+    TestTranslateCommand."""
 
     def test_eec_views_json_directory(self, tmp_path, capsys, lexicon_files):
         from biaseval import cli
@@ -2508,3 +2560,23 @@ class TestOutputThatIsADirectory:
             f"error: {out_dir / 'rank_table.csv'} is a directory"]
         assert captured.out == ""
         assert [path.name for path in out_dir.iterdir()] == ["rank_table.csv"]
+
+    @pytest.mark.parametrize("command, first", [("eec", "corpus.tsv"),
+                                                ("rank", "rank_table.json")])
+    def test_out_dir_that_is_a_file(self, tmp_path, capsys, lexicon_files, embedding_files,
+                                    query_file, command, first):
+        from biaseval import cli
+
+        occ, pos, neg = lexicon_files
+        argv = {"eec": ["eec", "--occupations", str(occ), "--positive", str(pos),
+                        "--negative", str(neg)],
+                "rank": ["rank", "--embedding", f"a={embedding_files[0]}",
+                         "--queries", str(query_file), "--metric", "WEAT"]}[command]
+        out_dir = tmp_path / "afile"
+        out_dir.write_text("kept\n", encoding="utf-8")
+        assert cli.main(argv + ["--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {out_dir / first}: {out_dir} is not a directory"]
+        assert captured.out == ""
+        assert out_dir.read_text(encoding="utf-8") == "kept\n"

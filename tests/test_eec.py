@@ -50,6 +50,13 @@ class TestLoadLexicon:
         with pytest.raises(ValueError, match="empty"):
             load_lexicon(path, "occupation")
 
+    def test_entry_holding_a_tab_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "occ.txt"
+        path.write_text("डॉक्टर\n# note\nशिक्षक\tx\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: lexicon entry holds a tab or line break")):
+            load_lexicon(path, "occupation")
+
     def test_unknown_category(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("word\n", encoding="utf-8")
@@ -111,6 +118,9 @@ class TestGenerateUtterances:
         ({"occupation": "{pronoun.upper} {lexeme}"}, "must be a format string using only"),
         ({"occupation": "{pronoun} {lexeme"}, "must be a format string using only"),
         ({"occupation": 5}, "must be a format string using only"),
+        ({"occupation": "{pronoun}\t{lexeme}"}, "template 'occupation' holds a tab or line break"),
+        ({"occupation": "{pronoun} {lexeme}\u2028"},
+         "template 'occupation' holds a tab or line break"),
     ])
     def test_bad_template_rejected(self, templates, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -398,9 +408,11 @@ class TestPronounSpec:
     @pytest.mark.parametrize("surface,copula,message", [
         ("", "है", "pronoun surface must be non-empty"),
         ("वह", "", "copula must be non-empty"),
+        ("वह\tx", "है", "pronoun surface holds a tab or line break"),
+        ("वह", "है\n", "copula holds a tab or line break"),
     ])
-    def test_empty_surface_or_copula_rejected(self, surface, copula, message):
-        with pytest.raises(ValueError, match=message):
+    def test_empty_or_field_breaking_surface_or_copula_rejected(self, surface, copula, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             PronounSpec(surface, "informal", copula)
 
     def test_every_register_is_required(self):
