@@ -12,8 +12,8 @@ and ``tgbi``, is ignored.
 
 Every command reads its inputs and builds every output before it writes the
 first, and prints only after the last write: a failing command writes nothing
-and prints nothing, and :func:`_check_outputs` refuses an output that cannot
-be written or is a file it opened as input. The one exception, an aborted
+and prints nothing, and :meth:`_Ledger.check_outputs` refuses an output that cannot
+be written or is a file it read as input. The one exception, an aborted
 HTTP translation, writes the rows it fetched so that a rerun resumes.
 ``translate`` writes ``--out`` with a ``<out>.provenance.json`` sidecar
 holding the corpus hash, which alone says what corpus a translations TSV
@@ -88,35 +88,55 @@ from .translate import (
 _HASH_CHUNK = 1 << 20
 # The dest of each lexicon option of ``eec``, in CATEGORIES order.
 _LEXICON_OPTIONS = ("occupations", "positive", "negative")
-# The input files the running command opened, which none of its outputs may be.
-_OPENED: list[Path] = []
 
 
-def _sha256(path) -> str:
-    import hashlib
+class _Ledger:
+    """The input files of one run, each required, hashed at most once, cited in
+    provenance and refused as an output; ``files`` maps each to its sha256 once taken."""
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(_HASH_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    def __init__(self):
+        self.files: dict[Path, str | None] = {}
 
+    def require(self, path, what: str) -> Path:
+        if path is None:
+            raise ValueError(f"missing required input: {what}")
+        if (resolved := Path(path)).is_dir():
+            raise IsADirectoryError(f"{what} is a directory: {resolved}")
+        if not resolved.is_file():
+            raise FileNotFoundError(f"{what} not found: {resolved}")
+        self.files.setdefault(resolved, None)
+        return resolved
 
-def _describe_inputs(inputs: dict) -> dict:
-    """Provenance entry per input: a file path with its sha256, None left
-    out, any other value as given. Idempotent, so a described block can be reused."""
-    return {
-        label: {"path": str(value), "sha256": _sha256(value)}
-        if isinstance(value, (str, Path)) else value
-        for label, value in inputs.items() if value is not None
-    }
+    def sha256(self, path) -> str:
+        if not self.files.get(path := Path(path)):
+            import hashlib
+
+            digest = hashlib.sha256()
+            with open(path, "rb") as handle:
+                for chunk in iter(lambda: handle.read(_HASH_CHUNK), b""):
+                    digest.update(chunk)
+            self.files[path] = digest.hexdigest()
+        return self.files[path]
+
+    def describe(self, inputs: dict, paths: bool = True) -> dict:
+        """Provenance entry per input file, None left out: its sha256, and its path if ``paths``."""
+        return {label: {"sha256": self.sha256(path)} | ({"path": str(path)} if paths else {})
+                for label, path in inputs.items() if path is not None}
+
+    def check_outputs(self, outputs) -> None:
+        """Raise a ValueError naming an output that :func:`check_writable` refuses or
+        that is the same file as a required input (an HTTP ``--out`` is not one)."""
+        check_writable(outputs)
+        for out in filter(os.path.exists, outputs):
+            for path in self.files:
+                if os.path.samefile(out, path):
+                    raise ValueError(f"output {out} is the same file as input {path}")
 
 
 def _report_json(body: dict, inputs: dict, flags: dict, **extra) -> str:
     """``body`` as a JSON report's text under its provenance block: the
-    version, the flags, the inputs described and any ``extra`` entries."""
-    provenance = {"version": __version__, "flags": flags,
-                  "inputs": _describe_inputs(inputs), **extra}
+    version, the flags, the described ``inputs`` and any ``extra`` entries."""
+    provenance = {"version": __version__, "flags": flags, "inputs": inputs, **extra}
     return json_text({"provenance": provenance, **body})
 
 
@@ -132,40 +152,29 @@ def _sidecar_corpus(tsv) -> str | None:
     return named if isinstance(named, str) else ""
 
 
-def _read_corpus(location) -> tuple[Path, str, list]:
-    """The corpus TSV's path, sha256 and rows, refused if a view selects no row."""
-    path = _require_file(location, "corpus TSV")
+def _read_corpus(location, ledger: _Ledger) -> tuple[Path, list]:
+    """The corpus TSV's path and rows, refused if a view selects no row."""
+    path = ledger.require(location, "corpus TSV")
     corpus = read_corpus_tsv(path)
     if (empty := empty_view(corpus)) is not None:
         raise ValueError(f"{path}: view '{empty}' selects no corpus row")
-    return path, _sha256(path), corpus
+    return path, corpus
 
 
-def _read_translations(location, corpus_path, corpus_hash: str) -> tuple[Path, list]:
+def _read_translations(location, ledger: _Ledger, corpus_path) -> tuple[Path, list]:
     """The translations TSV's path and records, refused if its sidecar names another corpus."""
-    path = _require_file(location, "translations TSV")
-    if _sidecar_corpus(path) not in (None, corpus_hash):
+    path = ledger.require(location, "translations TSV")
+    if _sidecar_corpus(path) not in (None, ledger.sha256(corpus_path)):
         raise ValueError(f"{path} was not translated from {corpus_path}: "
                          f"{path}.provenance.json names another corpus")
     return path, load_translations_tsv(path)
 
 
-def _require_file(path, what: str) -> Path:
-    if path is None:
-        raise ValueError(f"missing required input: {what}")
-    if (resolved := Path(path)).is_dir():
-        raise IsADirectoryError(f"{what} is a directory: {resolved}")
-    if not resolved.is_file():
-        raise FileNotFoundError(f"{what} not found: {resolved}")
-    _OPENED.append(resolved)
-    return resolved
-
-
-def _apply_config(command: argparse.ArgumentParser, path) -> None:
+def _apply_config(command: argparse.ArgumentParser, path, ledger: _Ledger) -> None:
     """Make the config file's values the defaults of ``command``'s options of
     the same dest, so a flag given on the command line still wins. Switches
     read no key; a null or an empty list leaves the declared default."""
-    config_path = _require_file(path, "config file")
+    config_path = ledger.require(path, "config file")
     config = read_json(config_path)
     if not isinstance(config, dict):
         raise ValueError(f"{config_path}: config must be a JSON object")
@@ -204,10 +213,10 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
-def _load_pronouns(path):
+def _load_pronouns(path, ledger: _Ledger):
     if not path:
         return DEFAULT_PRONOUNS
-    data = read_json(_require_file(path, "pronoun spec file"))
+    data = read_json(ledger.require(path, "pronoun spec file"))
     fields = ("surface", "register", "copula")
     try:
         if not isinstance(data, list) or not all(
@@ -221,11 +230,11 @@ def _load_pronouns(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_templates(path):
+def _load_templates(path, ledger: _Ledger):
     """Templates by lexicon category, checked by :func:`merge_templates`."""
     if not path:
         return None
-    data = read_json(_require_file(path, "template file"))
+    data = read_json(ledger.require(path, "template file"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: templates must map lexicon category to a format string")
     try:
@@ -234,13 +243,12 @@ def _load_templates(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_eec(args) -> tuple[dict, str]:
-    lexicon_files = {dest: _require_file(getattr(args, dest), f"{category} lexicon")
+def cmd_eec(args, ledger: _Ledger) -> tuple[dict, str]:
+    lexicon_files = {dest: ledger.require(getattr(args, dest), f"{category} lexicon")
                      for category, dest in zip(CATEGORIES, _LEXICON_OPTIONS)}
-    pronouns = _load_pronouns(args.pronouns)
-    templates = _load_templates(args.templates)
-    inputs = {**lexicon_files, **{dest: path for dest in ("pronouns", "templates")
-                                  if (path := getattr(args, dest))}}
+    pronouns = _load_pronouns(args.pronouns, ledger)
+    templates = _load_templates(args.templates, ledger)
+    inputs = dict(lexicon_files, pronouns=args.pronouns or None, templates=args.templates or None)
 
     lexicons = list(map(load_lexicon, lexicon_files.values(), CATEGORIES))
     utterances = generate_utterances(lexicons, pronouns, templates)
@@ -257,24 +265,25 @@ def cmd_eec(args) -> tuple[dict, str]:
         out_dir / "views.json": views_json_text(views),
         out_dir / "run_meta.json": _report_json(
             {"n_utterances": len(utterances), "view_sizes": sizes},
-            inputs, {"pronoun_registers": [p.register for p in pronouns]}),
+            ledger.describe(inputs), {"pronoun_registers": [p.register for p in pronouns]}),
     }, "".join(f"{name}\t{size}\n" for name, size in sizes.items())
 
 
-def cmd_translate(args) -> tuple[dict, str]:
-    corpus_path, corpus_hash, corpus = _read_corpus(args.corpus)
+def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
+    corpus_path, corpus = _read_corpus(args.corpus, ledger)
     # --out is renamed before its sidecar, so an HTTP run cut between them is refused.
-    _check_outputs((out := Path(args.out), sidecar := Path(f"{out}.provenance.json")))
+    ledger.check_outputs((out := Path(args.out), sidecar := Path(f"{out}.provenance.json")))
     # No corpus path, so a copy of the corpus matches, and no URL, which may carry a key.
-    provenance = _report_json({}, {"corpus": {"sha256": corpus_hash}}, {"backend": args.backend})
+    provenance = _report_json({}, ledger.describe({"corpus": corpus_path}, paths=False),
+                              {"backend": args.backend})
 
     if args.backend == "file":
-        _path, records = _read_translations(args.translations, corpus_path, corpus_hash)
+        _path, records = _read_translations(args.translations, ledger, corpus_path)
     else:
         cfg = BackendConfig(args.url, timeout=args.timeout, retry_count=args.retries,
                             max_in_flight=args.max_in_flight)
         join((), (), min_coverage=args.min_coverage)  # a bad --min-coverage fails before any request
-        if out.is_file() and (named := _sidecar_corpus(out)) != corpus_hash:
+        if out.is_file() and (named := _sidecar_corpus(out)) != ledger.sha256(corpus_path):
             cause = "is missing" if named is None else "names another corpus"
             raise ValueError(f"{out} was not written for this corpus ({sidecar} {cause}); "
                              f"remove {out} to start over")
@@ -303,19 +312,19 @@ def _merge_records(corpus, existing, fetched):
     return [by_id[utterance.id] for utterance in corpus if utterance.id in by_id]
 
 
-def cmd_tgbi(args) -> tuple[dict, str]:
-    corpus_path, corpus_hash, corpus = _read_corpus(args.corpus)
-    views_path = None if args.views is None else _require_file(args.views, "views manifest")
+def cmd_tgbi(args, ledger: _Ledger) -> tuple[dict, str]:
+    corpus_path, corpus = _read_corpus(args.corpus, ledger)
+    views_path = None if args.views is None else ledger.require(args.views, "views manifest")
     if views_path:
         given = read_views_json(views_path)
         for name, ids in build_views(corpus).items():
             if ids != given[name]:
                 raise ValueError(f"{views_path}: view '{name}' does not match {corpus_path}")
-    translations_path, records = _read_translations(args.translations, corpus_path, corpus_hash)
+    translations_path, records = _read_translations(args.translations, ledger, corpus_path)
     if args.gender_lexicon:
-        lexicon_file = _require_file(args.gender_lexicon, "gender lexicon")
+        lexicon_file = ledger.require(args.gender_lexicon, "gender lexicon")
         lexicon = load_gender_lexicon(lexicon_file)
-        lexicon_hash = _sha256(lexicon_file)
+        lexicon_hash = ledger.sha256(lexicon_file)
     else:
         import hashlib
 
@@ -327,8 +336,9 @@ def cmd_tgbi(args) -> tuple[dict, str]:
                          variant=args.variant, ambiguous_policy=args.ambiguous_policy)
     report_json = _report_json(
         report_to_dict(report),
-        {"corpus": {"path": str(corpus_path), "sha256": corpus_hash}, "views": views_path,
-         "translations": translations_path, "gender_lexicon": {"sha256": lexicon_hash}},
+        {**ledger.describe({"corpus": corpus_path, "views": views_path,
+                            "translations": translations_path}),
+         "gender_lexicon": {"sha256": lexicon_hash}},
         {"variant": args.variant, "ambiguous_policy": args.ambiguous_policy})
     table = render_tgbi_table(report)
     out_dir = Path(args.out_dir)
@@ -353,12 +363,11 @@ def _check_templates(queries, metrics) -> None:
             )
 
 
-def _embedding_inputs(args) -> argparse.Namespace:
-    """Output directory, embedding tables and queries of a ``metrics`` or
-    ``rank`` run. ``--seed`` and ``--lost-threshold`` are range-checked, the
-    embedding names checked for repeats, the queries read and checked and
-    every embedding file found before ``tables`` parses one as it is taken;
-    each input file is hashed once here, however many reports cite it."""
+def _embedding_inputs(args, ledger: _Ledger) -> argparse.Namespace:
+    """Output directory, embedding tables, queries and input files by label of a
+    ``metrics`` or ``rank`` run. ``--seed`` and ``--lost-threshold`` are range-checked,
+    the embedding names checked for repeats, the queries read and checked and every
+    embedding file found before ``tables`` parses one as it is taken."""
     from .embeddings import load_word2vec_text
     from .queries import load_queries
 
@@ -379,59 +388,48 @@ def _embedding_inputs(args) -> argparse.Namespace:
     if not args.queries:
         raise ValueError("at least one --queries file is required")
     queries = [query for path in args.queries
-               for query in load_queries(_require_file(path, "query file"))]
+               for query in load_queries(ledger.require(path, "query file"))]
     if not args.skip_invalid:
         _check_templates(queries, args.metrics)
-    files = [_require_file(location, "embedding file") for location in locations.values()]
+    files = [ledger.require(location, "embedding file") for location in locations.values()]
     tables = map(load_word2vec_text, files, locations)
     inputs = {f"embedding:{name}": location for name, location in locations.items()}
     inputs.update({f"queries:{i}": path for i, path in enumerate(args.queries)})
     return argparse.Namespace(out_dir=Path(args.out_dir), tables=tables, queries=queries,
-                              inputs=_describe_inputs(inputs))
+                              inputs=inputs)
 
 
-def cmd_metrics(args) -> tuple[dict, str]:
+def cmd_metrics(args, ledger: _Ledger) -> tuple[dict, str]:
     from .ranking import render_score_matrix, score_matrices, score_matrix_csv, score_matrix_to_dict
 
-    run = _embedding_inputs(args)
+    run = _embedding_inputs(args, ledger)
     matrices = score_matrices(args.metrics, run.tables, run.queries,
                               lost_threshold=args.lost_threshold, seed=args.seed)
     outputs = {}
     for matrix in matrices:
         metric = matrix.metric
         outputs[run.out_dir / f"scores_{metric}.json"] = _report_json(
-            score_matrix_to_dict(matrix), run.inputs,
+            score_matrix_to_dict(matrix), ledger.describe(run.inputs),
             {"metric": metric, "lost_threshold": args.lost_threshold}, seed=args.seed)
         outputs[run.out_dir / f"scores_{metric}.csv"] = score_matrix_csv(matrix)
     return outputs, "".join(f"{m.metric}:\n{render_score_matrix(m)}" for m in matrices)
 
 
-def cmd_rank(args) -> tuple[dict, str]:
+def cmd_rank(args, ledger: _Ledger) -> tuple[dict, str]:
     from .ranking import build_rank_table, rank_table_csv, rank_table_to_dict, render_rank_table
 
-    run = _embedding_inputs(args)
+    run = _embedding_inputs(args, ledger)
     table = build_rank_table(
         args.metrics, run.tables, run.queries,
         lost_threshold=args.lost_threshold, agg=args.agg, seed=args.seed,
     )
     rendered = render_rank_table(table, mode=args.mode)
     return {run.out_dir / "rank_table.json": _report_json(
-        rank_table_to_dict(table), run.inputs,
+        rank_table_to_dict(table), ledger.describe(run.inputs),
         {"agg": args.agg, "mode": args.mode, "lost_threshold": args.lost_threshold,
          "metrics": args.metrics}, seed=args.seed),
         run.out_dir / "rank_table.csv": rank_table_csv(table),
         run.out_dir / "rank_table.txt": rendered}, rendered
-
-
-def _check_outputs(outputs) -> None:
-    """Raise a ValueError naming an output that :func:`check_writable` refuses or
-    that is the same file as an input opened through :func:`_require_file`. An
-    HTTP translation's ``--out`` and sidecar are its resume state, not opened there."""
-    check_writable(outputs)
-    for out in filter(os.path.exists, outputs):
-        for path in _OPENED:
-            if os.path.samefile(out, path):
-                raise ValueError(f"output {out} is the same file as input {path}")
 
 
 class _Repeatable(argparse.Action):
@@ -533,12 +531,12 @@ def main(argv=None) -> int:
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            _OPENED.clear()
+            ledger = _Ledger()
             if args.config:
-                _apply_config(commands[args.command], args.config)
+                _apply_config(commands[args.command], args.config, ledger)
                 args = parser.parse_args(argv)
-            outputs, shown = args.func(args)
-            _check_outputs(outputs)
+            outputs, shown = args.func(args, ledger)
+            ledger.check_outputs(outputs)
             write_utf8_files(outputs)
             print(shown, end="")
             return 0

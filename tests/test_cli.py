@@ -1835,7 +1835,8 @@ class TestOptionPrecedence:
         from biaseval import cli
 
         seen = []
-        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args) or ({}, ""))
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda args, ledger: seen.append(args) or ({}, ""))
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: config_value}), encoding="utf-8")
         assert cli.main([command]) == 0
@@ -1920,21 +1921,27 @@ class TestOptionPrecedence:
 
 
 class TestInputHashing:
-    def test_each_input_hashed_once_per_run(self, tmp_path, embedding_files, query_file,
-                                            monkeypatch, capsys):
-        import hashlib
+    """The run's ledger hashes each input file at most once, however many
+    reports or checks cite it; every file ``cli`` opens itself is one it hashes."""
 
+    @pytest.fixture
+    def hashed(self, monkeypatch):
         from biaseval import cli
 
-        hashed = []
-        original = cli._sha256
+        opened = []
 
-        def counting(path):
-            hashed.append(str(path))
-            return original(path)
+        def counting_open(path, mode="r", *args, **kwargs):
+            opened.append(str(path))
+            return open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_sha256", counting)
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
         monkeypatch.setattr(cli, "_HASH_CHUNK", 7)  # stream in several chunks
+        return opened
+
+    def test_each_input_hashed_once_per_run(self, tmp_path, embedding_files, query_file,
+                                            hashed, capsys):
+        from biaseval import cli
+
         emb_a, emb_b = embedding_files
         out_dir = tmp_path / "metrics"
         code = cli.main([
@@ -1952,6 +1959,33 @@ class TestInputHashing:
         assert blocks[0]["inputs"]["embedding:a"] == {
             "path": str(emb_a), "sha256": hashlib.sha256(emb_a.read_bytes()).hexdigest(),
         }
+
+    def test_tgbi_hashes_the_corpus_once(self, tmp_path, lexicon_files, hashed, capsys):
+        """The corpus is cited by the translations' sidecar check and by the
+        report, and hashed once for both."""
+        from biaseval import cli
+
+        eec_dir, _ = build_corpus(tmp_path, lexicon_files)
+        corpus = eec_dir / "corpus.tsv"
+        translations = tmp_path / "t.tsv"
+        assert cli.main(["translate", "--corpus", str(corpus), "--translations",
+                         str(all_they_translations(corpus, tmp_path / "in.tsv")),
+                         "--out", str(translations)]) == 0
+        assert hashed == [str(corpus)]  # the file backend's translations are not cited
+        lexicon = tmp_path / "gender.txt"
+        lexicon.write_text("[she]\nshe\n[he]\nhe\n[they]\nthey\n", encoding="utf-8")
+        hashed.clear()
+        assert cli.main(["tgbi", "--corpus", str(corpus), "--views", str(eec_dir / "views.json"),
+                         "--translations", str(translations), "--gender-lexicon", str(lexicon),
+                         "--out-dir", str(tmp_path / "tgbi")]) == 0
+        assert sorted(hashed) == sorted(map(str, (corpus, eec_dir / "views.json",
+                                                  translations, lexicon)))
+        inputs = json.loads((tmp_path / "tgbi" / "tgbi_report.json").read_text(
+            encoding="utf-8"))["provenance"]["inputs"]
+        assert inputs["corpus"] == {
+            "path": str(corpus), "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+        assert inputs["gender_lexicon"] == {
+            "sha256": hashlib.sha256(lexicon.read_bytes()).hexdigest()}
 
 
 def bad_input_error(tmp_path, lexicon_files, embedding_files, query_file, argv, content, capsys):
@@ -2379,8 +2413,8 @@ class TestUnencodableOutput:
         original = getattr(cli, f"cmd_{command}")
         spoiled = []
 
-        def spoil_last_output(args):
-            outputs, shown = original(args)
+        def spoil_last_output(args, ledger):
+            outputs, shown = original(args, ledger)
             last = list(outputs)[-1]
             spoiled.append(f"{last}:{outputs[last].count(chr(10)) + 1}")
             return {**outputs, last: outputs[last] + "\ud800"}, shown
