@@ -1,7 +1,8 @@
 """Command-line entry point wiring corpus build, translation, metric runs,
 ranking, and bias-index scoring.
 
-Exit codes: 0 success, 1 computation error, 2 usage or input error. Errors
+Exit codes: 0 success, 1 computation error or a stdout closed after every
+output was written, 2 usage or input error, 130 interrupted (Ctrl-C). Errors
 and warnings reach stderr as one ``error: ...`` or ``warning: ...`` line each,
 whatever warning filter the caller set (``-W error`` included).
 
@@ -11,10 +12,11 @@ A config key naming no option of the command, such as ``seed`` for ``eec``
 and ``tgbi``, is ignored.
 
 Every command reads its inputs and builds every output before it writes the
-first, and prints only after the last write: a failing command writes nothing
-and prints nothing, and :meth:`_Ledger.check_outputs` refuses an output that cannot
-be written or is a file it read as input. The one exception, an aborted
-HTTP translation, writes the rows it fetched so that a rerun resumes.
+first, and prints only after the last write: a failing or interrupted command
+writes nothing and prints nothing, and :meth:`_Ledger.check_outputs` refuses an
+output that cannot be written or is a file it read as input. The one exception,
+an aborted or interrupted HTTP translation, stops sending requests and writes
+the rows it fetched, so that a rerun resumes.
 ``translate`` writes ``--out`` with a ``<out>.provenance.json`` sidecar
 holding the corpus hash, which alone says what corpus a translations TSV
 translates: an HTTP ``--out`` resumes only with the corpus so hashed.
@@ -61,7 +63,8 @@ from .eec import (
     require_views,
     views_json_text,
 )
-from .errors import BiasEvalError, EmbeddingFormatError, TranslationRunError
+from .errors import (BiasEvalError, EmbeddingFormatError, TranslationInterrupted,
+                     TranslationRunError)
 from .names import (AGGREGATIONS, DEFAULT_LOST_THRESHOLD, DEFAULT_SEED, METRIC_NAMES,
                     RENDER_MODES, check_writable, integer, json_text, read_json, real,
                     write_utf8_files)
@@ -293,11 +296,11 @@ def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
         todo = [utterance for utterance in corpus if utterance.id not in have]
         try:
             fetched = fetch_translations_http(cfg, todo)
-        except TranslationRunError as exc:
+        except (TranslationRunError, TranslationInterrupted) as exc:
             merged = _merge_records(corpus, existing, exc.completed)
             write_utf8_files({out: translations_tsv_text(merged, out), sidecar: provenance})
-            raise TranslationRunError(f"{exc}; wrote {len(merged)} row(s) to {out}; "
-                                      "rerun to resume") from None
+            raise type(exc)(f"{exc}; wrote {len(merged)} row(s) to {out}; "
+                            "rerun to resume") from None
         records = _merge_records(corpus, existing, fetched)
     # Both backends write exactly the corpus's rows, in corpus order.
     records = [record for _utterance, record in join(corpus, records,
@@ -538,8 +541,16 @@ def main(argv=None) -> int:
             outputs, shown = args.func(args, ledger)
             ledger.check_outputs(outputs)
             write_utf8_files(outputs)
-            print(shown, end="")
+            try:
+                print(shown, end="", flush=True)
+            except BrokenPipeError:  # a closed stdout, after every output is written
+                # As Python's SIGPIPE note says, so that shutdown's flush prints nothing.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
             return 0
+        except KeyboardInterrupt as exc:
+            print(f"error: {str(exc) or 'interrupted'}", file=sys.stderr)
+            return 130
         except (EmbeddingFormatError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -49,5 +49,14 @@ class TranslationRunError(BiasEvalError):
         self.completed = list(completed)
 
 
+class TranslationInterrupted(KeyboardInterrupt):
+    """Ctrl-C stopped an HTTP translation; ``completed`` holds the records
+    fetched before it, as :class:`TranslationRunError` does."""
+
+    def __init__(self, message="interrupted", completed=()):
+        super().__init__(message)
+        self.completed = list(completed)
+
+
 class JoinCoverageError(BiasEvalError):
     """Too few corpus rows have translations to score reliably."""

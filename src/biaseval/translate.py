@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from urllib.parse import quote, urlsplit, urlunsplit
 
-from .errors import JoinCoverageError, TranslationRunError
+from .errors import JoinCoverageError, TranslationInterrupted, TranslationRunError
 from .names import FIELD_BREAK_RE, read_tsv, tsv_text, write_utf8_files
 
 AUTH_ENV_VAR = "BIASEVAL_HTTP_AUTH"
@@ -297,15 +297,23 @@ def _fetch_batch(connection: _Connection, batch, attempt: int):
 def _fetch_round(connect, batches, pending, attempt: int, results, workers: int) -> None:
     """Fetch the ``pending`` batches into ``results`` on ``workers`` threads,
     each with its own connection, closed when the round ends. An unexpected
-    exception in a worker is re-raised here once every worker has stopped."""
+    exception in a worker is re-raised here once every worker has stopped.
+    A KeyboardInterrupt stops the workers from taking another batch and is
+    re-raised once the requests in flight have ended, or at once on a second
+    one: the workers are daemon threads, so they do not hold up the exit."""
     indices = iter(pending)
     lock = threading.Lock()
+    # Set by the workers, as Thread.join interrupted by a KeyboardInterrupt may
+    # mark a running thread stopped (CPython 3.11 and 3.12).
+    stop, stopped = threading.Event(), threading.Event()
+    running = workers
     errors = []
 
     def work():
+        nonlocal running
         connection = connect()
         try:
-            while True:
+            while not stop.is_set():
                 with lock:
                     index = next(indices, None)
                 if index is None:
@@ -315,12 +323,19 @@ def _fetch_round(connect, batches, pending, attempt: int, results, workers: int)
             errors.append(exc)
         finally:
             connection.close()
+            with lock:
+                running -= 1
+                if not running:
+                    stopped.set()
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    for _ in range(workers):
+        threading.Thread(target=work, daemon=True).start()
+    try:
+        stopped.wait()
+    except KeyboardInterrupt:
+        stop.set()
+        stopped.wait()
+        raise
     if errors:
         raise errors[0]
 
@@ -339,7 +354,9 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
     ``Retry-After`` of the previous round's replies if that is longer (capped
     at ``MAX_RETRY_AFTER_S``), so no worker waits out a backoff. A failed
     batch, or one still unreachable after the last round, aborts the run with
-    the records completed so far attached, so the caller can resume. Batches
+    the records completed so far attached, so the caller can resume; so does
+    a KeyboardInterrupt, re-raised as :class:`TranslationInterrupted` once the
+    requests in flight have ended, each within ``cfg.timeout``. Batches
     may be in flight concurrently up to ``cfg.max_in_flight``; results are
     merged in corpus order regardless of completion order. The
     ``BIASEVAL_HTTP_AUTH`` environment variable, when set, is forwarded as the
@@ -383,20 +400,23 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
     results = [None] * len(batches)
     pending = list(range(len(batches)))
     retry_after = 0
-    for attempt in range(cfg.retry_count + 1):
-        if not pending:
-            break
-        if attempt:
-            time.sleep(max(RETRY_BACKOFF_S * attempt, retry_after))
-        _fetch_round(connect, batches, pending, attempt, results,
-                     min(cfg.max_in_flight, len(pending)))
-        pending = [index for index in pending if isinstance(results[index], _Retry)]
-        retry_after = max((results[index].retry_after for index in pending), default=0)
+    try:
+        for attempt in range(cfg.retry_count + 1):
+            if not pending:
+                break
+            if attempt:
+                time.sleep(max(RETRY_BACKOFF_S * attempt, retry_after))
+            _fetch_round(connect, batches, pending, attempt, results,
+                         min(cfg.max_in_flight, len(pending)))
+            pending = [index for index in pending if isinstance(results[index], _Retry)]
+            retry_after = max((results[index].retry_after for index in pending), default=0)
+    except KeyboardInterrupt:
+        raise TranslationInterrupted(completed=_completed(results)) from None
     for index in pending:
         results[index] = _BatchFailure(
             f"unreachable after {cfg.retry_count + 1} attempt(s): {results[index].message}"
         )
-    completed = [record for result in results if isinstance(result, list) for record in result]
+    completed = _completed(results)
     failures = [(index, result) for index, result in enumerate(results)
                 if isinstance(result, _BatchFailure)]
     if failures:
@@ -407,6 +427,11 @@ def fetch_translations_http(cfg: BackendConfig, utterances) -> list[TranslationR
             completed=completed,
         )
     return completed
+
+
+def _completed(results) -> list[TranslationRecord]:
+    """The records of the fetched batches of ``results``, in batch order."""
+    return [record for result in results if isinstance(result, list) for record in result]
 
 
 def join(utterances, records, min_coverage: float = DEFAULT_MIN_COVERAGE):

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import write_w2v
+from conftest import echo, write_w2v
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -2614,3 +2616,110 @@ class TestOutputThatIsADirectory:
             f"error: {out_dir / first}: {out_dir} is not a directory"]
         assert captured.out == ""
         assert out_dir.read_text(encoding="utf-8") == "kept\n"
+
+
+def interruptible(*args):
+    """``biaseval *args`` started in a child with Python's own SIGINT handler,
+    which a SIGINT ignored by the parent (as for a background job) would leave
+    uninstalled, once the child has imported the CLI: every stderr line left
+    to read is the command's own."""
+    code = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+            "from biaseval import cli; print('ready', file=sys.stderr, flush=True); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    child = subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert child.stderr.readline() == "ready\n"
+    return child
+
+
+class TestInterrupt:
+    """Ctrl-C ends a command with one ``error:`` line and exit status 130; an
+    HTTP translation stops sending and keeps what it fetched."""
+
+    def test_rank_prints_one_line_and_writes_nothing(self, tmp_path):
+        words = [f"w{i}" for i in range(4000)]
+        embedding = write_w2v(tmp_path / "e.txt", {w: [(i % 7) + 1, (i % 5) + 1]
+                                                   for i, w in enumerate(words)})
+        sets = [{"name": f"s{i}", "words": words[i * 1000:(i + 1) * 1000]} for i in range(4)]
+        queries = tmp_path / "q.json"
+        queries.write_text(json.dumps([{"label": "big", "targets": sets[:2],
+                                        "attributes": sets[2:]}]), encoding="utf-8")
+        out_dir = tmp_path / "rank"
+        # WEAT over four 1000-word sets takes seconds, so the signal lands in it.
+        child = interruptible("rank", "--embedding", f"e={embedding}", "--queries", queries,
+                              "--metric", "WEAT", "--out-dir", out_dir)
+        time.sleep(0.3)
+        child.send_signal(signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=60)
+        assert child.returncode == 130
+        assert stderr.splitlines() == ["error: interrupted"]
+        assert stdout == ""
+        assert not out_dir.exists()
+
+    def test_http_translation_stops_and_keeps_what_it_fetched(self, tmp_path,
+                                                              translation_server):
+        lexicons = []
+        for name, size in (("occupations", 200), ("positive", 10), ("negative", 10)):
+            lexicons.append(tmp_path / f"{name}.txt")
+            lexicons[-1].write_text("".join(f"{name}{i}\n" for i in range(size)),
+                                    encoding="utf-8")
+        eec_dir = tmp_path / "eec"
+        assert run_cli("eec", "--occupations", lexicons[0], "--positive", lexicons[1],
+                       "--negative", lexicons[2], "--out-dir", eec_dir).returncode == 0
+        corpus = eec_dir / "corpus.tsv"
+        ids = {int(line.split("\t")[0])
+               for line in corpus.read_text(encoding="utf-8").splitlines()[1:]}
+        assert len(ids) == 660  # 11 batches of up to 64
+
+        def slow_echo(texts, call):
+            time.sleep(0.2)
+            return echo(texts)
+
+        translation_server.reply = slow_echo
+        out = tmp_path / "t.tsv"
+        argv = ["translate", "--corpus", corpus, "--backend", "http", "--url",
+                translation_server.url, "--max-in-flight", "2", "--out", out]
+        child = interruptible(*argv)
+        deadline = time.monotonic() + 30
+        while len(translation_server.posts) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        posted = len(translation_server.posts)
+        child.send_signal(signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=60)
+        posts = list(translation_server.posts)
+        assert posted >= 3
+        assert len(posts) - posted <= 2  # at most --max-in-flight more
+        fetched = {text["id"] for post in posts for text in post.texts}
+        assert child.returncode == 130
+        assert stderr.splitlines() == [
+            f"error: interrupted; wrote {len(fetched)} row(s) to {out}; rerun to resume"]
+        assert stdout == ""
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert {int(row.split("\t")[0]) for row in rows} == fetched
+        sidecar = json.loads(Path(f"{out}.provenance.json").read_text(encoding="utf-8"))
+        assert sidecar["provenance"]["inputs"]["corpus"] == {
+            "sha256": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+
+        translation_server.reply = echo
+        del translation_server.posts[:]
+        rerun = run_cli(*argv)
+        assert rerun.returncode == 0, rerun.stderr
+        refetched = [text["id"] for post in translation_server.posts for text in post.texts]
+        assert sorted(refetched) == sorted(ids - fetched)
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 661
+
+
+def test_closed_stdout_after_every_output_exits_1_silently(tmp_path, lexicon_files):
+    occ, pos, neg = lexicon_files
+    out_dir = tmp_path / "eec"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "biaseval", "eec", "--occupations", str(occ), "--positive",
+         str(pos), "--negative", str(neg), "--out-dir", str(out_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()  # before the command prints
+    with child.stderr:
+        stderr = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert stderr == b""
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        "corpus.tsv", "run_meta.json", "views.json"]
