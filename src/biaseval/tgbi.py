@@ -3,7 +3,9 @@ translation gender bias index.
 
 Each translated sentence lands in one of four buckets (she, he, they,
 unresolved) from a token lexicon match; a failed or empty translation is
-unresolved. :func:`score_views` takes the seven views from the rows it
+unresolved. A token is a run of word characters and combining marks of the
+Combining Diacritical Marks and Devanagari blocks, found in the lowercased NFC
+text, so a vowel sign, nukta or virama does not split a Hindi word. :func:`score_views` takes the seven views from the rows it
 scores, counts the buckets of each and takes the he/she/they proportions
 over its resolved sentences only; they feed an index in [0, 1] where 1 means
 every gender-neutral source sentence stayed neutral and 0 means maximally
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from .eec import VIEWS
 from .errors import DegenerateDistributionError
-from .names import content_lines, render_grid
+from .names import content_lines, nfc, render_grid
 
 BUCKET_SHE = "she"
 BUCKET_HE = "he"
@@ -35,7 +37,10 @@ VARIANTS = (VARIANT_LINEAR, VARIANT_SQRT)
 
 AMBIGUOUS_POLICIES = ("unresolved", "first_token")
 
-_TOKEN_RE = re.compile(r"\w+")
+# A token: a run of word characters and of the combining marks (categories Mn
+# and Mc) in U+0300-U+036F and U+0900-U+097F, which ``\w`` leaves out.
+_TOKEN_RE = re.compile(r"[\w\u0300-\u036f\u0900-\u0903\u093a-\u093c"
+                       r"\u093e-\u094f\u0951-\u0957\u0962\u0963]+")
 _SIMPLEX_TOLERANCE = 1e-9
 
 __all__ = [
@@ -61,9 +66,18 @@ __all__ = [
 ]
 
 
+def _lexicon_token(entry) -> str:
+    """A gender-lexicon entry lowercased and NFC-normalized, refused unless it is one token."""
+    token = nfc(str(entry).lower())
+    if not _TOKEN_RE.fullmatch(token):
+        raise ValueError(f"gender lexicon entry {entry!r} is not one token")
+    return token
+
+
 @dataclass(frozen=True)
 class GenderLexicon:
-    """Disjoint lowercase token sets deciding the she/he/they buckets."""
+    """Disjoint token sets deciding the she/he/they buckets, each entry one
+    token, lowercased and NFC-normalized."""
 
     she_words: frozenset
     he_words: frozenset
@@ -73,7 +87,8 @@ class GenderLexicon:
     def __post_init__(self):
         bucket_of: dict[str, str] = {}
         for bucket in GENDER_BUCKETS:
-            words = frozenset(str(w).lower() for w in getattr(self, f"{bucket}_words"))
+            given = sorted(map(str, getattr(self, f"{bucket}_words")))
+            words = frozenset(map(_lexicon_token, given))
             if not words:
                 raise ValueError(f"gender lexicon section [{bucket}] is empty")
             for word in sorted(words):
@@ -107,7 +122,8 @@ DEFAULT_GENDER_LEXICON = GenderLexicon(
 def load_gender_lexicon(path) -> GenderLexicon:
     """Parse a lexicon file with "[she]", "[he]", "[they]" sections, one
     token per line; '#' starts a comment. A missing or empty section, or a
-    token in two sections, raises a ValueError naming the file."""
+    token in two sections, raises a ValueError naming the file, and a line
+    that is not one token one naming the file and line."""
     path = Path(path)
     sections: dict[str, list[str]] = {bucket: [] for bucket in GENDER_BUCKETS}
     headings = "/".join(f"[{bucket}]" for bucket in sections)
@@ -121,7 +137,10 @@ def load_gender_lexicon(path) -> GenderLexicon:
             continue
         if current is None:
             raise ValueError(f"{path}:{lineno}: token before any {headings} section")
-        sections[current].append(line)
+        try:
+            sections[current].append(_lexicon_token(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
         return GenderLexicon(*sections.values())
     except ValueError as exc:
@@ -132,7 +151,7 @@ def classify_sentence(text, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
                       ambiguous_policy: str = "unresolved") -> str:
     """Assign a sentence to the she/he/they/unresolved bucket.
 
-    Tokenization is lowercase on word characters. A unique she- or he-hit
+    Tokens are found as the module docstring says. A unique she- or he-hit
     wins even when they-words are also present; a sentence hitting both
     gendered sets is unresolved by default ('first_token' lets the earliest
     gendered token decide instead); they-words only count when no gendered
@@ -141,7 +160,8 @@ def classify_sentence(text, lexicon: GenderLexicon = DEFAULT_GENDER_LEXICON,
     if ambiguous_policy not in AMBIGUOUS_POLICIES:
         raise ValueError(f"unknown ambiguous_policy '{ambiguous_policy}'")
     # The buckets the tokens hit, in the order of their first hit.
-    hits = dict.fromkeys(map(lexicon._bucket_of.get, _TOKEN_RE.findall(str(text).lower())))
+    tokens = _TOKEN_RE.findall(nfc(str(text).lower()))
+    hits = dict.fromkeys(map(lexicon._bucket_of.get, tokens))
     hits.pop(None, None)
     gendered = [bucket for bucket in hits if bucket != BUCKET_THEY]
     if len(gendered) == 2 and ambiguous_policy == "unresolved":

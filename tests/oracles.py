@@ -7,7 +7,7 @@ lets the comparison demand exact equality under a shared seed.
 """
 
 import math
-import re
+import unicodedata
 
 import numpy as np
 
@@ -113,12 +113,29 @@ def rnsb_oracle(target_resolutions, a1, a2, lr=0.1, epochs=500, seed=42):
     return max(0.0, kl)
 
 
+def token_char_oracle(char):
+    """Whether a character belongs to a TGBI token, by its Unicode category: a
+    letter, a number or ``_`` (what Python calls a word character), or a mark
+    in the Combining Diacritical Marks (U+0300-U+036F) or Devanagari
+    (U+0900-U+097F) block."""
+    category = unicodedata.category(char)
+    if category[0] == "M":
+        return 0x300 <= ord(char) <= 0x36F or 0x900 <= ord(char) <= 0x97F
+    return category[0] in "LN" or char == "_"
+
+
 def classify_oracle(text, she_words, he_words, they_words, first_token=False):
-    """The bucket of a sentence by the written rules: lowercase word-character
-    tokens; a she- or he-hit alone wins; both are unresolved, or with
-    ``first_token`` the earlier of the two first hits wins; otherwise a
-    they-hit gives they, and no hit unresolved."""
-    tokens = re.findall(r"\w+", text.lower())
+    """The bucket of a sentence by the written rules: the tokens of its
+    lowercased NFC text, read one character at a time; a she- or he-hit alone
+    wins; both are unresolved, or with ``first_token`` the earlier of the two
+    first hits wins; otherwise a they-hit gives they, and no hit unresolved."""
+    tokens, token = [], ""
+    for char in unicodedata.normalize("NFC", text.lower()) + " ":
+        if token_char_oracle(char):
+            token += char
+        elif token:
+            tokens.append(token)
+            token = ""
     she = [i for i, token in enumerate(tokens) if token in she_words]
     he = [i for i, token in enumerate(tokens) if token in he_words]
     if she and he:

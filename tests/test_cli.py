@@ -518,6 +518,28 @@ class TestTgbiCommand:
         assert (report_dir / "tgbi_table.txt").is_file()
         assert "Average:" in result.stdout
 
+    def test_devanagari_lexicon_words_are_found(self, tmp_path, capsys, lexicon_files):
+        """A Hindi lexicon scores Hindi output: its words' vowel signs and nukta
+        do not split them into tokens that match nothing."""
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        corpus = out_dir / "corpus.tsv"
+        lexicon = tmp_path / "gender.txt"
+        lexicon.write_text("[she]\nलड़की\n[he]\nलड़का\n[they]\nवे\n", encoding="utf-8")
+        outputs = ("वह एक लड़की है", "वह एक लड़का है", "वे डॉक्टर हैं")
+        ids = [line.split("\t")[0] for line in corpus.read_text(encoding="utf-8").splitlines()[1:]]
+        translations = tmp_path / "t.tsv"
+        translations.write_text("id\ttranslation\n" + "".join(
+            f"{uid}\t{outputs[n % 3]}\n" for n, uid in enumerate(ids)), encoding="utf-8")
+        assert cli.main(["tgbi", "--corpus", str(corpus), "--translations", str(translations),
+                         "--gender-lexicon", str(lexicon), "--out-dir", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r" / "tgbi_report.json").read_text(encoding="utf-8"))
+        assert report["unresolved_total"] == 0
+        for bucket in ("she", "he", "they"):
+            assert any(score[f"p_{bucket}"] > 0 for score in report["scores"])
+        assert capsys.readouterr().err == ""
+
     def test_corpus_with_an_empty_view_exits_2_naming_it(self, tmp_path, capsys,
                                                          lexicon_files):
         from biaseval import cli

@@ -15,6 +15,7 @@ from biaseval import (
 )
 from biaseval.eec import Utterance
 from biaseval.errors import DegenerateDistributionError
+from biaseval.names import nfc
 from biaseval.tgbi import (
     AMBIGUOUS_POLICIES,
     DEFAULT_GENDER_LEXICON,
@@ -24,7 +25,7 @@ from biaseval.tgbi import (
     report_to_dict,
 )
 from biaseval.translate import TranslationRecord
-from oracles import classify_oracle
+from oracles import classify_oracle, token_char_oracle
 
 
 class TestClassifySentence:
@@ -61,6 +62,33 @@ class TestClassifySentence:
     def test_punctuation_tokenization(self):
         assert classify_sentence("Really?She,is...a doctor!") == "she"
 
+    def test_a_devanagari_word_is_one_token(self):
+        # The nukta and vowel signs of लड़की and लड़का are combining marks.
+        lexicon = GenderLexicon(frozenset({"लड़की"}), frozenset({"लड़का"}), frozenset({"वे"}))
+        assert classify_sentence("वह एक लड़की है", lexicon) == "she"
+        assert classify_sentence("वह एक लड़का है", lexicon) == "he"
+        assert classify_sentence("वे डॉक्टर हैं", lexicon) == "they"
+
+    def test_composed_and_decomposed_forms_match(self):
+        lexicon = GenderLexicon(frozenset({"fianc\u00e9e"}), frozenset({"fiance\u0301"}),
+                                frozenset({"they"}))
+        assert classify_sentence("My FIANCE\u0301E left", lexicon) == "she"
+        assert classify_sentence("my fianc\u00e9 left", lexicon) == "he"
+
+
+@pytest.mark.parametrize("start", [0x300, 0x900])
+def test_token_class_holds_every_combining_mark_of_its_blocks(start):
+    """Over the Combining Diacritical Marks and Devanagari blocks, a character
+    is a token by itself exactly when its Unicode category makes it one."""
+    from biaseval.tgbi import _TOKEN_RE
+
+    for code in range(start, start + 0x80 if start == 0x900 else 0x370):
+        char = chr(code)
+        assert bool(_TOKEN_RE.fullmatch(char)) == token_char_oracle(char), hex(code)
+
+
+ALPHABET = "abcéक\u093f\u093ce\u0301"
+
 
 @st.composite
 def lexicons_and_sentences(draw):
@@ -70,14 +98,15 @@ def lexicons_and_sentences(draw):
     if draw(st.booleans()):
         lexicon = DEFAULT_GENDER_LEXICON
     else:
-        words = draw(st.lists(st.text("abcéक", min_size=1, max_size=3),
-                              min_size=3, max_size=9, unique=True))
+        # A vowel sign, a nukta and a decomposed accent: combining marks.
+        words = draw(st.lists(st.text(ALPHABET, min_size=1, max_size=3),
+                              min_size=3, max_size=9, unique_by=nfc))
         cut = sorted(draw(st.lists(st.integers(1, len(words) - 1), min_size=2, max_size=2,
                                    unique=True)))
         lexicon = GenderLexicon(frozenset(words[:cut[0]]), frozenset(words[cut[0]:cut[1]]),
                                 frozenset(words[cut[1]:]))
     known = st.sampled_from(sorted(w for words in lexicon.sections().values() for w in words))
-    token = st.one_of(known, known.map(str.upper), st.text("abcéकx", min_size=1, max_size=4))
+    token = st.one_of(known, known.map(str.upper), st.text(ALPHABET + "x", min_size=1, max_size=4))
     tokens = draw(st.lists(token, max_size=8))
     gaps = draw(st.lists(st.sampled_from([" ", ", ", "-", "'", "?!", "_", "\n"]),
                          min_size=len(tokens), max_size=len(tokens)))
@@ -147,6 +176,21 @@ class TestGenderLexicon:
         with pytest.raises(ValueError) as exc:
             load_gender_lexicon(path)
         assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("entry", ["young woman", "she's", "her-self", "she."])
+    def test_entry_must_be_one_token(self, tmp_path, entry):
+        """An entry that is not one token would never match a sentence."""
+        path = tmp_path / "lex.txt"
+        path.write_text(f"[she]\nshe\n{entry}\n[he]\nhe\n[they]\nthey\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_gender_lexicon(path)
+        assert str(exc.value) == f"{path}:3: gender lexicon entry {entry!r} is not one token"
+        with pytest.raises(ValueError, match="is not one token"):
+            GenderLexicon(frozenset({"she", entry}), frozenset({"he"}), frozenset({"they"}))
+
+    def test_entries_are_nfc(self):
+        lexicon = GenderLexicon(frozenset({"E\u0301le"}), frozenset({"he"}), frozenset({"they"}))
+        assert lexicon.she_words == frozenset({"\u00e9le"})
 
     def test_sections_in_bucket_order(self):
         sections = DEFAULT_GENDER_LEXICON.sections()
