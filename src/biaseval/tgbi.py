@@ -5,9 +5,10 @@ Each translated sentence lands in one of four buckets (she, he, they,
 unresolved) from a token lexicon match; a failed or empty translation is
 unresolved. A token is a run of word characters and combining marks of the
 Combining Diacritical Marks and Devanagari blocks, found in the lowercased NFC
-text, so a vowel sign, nukta or virama does not split a Hindi word. :func:`score_views` takes the seven views from the rows it
-scores, counts the buckets of each and takes the he/she/they proportions
-over its resolved sentences only; they feed an index in [0, 1] where 1 means
+text, so a vowel sign, nukta or virama does not split a Hindi word.
+:func:`score_views` takes the seven views from the rows it scores, counts the
+buckets of each and takes the he/she/they proportions over its resolved
+sentences only; they feed an index in [0, 1] where 1 means
 every gender-neutral source sentence stayed neutral and 0 means maximally
 gendered output. The corpus-level index is the mean over the seven views.
 """
@@ -87,6 +88,7 @@ class GenderLexicon:
     def __post_init__(self):
         bucket_of: dict[str, str] = {}
         for bucket in GENDER_BUCKETS:
+            # Sorted, so that of several bad entries the same one is reported every run.
             given = sorted(map(str, getattr(self, f"{bucket}_words")))
             words = frozenset(map(_lexicon_token, given))
             if not words:

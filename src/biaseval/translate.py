@@ -303,8 +303,8 @@ def _fetch_round(connect, batches, pending, attempt: int, results, workers: int)
     one: the workers are daemon threads, so they do not hold up the exit."""
     indices = iter(pending)
     lock = threading.Lock()
-    # Set by the workers, as Thread.join interrupted by a KeyboardInterrupt may
-    # mark a running thread stopped (CPython 3.11 and 3.12).
+    # Set by the workers: before CPython 3.13, a Thread.join interrupted by a
+    # KeyboardInterrupt marks the still-running thread stopped.
     stop, stopped = threading.Event(), threading.Event()
     running = workers
     errors = []

@@ -442,6 +442,29 @@ class TestFetchTranslationsHttp:
             range(1, 40 * 64, 64))
         assert translation_server.all_closed()
 
+    def test_a_round_ends_when_its_last_worker_stops(self, monkeypatch):
+        """The workers count themselves out under a lock; a lost update would
+        leave the round waiting for ever, so each round runs against a deadline."""
+        monkeypatch.setattr(translate, "_fetch_batch", lambda connection, batch, attempt: [])
+
+        class Instant:
+            def close(self):
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a lost update
+        try:
+            for _ in range(50):
+                results = [None] * 64
+                round_ = threading.Thread(target=translate._fetch_round, daemon=True,
+                                          args=(Instant, [()] * 64, range(64), 0, results, 16))
+                round_.start()
+                round_.join(timeout=10)
+                assert not round_.is_alive()
+                assert results == [[]] * 64
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_unexpected_worker_exception_reaches_the_caller(self, translation_server,
                                                            monkeypatch):
         fetch = translate._fetch_batch
