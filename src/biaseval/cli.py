@@ -290,29 +290,24 @@ def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
             cause = "is missing" if named is None else "names another corpus"
             raise ValueError(f"{out} was not written for this corpus ({sidecar} {cause}); "
                              f"remove {out} to start over")
-        existing = load_translations_tsv(out) if out.is_file() else []
-        # Failed rows are stored with an empty translation; fetch them again.
-        have = {record.id for record in existing if record.output}
-        todo = [utterance for utterance in corpus if utterance.id not in have]
+        # The rows of --out by id; a failed row, stored with no translation, is fetched again.
+        by_id = {r.id: r for r in load_translations_tsv(out)} if out.is_file() else {}
+        todo = [u for u in corpus if u.id not in by_id or not by_id[u.id].output]
         try:
             fetched = fetch_translations_http(cfg, todo)
         except (TranslationRunError, TranslationInterrupted) as exc:
-            merged = _merge_records(corpus, existing, exc.completed)
-            write_utf8_files({out: translations_tsv_text(merged, out), sidecar: provenance})
-            raise type(exc)(f"{exc}; wrote {len(merged)} row(s) to {out}; "
+            by_id.update((r.id, r) for r in exc.completed)
+            kept = [by_id[u.id] for u in corpus if u.id in by_id]
+            write_utf8_files({out: translations_tsv_text(kept, out), sidecar: provenance})
+            raise type(exc)(f"{exc}; wrote {len(kept)} row(s) to {out}; "
                             "rerun to resume") from None
-        records = _merge_records(corpus, existing, fetched)
+        by_id.update((r.id, r) for r in fetched)
+        records = list(by_id.values())
+        del by_id  # else it stays alive through the join
     # Both backends write exactly the corpus's rows, in corpus order.
     records = [record for _utterance, record in join(corpus, records,
                                                      min_coverage=args.min_coverage)]
     return {out: translations_tsv_text(records, out), sidecar: provenance}, f"wrote {out}\n"
-
-
-def _merge_records(corpus, existing, fetched):
-    """Existing records overlaid by fetched ones, in corpus order."""
-    by_id = {record.id: record for record in existing}
-    by_id.update({record.id: record for record in fetched})
-    return [by_id[utterance.id] for utterance in corpus if utterance.id in by_id]
 
 
 def cmd_tgbi(args, ledger: _Ledger) -> tuple[dict, str]:
@@ -369,10 +364,11 @@ def _check_templates(queries, metrics) -> None:
 def _embedding_inputs(args, ledger: _Ledger) -> argparse.Namespace:
     """Output directory, embedding tables, queries and input files by label of a
     ``metrics`` or ``rank`` run. ``--seed`` and ``--lost-threshold`` are range-checked,
-    the embedding names checked for repeats, the queries read and checked and every
+    the embedding names checked, the queries read and checked and every
     embedding file found before ``tables`` parses one as it is taken."""
     from .embeddings import load_word2vec_text
     from .queries import load_queries
+    from .ranking import check_table_name
 
     if args.seed < 0:
         raise ValueError("seed (--seed) must be a non-negative integer")
@@ -381,11 +377,7 @@ def _embedding_inputs(args, ledger: _Ledger) -> argparse.Namespace:
     locations = {}  # table name -> file, in flag order
     for spec in args.embeddings:
         name, _, location = spec.partition("=") if "=" in spec else ("", "", spec)
-        name = name or Path(location).stem
-        if name in locations:
-            raise ValueError(f"embedding name '{name}' is given twice (--embedding); "
-                             "name each table uniquely with NAME=PATH")
-        locations[name] = location
+        locations[check_table_name(name or Path(location).stem, locations)] = location
     if not locations:
         raise ValueError("at least one --embedding is required")
     if not args.queries:

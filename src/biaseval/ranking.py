@@ -30,6 +30,7 @@ __all__ = [
     "aggregate_rows",
     "build_rank_table",
     "build_score_matrix",
+    "check_table_name",
     "rank_embeddings",
     "rank_table_csv",
     "rank_table_to_dict",
@@ -143,11 +144,10 @@ def score_matrices(
     Every metric is checked and its subqueries expanded before any table is
     taken, and every matrix is built before any is returned, so a failing
     metric leaves no partial result; a metric given twice is rejected first.
-    ``tables`` is consumed once and its names checked as they arrive (unique,
-    and free of the ``::`` that ends a table name in a diagnostics key): each
-    table is scored for every metric, by one :func:`build_score_matrix` call
-    each, and released before the next is taken, so an iterator that loads
-    its tables holds one at a time.
+    ``tables`` is consumed once, each name checked by :func:`check_table_name`
+    as its table arrives: each table is scored for every metric, by one
+    :func:`build_score_matrix` call each, and released before the next is
+    taken, so an iterator that loads its tables holds one at a time.
     """
     metrics = list(metrics)
     queries = list(queries)
@@ -167,12 +167,7 @@ def score_matrices(
         expanded.append(subqueries)
     names, rows = [], [[] for _ in metrics]  # per metric, its one-table matrices
     for table in tables:
-        names.append(table.name)
-        if table.name in names[:-1]:
-            raise ValueError(f"embedding names must be unique: {names}")
-        if "::" in table.name:
-            raise ValueError(f"embedding name '{table.name}' contains '::', which ends the "
-                             "embedding name in a diagnostics key")
+        names.append(check_table_name(table.name, names))
         for parts, metric, subqueries in zip(rows, metrics, expanded):
             parts.append(build_score_matrix(metric, table, subqueries,
                                             lost_threshold=lost_threshold, seed=seed))
@@ -182,6 +177,18 @@ def score_matrices(
     return [ScoreMatrix(metric, list(names), parts[0].cols, np.vstack([p.values for p in parts]),
                         {cell: info for p in parts for cell, info in p.diagnostics.items()})
             for metric, parts in zip(metrics, rows)]
+
+
+def check_table_name(name: str, earlier) -> str:
+    """``name``, refused if ``earlier`` holds it or it holds the ``::`` that
+    ends a table name in a diagnostics key."""
+    if name in earlier:
+        raise ValueError(f"embedding name '{name}' is given twice (--embedding); "
+                         "name each table uniquely with NAME=PATH")
+    if "::" in name:
+        raise ValueError(f"embedding name '{name}' contains '::', which ends the "
+                         "embedding name in a diagnostics key")
+    return name
 
 
 def aggregate_rows(matrix: ScoreMatrix, agg: str = "abs_mean"):

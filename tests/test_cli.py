@@ -1104,8 +1104,8 @@ class TestWarningFilters:
 
 
 class TestEmbeddingInputOrder:
-    """``metrics`` and ``rank`` reject a repeated embedding name and read and
-    check the queries before any embedding file is parsed."""
+    """``metrics`` and ``rank`` reject a repeated embedding name or one holding
+    ``::``, and read and check the queries, before any embedding file is parsed."""
 
     UNPARSEABLE = "1 2\na 1\n"  # the row has one component of two
 
@@ -1129,17 +1129,23 @@ class TestEmbeddingInputOrder:
         assert not (tmp_path / "out" / "scores_WEAT.json").exists()
 
     @pytest.mark.parametrize("command", ["metrics", "rank"])
-    def test_name_holding_the_key_separator_exits_2(self, tmp_path, embedding_files,
+    def test_name_holding_the_key_separator_exits_2(self, tmp_path, capsys, embedding_files,
                                                     query_file, command):
+        from biaseval import cli
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self.UNPARSEABLE, encoding="utf-8")
         out_dir = tmp_path / "out"
-        result = run_cli(command, "--embedding", f"a::b={embedding_files[0]}",
-                         "--embedding", f"a={embedding_files[1]}", "--queries", query_file,
-                         "--metric", "WEAT", "--out-dir", out_dir)
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.splitlines() == [
-            "error: embedding name 'a::b' contains '::', which ends the embedding name "
-            "in a diagnostics key"
-        ]
+        for named in (embedding_files[0], bad):  # refused before any file is parsed
+            code = cli.main([command, "--embedding", f"a::b={named}",
+                             "--embedding", f"a={embedding_files[1]}", "--queries",
+                             str(query_file), "--metric", "WEAT", "--out-dir", str(out_dir)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.splitlines() == [
+                "error: embedding name 'a::b' contains '::', which ends the embedding name "
+                "in a diagnostics key"
+            ]
         assert not out_dir.exists()
 
     def test_names_taken_from_file_stems_collide(self, tmp_path, embedding_files, query_file):
@@ -1508,6 +1514,35 @@ class TestTranslateResume:
         assert all(text == f"they {uid}" for uid, text in rows.items())
 
 
+    def test_rerun_writes_corpus_order_and_drops_ids_outside_the_corpus(
+            self, tmp_path, lexicon_files, translation_server):
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        corpus_ids = [int(line.split("\t")[0]) for line in
+                      (out_dir / "corpus.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+        translation_server.reply = lambda texts, call: [
+            {"id": t["id"], "text": f"old {t['id']}"} for t in texts]
+        out = tmp_path / "http.tsv"
+        argv = ["translate", "--corpus", out_dir / "corpus.tsv", "--backend", "http",
+                "--url", translation_server.url, "--out", out]
+        assert run_cli(*argv).returncode == 0
+        # The kept --out, its sidecar untouched: rows reversed, one failed, one stray id.
+        failed, stray = corpus_ids[1], max(corpus_ids) + 100
+        rows = [f"{uid}\t{'' if uid == failed else f'old {uid}'}" for uid in reversed(corpus_ids)]
+        out.write_text("\n".join(["id\ttranslation", *rows, f"{stray}\told {stray}"]) + "\n",
+                       encoding="utf-8")
+
+        translation_server.reply = lambda texts, call: [
+            {"id": t["id"], "text": f"new {t['id']}"} for t in texts]
+        translation_server.posts.clear()
+        result = run_cli(*argv)
+        assert result.returncode == 0, result.stderr
+        assert [[t["id"] for t in post.texts] for post in translation_server.posts] == [[failed]]
+        assert result.stderr.splitlines() == [
+            f"warning: join: 0 corpus row(s) without translations; 1 orphan record(s): [{stray}]"]
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"{uid}\t{'new' if uid == failed else 'old'} {uid}" for uid in corpus_ids]
+
+
 class TestTranslationProvenance:
     """Every ``translate`` writes ``--out`` with a ``<out>.provenance.json``
     sidecar; an HTTP ``--out`` resumes, and ``tgbi`` scores any ``--out``,
@@ -1742,19 +1777,6 @@ class TestTranslationProvenance:
         assert result.stdout == ""
         assert config.read_bytes() == before
         assert sorted(path.name for path in tmp_path.glob("tr.tsv*")) == [config.name]
-
-
-class TestMergeRecords:
-    def test_fetched_wins_in_corpus_order_and_other_ids_are_dropped(self):
-        from biaseval.cli import _merge_records
-        from biaseval.eec import Utterance
-        from biaseval.translate import TranslationRecord
-
-        corpus = [Utterance(i, f"s{i}", "informal", "positive", f"w{i}") for i in (3, 1, 2)]
-        existing = [TranslationRecord(i, f"old {i}") for i in (1, 2, 9, 7)]
-        fetched = [TranslationRecord(i, f"new {i}") for i in (2, 3, 8)]
-        merged = _merge_records(corpus, existing, fetched)
-        assert [(r.id, r.output) for r in merged] == [(3, "new 3"), (1, "old 1"), (2, "new 2")]
 
 
 class TestUsageErrors:
@@ -2680,6 +2702,12 @@ class TestInterrupt:
 
     def test_http_translation_stops_and_keeps_what_it_fetched(self, tmp_path,
                                                               translation_server):
+        self._interrupt_http_translation(tmp_path, translation_server, signal.SIGINT)
+
+    @staticmethod
+    def _interrupt_http_translation(tmp_path, translation_server, signum):
+        """Send ``signum`` to ``translate --backend http`` after its third POST:
+        it ends in one line, and a rerun fetches only the rows it did not write."""
         lexicons = []
         for name, size in (("occupations", 200), ("positive", 10), ("negative", 10)):
             lexicons.append(tmp_path / f"{name}.txt")
@@ -2706,7 +2734,7 @@ class TestInterrupt:
         while len(translation_server.posts) < 3 and time.monotonic() < deadline:
             time.sleep(0.01)
         posted = len(translation_server.posts)
-        child.send_signal(signal.SIGINT)
+        child.send_signal(signum)
         stdout, stderr = child.communicate(timeout=60)
         posts = list(translation_server.posts)
         assert posted >= 3

@@ -66,7 +66,8 @@ class TestBuildScoreMatrix:
 
     def test_repeated_table_names_rejected(self):
         tables = [make_table("x", 1, TOKENS), make_table("x", 2, TOKENS)]
-        with pytest.raises(ValueError, match=r"^embedding names must be unique: \['x', 'x'\]$"):
+        with pytest.raises(ValueError, match=r"^embedding name 'x' is given twice \(--embedding\); "
+                                             "name each table uniquely with NAME=PATH$"):
             score_matrices(["WEAT"], tables, [weat_subquery(0)])
 
     def test_unresolvable_cell_is_missing(self):
@@ -496,10 +497,17 @@ class TestScoreMatrices:
                 assert matrix.values.tobytes() == np.vstack([p.values for p in parts]).tobytes()
 
     def test_checks_table_names_as_they_arrive(self):
-        tables = (make_table(name, seed, TOKENS) for seed, name in enumerate("xyx"))
-        repeated = r"^embedding names must be unique: \['x', 'y', 'x'\]$"
-        with pytest.raises(ValueError, match=repeated):
-            score_matrices(["WEAT"], tables, full_queries())
+        taken = []
+
+        def tables():
+            for seed, name in enumerate("xyxz"):
+                taken.append(name)
+                yield make_table(name, seed, TOKENS)
+
+        with pytest.raises(ValueError, match=r"^embedding name 'x' is given twice \(--embedding\); "
+                                             "name each table uniquely with NAME=PATH$"):
+            score_matrices(["WEAT"], tables(), full_queries())
+        assert taken == ["x", "y", "x"]
         with pytest.raises(ValueError, match="^no embeddings given$"):
             score_matrices(["WEAT"], iter(()), full_queries())
 
