@@ -2,7 +2,8 @@
 ranking, and bias-index scoring.
 
 Exit codes: 0 success, 1 computation error or a stdout closed after every
-output was written, 2 usage or input error, 130 interrupted (Ctrl-C). Errors
+output was written, 2 usage or input error, 130 interrupted (Ctrl-C, or
+SIGTERM while ``translate --backend http`` fetches). Errors
 and warnings reach stderr as one ``error: ...`` or ``warning: ...`` line each,
 whatever warning filter the caller set (``-W error`` included).
 
@@ -40,9 +41,11 @@ dependency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -294,7 +297,8 @@ def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
         by_id = {r.id: r for r in load_translations_tsv(out)} if out.is_file() else {}
         todo = [u for u in corpus if u.id not in by_id or not by_id[u.id].output]
         try:
-            fetched = fetch_translations_http(cfg, todo)
+            with _sigterm_interrupts():
+                fetched = fetch_translations_http(cfg, todo)
         except (TranslationRunError, TranslationInterrupted) as exc:
             by_id.update((r.id, r) for r in exc.completed)
             kept = [by_id[u.id] for u in corpus if u.id in by_id]
@@ -308,6 +312,22 @@ def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
     records = [record for _utterance, record in join(corpus, records,
                                                      min_coverage=args.min_coverage)]
     return {out: translations_tsv_text(records, out), sidecar: provenance}, f"wrote {out}\n"
+
+
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """In the main thread, make SIGTERM raise KeyboardInterrupt, as Ctrl-C does,
+    until the block ends: a job scheduler's stop then keeps the rows fetched."""
+    import signal
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def cmd_tgbi(args, ledger: _Ledger) -> tuple[dict, str]:
@@ -520,12 +540,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            parser, commands = build_parser()
+            args = parser.parse_args(argv)
             ledger = _Ledger()
             if args.config:
                 _apply_config(commands[args.command], args.config, ledger)

@@ -2704,6 +2704,70 @@ class TestInterrupt:
                                                               translation_server):
         self._interrupt_http_translation(tmp_path, translation_server, signal.SIGINT)
 
+    def test_sigterm_during_an_http_fetch_takes_the_ctrl_c_path(self, tmp_path,
+                                                                translation_server):
+        self._interrupt_http_translation(tmp_path, translation_server, signal.SIGTERM)
+
+    def test_sigterm_interrupts_only_the_fetch_and_only_in_the_main_thread(
+            self, tmp_path, lexicon_files, translation_server):
+        import threading
+
+        from biaseval import cli
+
+        out_dir, _ = build_corpus(tmp_path, lexicon_files)
+        handlers = []
+
+        def reply(texts, call):
+            handlers.append(signal.getsignal(signal.SIGTERM))
+            return echo(texts)
+
+        translation_server.reply = reply
+        before = signal.getsignal(signal.SIGTERM)
+        argv = ["translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", "http",
+                "--url", translation_server.url, "--out", str(tmp_path / "t.tsv")]
+        codes = [cli.main(argv)]
+        (tmp_path / "t.tsv").unlink()
+        # signal.signal works only in the main thread, so another thread keeps the handler.
+        thread = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+        thread.start()
+        thread.join()
+        assert codes == [0, 0]
+        assert handlers == [signal.default_int_handler, before]
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_interrupt_while_the_parser_is_built_prints_one_line(self, capsys, monkeypatch):
+        from biaseval import cli
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "build_parser", interrupted)
+        try:
+            code = cli.main(["eec"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+
+    def test_interrupt_while_the_cli_is_imported_prints_one_line(self, capsys, monkeypatch):
+        import runpy
+        import types
+
+        class Interrupting(types.ModuleType):
+            def __getattr__(self, name):
+                if name == "console_main":
+                    raise KeyboardInterrupt
+                raise AttributeError(name)
+
+        monkeypatch.setitem(sys.modules, "biaseval.cli", Interrupting("biaseval.cli"))
+        try:
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("biaseval", run_name="__main__")
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped biaseval.__main__")
+        assert exc.value.code == 130
+        assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+
     @staticmethod
     def _interrupt_http_translation(tmp_path, translation_server, signum):
         """Send ``signum`` to ``translate --backend http`` after its third POST:
