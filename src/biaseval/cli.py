@@ -3,7 +3,7 @@ ranking, and bias-index scoring.
 
 Exit codes: 0 success, 1 computation error or a stdout closed after every
 output was written, 2 usage or input error, 130 interrupted (Ctrl-C, or
-SIGTERM while ``translate --backend http`` fetches). Errors
+SIGTERM once ``biaseval.__main__.run`` starts; ``main`` sets no handler). Errors
 and warnings reach stderr as one ``error: ...`` or ``warning: ...`` line each,
 whatever warning filter the caller set (``-W error`` included).
 
@@ -41,11 +41,9 @@ dependency.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -297,14 +295,16 @@ def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
         by_id = {r.id: r for r in load_translations_tsv(out)} if out.is_file() else {}
         todo = [u for u in corpus if u.id not in by_id or not by_id[u.id].output]
         try:
-            with _sigterm_interrupts():
-                fetched = fetch_translations_http(cfg, todo)
+            fetched = fetch_translations_http(cfg, todo)
         except (TranslationRunError, TranslationInterrupted) as exc:
             by_id.update((r.id, r) for r in exc.completed)
             kept = [by_id[u.id] for u in corpus if u.id in by_id]
             write_utf8_files({out: translations_tsv_text(kept, out), sidecar: provenance})
             raise type(exc)(f"{exc}; wrote {len(kept)} row(s) to {out}; "
                             "rerun to resume") from None
+        if left_out := sum(r.failed for r in fetched):
+            warnings.warn(f"the backend left {left_out} row(s) out of its replies; they were "
+                          "written without a translation, and a rerun fetches them")
         by_id.update((r.id, r) for r in fetched)
         records = list(by_id.values())
         del by_id  # else it stays alive through the join
@@ -312,22 +312,6 @@ def cmd_translate(args, ledger: _Ledger) -> tuple[dict, str]:
     records = [record for _utterance, record in join(corpus, records,
                                                      min_coverage=args.min_coverage)]
     return {out: translations_tsv_text(records, out), sidecar: provenance}, f"wrote {out}\n"
-
-
-@contextlib.contextmanager
-def _sigterm_interrupts():
-    """In the main thread, make SIGTERM raise KeyboardInterrupt, as Ctrl-C does,
-    until the block ends: a job scheduler's stop then keeps the rows fetched."""
-    import signal
-
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
 
 
 def cmd_tgbi(args, ledger: _Ledger) -> tuple[dict, str]:
@@ -569,7 +553,3 @@ def main(argv=None) -> int:
         except BiasEvalError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-
-
-def console_main() -> None:
-    raise SystemExit(main())

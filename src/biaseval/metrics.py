@@ -176,9 +176,9 @@ def train_attribute_classifier(attributes_1, attributes_2,
     Reported ``training_loss`` is the final cross-entropy.
 
     Each call fits a new model, except within one ``build_score_matrix``
-    call, which scores one table: there, calls with identical attribute
-    matrices and seed return one model, fitted either by the first of them
-    or ahead of them in a stack.
+    call with an integer seed, which scores one table: there, calls with
+    identical attribute matrices and seed return one model, fitted either by
+    the first of them or ahead of them in a stack.
     """
     attributes_1 = np.atleast_2d(np.asarray(attributes_1, dtype=np.float64))
     attributes_2 = np.atleast_2d(np.asarray(attributes_2, dtype=np.float64))
@@ -187,7 +187,7 @@ def train_attribute_classifier(attributes_1, attributes_2,
     if attributes_1.shape[1] != attributes_2.shape[1]:
         raise ValueError("attribute matrices must share their dimension")
     fitted = _fitted_classifiers.get()
-    if fitted is None or not isinstance(seed, (int, np.integer)):
+    if fitted is None:
         return _fit_classifier(attributes_1, attributes_2, seed)
     key = _classifier_key(attributes_1, attributes_2, seed)
     model = fitted.get(key)
@@ -215,12 +215,13 @@ def _shared_classifiers(attribute_pairs, seed):
     is any model of a stack in which numpy meets a floating-point event it
     would report: each call that needs it fits it alone, with the warnings
     and error it always had."""
-    fitted: dict = {}
+    fitted: dict | None = {}
+    if not isinstance(seed, (int, np.integer)):
+        fitted, attribute_pairs = None, ()  # each call then fits its own model
     stacks: dict[tuple, dict] = {}
-    if isinstance(seed, (int, np.integer)):
-        for attributes_1, attributes_2 in attribute_pairs:
-            key = _classifier_key(attributes_1, attributes_2, seed)
-            stacks.setdefault(key[:2], {})[key] = (attributes_1, attributes_2, seed)
+    for attributes_1, attributes_2 in attribute_pairs:
+        key = _classifier_key(attributes_1, attributes_2, seed)
+        stacks.setdefault(key[:2], {})[key] = (attributes_1, attributes_2, seed)
     reported = {event: "ignore" if how == "ignore" else "raise"
                 for event, how in np.geterr().items()}
     for problems in stacks.values():

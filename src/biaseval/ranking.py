@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -91,7 +92,9 @@ def build_score_matrix(
     diagnostics: dict = {}
     # The first RNSB cell of each attribute pair, resolved first to fit the pairs in stacks.
     lead_cells: dict = {}
+    kernel = METRIC_FUNCTIONS[metric]
     if metric == RNSB:
+        kernel = functools.partial(kernel, seed=seed)
         for j, query in enumerate(subqueries):
             lead_cells.setdefault(query.attributes, j)
     held = {}  # a lead cell that fails is resolved again below, failing alike
@@ -103,10 +106,7 @@ def build_score_matrix(
         for j, query in enumerate(subqueries):
             try:
                 rq = held.pop(j, None) or resolve_query(query, table, lost_threshold=lost_threshold)
-                if metric == RNSB:
-                    result = METRIC_FUNCTIONS[metric](rq, seed)
-                else:
-                    result = METRIC_FUNCTIONS[metric](rq)
+                result = kernel(rq)
             except BiasEvalError as exc:
                 diagnostics[(table.name, query.label)] = {"missing": str(exc)}
                 continue

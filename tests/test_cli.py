@@ -1498,14 +1498,18 @@ class TestTranslateResume:
         argv = ["translate", "--corpus", out_dir / "corpus.tsv", "--backend", "http",
                 "--url", translation_server.url, "--out", out]
         healthy = False
-        assert run_cli(*argv).returncode == 0
+        result = run_cli(*argv)
+        assert result.returncode == 0
+        assert result.stderr.splitlines() == [
+            "warning: the backend left 2 row(s) out of its replies; they were written without a "
+            "translation, and a rerun fetches them"]
         rows = dict(line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()[1:])
         assert {int(uid) for uid, text in rows.items() if not text} == omitted
 
         healthy = True
         translation_server.posts.clear()
         result = run_cli(*argv)
-        assert result.returncode == 0, result.stderr
+        assert (result.returncode, result.stderr) == (0, "")
         assert [[t["id"] for t in post.texts] for post in translation_server.posts] == [
             sorted(omitted)
         ]
@@ -2663,13 +2667,14 @@ class TestOutputThatIsADirectory:
 
 
 def interruptible(*args):
-    """``biaseval *args`` started in a child with Python's own SIGINT handler,
-    which a SIGINT ignored by the parent (as for a background job) would leave
+    """``biaseval *args`` started in a child through ``biaseval.__main__.run``,
+    as both launchers start it, with Python's own SIGINT handler, which a
+    SIGINT ignored by the parent (as for a background job) would leave
     uninstalled, once the child has imported the CLI: every stderr line left
     to read is the command's own."""
     code = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
-            "from biaseval import cli; print('ready', file=sys.stderr, flush=True); "
-            "sys.exit(cli.main(sys.argv[1:]))")
+            "import biaseval.cli, biaseval.__main__; print('ready', file=sys.stderr, flush=True); "
+            "biaseval.__main__.run()")
     child = subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     assert child.stderr.readline() == "ready\n"
@@ -2681,6 +2686,14 @@ class TestInterrupt:
     HTTP translation stops sending and keeps what it fetched."""
 
     def test_rank_prints_one_line_and_writes_nothing(self, tmp_path):
+        self._interrupt_rank(tmp_path, signal.SIGINT)
+
+    def test_sigterm_during_rank_takes_the_ctrl_c_path(self, tmp_path):
+        self._interrupt_rank(tmp_path, signal.SIGTERM)
+
+    @staticmethod
+    def _interrupt_rank(tmp_path, signum):
+        """Send ``signum`` to ``rank`` mid-run: it ends in one line, writing nothing."""
         words = [f"w{i}" for i in range(4000)]
         embedding = write_w2v(tmp_path / "e.txt", {w: [(i % 7) + 1, (i % 5) + 1]
                                                    for i, w in enumerate(words)})
@@ -2693,7 +2706,7 @@ class TestInterrupt:
         child = interruptible("rank", "--embedding", f"e={embedding}", "--queries", queries,
                               "--metric", "WEAT", "--out-dir", out_dir)
         time.sleep(0.3)
-        child.send_signal(signal.SIGINT)
+        child.send_signal(signum)
         stdout, stderr = child.communicate(timeout=60)
         assert child.returncode == 130
         assert stderr.splitlines() == ["error: interrupted"]
@@ -2708,10 +2721,8 @@ class TestInterrupt:
                                                                 translation_server):
         self._interrupt_http_translation(tmp_path, translation_server, signal.SIGTERM)
 
-    def test_sigterm_interrupts_only_the_fetch_and_only_in_the_main_thread(
-            self, tmp_path, lexicon_files, translation_server):
-        import threading
-
+    def test_main_leaves_the_sigterm_handler_as_it_found_it(self, tmp_path, lexicon_files,
+                                                             translation_server):
         from biaseval import cli
 
         out_dir, _ = build_corpus(tmp_path, lexicon_files)
@@ -2723,17 +2734,41 @@ class TestInterrupt:
 
         translation_server.reply = reply
         before = signal.getsignal(signal.SIGTERM)
-        argv = ["translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend", "http",
-                "--url", translation_server.url, "--out", str(tmp_path / "t.tsv")]
-        codes = [cli.main(argv)]
-        (tmp_path / "t.tsv").unlink()
-        # signal.signal works only in the main thread, so another thread keeps the handler.
-        thread = threading.Thread(target=lambda: codes.append(cli.main(argv)))
-        thread.start()
-        thread.join()
-        assert codes == [0, 0]
-        assert handlers == [signal.default_int_handler, before]
+        assert cli.main(["translate", "--corpus", str(out_dir / "corpus.tsv"), "--backend",
+                         "http", "--url", translation_server.url,
+                         "--out", str(tmp_path / "t.tsv")]) == 0
+        assert handlers and all(handler is before for handler in handlers)
         assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_a_launcher_started_with_sigterm_ignored_keeps_it_ignored(self):
+        code = ("import signal; from biaseval import __main__, cli; "
+                "cli.main = lambda: print(signal.getsignal(signal.SIGTERM)) or 0; __main__.run()")
+        # The shell's ignored SIGTERM stays ignored across exec, as for any child it starts.
+        result = subprocess.run(["sh", "-c", 'trap "" TERM; exec "$0" "$@"', sys.executable,
+                                 "-c", code], capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == f"{signal.SIG_IGN}\n"
+
+    def test_python_m_exits_130_after_an_interrupt_in_code_run_from_a_string(self, tmp_path):
+        import os
+
+        import biaseval
+
+        # dataclasses runs the methods it builds from strings, and an import can be
+        # interrupted there; a KeyboardInterrupt that escapes an exec marks the process.
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        (probe / "__init__.py").write_text("", encoding="utf-8")
+        (probe / "__main__.py").write_text(
+            "import runpy\n"
+            "from biaseval import cli\n"
+            "cli.build_parser = lambda: exec('raise KeyboardInterrupt')\n"
+            "runpy.run_module('biaseval', run_name='__main__')\n", encoding="utf-8")
+        path = os.pathsep.join([str(tmp_path), str(Path(biaseval.__file__).parents[1])])
+        result = subprocess.run([sys.executable, "-m", "probe"], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert result.returncode == 130
+        assert result.stderr.splitlines() == ["error: interrupted"]
 
     def test_interrupt_while_the_parser_is_built_prints_one_line(self, capsys, monkeypatch):
         from biaseval import cli
@@ -2755,16 +2790,19 @@ class TestInterrupt:
 
         class Interrupting(types.ModuleType):
             def __getattr__(self, name):
-                if name == "console_main":
+                if name == "main":
                     raise KeyboardInterrupt
                 raise AttributeError(name)
 
         monkeypatch.setitem(sys.modules, "biaseval.cli", Interrupting("biaseval.cli"))
+        before = signal.getsignal(signal.SIGTERM)
         try:
             with pytest.raises(SystemExit) as exc:
                 runpy.run_module("biaseval", run_name="__main__")
         except KeyboardInterrupt:
             pytest.fail("KeyboardInterrupt escaped biaseval.__main__")
+        finally:  # the launcher takes over SIGTERM for its run
+            signal.signal(signal.SIGTERM, before)
         assert exc.value.code == 130
         assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
 
